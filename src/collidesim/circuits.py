@@ -12,6 +12,11 @@ Physically the ancilla is the most significant qubit, the system follows,
 and active env slots stack below in order of preparation, so a freshly
 prepared slot always lands on the least significant qubits.
 
+A product-formula fragment is one op: a one-step schedule of rotations
+repeated `steps` times. It executes as a single dense conjugation by the
+memoized step unitary to the power `steps`, and is counted as its expanded
+rotation list.
+
 CNOT accounting (CostModel defaults): a weight-w Pauli-axis rotation costs
 2(w-1) CNOTs via the usual parity staircase, its controlled version adds 2
 (controlled-Rz = 2 CNOTs + 2 Rz), a controlled weight-w Pauli word costs w,
@@ -23,11 +28,12 @@ cnot_count + rotation_count: sequential layers, no parallelism credit.
 from dataclasses import dataclass, replace
 
 from . import states
+from .hamsim import step_unitary
 from .pauli import PauliString
 
 ANCILLA = -1
 
-_KINDS = ("pauli", "rotation", "cpauli", "crotation", "swap", "prepare", "trace")
+_KINDS = ("pauli", "rotation", "cpauli", "crotation", "fragment", "swap", "prepare", "trace")
 
 
 @dataclass(frozen=True)
@@ -41,6 +47,8 @@ class GateOp:
     slot: int | None = None
     slots: tuple | None = None
     prep: int | None = None  # preparer key for prepare ops (defaults to slot)
+    step: tuple = ()  # fragment ops: one step of (bare axis, angle), in order
+    steps: int = 1  # fragment ops: repetitions of the step
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -62,6 +70,9 @@ class GateOp:
                 f"crot({q(self.control)}={self.polarity}) {self.axis.label()} "
                 f"angle {self.angle!r} on [{ts}]"
             )
+        if self.kind == "fragment":
+            rots = ", ".join(f"{axis.label()} {angle!r}" for axis, angle in self.step)
+            return f"fragment {self.steps} x [{rots}] on [{ts}]"
         if self.kind == "swap":
             return f"swap slots {self.slots[0]}<->{self.slots[1]}"
         if self.kind == "prepare":
@@ -79,6 +90,11 @@ def rotation_op(axis, angle, targets, control=None, polarity=1):
     return GateOp(
         kind, axis=axis, angle=float(angle), targets=tuple(targets), control=control, polarity=polarity
     )
+
+
+def fragment_op(step, steps, targets):
+    """`steps` repetitions of a one-step rotation schedule [(bare axis, angle)]."""
+    return GateOp("fragment", targets=tuple(targets), step=tuple(step), steps=int(steps))
 
 
 @dataclass(frozen=True)
@@ -137,6 +153,13 @@ class CircuitProgram:
                             raise ValueError(f"op touches inactive slot {slot}")
                 if op.axis is not None and op.axis.n != len(op.targets):
                     raise ValueError("axis width != target count")
+                if op.kind == "fragment":
+                    if op.steps < 1 or not op.step:
+                        raise ValueError("fragment needs a non-empty step and steps >= 1")
+                    if any(axis.n != len(op.targets) for axis, _ in op.step):
+                        raise ValueError("axis width != target count")
+                    if any(axis.phase_exp != 0 for axis, _ in op.step):
+                        raise ValueError("fragment rotation axes must have phase +1")
         if active:
             raise ValueError(f"slots never traced: {sorted(active)}")
 
@@ -206,6 +229,10 @@ def execute(program, rho_system, env_preparers=None):
                 [phys(v) for v in _slot_vids(program, a)],
                 [phys(v) for v in _slot_vids(program, b)],
             )
+        elif op.kind == "fragment":
+            states.apply_unitary(
+                state, step_unitary(op.step, op.steps), [phys(v) for v in op.targets]
+            )
         elif op.kind in ("pauli", "cpauli"):
             states.apply_pauli(
                 state,
@@ -273,6 +300,10 @@ def count_resources(program, cost_model=CostModel()):
             if w > 0:
                 cnot += 2 * (w - 1)
                 rot += 1
+        elif op.kind == "fragment":
+            weights = [axis.weight for axis, _ in op.step]
+            cnot += op.steps * sum(2 * (w - 1) for w in weights if w > 0)
+            rot += op.steps * sum(1 for w in weights if w > 0)
         elif op.kind == "crotation":
             w = op.axis.weight
             if w > 0:

@@ -81,6 +81,10 @@ _KNOWN_KEYS = {
     "output.samples",
 }
 
+# Keys that change how a run executes, never what it computes: left out of
+# config_hash so the CSVs stay byte-identical across them.
+_EXECUTION_ONLY_KEYS = ("execution.workers",)
+
 _BENCH_KEYS = ("model.m", "model.J", "model.h", "model.gamma", "model.omega")
 _CUSTOM_KEYS = (
     "model.system_file",
@@ -191,7 +195,8 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict)
 
     def config_hash(self):
-        lines = "\n".join(f"{k}={self.raw[k]}" for k in sorted(self.raw))
+        keys = sorted(k for k in self.raw if k not in _EXECUTION_ONLY_KEYS)
+        lines = "\n".join(f"{k}={self.raw[k]}" for k in keys)
         return hashlib.sha256(lines.encode()).hexdigest()[:12]
 
 

@@ -35,6 +35,7 @@ from .circuits import (
     CostModel,
     GateOp,
     ResourceReport,
+    fragment_op,
     pauli_op,
     rotation_op,
 )
@@ -45,12 +46,16 @@ from .states import apply_swap, partial_trace, tensor_append
 
 @dataclass(frozen=True, eq=False)
 class Collision:
-    """One collision's environment: width, local Hamiltonian pieces, preparer."""
+    """One collision's environment: width, local Hamiltonian pieces, preparer.
+
+    env_prep must be pure: every call returns a fresh copy of the same state.
+    Estimates rely on this to compute a run-independent final state once.
+    """
 
     env_width: int
     env_h: PauliSum  # on env_width qubits
     interaction_h: PauliSum  # on n_system + env_width qubits
-    env_prep: object  # zero-argument callable -> DensityMatrix
+    env_prep: object  # pure zero-argument callable -> a fresh DensityMatrix
 
     def __post_init__(self):
         if self.env_width < 1:
@@ -351,14 +356,24 @@ def _collision_targets(spec, j, slot_base):
     return tuple(range(n)) + tuple(range(slot_base, slot_base + w))
 
 
-def _fragment_rotations(spec, j, plan, rng):
+def _collision_ops(spec, j, plan, rng, targets):
+    """The gates of collision j: one product-formula fragment, qDRIFT
+    rotations, or the sampled-LCU pair (controlled X, anti-controlled Y)."""
     nh, beta = spec.joint(j)
     backend = plan.backend
+    param = plan.per_collision[j]
     if backend.kind == "trotter":
-        return hamsim.trotter_rotations(nh, beta, spec.dt, plan.per_collision[j], backend.order)
+        step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
+        return [fragment_op(step, param, targets)]
     if backend.kind == "qdrift":
-        return hamsim.qdrift_rotations(nh, beta, spec.dt, plan.per_collision[j], rng)
-    raise ValueError(f"no rotation fragment for backend {backend.kind!r}")
+        rotations = hamsim.qdrift_rotations(nh, beta, spec.dt, param, rng)
+        return [rotation_op(axis, angle, targets) for axis, angle in rotations]
+    if backend.kind == "salcu":
+        ops = []
+        for polarity in (1, 0):
+            ops.extend(_sampled_unitary_ops(hamsim.lcu_sample(nh, param, rng), targets, polarity))
+        return ops
+    raise ValueError(f"no collision gates for backend {backend.kind!r}")
 
 
 def _sampled_unitary_ops(su, targets, polarity):
@@ -373,10 +388,11 @@ def _sampled_unitary_ops(su, targets, polarity):
 def markov_program(spec, backend, budget=None, rng=None, plan=None):
     """Emit the full K-collision program (prepare, collide, trace per collision).
 
-    Randomized backends (qdrift, salcu) consume rng; call again for a fresh
-    sample. The salcu backend adds the control ancilla and emits, per
-    collision, the controlled draw X (ancilla = 1) and the anti-controlled
-    independent draw Y (ancilla = 0).
+    Product formulas emit one fragment op per collision. Randomized backends
+    (qdrift, salcu) consume rng; call again for a fresh sample. The salcu
+    backend adds the control ancilla and emits, per collision, the controlled
+    draw X (ancilla = 1) and the anti-controlled independent draw Y
+    (ancilla = 0).
     """
     if plan is None:
         plan = markov_plan(spec, backend, budget)
@@ -396,15 +412,7 @@ def markov_program(spec, backend, budget=None, rng=None, plan=None):
         base = spec.n + sum(widths[:slot])
         targets = _collision_targets(spec, j, base)
         ops.append(GateOp("prepare", slot=slot, prep=spec.unique_index[j]))
-        if backend.kind == "salcu":
-            nh, _ = spec.joint(j)
-            params = plan.per_collision[j]
-            for polarity in (1, 0):
-                su = hamsim.lcu_sample(nh, params, rng)
-                ops.extend(_sampled_unitary_ops(su, targets, polarity))
-        else:
-            for axis, angle in _fragment_rotations(spec, j, plan, rng):
-                ops.append(rotation_op(axis, angle, targets))
+        ops.extend(_collision_ops(spec, j, plan, rng, targets))
         ops.append(GateOp("trace", slot=slot))
     return CircuitProgram(
         n_system=spec.n, ancilla=plan.ancilla, env_widths=tuple(widths), ops=tuple(ops)
@@ -431,15 +439,7 @@ def nonmarkov_program(nmspec, backend, budget=None, rng=None, plan=None):
         active = 0 if j % 2 == 1 else 1
         base = spec.n + active * w
         targets = _collision_targets(spec, j - 1, base)
-        if backend.kind == "salcu":
-            nh, _ = spec.joint(j - 1)
-            params = plan.per_collision[j - 1]
-            for polarity in (1, 0):
-                su = hamsim.lcu_sample(nh, params, rng)
-                ops.extend(_sampled_unitary_ops(su, targets, polarity))
-        else:
-            for axis, angle in _fragment_rotations(spec, j - 1, plan, rng):
-                ops.append(rotation_op(axis, angle, targets))
+        ops.extend(_collision_ops(spec, j - 1, plan, rng, targets))
         if j < spec.K:
             other = 1 - active
             ops.append(GateOp("prepare", slot=other, prep=spec.unique_index[j]))

@@ -1,11 +1,13 @@
 """Monte-Carlo estimation of Tr[O M_K[rho]].
 
-Protocol per run: build (or reuse) the collision program, execute it on a
-fresh copy of the input state, and measure. With the sampled-LCU backend the
-program carries the control ancilla and the measured operator is sigma^x (x) O,
-whose per-run conditional expectation averages to Tr[O Mtilde_K[rho]]/zeta^2;
-the estimate is mu = (zeta^2 / T) sum_k mu_k. Product-formula backends measure
-O directly (zeta = 1).
+Protocol per run: build the collision program, execute it on a fresh copy
+of the input state, and measure. When the final state does not depend on the
+run (the exact backend, or a fixed program), it is computed once per estimate
+and each run only measures it with its own RNG. With the sampled-LCU backend
+the program carries the control ancilla and the measured operator is
+sigma^x (x) O, whose per-run conditional expectation averages to
+Tr[O Mtilde_K[rho]]/zeta^2; the estimate is mu = (zeta^2 / T) sum_k mu_k.
+Product-formula backends measure O directly (zeta = 1).
 
 Budget split: the statistical half is covered by T = hoeffding_T(normO, eps,
 delta, zeta) = ceil(8 normO^2 ln(2/delta) zeta^4 / eps^2), which pins the
@@ -52,12 +54,16 @@ def measured_observable(obs, ancilla):
     return Observable(np.kron(x, obs.matrix))
 
 
-def run_once(program, rho_system, env_preparers, measured, measurement, rng):
-    """One coherent run: execute and measure (conditional mean or one shot)."""
-    final = execute(program, rho_system, env_preparers)
+def _measure(final, measured, measurement, rng):
+    """Conditional mean, or one shot drawn with the run's RNG."""
     if measurement == "analytic":
         return expectation(final, measured)
     return born_sample(final, measured, rng)
+
+
+def run_once(program, rho_system, env_preparers, measured, measurement, rng):
+    """One coherent run: execute and measure (conditional mean or one shot)."""
+    return _measure(execute(program, rho_system, env_preparers), measured, measurement, rng)
 
 
 @dataclass
@@ -150,28 +156,31 @@ def _build_program(spec, base, plan, rng):
     return markov_program(base, None, rng=rng, plan=plan)
 
 
-def _run_block(spec, base, plan, backend, rho0, measured, measurement, seed, indices, fixed):
-    """Sequential runs for the given indices; the parallel path ships this off."""
+def _fixed_final_state(spec, base, rho0, fixed):
+    """The run-independent final state: the exact map, or the fixed program's output."""
+    if fixed is not None:
+        return execute(fixed, rho0, base.env_preparers())
+    if isinstance(spec, NonMarkovSpec):
+        return exact_nonmarkov(spec, rho0)
+    return exact_k_collision(base, rho0)
+
+
+def _run_block(spec, base, plan, rho0, measured, measurement, seed, indices, final):
+    """Sequential runs for the given indices; the parallel path ships this off.
+
+    With a final state given, each run only measures it; otherwise each run
+    builds, executes and counts its own program.
+    """
     mus = np.empty(len(indices))
     totals = ResourceReport()
-    exact_state = None
     for pos, k in enumerate(indices):
         rng = _run_rng(seed, k)
-        if backend.kind == "exact":
-            if exact_state is None:
-                if isinstance(spec, NonMarkovSpec):
-                    exact_state = exact_nonmarkov(spec, rho0)
-                else:
-                    exact_state = exact_k_collision(base, rho0)
-            if measurement == "analytic":
-                mus[pos] = expectation(exact_state, measured)
-            else:
-                mus[pos] = born_sample(exact_state, measured, rng)
+        if final is not None:
+            mus[pos] = _measure(final, measured, measurement, rng)
             continue
-        program = fixed if fixed is not None else _build_program(spec, base, plan, rng)
+        program = _build_program(spec, base, plan, rng)
         mus[pos] = run_once(program, rho0, base.env_preparers(), measured, measurement, rng)
-        if fixed is None:
-            totals = totals + count_resources(program)
+        totals = totals + count_resources(program)
     return mus, totals
 
 
@@ -206,7 +215,8 @@ def estimate(
     base, plan = _prepare(spec, backend, eps, measurement, obs.norm)
     zeta = 1.0 if plan is None else plan.zeta
     fixed_program = backend.kind != "exact" and not _program_is_random(spec, backend)
-    if (backend.kind == "exact" or fixed_program) and measurement == "analytic":
+    run_independent = backend.kind == "exact" or fixed_program
+    if run_independent and measurement == "analytic":
         t_runs = 1
     else:
         t_runs = hoeffding_T(obs.norm, eps, delta, zeta)
@@ -217,14 +227,14 @@ def estimate(
     ancilla = plan.ancilla if plan is not None else False
     measured = measured_observable(obs, ancilla)
     measured.eig()  # prime the cache once, before any fork
-    fixed = None
-    if fixed_program:
-        fixed = _build_program(spec, base, plan, _run_rng(seed, 0))
+    fixed = _build_program(spec, base, plan, _run_rng(seed, 0)) if fixed_program else None
+    # computed here, in the parent, so workers only measure it
+    final = _fixed_final_state(spec, base, rho0, fixed) if run_independent else None
     indices = list(range(t_runs))
     if workers > 1 and t_runs > 1:
         chunks = np.array_split(indices, min(workers * 4, t_runs))
         args = [
-            (spec, base, plan, backend, rho0, measured, measurement, seed, list(c), fixed)
+            (spec, base, plan, rho0, measured, measurement, seed, list(c), final)
             for c in chunks
             if len(c)
         ]
@@ -236,7 +246,7 @@ def estimate(
             totals = totals + r[1]
     else:
         mus, totals = _run_block(
-            spec, base, plan, backend, rho0, measured, measurement, seed, indices, fixed
+            spec, base, plan, rho0, measured, measurement, seed, indices, final
         )
     scaled = zeta**2 * mus
     mu = float(scaled.sum() / t_runs)

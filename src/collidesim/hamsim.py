@@ -26,7 +26,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .circuits import CircuitProgram, pauli_op, rotation_op
 from .errors import NumericalError
 from .pauli import PauliString, pauli_mul
 
@@ -69,8 +68,9 @@ def _suzuki_fractions(k, n_terms):
     return tuple(outer * 2 + middle + outer * 2)
 
 
-def trotter_rotations(nh, beta, dt, steps, order=1):
-    """[(bare axis, angle)] in application order for the full product formula."""
+def trotter_step(nh, beta, dt, steps, order=1):
+    """One step of the product formula: a tuple of (bare axis, angle) in
+    application order; the full formula applies it `steps` times."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     lam = beta * dt / steps
@@ -84,7 +84,24 @@ def trotter_rotations(nh, beta, dt, steps, order=1):
     for l, frac in schedule:
         c, p = nh.term(l)
         step.append((p.bare(), lam * c * frac * _term_sign(p)))
-    return step * steps
+    return tuple(step)
+
+
+def trotter_rotations(nh, beta, dt, steps, order=1):
+    """[(bare axis, angle)] in application order for the full product formula."""
+    return list(trotter_step(nh, beta, dt, steps, order)) * steps
+
+
+@lru_cache(maxsize=32)
+def step_unitary(step, steps):
+    """Dense rotations_dense(step)^steps, memoized on the schedule's value.
+
+    Shared by the empirical step search and program execution, so a certified
+    product is not rebuilt when its fragment runs. The result is read-only.
+    """
+    u = np.linalg.matrix_power(rotations_dense(step, step[0][0].n), steps)
+    u.setflags(write=False)
+    return u
 
 
 def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy="worst_case"):
@@ -110,31 +127,11 @@ def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy="worst_case"):
     target = unitary_exact(nh.h, tau)
     steps = 1
     while steps <= _EMPIRICAL_STEP_CAP:
-        step_dense = rotations_dense(trotter_rotations(nh, beta, dt, steps, order)[: _per_step(nh, order)], nh.n)
-        if spectral_norm(target - np.linalg.matrix_power(step_dense, steps)) <= eps_prime:
+        product = step_unitary(trotter_step(nh, beta, dt, steps, order), steps)
+        if spectral_norm(target - product) <= eps_prime:
             return steps
         steps *= 2
     raise NumericalError(f"no step count up to {_EMPIRICAL_STEP_CAP} reaches {eps_prime}")
-
-
-def _per_step(nh, order):
-    return len(nh) if order == 1 else len(_suzuki_fractions(order // 2, len(nh)))
-
-
-def trotter1_compile(nh, beta, dt, steps):
-    """Standalone first-order program on the sum's own register."""
-    return _program_from_rotations(nh.n, trotter_rotations(nh, beta, dt, steps, 1))
-
-
-def trotter2k_compile(nh, beta, dt, steps, k):
-    """Standalone order-2k Suzuki program on the sum's own register."""
-    return _program_from_rotations(nh.n, trotter_rotations(nh, beta, dt, steps, 2 * k))
-
-
-def _program_from_rotations(n, rotations):
-    targets = tuple(range(n))
-    ops = tuple(rotation_op(axis, angle, targets) for axis, angle in rotations)
-    return CircuitProgram(n_system=n, ops=ops)
 
 
 # ----------------------------------------------------------------- qDRIFT
@@ -158,10 +155,6 @@ def qdrift_rotations(nh, beta, dt, length, rng):
         _, p = nh.term(int(l))
         out.append((p.bare(), base * _term_sign(p)))
     return out
-
-
-def qdrift_compile(nh, beta, dt, length, rng):
-    return _program_from_rotations(nh.n, qdrift_rotations(nh, beta, dt, length, rng))
 
 
 # ------------------------------------------------------------- sampled LCU

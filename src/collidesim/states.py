@@ -9,6 +9,7 @@ invariants, positivity is left to the tests.
 Gate arguments are translated once into the monomial / two-sparse form the
 kernels consume, and those translations are memoized: collision programs
 re-apply the same few Pauli words millions of times across Monte-Carlo runs.
+Dense unitaries (whole product-formula fragments) go through apply_unitary.
 """
 
 import struct
@@ -234,6 +235,34 @@ def apply_pauli_rotation(state, axis, angle, targets, control=None, polarity=1):
     state.data = _kernels.two_sparse_conj(
         state.data, _xor_index(n, g.x), np.ascontiguousarray(diag), np.ascontiguousarray(off)
     )
+    return state
+
+
+def apply_unitary(state, u, targets):
+    """state -> U state U† for a dense U on the listed qubits, in any order.
+
+    targets[0] is U's most significant qubit. The whole register in order is
+    a plain U rho U†; otherwise the targets are moved to the front of a
+    qubit-axis view, U acts there, and the axes move back.
+    """
+    n = state.n
+    targets = tuple(targets)
+    k = len(targets)
+    if u.shape != (1 << k, 1 << k):
+        raise ValueError(f"unitary shape {u.shape} does not fit {k} targets")
+    if len(set(targets)) != k or any(not 0 <= q < n for q in targets):
+        raise ValueError(f"targets {targets} are not distinct qubits of the register")
+    if targets == tuple(range(n)):
+        state.data = u @ state.data @ u.conj().T
+        return state
+    order = targets + tuple(q for q in range(n) if q not in targets)
+    axes = order + tuple(n + q for q in order)
+    dk, dr = 1 << k, 1 << (n - k)
+    view = state.data.reshape((2,) * (2 * n)).transpose(axes).reshape(dk, dr, dk, dr)
+    view = np.tensordot(u, view, axes=(1, 0))  # (a, i, c, j) = U rho
+    view = np.tensordot(view, u.conj(), axes=(2, 1)).transpose(0, 1, 3, 2)  # ... U†
+    back = view.reshape((2,) * (2 * n)).transpose(np.argsort(axes))
+    state.data = np.ascontiguousarray(back.reshape(1 << n, 1 << n))
     return state
 
 

@@ -1,5 +1,7 @@
 """Gate IR: execution against dense oracles, validation, resource accounting."""
 
+import pickle
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -14,6 +16,7 @@ from collidesim import (
     ResourceReport,
     count_resources,
     execute,
+    fragment_op,
     pauli_op,
     rotation_op,
 )
@@ -220,3 +223,59 @@ def test_resource_report_addition():
         "depth_proxy",
         "env_preps",
     )
+
+
+def _slots_program(gates):
+    """Two system qubits and two one-qubit slots, both active around the gates."""
+    return CircuitProgram(
+        2,
+        env_widths=(1, 1),
+        ops=(
+            GateOp("prepare", slot=0),
+            GateOp("prepare", slot=1),
+            *gates,
+            GateOp("trace", slot=0),
+            GateOp("trace", slot=1),
+        ),
+    )
+
+
+def test_fragment_on_permuted_targets_matches_rotations():
+    rng = np.random.default_rng(41)
+    rho = _rand_rho(rng, 2)
+    step = (
+        (PauliString.from_label("XYZ"), 0.11),
+        (PauliString.from_label("ZIX"), -0.07),
+        (PauliString.from_label("IYY"), 0.05),
+    )
+    targets = (3, 0, 2)  # slot 1, system 0, slot 0: out of order, skipping system 1
+    frag = _slots_program((fragment_op(step, 3, targets),))
+    rots = _slots_program(tuple(rotation_op(a, t, targets) for a, t in step * 3))
+    preps = {0: _prep(np.diag([0.3, 0.7])), 1: _prep(_rand_rho(rng, 1).data)}
+    got = execute(frag, rho, preps)
+    want = execute(rots, rho, preps)
+    np.testing.assert_allclose(got.data, want.data, atol=1e-10)
+    assert count_resources(frag) == count_resources(rots)
+
+
+def test_fragment_op_is_small_and_validated():
+    xx = PauliString.from_label("XX")
+    op = fragment_op([(xx, 0.25), (PauliString.from_label("ZI"), -0.5)], 2, (0, 1))
+    assert op.kind == "fragment" and op.step[0] == (xx, 0.25) and op.steps == 2
+    assert pickle.loads(pickle.dumps(op)) == op and hash(op) == hash(fragment_op(op.step, 2, (0, 1)))
+    prog = CircuitProgram(
+        1, env_widths=(1,), ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0))
+    )
+    assert prog.describe().splitlines()[2] == "fragment 2 x [+XX 0.25, +ZI -0.5] on [0,1]"
+    # 2 steps x (XX: 2 cnots + 1 rot, ZI: 0 cnots + 1 rot), plus the preparation
+    assert count_resources(prog).as_tuple() == (2 + 2 * 2, 2 * 2, 0, 6 + 4, 1)
+    for bad in (
+        fragment_op([(PauliString.from_label("X"), 0.1)], 1, (0, 1)),  # axis width
+        fragment_op([(PauliString.from_label("-XX"), 0.1)], 1, (0, 1)),  # phased axis
+        fragment_op([(xx, 0.1)], 0, (0, 1)),  # no repetitions
+        fragment_op([], 1, (0, 1)),  # empty step
+    ):
+        with pytest.raises(ValueError):
+            CircuitProgram(
+                1, env_widths=(1,), ops=(GateOp("prepare", slot=0), bad, GateOp("trace", slot=0))
+            )

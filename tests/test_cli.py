@@ -252,3 +252,12 @@ def test_exit_codes(tmp_path, monkeypatch):
         cli, "cmd_run", lambda cfg, out: (_ for _ in ()).throw(NumericalError("diverged"))
     )
     assert cli.main(["run", "--config", cfg]) == 3
+
+
+def test_run_csv_is_independent_of_workers(tmp_path):
+    cfg = _bench_cfg(tmp_path, "dynamics.measurement = shot\nexecution.t_override = 40\n")
+    out = tmp_path / "run.csv"
+    assert cli.main(["run", "--config", cfg, "--workers", "1"]) == 0
+    serial = out.read_bytes()
+    assert cli.main(["run", "--config", cfg, "--workers", "2"]) == 0
+    assert out.read_bytes() == serial

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from collidesim import (
     nonmarkov_program,
     parse_backend,
     required_precision,
+    rotation_op,
     suggest_nu,
     trace_distance,
 )
@@ -317,3 +319,35 @@ def test_suggest_nu_doubles_until_settled():
     assert rows[-1][2] < eps / 2.0
     assert math.isnan(rows[0][2])
     assert [r[0] for r in rows] == [2**i for i in range(len(rows))]
+
+
+def _expanded(program):
+    """The program with every fragment spelled out as its rotation list."""
+    ops = []
+    for op in program.ops:
+        if op.kind == "fragment":
+            ops.extend(rotation_op(a, t, op.targets) for a, t in op.step * op.steps)
+        else:
+            ops.append(op)
+    return replace(program, ops=tuple(ops))
+
+
+@pytest.mark.parametrize("nonmarkov", [False, True], ids=["markov", "nonmarkov"])
+def test_fragments_match_expanded_rotations(nonmarkov):
+    rng = np.random.default_rng(71)
+    spec = _two_collision_spec()
+    rho = _rand_rho(rng, 1)
+    budget = Budget(1e-3, 1.0)
+    if nonmarkov:
+        prog = nonmarkov_program(
+            NonMarkovSpec(spec, 0.5), parse_backend("trotter1"), budget, rng=np.random.default_rng(4)
+        )
+    else:
+        prog = markov_program(spec, parse_backend("trotter2k:1"), budget)
+    kinds = [op.kind for op in prog.ops]
+    assert kinds.count("fragment") == spec.K and "rotation" not in kinds
+    flat = _expanded(prog)
+    assert count_resources(prog) == count_resources(flat)
+    got = execute(prog, rho, spec.env_preparers())
+    want = execute(flat, rho, spec.env_preparers())
+    np.testing.assert_allclose(got.data, want.data, atol=1e-10)

@@ -12,15 +12,24 @@ from collidesim import (
     DensityMatrix,
     EstimateReport,
     NonMarkovSpec,
+    Observable,
+    PauliString,
     PauliSum,
     ThermalPrep,
+    amp_damp_model,
     estimate,
     exact_k_collision,
     expectation,
     hoeffding_T,
+    lindblad_collision_spec,
     magnetization,
+    markov_plan,
+    markov_program,
+    parse_backend,
     required_precision,
 )
+from collidesim.acceptance import _random_collision
+from collidesim.estimator import run_once
 
 
 def _spec():
@@ -179,3 +188,39 @@ def test_report_row_matches_field_list():
 def test_rejects_unknown_measurement():
     with pytest.raises(ValueError):
         estimate(_spec(), RHO0, OBS, "exact", eps=0.1, measurement="weak")
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fixed_program_shots_match_a_per_run_loop(workers):
+    # the hoeffding-coverage instance: one collision, shot readout
+    rng = np.random.default_rng(5)
+    spec = CollisionSpec(1, PauliSum.from_labels([(0.3, "Z")]), (_random_collision(rng, 1, 1),), 0.3)
+    obs = Observable(PauliSum(1, [(1.0, PauliString.from_label("Z"))]))
+    rho0 = DensityMatrix.plus()
+    eps = delta = 0.1
+    seed = 1000
+    rep = estimate(spec, rho0, obs, "trotter1", eps, delta, seed=seed, measurement="shot",
+                   workers=workers, keep_samples=True)
+    # reference: rebuild and re-execute the program on every run
+    plan = markov_plan(spec, parse_backend("trotter1"), Budget(eps / 2.0, obs.norm, "generic"))
+    mus = np.array([
+        run_once(markov_program(spec, None, plan=plan), rho0, spec.env_preparers(), obs, "shot",
+                 np.random.default_rng(np.random.SeedSequence((seed, k))))
+        for k in range(rep.t_runs)
+    ])
+    assert rep.t_runs == hoeffding_T(obs.norm, eps, delta)
+    assert rep.samples == tuple(float(v) for v in mus)
+    assert rep.mu == float(mus.sum() / rep.t_runs)
+    assert rep.stderr == float(mus.std(ddof=1) / math.sqrt(rep.t_runs))
+
+
+def test_quickstart_cnot_counts_stay_pinned():
+    model = amp_damp_model(m=4, J=1.0, h=0.1, gamma=1.0)
+    spec = lindblad_collision_spec(model, 1.0, 2)
+    obs = magnetization(4)
+    rho0 = DensityMatrix.basis(4, 0)
+    truth = expectation(exact_k_collision(spec, rho0), obs)
+    for backend, cnots in (("trotter1", 122_896), ("trotter2k:1", 3_856)):
+        rep = estimate(spec, rho0, obs, backend, eps=1e-2, seed=0)
+        assert rep.resources_mean.cnot_count == cnots
+        assert abs(rep.mu - truth) <= 1e-2

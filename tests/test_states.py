@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from collidesim import _kernels
+
 from collidesim import (
     DensityMatrix,
     Observable,
@@ -11,6 +13,7 @@ from collidesim import (
     apply_pauli,
     apply_pauli_rotation,
     apply_swap,
+    apply_unitary,
     born_sample,
     embed_pauli,
     expectation,
@@ -209,3 +212,51 @@ def test_save_load_round_trip(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_state(path)
+
+
+def _embedded(u, targets, n):
+    """Dense oracle: U on the listed qubits (targets[0] its top bit), identity elsewhere."""
+    dim = 1 << n
+    rest = [q for q in range(n) if q not in targets]
+
+    def bits(i, qubits):
+        return [(i >> (n - 1 - q)) & 1 for q in qubits]
+
+    def local(i):
+        return int("".join(map(str, bits(i, targets))), 2)
+
+    full = np.zeros((dim, dim), dtype=np.complex128)
+    for i in range(dim):
+        for j in range(dim):
+            if bits(i, rest) == bits(j, rest):
+                full[i, j] = u[local(i), local(j)]
+    return full
+
+
+@pytest.mark.parametrize("targets", [(0, 1, 2, 3), (2, 0, 3), (3,), (1, 3)])
+def test_apply_unitary_matches_dense(targets):
+    rng = np.random.default_rng(83)
+    rho = _rand_rho(rng, 4)
+    k = len(targets)
+    a = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    u, _ = np.linalg.qr(a)
+    full = _embedded(u, targets, 4)
+    want = full @ rho.data @ full.conj().T
+    got = apply_unitary(rho.copy(), u, targets)
+    np.testing.assert_allclose(got.data, want, atol=1e-12)
+
+
+def test_apply_unitary_rejects_bad_targets():
+    rho = DensityMatrix.basis(2, 0)
+    for bad in ((0, 0), (0, 2), (0,)):  # repeated, outside the register, wrong width
+        with pytest.raises(ValueError):
+            apply_unitary(rho.copy(), np.eye(4), bad)
+
+
+@pytest.mark.parametrize("dim", [2, 8, 32])
+def test_born_probs_numpy_matches_dense_diagonal(dim):
+    rng = np.random.default_rng(dim)
+    rho = _rand_rho(rng, dim.bit_length() - 1).data
+    vecs, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    want = np.diag(vecs.conj().T @ rho @ vecs).real
+    np.testing.assert_allclose(_kernels.born_probs_numpy(vecs, rho), want, atol=1e-14)
