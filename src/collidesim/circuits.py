@@ -12,10 +12,19 @@ Physically the ancilla is the most significant qubit, the system follows,
 and active env slots stack below in order of preparation, so a freshly
 prepared slot always lands on the least significant qubits.
 
-A product-formula fragment is one op: a one-step schedule of rotations
-repeated `steps` times. It executes as a single dense conjugation by the
-memoized step unitary to the power `steps`, and is counted as its expanded
-rotation list.
+Every collision of every backend is one `fragment` op on the collision's
+n+w targets: a one-step schedule of items repeated `steps` times, where an
+item is a rotation (bare axis, angle) or a Pauli word (word, None) with its
+phase. With a control the fragment acts only where the ancilla reads
+`polarity`. It executes as a single dense conjugation: the step unitary is
+built by hamsim.rotations_dense on the targets alone, raised to `steps`, and
+embedded block-diagonally on [control] + targets when controlled. Product
+formulas repeat their fragments across collisions and runs, so their unitary
+is memoized (hamsim.step_unitary); a `sampled` fragment (one qDRIFT or LCU
+draw) is built once for its run and never memoized. validate, describe and
+count_resources treat a fragment as its expanded gate list: the rotation,
+crotation, pauli and cpauli kinds, which stay as that reference form and
+execute gate by gate, but which no compiler emits.
 
 CNOT accounting (CostModel defaults): a weight-w Pauli-axis rotation costs
 2(w-1) CNOTs via the usual parity staircase, its controlled version adds 2
@@ -26,9 +35,12 @@ cnot_count + rotation_count: sequential layers, no parallelism credit.
 """
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
+
+import numpy as np
 
 from . import states
-from .hamsim import step_unitary
+from .hamsim import rotations_dense, step_unitary
 from .pauli import PauliString
 
 ANCILLA = -1
@@ -47,8 +59,9 @@ class GateOp:
     slot: int | None = None
     slots: tuple | None = None
     prep: int | None = None  # preparer key for prepare ops (defaults to slot)
-    step: tuple = ()  # fragment ops: one step of (bare axis, angle), in order
+    step: tuple = ()  # fragment ops: one step of (bare axis, angle) | (word, None), in order
     steps: int = 1  # fragment ops: repetitions of the step
+    sampled: bool = False  # fragment ops: one random draw, never memoized
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -71,8 +84,14 @@ class GateOp:
                 f"angle {self.angle!r} on [{ts}]"
             )
         if self.kind == "fragment":
-            rots = ", ".join(f"{axis.label()} {angle!r}" for axis, angle in self.step)
-            return f"fragment {self.steps} x [{rots}] on [{ts}]"
+            items = ", ".join(
+                axis.label() if angle is None else f"{axis.label()} {angle!r}"
+                for axis, angle in self.step
+            )
+            head = "fragment"
+            if self.control is not None:
+                head = f"cfragment({q(self.control)}={self.polarity})"
+            return f"{head} {self.steps} x [{items}] on [{ts}]"
         if self.kind == "swap":
             return f"swap slots {self.slots[0]}<->{self.slots[1]}"
         if self.kind == "prepare":
@@ -92,9 +111,35 @@ def rotation_op(axis, angle, targets, control=None, polarity=1):
     )
 
 
-def fragment_op(step, steps, targets):
-    """`steps` repetitions of a one-step rotation schedule [(bare axis, angle)]."""
-    return GateOp("fragment", targets=tuple(targets), step=tuple(step), steps=int(steps))
+def fragment_op(step, steps, targets, control=None, polarity=1, sampled=False):
+    """`steps` repetitions of a one-step schedule of (bare axis, angle) and
+    (word, None) items, optionally controlled; `sampled` marks one random draw."""
+    return GateOp(
+        "fragment",
+        targets=tuple(targets),
+        control=control,
+        polarity=polarity,
+        step=tuple(step),
+        steps=int(steps),
+        sampled=sampled,
+    )
+
+
+def expand_fragments(program):
+    """The program with every fragment spelled out as its reference gates:
+    the step's rotation and Pauli-word ops (controlled like the fragment),
+    repeated `steps` times. Same effect and same costs, executed gate by gate."""
+    ops = []
+    for op in program.ops:
+        if op.kind != "fragment":
+            ops.append(op)
+            continue
+        for axis, angle in op.step * op.steps:
+            if angle is None:
+                ops.append(pauli_op(axis, op.targets, op.control, op.polarity))
+            else:
+                ops.append(rotation_op(axis, angle, op.targets, op.control, op.polarity))
+    return replace(program, ops=tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -156,10 +201,14 @@ class CircuitProgram:
                 if op.kind == "fragment":
                     if op.steps < 1 or not op.step:
                         raise ValueError("fragment needs a non-empty step and steps >= 1")
-                    if any(axis.n != len(op.targets) for axis, _ in op.step):
-                        raise ValueError("axis width != target count")
-                    if any(axis.phase_exp != 0 for axis, _ in op.step):
-                        raise ValueError("fragment rotation axes must have phase +1")
+                    if op.sampled and op.steps != 1:
+                        raise ValueError("a sampled fragment is one draw: steps must be 1")
+                    width = len(op.targets)
+                    for axis, angle in op.step:
+                        if axis.n != width:
+                            raise ValueError("axis width != target count")
+                        if angle is not None and axis.phase_exp != 0:
+                            raise ValueError("fragment rotation axes must have phase +1")
         if active:
             raise ValueError(f"slots never traced: {sorted(active)}")
 
@@ -230,9 +279,15 @@ def execute(program, rho_system, env_preparers=None):
                 [phys(v) for v in _slot_vids(program, b)],
             )
         elif op.kind == "fragment":
-            states.apply_unitary(
-                state, step_unitary(op.step, op.steps), [phys(v) for v in op.targets]
-            )
+            qubits = [phys(v) for v in op.targets]
+            if op.sampled:
+                u = rotations_dense(op.step, len(qubits))
+            else:
+                u = step_unitary(op.step, op.steps)
+            if op.control is not None:
+                u = _controlled(u, op.polarity)
+                qubits.insert(0, phys(op.control))
+            states.apply_unitary(state, u, qubits)
         elif op.kind in ("pauli", "cpauli"):
             states.apply_pauli(
                 state,
@@ -251,6 +306,17 @@ def execute(program, rho_system, env_preparers=None):
                 polarity=op.polarity,
             )
     return state
+
+
+def _controlled(u, polarity):
+    """Block-diagonal unitary on [control] + targets: u where the control
+    reads polarity, identity where it does not."""
+    dim = u.shape[0]
+    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
+    on, off = (dim, 0) if polarity else (0, dim)
+    out[on : on + dim, on : on + dim] = u
+    out.reshape(-1)[:: 2 * dim + 1][off : off + dim] = 1.0
+    return out
 
 
 def _slot_vids(program, slot):
@@ -287,33 +353,38 @@ class ResourceReport:
         return tuple(getattr(self, f) for f in self.FIELDS)
 
 
+@lru_cache(maxsize=4096)
+def _gate_cost(axis, rotation, controlled):
+    """(cnots, rotations, Pauli gates) of one rotation or Pauli-word gate."""
+    w = axis.weight
+    if not rotation:
+        return (w if controlled else 0), 0, 1
+    if w == 0:
+        return 0, int(controlled), 0  # a controlled identity rotation is a phase kick
+    return 2 * (w - 1) + 2 * controlled, 1 + controlled, 0
+
+
 def count_resources(program, cost_model=CostModel()):
+    """Gate costs of the program; a fragment counts as its expanded gate list."""
     cnot = rot = paulis = preps = 0
     for op in program.ops:
-        if op.kind == "pauli":
-            paulis += 1
-        elif op.kind == "cpauli":
-            paulis += 1
-            cnot += op.axis.weight
-        elif op.kind == "rotation":
-            w = op.axis.weight
-            if w > 0:
-                cnot += 2 * (w - 1)
-                rot += 1
-        elif op.kind == "fragment":
-            weights = [axis.weight for axis, _ in op.step]
-            cnot += op.steps * sum(2 * (w - 1) for w in weights if w > 0)
-            rot += op.steps * sum(1 for w in weights if w > 0)
-        elif op.kind == "crotation":
-            w = op.axis.weight
-            if w > 0:
-                cnot += 2 * (w - 1) + 2
-                rot += 2
-            else:
-                rot += 1
-        elif op.kind == "swap":
-            cnot += cost_model.swap_cnots_per_qubit * program.env_widths[op.slots[0]]
-        elif op.kind == "prepare":
-            cnot += cost_model.prep_cnots
-            preps += 1
+        if op.kind == "fragment":
+            gates, reps = op.step, op.steps
+        elif op.kind in ("rotation", "crotation"):
+            gates, reps = ((op.axis, op.angle),), 1
+        elif op.kind in ("pauli", "cpauli"):
+            gates, reps = ((op.axis, None),), 1
+        else:
+            if op.kind == "swap":
+                cnot += cost_model.swap_cnots_per_qubit * program.env_widths[op.slots[0]]
+            elif op.kind == "prepare":
+                cnot += cost_model.prep_cnots
+                preps += 1
+            continue
+        controlled = op.control is not None
+        for axis, angle in gates:
+            c, r, p = _gate_cost(axis, angle is not None, controlled)
+            cnot += reps * c
+            rot += reps * r
+            paulis += reps * p
     return ResourceReport(cnot, rot, paulis, cnot + rot, preps)

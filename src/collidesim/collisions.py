@@ -35,9 +35,8 @@ from .circuits import (
     CostModel,
     GateOp,
     ResourceReport,
+    _gate_cost,
     fragment_op,
-    pauli_op,
-    rotation_op,
 )
 from .errors import NumericalError
 from .pauli import PauliString, PauliSum, normalize
@@ -357,8 +356,8 @@ def _collision_targets(spec, j, slot_base):
 
 
 def _collision_ops(spec, j, plan, rng, targets):
-    """The gates of collision j: one product-formula fragment, qDRIFT
-    rotations, or the sampled-LCU pair (controlled X, anti-controlled Y)."""
+    """The gates of collision j as fragments: the product-formula step, one
+    qDRIFT draw, or the sampled-LCU pair (controlled X, anti-controlled Y)."""
     nh, beta = spec.joint(j)
     backend = plan.backend
     param = plan.per_collision[j]
@@ -367,32 +366,41 @@ def _collision_ops(spec, j, plan, rng, targets):
         return [fragment_op(step, param, targets)]
     if backend.kind == "qdrift":
         rotations = hamsim.qdrift_rotations(nh, beta, spec.dt, param, rng)
-        return [rotation_op(axis, angle, targets) for axis, angle in rotations]
+        return [fragment_op(rotations, 1, targets, sampled=True)]
     if backend.kind == "salcu":
-        ops = []
-        for polarity in (1, 0):
-            ops.extend(_sampled_unitary_ops(hamsim.lcu_sample(nh, param, rng), targets, polarity))
-        return ops
+        return [
+            fragment_op(
+                _lcu_items(hamsim.lcu_sample(nh, param, rng)),
+                1,
+                targets,
+                control=ANCILLA,
+                polarity=polarity,
+                sampled=True,
+            )
+            for polarity in (1, 0)
+        ]
     raise ValueError(f"no collision gates for backend {backend.kind!r}")
 
 
-def _sampled_unitary_ops(su, targets, polarity):
-    ops = []
+def _lcu_items(su):
+    """Fragment items of a sampled unitary: per segment the rotation, then
+    the word unless it is +I."""
+    items = []
     for seg in su.segments:
-        ops.append(rotation_op(seg.axis, seg.angle, targets, control=ANCILLA, polarity=polarity))
+        items.append((seg.axis, seg.angle))
         if not (seg.word.is_identity_axes() and seg.word.phase_exp == 0):
-            ops.append(pauli_op(seg.word, targets, control=ANCILLA, polarity=polarity))
-    return ops
+            items.append((seg.word, None))
+    return items
 
 
 def markov_program(spec, backend, budget=None, rng=None, plan=None):
     """Emit the full K-collision program (prepare, collide, trace per collision).
 
-    Product formulas emit one fragment op per collision. Randomized backends
-    (qdrift, salcu) consume rng; call again for a fresh sample. The salcu
-    backend adds the control ancilla and emits, per collision, the controlled
-    draw X (ancilla = 1) and the anti-controlled independent draw Y
-    (ancilla = 0).
+    Every collision is one fragment op (two for salcu). Randomized backends
+    (qdrift, salcu) consume rng and emit sampled fragments; call again for a
+    fresh sample. The salcu backend adds the control ancilla and emits, per
+    collision, the controlled draw X (ancilla = 1) and the anti-controlled
+    independent draw Y (ancilla = 0).
     """
     if plan is None:
         plan = markov_plan(spec, backend, budget)
@@ -557,17 +565,9 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
             else:
                 params = plan.per_collision[j]
                 acc = np.zeros(3)
-                for _ in range(lcu_samples):
-                    for polarity in (1, 0):
-                        su = hamsim.lcu_sample(nh, params, rng)
-                        for seg in su.segments:
-                            w_axis = seg.axis.weight
-                            if w_axis:
-                                acc += (2 * (w_axis - 1) + 2, 2, 0)
-                            else:
-                                acc += (0, 1, 0)
-                            if not (seg.word.is_identity_axes() and seg.word.phase_exp == 0):
-                                acc += (seg.word.weight, 0, 1)
+                for _ in range(2 * lcu_samples):  # the X and Y draw of each sample
+                    for axis, angle in _lcu_items(hamsim.lcu_sample(nh, params, rng)):
+                        acc += _gate_cost(axis, angle is not None, True)
                 per_unique[u] = tuple(acc / lcu_samples)
         dc, dr, dp = per_unique[u]
         cnot += dc

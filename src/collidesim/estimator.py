@@ -2,8 +2,9 @@
 
 Protocol per run: build the collision program, execute it on a fresh copy
 of the input state, and measure. When the final state does not depend on the
-run (the exact backend, or a fixed program), it is computed once per estimate
-and each run only measures it with its own RNG. With the sampled-LCU backend
+run (the exact backend, or a fixed program), it is computed and measured once
+per estimate: its conditional mean, or the Born distribution from which each
+run draws its shot with its own RNG. With the sampled-LCU backend
 the program carries the control ancilla and the measured operator is
 sigma^x (x) O, whose per-run conditional expectation averages to
 Tr[O Mtilde_K[rho]]/zeta^2; the estimate is mu = (zeta^2 / T) sum_k mu_k.
@@ -36,7 +37,7 @@ from .collisions import (
     nonmarkov_program,
     parse_backend,
 )
-from .states import Observable, born_sample, expectation
+from .states import Observable, born_distribution, born_draw, born_sample, expectation
 
 
 def hoeffding_T(norm_o, eps, delta, zeta=1.0):
@@ -165,19 +166,29 @@ def _fixed_final_state(spec, base, rho0, fixed):
     return exact_k_collision(base, rho0)
 
 
-def _run_block(spec, base, plan, rho0, measured, measurement, seed, indices, final):
+def _fixed_outcome(final, measured, measurement):
+    """What every run measures on a run-independent final state: the
+    conditional mean, or the Born distribution its shot is drawn from."""
+    if measurement == "analytic":
+        return expectation(final, measured)
+    return born_distribution(final, measured)
+
+
+def _run_block(spec, base, plan, rho0, measured, measurement, seed, indices, outcome):
     """Sequential runs for the given indices; the parallel path ships this off.
 
-    With a final state given, each run only measures it; otherwise each run
-    builds, executes and counts its own program.
+    With a fixed outcome given, each run only reads it (a shot draws from it
+    with the run's RNG); otherwise each run builds, executes and counts its
+    own program.
     """
     mus = np.empty(len(indices))
     totals = ResourceReport()
     for pos, k in enumerate(indices):
-        rng = _run_rng(seed, k)
-        if final is not None:
-            mus[pos] = _measure(final, measured, measurement, rng)
+        if outcome is not None:
+            analytic = measurement == "analytic"
+            mus[pos] = outcome if analytic else born_draw(outcome, _run_rng(seed, k))
             continue
+        rng = _run_rng(seed, k)
         program = _build_program(spec, base, plan, rng)
         mus[pos] = run_once(program, rho0, base.env_preparers(), measured, measurement, rng)
         totals = totals + count_resources(program)
@@ -228,13 +239,16 @@ def estimate(
     measured = measured_observable(obs, ancilla)
     measured.eig()  # prime the cache once, before any fork
     fixed = _build_program(spec, base, plan, _run_rng(seed, 0)) if fixed_program else None
-    # computed here, in the parent, so workers only measure it
-    final = _fixed_final_state(spec, base, rho0, fixed) if run_independent else None
+    # computed here, in the parent, so workers only read it
+    outcome = None
+    if run_independent:
+        final = _fixed_final_state(spec, base, rho0, fixed)
+        outcome = _fixed_outcome(final, measured, measurement)
     indices = list(range(t_runs))
     if workers > 1 and t_runs > 1:
         chunks = np.array_split(indices, min(workers * 4, t_runs))
         args = [
-            (spec, base, plan, rho0, measured, measurement, seed, list(c), final)
+            (spec, base, plan, rho0, measured, measurement, seed, list(c), outcome)
             for c in chunks
             if len(c)
         ]
@@ -246,7 +260,7 @@ def estimate(
             totals = totals + r[1]
     else:
         mus, totals = _run_block(
-            spec, base, plan, rho0, measured, measurement, seed, indices, final
+            spec, base, plan, rho0, measured, measurement, seed, indices, outcome
         )
     scaled = zeta**2 * mus
     mu = float(scaled.sum() / t_runs)

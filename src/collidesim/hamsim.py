@@ -18,6 +18,10 @@ Routes:
 Step/length/order choosers implement the matching worst-case formulas; the
 empirical strategy instead doubles the step count until the dense product is
 within eps_prime of the exact exponential.
+
+rotations_dense is the one builder of a schedule's dense unitary on the
+collision's own qubits: the memoized Trotter step_unitary and every sampled
+qDRIFT or LCU fragment go through it.
 """
 
 import math
@@ -27,7 +31,8 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import NumericalError
-from .pauli import PauliString, pauli_mul
+from .pauli import PauliString
+from .states import _axis_action_rowform, _xor_index
 
 _EMPIRICAL_STEP_CAP = 1 << 22
 
@@ -44,11 +49,32 @@ def rotation_dense(axis, angle):
     ) * axis.to_dense()
 
 
-def rotations_dense(rotations, n):
-    """Dense product of rotations applied in list order (entry 0 first)."""
+def rotations_dense(items, n):
+    """Dense product of a schedule applied in list order (entry 0 first).
+
+    An item (bare axis, angle) is the rotation e^{-i angle P}; an item
+    (word, None) is the Pauli word itself, phase included. The product grows
+    from the identity by one-sided updates U <- G U: P U is a row gather
+    (row r of P holds its one entry at column r^x) times a per-row phase, so
+    each item costs O(4^n) and no gate is made dense.
+    """
     out = np.eye(1 << n, dtype=np.complex128)
-    for axis, angle in rotations:
-        out = rotation_dense(axis, angle) @ out
+    for axis, angle in items:
+        rows = _axis_action_rowform(n, axis.x, axis.z)
+        if angle is None:
+            scale = axis.phase * rows
+        elif axis.x == 0:
+            scale = math.cos(angle) - (1j * math.sin(angle)) * rows
+        else:
+            moved = out[_xor_index(n, axis.x)]
+            moved *= ((-1j * math.sin(angle)) * rows)[:, None]
+            out *= math.cos(angle)
+            out += moved
+            continue
+        if axis.x:
+            out = scale[:, None] * out[_xor_index(n, axis.x)]
+        else:
+            out *= scale[:, None]
     return out
 
 
@@ -144,17 +170,20 @@ def choose_qdrift_length(beta, dt, eps_prime):
     return max(1, math.ceil(2.0 * (beta * dt) ** 2 / eps_prime))
 
 
+@lru_cache(maxsize=256)
+def _signed_axes(nh):
+    """Per term index: (bare axis, sign of the term's word), built once per sum."""
+    return tuple((p.bare(), _term_sign(p)) for _, p in nh.h.terms)
+
+
 def qdrift_rotations(nh, beta, dt, length, rng):
-    """[(bare axis, angle)]: length draws l ~ p, each rotated by beta dt/N."""
+    """((bare axis, angle), ...): length draws l ~ p, each rotated by beta dt/N."""
     if length < 1:
         raise ValueError("length must be >= 1")
     base = beta * dt / length
+    table = tuple((axis, base * sign) for axis, sign in _signed_axes(nh))
     picks = np.atleast_1d(nh.sample_term(rng, size=length))
-    out = []
-    for l in picks:
-        _, p = nh.term(int(l))
-        out.append((p.bare(), base * _term_sign(p)))
-    return out
+    return tuple(table[l] for l in picks.tolist())
 
 
 # ------------------------------------------------------------- sampled LCU
@@ -290,16 +319,28 @@ def lcu_sample(nh, params, rng):
     k_probs = _k_distribution(params.weights)
     ks = 2 * np.atleast_1d(rng.choice(len(k_probs), size=params.r, p=k_probs))
     n_draws = int(ks.sum()) + params.r
-    picks = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)))
+    picks = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)).tolist())
+    terms = nh.h.terms
+    axes = _signed_axes(nh)
     segments = []
-    for k in (int(v) for v in ks):
-        word = PauliString.identity(nh.n).with_phase_exp(3 * k)  # (-i)^k
+    for k in ks.tolist():
+        # (-i)^k P_l1 ... P_lk on the masks, with pauli_mul's phase rule
+        wx = wz = 0
+        phase = 3 * k
         for _ in range(k):
-            _, p = nh.term(int(next(picks)))
-            word = pauli_mul(word, p)
-        _, pm = nh.term(int(next(picks)))
+            p = terms[next(picks)][1]
+            x2, z2 = wx ^ p.x, wz ^ p.z
+            phase += (
+                p.phase_exp
+                + (wx & wz).bit_count()
+                + (p.x & p.z).bit_count()
+                - (x2 & z2).bit_count()
+                + 2 * (wz & p.x).bit_count()
+            )
+            wx, wz = x2, z2
+        axis, sign = axes[next(picks)]
         phi = math.atan(x / (k + 1))
-        segments.append(Segment(k, word, pm.bare(), phi * _term_sign(pm)))
+        segments.append(Segment(k, PauliString(nh.n, wx, wz, phase % 4), axis, phi * sign))
     return SampledUnitary(nh.n, tuple(segments))
 
 

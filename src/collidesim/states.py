@@ -9,7 +9,8 @@ invariants, positivity is left to the tests.
 Gate arguments are translated once into the monomial / two-sparse form the
 kernels consume, and those translations are memoized: collision programs
 re-apply the same few Pauli words millions of times across Monte-Carlo runs.
-Dense unitaries (whole product-formula fragments) go through apply_unitary.
+Dense unitaries (whole collision fragments) go through apply_unitary; the
+same row tables build them one-sided in hamsim.rotations_dense.
 """
 
 import struct
@@ -336,15 +337,26 @@ def expectation(state, obs):
     return val.real
 
 
-def born_sample(state, obs, rng):
-    """Draw one eigenvalue of obs from the Born distribution of the state."""
+def born_distribution(state, obs):
+    """(eigenvalues of obs, their Born probabilities in the state)."""
     vals, vecs = obs.eig()
     probs = _kernels.born_probs(vecs, state.data)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not 0.9 < total < 1.1:
         raise NumericalError(f"Born probabilities sum to {total}")
-    return float(rng.choice(vals, p=probs / total))
+    return vals, probs / total
+
+
+def born_draw(distribution, rng):
+    """One eigenvalue drawn from a born_distribution result."""
+    vals, probs = distribution
+    return float(rng.choice(vals, p=probs))
+
+
+def born_sample(state, obs, rng):
+    """Draw one eigenvalue of obs from the Born distribution of the state."""
+    return born_draw(born_distribution(state, obs), rng)
 
 
 # ------------------------------------------------------------- state dump

@@ -20,6 +20,7 @@ from collidesim import (
     pauli_op,
     rotation_op,
 )
+from collidesim.circuits import expand_fragments
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
@@ -279,3 +280,47 @@ def test_fragment_op_is_small_and_validated():
             CircuitProgram(
                 1, env_widths=(1,), ops=(GateOp("prepare", slot=0), bad, GateOp("trace", slot=0))
             )
+
+
+@pytest.mark.parametrize("polarity", [0, 1])
+def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
+    rng = np.random.default_rng(43)
+    step = (
+        (PauliString.from_label("XYZ"), 0.31),
+        (PauliString.from_label("-iZXY"), None),  # phased word
+        (PauliString.from_label("ZIZ"), -0.2),  # diagonal axis
+        (PauliString.from_label("-IZI"), None),  # phased diagonal word
+        (PauliString.from_label("YYX"), 0.17),
+    )
+    targets = (3, 0, 2)
+    frag = fragment_op(step, 1, targets, control=ANCILLA, polarity=polarity, sampled=True)
+
+    def program(gates):
+        return CircuitProgram(
+            2,
+            ancilla=True,
+            env_widths=(1, 1),
+            ops=(
+                GateOp("prepare", slot=0),
+                GateOp("prepare", slot=1),
+                *gates,
+                GateOp("trace", slot=0),
+                GateOp("trace", slot=1),
+            ),
+        )
+
+    prog = program((frag,))
+    flat = expand_fragments(prog)
+    kinds = [op.kind for op in flat.ops[2:-2]]
+    assert kinds == ["crotation", "cpauli", "crotation", "cpauli", "crotation"]
+    rho = _rand_rho(rng, 2)
+    preps = {0: _prep(np.diag([0.3, 0.7])), 1: _prep(_rand_rho(rng, 1).data)}
+    np.testing.assert_allclose(
+        execute(prog, rho, preps).data, execute(flat, rho, preps).data, atol=1e-10
+    )
+    assert count_resources(prog) == count_resources(flat)
+    assert prog.describe().splitlines()[3] == (
+        f"cfragment(anc={polarity}) 1 x [+XYZ 0.31, -iZXY, +ZIZ -0.2, -IZI, +YYX 0.17] on [3,0,2]"
+    )
+    with pytest.raises(ValueError):  # a sampled fragment is one draw
+        program((fragment_op(step, 2, targets, control=ANCILLA, sampled=True),))

@@ -9,6 +9,7 @@ import pytest
 from scipy.linalg import expm
 
 from collidesim import (
+    ANCILLA,
     Backend,
     Budget,
     Collision,
@@ -35,6 +36,7 @@ from collidesim import (
     suggest_nu,
     trace_distance,
 )
+from collidesim.circuits import expand_fragments
 
 
 def _prep(mat):
@@ -184,8 +186,9 @@ def test_qdrift_program_seed_determinism():
     assert a.ops == b.ops
     assert a.ops != c.ops
     plan = markov_plan(spec, backend, budget)
-    n_rot = sum(1 for op in a.ops if op.kind == "rotation")
-    assert n_rot == sum(plan.per_collision)
+    frags = [op for op in a.ops if op.kind == "fragment"]
+    assert [len(op.step) for op in frags] == list(plan.per_collision)
+    assert all(op.sampled and op.steps == 1 and op.control is None for op in frags)
 
 
 def test_salcu_program_is_controlled_pair_protocol():
@@ -194,10 +197,11 @@ def test_salcu_program_is_controlled_pair_protocol():
         spec, parse_backend("salcu"), Budget(0.05, 1.0), rng=np.random.default_rng(7)
     )
     assert prog.ancilla
-    gate_kinds = {op.kind for op in prog.ops} - {"prepare", "trace"}
-    assert gate_kinds <= {"crotation", "cpauli"}
-    pols = {op.polarity for op in prog.ops if op.kind in ("crotation", "cpauli")}
-    assert pols == {0, 1}
+    frags = [op for op in prog.ops if op.kind not in ("prepare", "trace")]
+    assert all(op.kind == "fragment" and op.control == ANCILLA for op in frags)
+    assert {op.polarity for op in frags} == {0, 1}
+    gate_kinds = {op.kind for op in expand_fragments(prog).ops} - {"prepare", "trace"}
+    assert "crotation" in gate_kinds and gate_kinds <= {"crotation", "cpauli"}
 
 
 def test_expected_resources_match_counted_programs():
@@ -351,3 +355,35 @@ def test_fragments_match_expanded_rotations(nonmarkov):
     got = execute(prog, rho, spec.env_preparers())
     want = execute(flat, rho, spec.env_preparers())
     np.testing.assert_allclose(got.data, want.data, atol=1e-10)
+
+
+@pytest.mark.parametrize(
+    "backend, nonmarkov",
+    [("qdrift", False), ("salcu", False), ("qdrift", True)],
+    ids=["qdrift", "salcu", "nonmarkov-qdrift"],
+)
+def test_sampled_fragments_match_gate_by_gate(backend, nonmarkov):
+    rng = np.random.default_rng(73)
+    base = _two_collision_spec()
+    # longer collisions in two segments each, so LCU draws carry phased words
+    spec = CollisionSpec(base.n, base.system_h, base.collisions, 0.6)
+    rho = _rand_rho(rng, 1)
+    budget = Budget(0.02, 1.0)
+    selector = parse_backend(backend, r=2) if backend == "salcu" else parse_backend(backend)
+    words = 0
+    for seed in range(3):
+        draw = np.random.default_rng(seed)
+        if nonmarkov:
+            prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), selector, budget, rng=draw)
+        else:
+            prog = markov_program(spec, selector, budget, rng=draw)
+        frags = [op for op in prog.ops if op.kind == "fragment"]
+        per_collision = 2 if backend == "salcu" else 1
+        assert len(frags) == per_collision * spec.K and all(op.sampled for op in frags)
+        words += sum(angle is None for op in frags for _, angle in op.step)
+        flat = expand_fragments(prog)
+        assert count_resources(prog) == count_resources(flat)
+        got = execute(prog, rho, spec.env_preparers())
+        want = execute(flat, rho, spec.env_preparers())
+        np.testing.assert_allclose(got.data, want.data, atol=1e-10)
+    assert (words > 0) == (backend == "salcu")

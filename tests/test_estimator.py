@@ -15,8 +15,10 @@ from collidesim import (
     Observable,
     PauliString,
     PauliSum,
+    ResourceReport,
     ThermalPrep,
     amp_damp_model,
+    count_resources,
     estimate,
     exact_k_collision,
     expectation,
@@ -29,7 +31,8 @@ from collidesim import (
     required_precision,
 )
 from collidesim.acceptance import _random_collision
-from collidesim.estimator import run_once
+from collidesim.circuits import expand_fragments
+from collidesim.estimator import measured_observable, run_once
 
 
 def _spec():
@@ -224,3 +227,25 @@ def test_quickstart_cnot_counts_stay_pinned():
         rep = estimate(spec, rho0, obs, backend, eps=1e-2, seed=0)
         assert rep.resources_mean.cnot_count == cnots
         assert abs(rep.mu - truth) <= 1e-2
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("backend", ["qdrift", "salcu"])
+def test_randomized_estimate_matches_expanded_programs(backend, workers):
+    spec = _spec()
+    eps, delta, seed, runs = 0.2, 0.2, 13, 12
+    rep = estimate(spec, RHO0, OBS, backend, eps, delta, seed=seed, t_override=runs,
+                   workers=workers, keep_samples=True)
+    # reference: every run's program spelled out gate by gate
+    budget = Budget(eps, OBS.norm, "salcu") if backend == "salcu" else Budget(eps / 2.0, OBS.norm)
+    plan = markov_plan(spec, parse_backend(backend), budget)
+    measured = measured_observable(OBS, plan.ancilla)
+    mus, totals = [], ResourceReport()
+    for k in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        flat = expand_fragments(markov_program(spec, None, rng=rng, plan=plan))
+        mu_k = run_once(flat, RHO0, spec.env_preparers(), measured, "analytic", rng)
+        mus.append(rep.zeta**2 * mu_k)
+        totals = totals + count_resources(flat)
+    np.testing.assert_allclose(rep.samples, mus, rtol=0, atol=1e-10)
+    assert rep.resources_mean.as_tuple() == tuple(v / runs for v in totals.as_tuple())

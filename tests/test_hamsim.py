@@ -22,7 +22,8 @@ from collidesim import (
     trotter_rotations,
     unitary_exact,
 )
-from collidesim.hamsim import rotation_dense, rotations_dense
+from collidesim.hamsim import Segment, _k_distribution, rotation_dense, rotations_dense
+from collidesim.pauli import PauliString, pauli_mul
 
 # XI and ZZ anticommute, so no product formula is exact here
 H2 = PauliSum.from_labels([(0.5, "XI"), (0.3, "-ZZ"), (0.2, "YX")])
@@ -198,3 +199,50 @@ def test_lcu_sample_mean_recovers_expected():
     su = lcu_sample(nh, params, rng)
     assert len(su.segments) == params.r
     assert all(seg.k % 2 == 0 for seg in su.segments)
+
+
+def test_rotations_dense_matches_the_matmul_product():
+    # reference: each item made dense and multiplied on the left
+    rng = np.random.default_rng(51)
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        items = []
+        for _ in range(int(rng.integers(1, 12))):
+            x = 0 if rng.random() < 0.3 else int(rng.integers(0, 1 << n))  # diagonal axes too
+            z = int(rng.integers(0, 1 << n))
+            if rng.random() < 0.4:
+                items.append((PauliString(n, x, z, int(rng.integers(0, 4))), None))
+            else:
+                items.append((PauliString(n, x, z), float(rng.uniform(-2, 2))))
+        want = np.eye(1 << n, dtype=np.complex128)
+        for axis, angle in items:
+            gate = axis.to_dense() if angle is None else rotation_dense(axis, angle)
+            want = gate @ want
+        np.testing.assert_allclose(rotations_dense(items, n), want, atol=1e-12)
+
+
+def _lcu_sample_reference(nh, params, rng):
+    """lcu_sample's draws with every word product taken by pauli_mul."""
+    k_probs = _k_distribution(params.weights)
+    ks = 2 * np.atleast_1d(rng.choice(len(k_probs), size=params.r, p=k_probs))
+    picks = iter(np.atleast_1d(nh.sample_term(rng, size=int(ks.sum()) + params.r)))
+    segments = []
+    for k in (int(v) for v in ks):
+        word = PauliString.identity(nh.n).with_phase_exp(3 * k)
+        for _ in range(k):
+            word = pauli_mul(word, nh.term(int(next(picks)))[1])
+        pm = nh.term(int(next(picks)))[1]
+        sign = 1.0 if pm.phase_exp == 0 else -1.0
+        segments.append(Segment(k, word, pm.bare(), math.atan(params.x / (k + 1)) * sign))
+    return tuple(segments)
+
+
+def test_lcu_sample_words_match_pauli_mul():
+    h3 = PauliSum.from_labels([(0.4, "XYZ"), (0.3, "-YYI"), (0.2, "ZXY"), (0.1, "-IZX")])
+    for h in (H1, H2, h3):
+        nh = normalize(h)
+        params = choose_lcu_params(1.6, 1, 1e-6, r_override=2)  # x = 0.8: many words
+        for seed in range(20):
+            got = lcu_sample(nh, params, np.random.default_rng(seed))
+            want = _lcu_sample_reference(nh, params, np.random.default_rng(seed))
+            assert got.segments == want

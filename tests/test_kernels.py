@@ -1,17 +1,13 @@
-"""Both kernel sets compute the same thing.
+"""The dense kernels against dense matrix oracles.
 
 Inputs mirror what the state backend actually feeds the kernels: XOR
 permutations with unit-modulus amplitudes, two-sparse rotation rows, and
-Hermitian unit-trace matrices. Every case is also checked against a dense
-matrix oracle so a shared bug in both sets would still show up.
+Hermitian unit-trace matrices.
 """
 
 import numpy as np
-import pytest
 
 from collidesim import _kernels as kern
-
-pytestmark = pytest.mark.skipif(not kern.HAS_NUMBA, reason="numba not importable")
 
 DIMS = (2, 4, 8, 16)
 
@@ -45,10 +41,7 @@ def test_monomial_conj_agrees_with_dense():
             u = np.zeros((dim, dim), dtype=np.complex128)
             u[perm, np.arange(dim)] = amps
             want = u @ rho @ u.conj().T
-            got_np = kern.monomial_conj_numpy(rho, perm, amps)
-            got_nb = kern.monomial_conj_numba(rho, perm, amps)
-            np.testing.assert_allclose(got_np, want, atol=1e-12)
-            np.testing.assert_allclose(got_nb, got_np, atol=1e-13)
+            np.testing.assert_allclose(kern.monomial_conj(rho, perm, amps), want, atol=1e-12)
 
 
 def test_two_sparse_conj_agrees_with_dense():
@@ -65,21 +58,18 @@ def test_two_sparse_conj_agrees_with_dense():
             u = np.diag(diag).astype(np.complex128)
             u[np.arange(dim), xidx] += off
             want = u @ rho @ u.conj().T
-            got_np = kern.two_sparse_conj_numpy(rho, xidx, diag, off)
-            got_nb = kern.two_sparse_conj_numba(rho, xidx, diag, off)
-            np.testing.assert_allclose(got_np, want, atol=1e-12)
-            np.testing.assert_allclose(got_nb, got_np, atol=1e-13)
+            np.testing.assert_allclose(kern.two_sparse_conj(rho, xidx, diag, off), want, atol=1e-12)
 
 
 def test_kron_matches_numpy():
     rng = np.random.default_rng(13)
-    for da in (2, 4):
+    for da in (2, 4, 32):
         for db in (2, 4, 8):
             a = _rand_rho(rng, da)
             b = _rand_rho(rng, db)
-            np.testing.assert_allclose(
-                kern.kron_numba(a, b), kern.kron_numpy(a, b), atol=1e-14
-            )
+            got = kern.kron(a, b)
+            assert got.flags.c_contiguous
+            assert np.array_equal(got, np.kron(a, b))
 
 
 def test_partial_trace_agrees_with_reshape():
@@ -93,16 +83,14 @@ def test_partial_trace_agrees_with_reshape():
             rest = [b for b in range(n) if b not in bits]
             keep = _scatter(sorted(bits, reverse=True))
             tr = _scatter(sorted(rest, reverse=True))
-            got_np = kern.partial_trace_numpy(rho, keep, tr)
-            got_nb = kern.partial_trace_numba(rho, keep, tr)
+            got = kern.partial_trace(rho, keep, tr)
             # oracle: scatter-gather the kept block by explicit index math
-            want = np.zeros_like(got_np)
+            want = np.zeros_like(got)
             for i, ki in enumerate(keep):
                 for j, kj in enumerate(keep):
                     want[i, j] = sum(rho[ki | s, kj | s] for s in tr)
-            np.testing.assert_allclose(got_np, want, atol=1e-12)
-            np.testing.assert_allclose(got_nb, got_np, atol=1e-13)
-        assert abs(np.trace(kern.partial_trace_numpy(rho, keep, tr)) - 1.0) < 1e-12
+            np.testing.assert_allclose(got, want, atol=1e-12)
+        assert abs(np.trace(kern.partial_trace(rho, keep, tr)) - 1.0) < 1e-12
 
 
 def test_expect_tr_and_born_probs():
@@ -112,22 +100,16 @@ def test_expect_tr_and_born_probs():
         herm = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         herm = herm + herm.conj().T
         want = complex(np.trace(herm @ rho))
-        assert abs(kern.expect_tr_numpy(herm, rho) - want) < 1e-12
-        assert abs(kern.expect_tr_numba(herm, rho) - want) < 1e-12
+        assert abs(kern.expect_tr(herm, rho) - want) < 1e-12
 
         vecs = np.linalg.eigh(herm)[1]
         want_p = np.diag(vecs.conj().T @ rho @ vecs).real
-        got_np = kern.born_probs_numpy(np.ascontiguousarray(vecs), rho)
-        got_nb = kern.born_probs_numba(np.ascontiguousarray(vecs), rho)
-        np.testing.assert_allclose(got_np, want_p, atol=1e-12)
-        np.testing.assert_allclose(got_nb, got_np, atol=1e-12)
-        assert abs(got_np.sum() - 1.0) < 1e-10
+        got = kern.born_probs(np.ascontiguousarray(vecs), rho)
+        np.testing.assert_allclose(got, want_p, atol=1e-12)
+        assert abs(got.sum() - 1.0) < 1e-10
 
 
-def test_active_set_matches_env_choice():
-    # the module picked numba at import time in this environment
-    assert kern.ACTIVE in ("numpy", "numba")
-    if kern.USE_NUMBA:
-        assert kern.monomial_conj is kern.monomial_conj_numba
-    else:
-        assert kern.monomial_conj is kern.monomial_conj_numpy
+def test_one_kernel_set():
+    assert kern.ACTIVE == "numpy"
+    names = ("monomial_conj", "two_sparse_conj", "kron", "partial_trace", "expect_tr", "born_probs")
+    assert all(callable(getattr(kern, name)) for name in names)

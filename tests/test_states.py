@@ -259,4 +259,4 @@ def test_born_probs_numpy_matches_dense_diagonal(dim):
     rho = _rand_rho(rng, dim.bit_length() - 1).data
     vecs, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
     want = np.diag(vecs.conj().T @ rho @ vecs).real
-    np.testing.assert_allclose(_kernels.born_probs_numpy(vecs, rho), want, atol=1e-14)
+    np.testing.assert_allclose(_kernels.born_probs(vecs, rho), want, atol=1e-14)
