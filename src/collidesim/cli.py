@@ -36,7 +36,7 @@ from .collisions import (
 from .errors import DenseLimitError, NumericalError
 from .estimator import EstimateReport, estimate
 from .models import ThermalPrep, amp_damp_model, magnetization
-from .oracles import lindblad_evolve
+from .oracles import Liouvillian, lindblad_evolve
 from .pauli import PauliSum
 from .states import DensityMatrix, Observable, expectation, load_state
 
@@ -443,8 +443,9 @@ def cmd_oracle(cfg, out_dir):
     rows = []
     if cfg.kind == "benchmark" and not cfg.nonmarkov:
         times = np.linspace(0.0, cfg.t, cfg.grid) if cfg.grid > 1 else [cfg.t]
+        liou = Liouvillian(problem.model)
         for t in times:
-            val = expectation(lindblad_evolve(problem.model, problem.rho0, float(t)), problem.obs)
+            val = expectation(lindblad_evolve(liou, problem.rho0, float(t)), problem.obs)
             rows.append((float(t), val))
     else:
         spec = problem.spec if cfg.nonmarkov else NonMarkovSpec(problem.spec, 0.0)
@@ -526,14 +527,16 @@ def cmd_sweep(cfg, out_dir, axis, values):
         raise ValueError("p sweeps need dynamics.nonmarkov = true")
     h = cfg.config_hash()
     oracle_cache = {}
+    liou = None  # no swept axis changes the model, so one Liouvillian serves all
 
     def oracle_at(problem, t):
+        nonlocal liou
         if cfg.kind != "benchmark" or cfg.nonmarkov:
             return None
         if t not in oracle_cache:
-            oracle_cache[t] = expectation(
-                lindblad_evolve(problem.model, problem.rho0, t), problem.obs
-            )
+            if liou is None:
+                liou = Liouvillian(problem.model)
+            oracle_cache[t] = expectation(lindblad_evolve(liou, problem.rho0, t), problem.obs)
         return oracle_cache[t]
 
     rows = []

@@ -6,11 +6,14 @@ collision j evolves system+env under the joint Hamiltonian
     H_j = H_S + H_Ej + H_Ij = sum_i h_ij P_ij   (h_ij > 0, signs in the words)
 
 for duration dt, i.e. U_j = e^{-i beta_j dt Hbar_j} with Hbar_j = H_j/beta_j
-and beta_j the total weight. The exact map composes Tr_E[U_j(. x rho_Ej)U_j†];
-programs replace each U_j with a compiled approximation at a per-collision
-precision eps' = eps/(3 K normO) (deterministic product formulas, triangle
-inequality over K collisions) or eps' = eps/(6 K normO) for the sampled-LCU
-backend, whose Hadamard-test protocol pays the factor 2.
+and beta_j the total weight. The exact map composes Tr_E[U_j(. x rho_Ej)U_j†]
+as Kraus maps on the system: with rho_Ej = sum_b p_b |e_b><e_b|, collision j
+is rho -> sum_ab K_ab rho K_ab† with K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>),
+so the exact state never carries an env register. Programs replace each U_j
+with a compiled approximation at a per-collision precision
+eps' = eps/(3 K normO) (deterministic product formulas, triangle inequality
+over K collisions) or eps' = eps/(6 K normO) for the sampled-LCU backend,
+whose Hadamard-test protocol pays the factor 2.
 
 Lindblad discretization: an (m, nu) spec has K = m*nu collisions of duration
 dt = t/nu, cycling through the m jump couplings scaled by lambda = sqrt(nu/t)
@@ -20,7 +23,10 @@ Non-Markovian extension: two alternating env registers; after collision j the
 just-collided register is partially swapped (probability p) with the freshly
 prepared one before being traced, so the next environment inherits memory.
 Odd j collides the first register, even j the second; the last collision has
-no swap.
+no swap. The exact map needs only one env: appending sigma_{j+1}, mixing with
+the swap and tracing the collided env gives Tr_Ea[(1-p) rho x sigma_{j+1} +
+p S(rho x sigma_{j+1})S†] = (1-p) Tr_E[rho] x sigma_{j+1} + p rho, since the
+swap hands the collided env to the surviving register.
 """
 
 import math
@@ -28,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import hamsim
+from . import _kernels, hamsim
 from .circuits import (
     ANCILLA,
     CircuitProgram,
@@ -40,7 +46,9 @@ from .circuits import (
 )
 from .errors import NumericalError
 from .pauli import PauliString, PauliSum, normalize
-from .states import apply_swap, partial_trace, tensor_append
+from .states import DensityMatrix
+
+_ENV_EIG_TOL = 1e-12  # most negative env-state eigenvalue read as rounding
 
 
 @dataclass(frozen=True, eq=False)
@@ -95,11 +103,13 @@ class CollisionSpec:
         self.unique_index = tuple(index)
         self._joint = {}
         self._dense_u = {}
+        self._kraus = {}
 
     def __getstate__(self):
         state = self.__dict__.copy()
         state["_joint"] = {}
         state["_dense_u"] = {}
+        state["_kraus"] = {}
         return state
 
     @property
@@ -126,6 +136,32 @@ class CollisionSpec:
             nh, beta = self.joint(j)
             self._dense_u[u] = unitary_exact(nh.h, beta * self.dt)
         return self._dense_u[u]
+
+    def kraus(self, j):
+        """(stacked, adjoints) Kraus operators of collision j, cached per
+        distinct collision.
+
+        With the env state sigma = sum_b p_b |e_b><e_b| (one eigh), the ops are
+        K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>) on the system, for env basis
+        states a and the p_b > 0. `stacked` is the (k*d, d) column of the K_ab,
+        `adjoints` the (k*d, d) column of their adjoints, so that the collision
+        is hstack(stacked @ rho) @ adjoints.
+        """
+        u = self.unique_index[j]
+        if u not in self._kraus:
+            c = self.unique[u]
+            d, de = 1 << self.n, 1 << c.env_width
+            probs, vecs = np.linalg.eigh(c.env_prep().data)
+            if probs.min() < -_ENV_EIG_TOL:
+                raise NumericalError(f"env state of collision {j} has eigenvalue {probs.min():.3e}")
+            keep = probs > 0.0
+            vecs = vecs[:, keep] * np.sqrt(probs[keep])
+            # ops[s, a, s', b] = sum_e U[(s, a), (s', e)] vecs[e, b]
+            ops = self.dense_unitary(j).reshape(d, de, d, de) @ vecs
+            stacked = np.ascontiguousarray(ops.transpose(1, 3, 0, 2)).reshape(-1, d)
+            adjoints = np.ascontiguousarray(ops.conj().transpose(1, 3, 2, 0)).reshape(-1, d)
+            self._kraus[u] = (stacked, adjoints)
+        return self._kraus[u]
 
     def tau(self, j):
         return self.joint(j)[1] * self.dt
@@ -160,61 +196,52 @@ class NonMarkovSpec:
 
 
 def exact_k_collision(spec, rho_system):
-    """Compose the K exact collisions; returns the final system state."""
-    state = rho_system.copy()
-    n = spec.n
+    """Compose the K exact collisions as Kraus maps on the system; returns
+    the final system state.
+
+    Each collision is two matmuls: the stacked K_k rho, then
+    sum_k (K_k rho) K_k† as one product with the stacked adjoints.
+    """
+    if spec.K == 0:
+        return rho_system.copy()
+    data = rho_system.data
+    d = data.shape[0]
     for j in range(spec.K):
-        c = spec.collisions[j]
-        tensor_append(state, c.env_prep())
-        u = spec.dense_unitary(j)
-        state.data = u @ state.data @ u.conj().T
-        partial_trace(state, range(n, n + c.env_width))
-    return state
-
-
-def _partial_swap(state, n, w, p):
-    """Channel (1-p) rho + p S rho S† on the two env blocks below the system."""
-    if p == 0.0:
-        return state
-    group_a = list(range(n, n + w))
-    group_b = list(range(n + w, n + 2 * w))
-    if p == 1.0:
-        return apply_swap(state, group_a, group_b)
-    kept = state.data.copy()
-    apply_swap(state, group_a, group_b)
-    state.data = (1.0 - p) * kept + p * state.data
-    return state
+        stacked, adjoints = spec.kraus(j)
+        applied = (stacked @ data).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+        data = applied @ adjoints
+    return DensityMatrix(data, check=False)
 
 
 def exact_nonmarkov(nmspec, rho_system, trajectory=False):
-    """Deterministic two-branch composition of the non-Markovian map.
+    """Deterministic composition of the non-Markovian map on system + one env.
 
-    With trajectory=True also returns the system marginal after every
-    collision (memory-witness bookkeeping).
+    After collision j < K the fresh env sigma_{j+1} is appended, partially
+    swapped with the collided env and the collided env traced; in closed form
+    rho <- (1-p) Tr_E[rho] x sigma_{j+1} + p rho. With trajectory=True also
+    returns the system marginal Tr_E[rho] after every collision
+    (memory-witness bookkeeping).
     """
     spec, p = nmspec.base, nmspec.p
-    n, k_total = spec.n, spec.K
+    k_total = spec.K
     if k_total == 0:
         return (rho_system.copy(), []) if trajectory else rho_system.copy()
-    w = spec.collisions[0].env_width
-    state = rho_system.copy()
-    tensor_append(state, spec.env_state(0))
+    d, de = 1 << spec.n, 1 << spec.collisions[0].env_width
+    data = _kernels.kron(rho_system.data, spec.env_state(0).data)
     marginals = []
     for j in range(1, k_total + 1):
         u = spec.dense_unitary(j - 1)
-        state.data = u @ state.data @ u.conj().T
-        if j < k_total:
-            tensor_append(state, spec.env_state(j))
-            _partial_swap(state, n, w, p)
-            partial_trace(state, range(n, n + w))
-        else:
-            partial_trace(state, range(n, n + w))
+        data = u @ data @ u.conj().T
+        if j < k_total and p == 1.0 and not trajectory:
+            continue  # the collided env carries over whole
+        marginal = np.einsum("aibi->ab", data.reshape(d, de, d, de))
         if trajectory:
-            marginal = state.copy()
-            if marginal.n > n:
-                partial_trace(marginal, range(n, marginal.n))
-            marginals.append(marginal)
-    return (state, marginals) if trajectory else state
+            marginals.append(DensityMatrix(marginal.copy(), check=False))
+        if j < k_total and p < 1.0:
+            fresh = _kernels.kron(marginal, spec.env_state(j).data)
+            data = fresh if p == 0.0 else (1.0 - p) * fresh + p * data
+    final = DensityMatrix(marginal, check=False)
+    return (final, marginals) if trajectory else final
 
 
 def memory_witness(nmspec, rho_a, rho_b):

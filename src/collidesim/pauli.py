@@ -16,12 +16,6 @@ import numpy as np
 from ._limits import check_dense
 
 _AXES = "IXZY"  # index = (x bit) + 2*(z bit)
-_SINGLE = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
 _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {"": 0, "+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 
@@ -128,10 +122,13 @@ class PauliString:
         return perm, amps.astype(np.complex128)
 
     def to_dense(self):
+        """The 2^n x 2^n matrix, scattered from monomial(): column c holds
+        amps[c] at row perm[c]."""
         check_dense(self.n)
-        out = np.array([[self.phase]], dtype=np.complex128)
-        for c in self.axes:
-            out = np.kron(out, _SINGLE[c])
+        perm, amps = self.monomial()
+        dim = 1 << self.n
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        out[perm, np.arange(dim)] = amps
         return out
 
 

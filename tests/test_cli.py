@@ -7,7 +7,14 @@ import os
 
 import pytest
 
-from collidesim import cli
+from collidesim import (
+    DensityMatrix,
+    amp_damp_model,
+    cli,
+    expectation,
+    lindblad_evolve,
+    magnetization,
+)
 from collidesim.errors import NumericalError
 from collidesim.estimator import EstimateReport
 
@@ -167,6 +174,14 @@ def test_oracle_grid_csv(tmp_path):
     assert float(rows[1][1]) == pytest.approx(1.0)
 
 
+def test_oracle_grid_csv_reproduces(tmp_path):
+    cfg = _bench_cfg(tmp_path, "dynamics.grid = 3\n")
+    assert cli.main(["oracle", "--config", cfg]) == 0
+    first = (tmp_path / "oracle.csv").read_bytes()
+    assert cli.main(["oracle", "--config", cfg]) == 0
+    assert (tmp_path / "oracle.csv").read_bytes() == first
+
+
 def _custom_files(tmp_path):
     (tmp_path / "system.txt").write_text("0.4 Z\n")
     (tmp_path / "env.txt").write_text("0.3 X\n")
@@ -217,6 +232,17 @@ def test_sweep_eps_reports_oracle_error(tmp_path):
     assert [float(r[1]) for r in rows[1:]] == [0.2, 0.1]
     errs = [float(r[rows[0].index("error")]) for r in rows[1:]]
     assert all(e >= 0 for e in errs)
+
+
+def test_sweep_t_oracle_matches_lindblad_evolve(tmp_path):
+    cfg = _bench_cfg(tmp_path)
+    assert cli.main(["sweep", "--config", cfg, "--axis", "t", "--values", "0.25,0.5"]) == 0
+    rows = _read_csv(tmp_path / "sweep.csv")
+    model = amp_damp_model(2)
+    obs, rho0 = magnetization(2), DensityMatrix.basis(2, 0)
+    for row in rows[1:]:
+        want = expectation(lindblad_evolve(model, rho0, float(row[1])), obs)
+        assert float(row[rows[0].index("oracle")]) == want
 
 
 def test_sweep_axis_validation(tmp_path):

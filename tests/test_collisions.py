@@ -16,10 +16,12 @@ from collidesim import (
     CollisionSpec,
     DensityMatrix,
     NonMarkovSpec,
+    NumericalError,
     PauliString,
     PauliSum,
     ThermalPrep,
     amp_damp_model,
+    apply_swap,
     count_resources,
     exact_k_collision,
     exact_nonmarkov,
@@ -27,13 +29,16 @@ from collidesim import (
     expected_resources,
     lindblad_collision_spec,
     markov_plan,
+    magnetization,
     markov_program,
     memory_witness,
     nonmarkov_program,
     parse_backend,
+    partial_trace,
     required_precision,
     rotation_op,
     suggest_nu,
+    tensor_append,
     trace_distance,
 )
 from collidesim.circuits import expand_fragments
@@ -115,6 +120,117 @@ def test_exact_map_matches_hand_composition():
         state = np.einsum("aibi->ab", joint.reshape(2, 2, 2, 2))
     got = exact_k_collision(spec, rho)
     assert trace_distance(got, DensityMatrix(state, check=False)) < 1e-12
+
+
+def _reference_k_collision(spec, rho):
+    """Append each env, conjugate the joint register by U_j, trace the env."""
+    state = rho.copy()
+    for j in range(spec.K):
+        w = spec.collisions[j].env_width
+        tensor_append(state, spec.env_state(j))
+        u = spec.dense_unitary(j)
+        state.data = u @ state.data @ u.conj().T
+        partial_trace(state, range(spec.n, spec.n + w))
+    return state
+
+
+def _reference_nonmarkov(nmspec, rho):
+    """(final, marginals) on a two-env register: collide, append the fresh
+    env, swap the env blocks with probability p as a mix, trace the collided."""
+    spec, p = nmspec.base, nmspec.p
+    n, w = spec.n, spec.collisions[0].env_width
+    a, b = list(range(n, n + w)), list(range(n + w, n + 2 * w))
+    state = tensor_append(rho.copy(), spec.env_state(0))
+    marginals = []
+    for j in range(1, spec.K + 1):
+        u = spec.dense_unitary(j - 1)
+        state.data = u @ state.data @ u.conj().T
+        if j < spec.K:
+            tensor_append(state, spec.env_state(j))
+            kept = state.data.copy()
+            apply_swap(state, a, b)
+            state.data = (1.0 - p) * kept + p * state.data
+        partial_trace(state, a)
+        marginal = state.copy()
+        if marginal.n > n:
+            partial_trace(marginal, range(n, marginal.n))
+        marginals.append(marginal)
+    return state, marginals
+
+
+def _mixed_prep(rng, width):
+    """Preparer of a random full-rank, non-diagonal env state."""
+    return _prep(_rand_rho(rng, width).data)
+
+
+def _kraus_case_specs(rng):
+    sys_h = PauliSum.from_labels([(0.4, "ZI"), (0.3, "XX")])
+    wide = Collision(
+        2,
+        PauliSum.from_labels([(0.3, "XZ"), (0.2, "YI")]),
+        PauliSum.from_labels([(0.5, "XIXI"), (0.2, "-ZYIY"), (0.4, "IXZZ")]),
+        _mixed_prep(rng, 2),
+    )
+    pure = Collision(
+        1,
+        PauliSum.from_labels([(0.5, "Z")]),
+        PauliSum.from_labels([(0.6, "YIY"), (0.3, "XZX")]),
+        ThermalPrep(math.inf),
+    )
+    return {
+        "width-2 mixed": CollisionSpec(2, sys_h, (wide, wide, wide), 0.3),
+        "rank-1 thermal": CollisionSpec(2, sys_h, (pure, pure), 0.4),
+        "widths 1 and 2": CollisionSpec(2, sys_h, (pure, wide, pure, wide), 0.25),
+    }
+
+
+def test_exact_map_matches_kron_reference():
+    rng = np.random.default_rng(71)
+    for name, spec in _kraus_case_specs(rng).items():
+        rho = _rand_rho(rng, spec.n)
+        got = exact_k_collision(spec, rho)
+        assert trace_distance(got, _reference_k_collision(spec, rho)) < 1e-12, name
+
+
+def test_exact_map_rejects_non_positive_env():
+    col = Collision(
+        1,
+        PauliSum.from_labels([(0.3, "X")]),
+        PauliSum.from_labels([(0.5, "XX")]),
+        _prep(np.diag([1.2, -0.2])),
+    )
+    spec = CollisionSpec(1, PauliSum.from_labels([(0.4, "Z")]), (col,), 0.2)
+    with pytest.raises(NumericalError):
+        exact_k_collision(spec, DensityMatrix.plus())
+
+
+def test_exact_nonmarkov_matches_register_swap_reference():
+    rng = np.random.default_rng(73)
+    sys_h = PauliSum.from_labels([(0.4, "Z")])
+    inter = PauliSum.from_labels([(0.5, "XX"), (0.2, "-ZY")])
+    cols = [Collision(1, PauliSum.from_labels([(0.3, "X")]), inter, _mixed_prep(rng, 1))
+            for _ in range(2)]
+    wide = Collision(
+        2,
+        PauliSum.from_labels([(0.3, "XZ")]),
+        PauliSum.from_labels([(0.5, "XXI"), (0.4, "ZYY")]),
+        _mixed_prep(rng, 2),
+    )
+    specs = (
+        CollisionSpec(1, sys_h, (cols[0], cols[1], cols[0], cols[1]), 0.3),
+        CollisionSpec(1, sys_h, (wide,) * 3, 0.3),
+    )
+    for spec in specs:
+        rho = _rand_rho(rng, 1)
+        for p in (0.0, 0.3, 1.0):
+            nmspec = NonMarkovSpec(spec, p)
+            final, traj = exact_nonmarkov(nmspec, rho, trajectory=True)
+            want, want_traj = _reference_nonmarkov(nmspec, rho)
+            assert trace_distance(final, want) < 1e-12
+            assert trace_distance(exact_nonmarkov(nmspec, rho), want) < 1e-12
+            assert len(traj) == len(want_traj) == spec.K
+            for got, ref in zip(traj, want_traj):
+                assert trace_distance(got, ref) < 1e-12
 
 
 def test_required_precision_frozen():
@@ -312,8 +428,6 @@ def test_spec_survives_pickling():
 
 def test_suggest_nu_doubles_until_settled():
     model = amp_damp_model(1, J=0.0, h=0.3, gamma=1.0)
-    from collidesim import magnetization
-
     obs = magnetization(1)
     rho0 = DensityMatrix.basis(1, 1)
     eps = 1e-3
@@ -323,6 +437,13 @@ def test_suggest_nu_doubles_until_settled():
     assert rows[-1][2] < eps / 2.0
     assert math.isnan(rows[0][2])
     assert [r[0] for r in rows] == [2**i for i in range(len(rows))]
+
+
+def test_suggest_nu_on_the_five_site_chain():
+    model = amp_damp_model(5, J=1.0, h=0.1, gamma=1.0)
+    nu, rows = suggest_nu(model, 1.0, magnetization(5), DensityMatrix.basis(5, 0), 2e-5)
+    assert nu == 256
+    assert abs(rows[-1][1] - 0.9948760807189073) < 1e-12
 
 
 def _expanded(program):

@@ -71,6 +71,39 @@ def test_liouvillian_matches_term_by_term():
     assert liou.gamma_bound() > 0
 
 
+def _kron_liouvillian(model):
+    """The generator summed term by term from 3m+2 Kronecker products."""
+    dim = 1 << model.n
+    eye = np.eye(dim, dtype=np.complex128)
+    h = model.system_h.to_dense()
+    mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for jump in model.jumps:
+        a = np.asarray(jump.op, dtype=np.complex128)
+        ada = a.conj().T @ a
+        mat += np.kron(a, a.conj())
+        mat -= 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
+    return mat
+
+
+def test_liouvillian_matches_kron_build():
+    for n in (1, 2, 3):
+        model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
+        np.testing.assert_allclose(
+            Liouvillian(model).matrix, _kron_liouvillian(model), rtol=0, atol=1e-14
+        )
+
+
+def test_expm_path_matches_dense_exponential():
+    rng = np.random.default_rng(59)
+    for n in (1, 2, 3):
+        liou = Liouvillian(amp_damp_model(n, J=1.0, h=0.3, gamma=0.8))
+        rho = _rand_rho(rng, n)
+        for t in (0.0, 0.1, 0.7, 2.5):
+            want = (expm(liou.matrix * t) @ rho.data.reshape(-1)).reshape(rho.data.shape)
+            got = lindblad_evolve(liou, rho, t, method="expm")
+            np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
+
 def test_amplitude_damping_analytic():
     # single qubit, gamma = 1, rho0 = |1><1|: <sz>(t) = 1 - 2 e^{-t}
     model = amp_damp_model(1, J=0.0, h=0.0, gamma=1.0)

@@ -88,7 +88,18 @@ def test_monomial_matches_dense():
         dim = 1 << n
         u = np.zeros((dim, dim), dtype=np.complex128)
         u[perm, np.arange(dim)] = amps
-        np.testing.assert_allclose(u, p.to_dense(), atol=1e-14)
+        np.testing.assert_allclose(u, _dense_from_label(p.label()), atol=1e-14)
+
+
+def test_to_dense_equals_kron_product_exactly():
+    rng = np.random.default_rng(11)
+    for n in range(1, 7):
+        for phase_exp in range(4):
+            for _ in range(5):
+                p = PauliString(
+                    n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)), phase_exp
+                )
+                assert np.array_equal(p.to_dense(), _dense_from_label(p.label()))
 
 
 def test_weight_and_hermiticity():
