@@ -3,7 +3,10 @@
 ``ACTIVE`` names the set for reports; ``python3 perfbench/kernel_sweep.py``
 times each kernel by matrix dimension.
 
-Unitaries reaching these kernels are at most 2-sparse per row:
+Collisions do not go through the conjugation kernels: each runs as one
+dense U rho U† in states.apply_unitary. The two sparse conjugations serve
+register swaps and the single-gate reference kinds (a fragment spelled out
+by circuits.expand_fragments), whose unitaries are at most 2-sparse per row:
 
     monomial:   U|c> = amps[c] |perm[c]>            (Pauli words, controlled
                 Pauli words, swaps, phases)
@@ -11,7 +14,7 @@ Unitaries reaching these kernels are at most 2-sparse per row:
                 diag[c] and off[c] (Pauli-axis rotations and their
                 controlled versions, x != 0)
 
-which keeps gate conjugation at O(dim^2) instead of dense O(dim^3).
+so such a gate costs O(dim^2) instead of dense O(dim^3).
 """
 
 import numpy as np

@@ -26,12 +26,13 @@ count_resources treat a fragment as its expanded gate list: the rotation,
 crotation, pauli and cpauli kinds, which stay as that reference form and
 execute gate by gate, but which no compiler emits.
 
-CNOT accounting (CostModel defaults): a weight-w Pauli-axis rotation costs
-2(w-1) CNOTs via the usual parity staircase, its controlled version adds 2
-(controlled-Rz = 2 CNOTs + 2 Rz), a controlled weight-w Pauli word costs w,
-a controlled phase costs 0, a register swap costs 3 per qubit pair, and an
-env preparation costs a flat 2 (thermal qubit purification). depth_proxy is
-cnot_count + rotation_count: sequential layers, no parallelism credit.
+CNOT accounting: a weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the
+usual parity staircase, its controlled version adds 2 (controlled-Rz = 2
+CNOTs + 2 Rz), a controlled weight-w Pauli word costs w, a controlled phase
+costs 0, a register swap costs SWAP_CNOTS_PER_QUBIT = 3 per qubit pair, and
+an env preparation costs a flat PREP_CNOTS = 2 (thermal qubit
+purification). depth_proxy is cnot_count + rotation_count: sequential
+layers, no parallelism credit.
 """
 
 from dataclasses import dataclass, replace
@@ -44,6 +45,8 @@ from .hamsim import rotations_dense, step_unitary
 from .pauli import PauliString
 
 ANCILLA = -1
+PREP_CNOTS = 2  # one env preparation
+SWAP_CNOTS_PER_QUBIT = 3  # one qubit pair of a register swap
 
 _KINDS = ("pauli", "rotation", "cpauli", "crotation", "fragment", "swap", "prepare", "trace")
 
@@ -148,7 +151,6 @@ class CircuitProgram:
     ancilla: bool = False
     env_widths: tuple = ()
     ops: tuple = ()
-    notes: tuple = ()
 
     def __post_init__(self):
         self.validate()
@@ -226,9 +228,6 @@ class CircuitProgram:
             f"slots={list(self.env_widths)}"
         )
         return "\n".join([head, *(op.describe() for op in self.ops)])
-
-    def with_notes(self, notes):
-        return replace(self, notes=tuple(notes))
 
 
 def execute(program, rho_system, env_preparers=None):
@@ -325,12 +324,6 @@ def _slot_vids(program, slot):
 
 
 @dataclass(frozen=True)
-class CostModel:
-    prep_cnots: int = 2
-    swap_cnots_per_qubit: int = 3
-
-
-@dataclass(frozen=True)
 class ResourceReport:
     cnot_count: int = 0
     rotation_count: int = 0
@@ -364,7 +357,7 @@ def _gate_cost(axis, rotation, controlled):
     return 2 * (w - 1) + 2 * controlled, 1 + controlled, 0
 
 
-def count_resources(program, cost_model=CostModel()):
+def count_resources(program):
     """Gate costs of the program; a fragment counts as its expanded gate list."""
     cnot = rot = paulis = preps = 0
     for op in program.ops:
@@ -376,9 +369,9 @@ def count_resources(program, cost_model=CostModel()):
             gates, reps = ((op.axis, None),), 1
         else:
             if op.kind == "swap":
-                cnot += cost_model.swap_cnots_per_qubit * program.env_widths[op.slots[0]]
+                cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
             elif op.kind == "prepare":
-                cnot += cost_model.prep_cnots
+                cnot += PREP_CNOTS
                 preps += 1
             continue
         controlled = op.control is not None

@@ -68,7 +68,6 @@ _KNOWN_KEYS = {
     "dynamics.grid",
     "dynamics.steps",
     "dynamics.length",
-    "dynamics.N",
     "dynamics.r",
     "dynamics.q",
     "dynamics.c_r",
@@ -246,7 +245,6 @@ def build_config(mapping):
     for key, name in (
         ("dynamics.steps", "steps"),
         ("dynamics.length", "length"),
-        ("dynamics.N", "length"),
         ("dynamics.r", "r"),
         ("dynamics.q", "q"),
     ):
@@ -270,6 +268,8 @@ def build_config(mapping):
         raise ValueError("dynamics.measurement must be analytic or shot")
     if not 0.0 <= cfg.p <= 1.0:
         raise ValueError(f"dynamics.p must be in [0, 1], got {cfg.p}")
+    if cfg.t_override < 0:
+        raise ValueError(f"execution.t_override must be >= 0, got {cfg.t_override}")
     if cfg.kind == "custom":
         for name, path in (
             ("model.system_file", cfg.system_file),

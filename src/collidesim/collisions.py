@@ -37,8 +37,8 @@ import numpy as np
 from . import _kernels, hamsim
 from .circuits import (
     ANCILLA,
+    PREP_CNOTS,
     CircuitProgram,
-    CostModel,
     GateOp,
     ResourceReport,
     _gate_cost,
@@ -280,7 +280,6 @@ def required_precision(k_collisions, norm_o, eps, mode="generic"):
 class Budget:
     eps: float
     norm_o: float
-    mode: str = "auto"  # auto: generic for product formulas, salcu for salcu
 
 
 @dataclass(frozen=True)
@@ -337,9 +336,7 @@ def markov_plan(spec, backend, budget):
     k_total = spec.K
     if k_total == 0:
         raise ValueError("empty collision spec")
-    mode = budget.mode
-    if mode == "auto":
-        mode = "salcu" if backend.kind == "salcu" else "generic"
+    mode = "salcu" if backend.kind == "salcu" else "generic"
     eps_prime = required_precision(k_total, budget.norm_o, budget.eps, mode)
     cache = {}
     per = []
@@ -469,7 +466,6 @@ def nonmarkov_program(nmspec, backend, budget=None, rng=None, plan=None):
         raise ValueError("the exact backend evolves densely; no program exists")
     w = spec.collisions[0].env_width
     ops = [GateOp("prepare", slot=0, prep=spec.unique_index[0])]
-    notes = ["collision 1: active slot 0 (env 1)"]
     for j in range(1, spec.K + 1):
         active = 0 if j % 2 == 1 else 1
         base = spec.n + active * w
@@ -481,19 +477,9 @@ def nonmarkov_program(nmspec, backend, budget=None, rng=None, plan=None):
             swapped = bool(rng.random() < p) if p > 0 else False
             if swapped:
                 ops.append(GateOp("swap", slots=(active, other)))
-            notes.append(
-                f"collision {j + 1}: active slot {other} (env {j + 1}), "
-                f"swap {'applied' if swapped else 'skipped'} after collision {j}"
-            )
-            ops.append(GateOp("trace", slot=active))
-        else:
-            ops.append(GateOp("trace", slot=active))
+        ops.append(GateOp("trace", slot=active))
     return CircuitProgram(
-        n_system=spec.n,
-        ancilla=plan.ancilla,
-        env_widths=(w, w),
-        ops=tuple(ops),
-        notes=tuple(notes),
+        n_system=spec.n, ancilla=plan.ancilla, env_widths=(w, w), ops=tuple(ops)
     )
 
 
@@ -524,7 +510,7 @@ def _thermal_prep(omega):
     return ThermalPrep(omega)
 
 
-def suggest_nu(model, t, obs, rho0, eps, start=1, cap=1 << 20):
+def suggest_nu(model, t, obs, rho0, eps, cap=1 << 20):
     """Double nu until the exact collision estimate settles within eps/2.
 
     Returns (nu, trace) where trace rows are (nu, estimate, change-from-half).
@@ -535,7 +521,7 @@ def suggest_nu(model, t, obs, rho0, eps, start=1, cap=1 << 20):
         spec = lindblad_collision_spec(model, t, nu)
         return expectation(exact_k_collision(spec, rho0), obs)
 
-    nu = start
+    nu = 1
     prev = est(nu)
     rows = [(nu, prev, math.nan)]
     while nu <= cap:
@@ -552,19 +538,29 @@ def suggest_nu(model, t, obs, rho0, eps, start=1, cap=1 << 20):
 # -------------------------------------------------------- expected resources
 
 
+def _items_cost(items, controlled):
+    """(cnots, rotations, Pauli gates) of a schedule of (axis, angle | None)
+    items, priced by the rule count_resources uses."""
+    acc = np.zeros(3)
+    for axis, angle in items:
+        acc += _gate_cost(axis, angle is not None, controlled)
+    return acc
+
+
 def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None):
     """Expected per-coherent-run ResourceReport without materializing K programs.
 
-    Deterministic backends count exactly; qdrift uses the analytic term-weight
-    expectation; salcu averages `lcu_samples` sampled collision blocks per
-    distinct collision (seeded, so the report is reproducible).
+    Gates are priced as count_resources prices them. Deterministic backends
+    count exactly; qdrift uses the analytic term-weight expectation (an
+    identity-axis rotation is free); salcu averages `lcu_samples` sampled
+    collision blocks per distinct collision (seeded, so the report is
+    reproducible).
     """
     if plan is None:
         plan = markov_plan(spec, backend, budget)
     backend = plan.backend
     if backend.kind == "exact":
         raise ValueError("the exact backend has no gate costs")
-    cost = CostModel()
     rng = np.random.default_rng(seed)
     cnot = rot = paulis = 0.0
     per_unique = {}
@@ -572,33 +568,26 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
         u = spec.unique_index[j]
         if u not in per_unique:
             nh, beta = spec.joint(j)
-            weights = np.array([p.weight for _, p in nh.h.terms], dtype=np.float64)
+            param = plan.per_collision[j]
             if backend.kind == "trotter":
-                steps = plan.per_collision[j]
-                if backend.order == 1:
-                    appearances = np.ones(len(nh), dtype=np.float64) * steps
-                else:
-                    sched = hamsim._suzuki_fractions(backend.order // 2, len(nh))
-                    counts = np.zeros(len(nh))
-                    for l, _ in sched:
-                        counts[l] += 1
-                    appearances = counts * steps
-                c = float((appearances * 2 * np.clip(weights - 1, 0, None)).sum())
-                per_unique[u] = (c, float(appearances.sum()), 0.0)
+                step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
+                per_unique[u] = tuple(float(v) for v in param * _items_cost(step, False))
             elif backend.kind == "qdrift":
-                length = plan.per_collision[j]
-                mean_cnot = float((nh.probs * 2 * np.clip(weights - 1, 0, None)).sum())
-                per_unique[u] = (length * mean_cnot, float(length), 0.0)
+                costs = np.array([_gate_cost(p, True, False)[0] for _, p in nh.h.terms])
+                p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
+                per_unique[u] = (
+                    param * float((nh.probs * costs).sum()),
+                    param * (1.0 - float(p_identity)),
+                    0.0,
+                )
             else:
-                params = plan.per_collision[j]
                 acc = np.zeros(3)
                 for _ in range(2 * lcu_samples):  # the X and Y draw of each sample
-                    for axis, angle in _lcu_items(hamsim.lcu_sample(nh, params, rng)):
-                        acc += _gate_cost(axis, angle is not None, True)
+                    acc += _items_cost(_lcu_items(hamsim.lcu_sample(nh, param, rng)), True)
                 per_unique[u] = tuple(acc / lcu_samples)
         dc, dr, dp = per_unique[u]
         cnot += dc
         rot += dr
         paulis += dp
-    cnot += cost.prep_cnots * spec.K
+    cnot += PREP_CNOTS * spec.K
     return ResourceReport(cnot, rot, paulis, cnot + rot, spec.K)

@@ -141,13 +141,14 @@ def _prepare(spec, backend, eps, measurement, norm_o):
     base = spec.base if isinstance(spec, NonMarkovSpec) else spec
     if backend.kind == "exact":
         return base, None
-    if backend.kind == "salcu":
-        budget = Budget(eps, norm_o, "salcu")
-    elif not _program_is_random(spec, backend) and measurement == "analytic":
-        budget = Budget(eps, norm_o, "generic")
+    # salcu's eps' = eps/(6 K normO) already sets the statistical half aside
+    if backend.kind == "salcu" or (
+        not _program_is_random(spec, backend) and measurement == "analytic"
+    ):
+        budget = Budget(eps, norm_o)
     else:
         # randomized circuit or shot noise: half the budget is statistical
-        budget = Budget(eps / 2.0, norm_o, "generic")
+        budget = Budget(eps / 2.0, norm_o)
     return base, markov_plan(base, backend, budget)
 
 
@@ -215,12 +216,14 @@ def estimate(
     """Estimate Tr[O M_K[rho0]] to within eps with probability >= 1 - delta.
 
     spec is a CollisionSpec or NonMarkovSpec; backend a selector string or
-    Backend. t_override forces the run count (downward overrides are flagged
-    in the report). workers > 1 distributes runs; results are identical to
-    the serial order for any worker count.
+    Backend. t_override (>= 1) forces the run count (downward overrides are
+    flagged in the report). workers > 1 distributes runs; results are
+    identical to the serial order for any worker count.
     """
     if measurement not in ("analytic", "shot"):
         raise ValueError(f"unknown measurement mode {measurement!r}")
+    if t_override is not None and t_override < 1:
+        raise ValueError(f"t_override must be >= 1, got {t_override}")
     if isinstance(backend, str):
         backend = parse_backend(backend)
     base, plan = _prepare(spec, backend, eps, measurement, obs.norm)

@@ -113,11 +113,6 @@ def trotter_step(nh, beta, dt, steps, order=1):
     return tuple(step)
 
 
-def trotter_rotations(nh, beta, dt, steps, order=1):
-    """[(bare axis, angle)] in application order for the full product formula."""
-    return list(trotter_step(nh, beta, dt, steps, order)) * steps
-
-
 @lru_cache(maxsize=32)
 def step_unitary(step, steps):
     """Dense rotations_dense(step)^steps, memoized on the schedule's value.

@@ -17,7 +17,6 @@ Comput. 33, 2011) and never forms the 4^n x 4^n exponential.
 """
 
 import numpy as np
-from scipy.integrate import solve_ivp
 from scipy.sparse.linalg import expm_multiply
 
 from . import _kernels
@@ -25,7 +24,7 @@ from ._limits import check_dense
 from .errors import NumericalError
 from .states import DensityMatrix
 
-_EXPM_DIM_CAP = 4096  # largest 4^n the dense exponential path will touch
+_DRIFT_TOL = 1e-9  # largest trace or Hermiticity drift read as rounding
 
 
 def spectral_norm(a):
@@ -83,42 +82,22 @@ class Liouvillian:
         return f"Liouvillian(n={self.n})"
 
 
-def lindblad_evolve(model, rho0, t, tol=1e-10, method="auto"):
+def lindblad_evolve(model, rho0, t):
     """Evolve rho0 for time t under the model's Liouvillian (or a prebuilt one).
 
-    method 'expm' applies e^{Lt} to vec(rho0) without forming it (allowed up
-    to 4^n = 4096), 'rk' integrates with adaptive RK45 at local tolerance
-    tol, 'auto' picks expm when it fits. The result is re-symmetrized; drift
-    beyond 10*tol in trace or Hermiticity is a numerical failure.
+    Applies e^{Lt} to vec(rho0) without forming it. The result is
+    re-symmetrized; drift beyond 1e-9 in trace or Hermiticity is a numerical
+    failure.
     """
     liou = model if isinstance(model, Liouvillian) else Liouvillian(model)
     dim = 1 << liou.n
     rho = rho0.data if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=np.complex128)
-    if method == "auto":
-        method = "expm" if dim * dim <= _EXPM_DIM_CAP else "rk"
-    if method == "expm":
-        if dim * dim > _EXPM_DIM_CAP:
-            raise ValueError(f"expm path capped at 4^n <= {_EXPM_DIM_CAP}")
-        out = expm_multiply(t * liou.matrix, rho.reshape(-1)).reshape(dim, dim)
-    elif method == "rk":
-        sol = solve_ivp(
-            lambda _, y: liou.matrix @ y,
-            (0.0, t),
-            rho.reshape(-1).astype(np.complex128),
-            method="RK45",
-            rtol=tol,
-            atol=tol,
-        )
-        if not sol.success:
-            raise NumericalError(f"RK45 failed: {sol.message}")
-        out = sol.y[:, -1].reshape(dim, dim)
-    else:
-        raise ValueError(f"unknown method {method!r}")
+    out = expm_multiply(t * liou.matrix, rho.reshape(-1)).reshape(dim, dim)
     herm_drift = np.abs(out - out.conj().T).max()
     trace_drift = abs(np.trace(out) - 1.0)
-    if herm_drift > 10 * max(tol, 1e-12) or trace_drift > 10 * max(tol, 1e-12):
+    if herm_drift > _DRIFT_TOL or trace_drift > _DRIFT_TOL:
         raise NumericalError(
-            f"integration drift: hermiticity {herm_drift:.3e}, trace {trace_drift:.3e}"
+            f"e^{{Lt}} drift: hermiticity {herm_drift:.3e}, trace {trace_drift:.3e}"
         )
     out = 0.5 * (out + out.conj().T)
     out = out / np.trace(out).real

@@ -6,11 +6,12 @@ their original relative order. Gate application mutates the state in place
 (the wrapped array is replaced); trace and Hermiticity are construction
 invariants, positivity is left to the tests.
 
-Gate arguments are translated once into the monomial / two-sparse form the
-kernels consume, and those translations are memoized: collision programs
-re-apply the same few Pauli words millions of times across Monte-Carlo runs.
-Dense unitaries (whole collision fragments) go through apply_unitary; the
-same row tables build them one-sided in hamsim.rotations_dense.
+Collision fragments run as whole dense unitaries through apply_unitary;
+the row tables here also build those unitaries one-sided in
+hamsim.rotations_dense. Single gates (swaps, and the reference gate kinds
+that circuits.expand_fragments spells out) are translated into the
+monomial / two-sparse form the kernels consume; those translations are
+memoized.
 """
 
 import struct

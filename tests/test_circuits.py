@@ -9,7 +9,6 @@ from scipy.linalg import expm
 from collidesim import (
     ANCILLA,
     CircuitProgram,
-    CostModel,
     DensityMatrix,
     GateOp,
     PauliString,
@@ -208,9 +207,6 @@ def test_count_resources_frozen_costs():
     assert rep.pauli_gate_count == 2
     assert rep.env_preps == 2
     assert rep.depth_proxy == rep.cnot_count + rep.rotation_count
-    # wider swaps priced by the cost model
-    cheap = count_resources(prog, CostModel(prep_cnots=0, swap_cnots_per_qubit=1))
-    assert cheap.cnot_count == rep.cnot_count - 4 - 4
 
 
 def test_resource_report_addition():

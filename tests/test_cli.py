@@ -48,7 +48,7 @@ def test_build_config_defaults_and_overrides():
         {
             "dynamics.backends": "trotter1, qdrift ,salcu",
             "dynamics.steps": "12",
-            "dynamics.N": "40",
+            "dynamics.length": "40",
             "dynamics.c_r": "1.5",
             "dynamics.nu": "8",
             "model.omega": "inf",
@@ -73,6 +73,8 @@ def test_build_config_defaults_and_overrides():
         {"model.kind": "custom", "model.J": "1.0"},
         {"model.kind": "benchmark", "model.env_width": "2"},
         {"model.m": "2.5"},
+        {"execution.t_override": "-3"},
+        {"dynamics.N": "40"},
     ],
     ids=[
         "unknown-key",
@@ -85,6 +87,8 @@ def test_build_config_defaults_and_overrides():
         "mixed-custom",
         "mixed-benchmark",
         "non-integer",
+        "negative-t-override",
+        "length-alias",
     ],
 )
 def test_build_config_rejects(mapping):

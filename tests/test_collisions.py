@@ -334,6 +334,21 @@ def test_expected_resources_match_counted_programs():
     assert expected.rotation_count == counted.rotation_count
     assert expected.env_preps == counted.env_preps
 
+    # an identity system term: its rotations are free, as count_resources prices them
+    col = spec.collisions[0]
+    id_spec = CollisionSpec(1, PauliSum.from_labels([(0.3, "I"), (0.4, "Z")]), (col, col), 0.2)
+    for label in ("trotter1", "trotter2k:1"):
+        backend = parse_backend(label)
+        want = count_resources(markov_program(id_spec, backend, budget))
+        assert expected_resources(id_spec, backend, budget).as_tuple() == want.as_tuple()
+    plan = markov_plan(id_spec, qdrift, budget)
+    nh, _ = id_spec.joint(0)
+    p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
+    assert p_identity > 0
+    closed = sum(length * (1.0 - p_identity) for length in plan.per_collision)
+    got = expected_resources(id_spec, qdrift, budget, plan=plan)
+    assert got.rotation_count == pytest.approx(closed, rel=1e-15)
+
     with pytest.raises(ValueError):
         expected_resources(spec, parse_backend("exact"), budget)
     with pytest.raises(ValueError):

@@ -127,6 +127,11 @@ def test_t_override_flags_under_sampling():
     assert not high.under_sampled
 
 
+def test_t_override_below_one_is_rejected():
+    with pytest.raises(ValueError):
+        estimate(_spec(), RHO0, OBS, "qdrift", eps=0.2, delta=0.2, seed=2, t_override=0)
+
+
 def test_qdrift_seed_determinism():
     spec = _spec()
     kw = dict(eps=0.2, delta=0.2, seed=7, t_override=40)
@@ -205,7 +210,7 @@ def test_fixed_program_shots_match_a_per_run_loop(workers):
     rep = estimate(spec, rho0, obs, "trotter1", eps, delta, seed=seed, measurement="shot",
                    workers=workers, keep_samples=True)
     # reference: rebuild and re-execute the program on every run
-    plan = markov_plan(spec, parse_backend("trotter1"), Budget(eps / 2.0, obs.norm, "generic"))
+    plan = markov_plan(spec, parse_backend("trotter1"), Budget(eps / 2.0, obs.norm))
     mus = np.array([
         run_once(markov_program(spec, None, plan=plan), rho0, spec.env_preparers(), obs, "shot",
                  np.random.default_rng(np.random.SeedSequence((seed, k))))
@@ -237,7 +242,7 @@ def test_randomized_estimate_matches_expanded_programs(backend, workers):
     rep = estimate(spec, RHO0, OBS, backend, eps, delta, seed=seed, t_override=runs,
                    workers=workers, keep_samples=True)
     # reference: every run's program spelled out gate by gate
-    budget = Budget(eps, OBS.norm, "salcu") if backend == "salcu" else Budget(eps / 2.0, OBS.norm)
+    budget = Budget(eps if backend == "salcu" else eps / 2.0, OBS.norm)
     plan = markov_plan(spec, parse_backend(backend), budget)
     measured = measured_observable(OBS, plan.ancilla)
     mus, totals = [], ResourceReport()

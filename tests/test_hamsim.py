@@ -19,7 +19,7 @@ from collidesim import (
     segment_weights,
     spectral_norm,
     taylor_tail,
-    trotter_rotations,
+    trotter_step,
     unitary_exact,
 )
 from collidesim.hamsim import Segment, _k_distribution, rotation_dense, rotations_dense
@@ -32,7 +32,8 @@ H1 = PauliSum.from_labels([(0.7, "X"), (0.3, "Z")])
 
 def _trotter_error(h, beta_dt, steps, order):
     nh = normalize(h)
-    u = rotations_dense(trotter_rotations(nh, nh.beta, beta_dt / nh.beta, steps, order), h.n)
+    step = trotter_step(nh, nh.beta, beta_dt / nh.beta, steps, order)
+    u = rotations_dense(step * steps, h.n)
     return spectral_norm(u - unitary_exact(h, beta_dt / nh.beta))
 
 
@@ -60,14 +61,14 @@ def test_trotter_orders_converge_at_their_rates():
 
 def test_trotter_rotation_schedule_shape():
     nh = normalize(H2)
-    r1 = trotter_rotations(nh, nh.beta, 0.3, 5, order=1)
-    assert len(r1) == 5 * len(nh)
-    r2 = trotter_rotations(nh, nh.beta, 0.3, 5, order=2)
-    assert len(r2) % 5 == 0
+    r1 = trotter_step(nh, nh.beta, 0.3, 5, order=1)
+    assert len(r1) == len(nh)
+    r2 = trotter_step(nh, nh.beta, 0.3, 5, order=2)
+    assert len(r2) == 2 * len(nh)
     # all axes are bare; signed terms fold the sign into the angle
     assert all(axis.phase_exp == 0 for axis, _ in r1 + r2)
     with pytest.raises(ValueError):
-        trotter_rotations(nh, nh.beta, 0.3, 0)
+        trotter_step(nh, nh.beta, 0.3, 0)
 
 
 def test_choose_trotter_steps_worst_case_frozen():

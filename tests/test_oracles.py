@@ -1,11 +1,15 @@
 """Dense reference machinery: norms, exponentials, Liouvillian evolution."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import collidesim
 from collidesim import (
     DensityMatrix,
     JumpOp,
@@ -100,7 +104,7 @@ def test_expm_path_matches_dense_exponential():
         rho = _rand_rho(rng, n)
         for t in (0.0, 0.1, 0.7, 2.5):
             want = (expm(liou.matrix * t) @ rho.data.reshape(-1)).reshape(rho.data.shape)
-            got = lindblad_evolve(liou, rho, t, method="expm")
+            got = lindblad_evolve(liou, rho, t)
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
@@ -114,14 +118,20 @@ def test_amplitude_damping_analytic():
         assert sz == pytest.approx(1.0 - 2.0 * math.exp(-t), abs=1e-9)
 
 
-def test_expm_and_rk_paths_agree():
-    model = amp_damp_model(2, J=1.0, h=0.3, gamma=0.8)
-    rho0 = DensityMatrix.basis(2, 1)
-    a = lindblad_evolve(model, rho0, 0.7, method="expm")
-    b = lindblad_evolve(model, rho0, 0.7, method="rk", tol=1e-11)
-    assert trace_distance(a, b) < 1e-8
-    with pytest.raises(ValueError):
-        lindblad_evolve(model, rho0, 0.7, method="cranknicolson")
+def test_import_loads_no_ode_or_special_function_modules():
+    # the oracle needs only scipy.sparse.linalg; scipy.integrate and the
+    # scipy.special it pulls in would add to every import of the package
+    root = os.path.dirname(os.path.dirname(collidesim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys, collidesim; "
+        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
+        "(['scipy', 'integrate'], ['scipy', 'special'])))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == "[]"
 
 
 def test_evolution_preserves_state_structure():
