@@ -4,27 +4,32 @@ A program owns one system register, an optional single control ancilla, and
 a set of environment slots that are prepared fresh, collided with, and traced
 away (possibly several times per slot). Virtual qubit ids are static:
 
-    ancilla          -1 (only when the program declares one)
+    ancilla          -1 (only when the program declares one; control only)
     system qubit q   q
     env slot s, k    n_system + sum(widths of slots < s) + k
 
-Physically the ancilla is the most significant qubit, the system follows,
-and active env slots stack below in order of preparation, so a freshly
-prepared slot always lands on the least significant qubits.
+Physically the system comes first and active env slots stack below it in
+order of preparation, so a freshly prepared slot always lands on the least
+significant qubits. The ancilla is not a register: execute evolves the
+system-sized blocks rho_ab of the ancilla (+) system state (a, b the
+ancilla values), and an ancilla-controlled op multiplies a block on the
+side(s) whose ancilla value matches its polarity.
 
 Every collision of every backend is one `fragment` op on the collision's
 n+w targets: a one-step schedule of items repeated `steps` times, where an
 item is a rotation (bare axis, angle) or a Pauli word (word, None) with its
-phase. With a control the fragment acts only where the ancilla reads
-`polarity`. It executes as a single dense conjugation: the step unitary is
-built by hamsim.rotations_dense on the targets alone, raised to `steps`, and
-embedded block-diagonally on [control] + targets when controlled. Product
-formulas repeat their fragments across collisions and runs, so their unitary
-is memoized (hamsim.step_unitary); a `sampled` fragment (one qDRIFT or LCU
-draw) is built once for its run and never memoized. validate, describe and
-count_resources treat a fragment as its expanded gate list: the rotation,
-crotation, pauli and cpauli kinds, which stay as that reference form and
-execute gate by gate, but which no compiler emits.
+phase. Only the ancilla can control a fragment; the fragment then acts only
+where the ancilla reads `polarity`. It executes as a single dense
+multiplication: the step unitary is built by hamsim.rotations_dense on the
+targets alone and raised to `steps`; an uncontrolled fragment conjugates
+every block, a controlled one multiplies each block on its matching side(s).
+Product formulas repeat their fragments across collisions and runs, so their
+unitary is memoized (hamsim.step_unitary); a `sampled` fragment (one qDRIFT
+or LCU draw) is built once for its run and never memoized. validate,
+describe and count_resources treat a fragment as its expanded gate list: the
+rotation, crotation, pauli and cpauli kinds, which stay as that reference
+form and execute gate by gate (dense, when the ancilla controls them), but
+which no compiler emits.
 
 CNOT accounting: a weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the
 usual parity staircase, its controlled version adds 2 (controlled-Rz = 2
@@ -36,9 +41,6 @@ layers, no parallelism credit.
 """
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
-
-import numpy as np
 
 from . import states
 from .hamsim import rotations_dense, step_unitary
@@ -184,6 +186,8 @@ class CircuitProgram:
                     raise ValueError("swap needs equal slot widths")
             else:
                 ids = set(op.targets)
+                if ANCILLA in ids:
+                    raise ValueError("the ancilla can only be a control")
                 if op.control is not None:
                     if op.control in ids:
                         raise ValueError("control overlaps targets")
@@ -201,6 +205,8 @@ class CircuitProgram:
                 if op.axis is not None and op.axis.n != len(op.targets):
                     raise ValueError("axis width != target count")
                 if op.kind == "fragment":
+                    if op.control not in (None, ANCILLA):
+                        raise ValueError("a fragment can be controlled only by the ancilla")
                     if op.steps < 1 or not op.step:
                         raise ValueError("fragment needs a non-empty step and steps >= 1")
                     if op.sampled and op.steps != 1:
@@ -230,28 +236,41 @@ class CircuitProgram:
         return "\n".join([head, *(op.describe() for op in self.ops)])
 
 
-def execute(program, rho_system, env_preparers=None):
-    """Run the program and return the final ancilla(+)system state.
+ANCILLA_BLOCKS = ((0, 0), (1, 1), (1, 0))  # what a shot readout of the joined state needs
+
+
+def execute(program, rho_system, env_preparers=None, blocks=None):
+    """Run the program; return the final system state, or for an ancilla
+    program a dict of the final blocks rho_ab of the ancilla (+) system state.
 
     env_preparers maps slot id to a zero-argument callable producing that
     slot's fresh state; required whenever the program prepares slots.
+
+    An ancilla program never holds the ancilla: it evolves the d x d blocks
+    rho_ab (a, b the ancilla values) listed in `blocks`, default
+    ANCILLA_BLOCKS, from |+><+| (x) rho, whose blocks are all rho/2. An op
+    controlled by the ancilla with polarity p acts on the row side of rho_ab
+    when a == p and on the column side when b == p; every other op acts on
+    both sides of every block, and prepare and trace act on each block.
+    rho_10 alone gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10].
     """
     if rho_system.n != program.n_system:
         raise ValueError("system state width mismatch")
     if program.ancilla:
-        state = states.tensor_append(states.DensityMatrix.plus(), rho_system)
+        keys = ANCILLA_BLOCKS if blocks is None else tuple(blocks)
+        half = states.DensityMatrix(0.5 * rho_system.data, check=False)
+        regs = {key: half.copy() for key in keys}
+    elif blocks is not None:
+        raise ValueError("blocks apply only to a program with an ancilla")
     else:
-        state = rho_system.copy()
-    head = 1 if program.ancilla else 0
+        regs = {None: rho_system.copy()}
     active = []  # slot ids in preparation order
 
     def phys(vid):
-        if vid == ANCILLA:
-            return 0
         if vid < program.n_system:
-            return head + vid
+            return vid
         slot = program._slot_of(vid)
-        base = head + program.n_system
+        base = program.n_system
         for s in active:
             if s == slot:
                 break
@@ -264,58 +283,54 @@ def execute(program, rho_system, env_preparers=None):
             fresh = env_preparers[key]()
             if fresh.n != program.env_widths[op.slot]:
                 raise ValueError(f"slot {op.slot} preparer has wrong width")
-            states.tensor_append(state, fresh)
+            for reg in regs.values():
+                states.tensor_append(reg, fresh)
             active.append(op.slot)
         elif op.kind == "trace":
             qubits = [phys(v) for v in _slot_vids(program, op.slot)]
-            states.partial_trace(state, qubits)
+            for reg in regs.values():
+                states.partial_trace(reg, qubits)
             active.remove(op.slot)
         elif op.kind == "swap":
             a, b = op.slots
-            states.apply_swap(
-                state,
-                [phys(v) for v in _slot_vids(program, a)],
-                [phys(v) for v in _slot_vids(program, b)],
-            )
-        elif op.kind == "fragment":
+            qubits_a = [phys(v) for v in _slot_vids(program, a)]
+            qubits_b = [phys(v) for v in _slot_vids(program, b)]
+            for reg in regs.values():
+                states.apply_swap(reg, qubits_a, qubits_b)
+        elif op.kind == "fragment" or op.control == ANCILLA:
             qubits = [phys(v) for v in op.targets]
-            if op.sampled:
-                u = rotations_dense(op.step, len(qubits))
-            else:
-                u = step_unitary(op.step, op.steps)
-            if op.control is not None:
-                u = _controlled(u, op.polarity)
-                qubits.insert(0, phys(op.control))
-            states.apply_unitary(state, u, qubits)
-        elif op.kind in ("pauli", "cpauli"):
-            states.apply_pauli(
-                state,
-                op.axis,
-                [phys(v) for v in op.targets],
-                control=None if op.control is None else phys(op.control),
-                polarity=op.polarity,
-            )
+            u = _op_unitary(op)
+            for key, reg in regs.items():
+                if op.control is None:
+                    states.apply_unitary(reg, u, qubits)
+                else:
+                    row, col = key
+                    left = u if row == op.polarity else None
+                    right = u if col == op.polarity else None
+                    if left is not None or right is not None:
+                        states.apply_sides(reg, left, right, qubits)
         else:
-            states.apply_pauli_rotation(
-                state,
-                op.axis,
-                op.angle,
-                [phys(v) for v in op.targets],
-                control=None if op.control is None else phys(op.control),
-                polarity=op.polarity,
-            )
-    return state
+            qubits = [phys(v) for v in op.targets]
+            control = None if op.control is None else phys(op.control)
+            for reg in regs.values():
+                if op.kind in ("pauli", "cpauli"):
+                    states.apply_pauli(reg, op.axis, qubits, control=control, polarity=op.polarity)
+                else:
+                    states.apply_pauli_rotation(
+                        reg, op.axis, op.angle, qubits, control=control, polarity=op.polarity
+                    )
+    return regs if program.ancilla else regs[None]
 
 
-def _controlled(u, polarity):
-    """Block-diagonal unitary on [control] + targets: u where the control
-    reads polarity, identity where it does not."""
-    dim = u.shape[0]
-    out = np.zeros((2 * dim, 2 * dim), dtype=np.complex128)
-    on, off = (dim, 0) if polarity else (0, dim)
-    out[on : on + dim, on : on + dim] = u
-    out.reshape(-1)[:: 2 * dim + 1][off : off + dim] = 1.0
-    return out
+def _op_unitary(op):
+    """Dense unitary on the op's targets: a fragment's (memoized unless
+    sampled), or that of a reference gate controlled by the ancilla."""
+    if op.kind != "fragment":
+        angle = op.angle if op.kind == "crotation" else None
+        return rotations_dense(((op.axis, angle),), len(op.targets))
+    if op.sampled:
+        return rotations_dense(op.step, len(op.targets))
+    return step_unitary(op.step, op.steps)
 
 
 def _slot_vids(program, slot):
@@ -346,15 +361,24 @@ class ResourceReport:
         return tuple(getattr(self, f) for f in self.FIELDS)
 
 
-@lru_cache(maxsize=4096)
-def _gate_cost(axis, rotation, controlled):
-    """(cnots, rotations, Pauli gates) of one rotation or Pauli-word gate."""
-    w = axis.weight
-    if not rotation:
-        return (w if controlled else 0), 0, 1
-    if w == 0:
-        return 0, int(controlled), 0  # a controlled identity rotation is a phase kick
-    return 2 * (w - 1) + 2 * controlled, 1 + controlled, 0
+def _items_cost(items, controlled):
+    """(cnots, rotations, Pauli gates) of a schedule of (bare axis, angle) and
+    (word, None) items, each priced from its masks' weight w: a rotation
+    2(w-1) CNOTs, plus 2 CNOTs and a rotation when controlled; a controlled
+    word w CNOTs; a controlled identity rotation is a phase kick."""
+    cnot = rot = paulis = 0
+    for axis, angle in items:
+        w = (axis.x | axis.z).bit_count()
+        if angle is None:
+            paulis += 1
+            if controlled:
+                cnot += w
+        elif w:
+            cnot += 2 * (w - 1) + 2 * controlled
+            rot += 1 + controlled
+        else:
+            rot += controlled
+    return cnot, rot, paulis
 
 
 def count_resources(program):
@@ -374,10 +398,8 @@ def count_resources(program):
                 cnot += PREP_CNOTS
                 preps += 1
             continue
-        controlled = op.control is not None
-        for axis, angle in gates:
-            c, r, p = _gate_cost(axis, angle is not None, controlled)
-            cnot += reps * c
-            rot += reps * r
-            paulis += reps * p
+        c, r, p = _items_cost(gates, op.control is not None)
+        cnot += reps * c
+        rot += reps * r
+        paulis += reps * p
     return ResourceReport(cnot, rot, paulis, cnot + rot, preps)

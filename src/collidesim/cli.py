@@ -23,7 +23,6 @@ import numpy as np
 
 from . import acceptance
 from .collisions import (
-    Budget,
     Collision,
     CollisionSpec,
     NonMarkovSpec,
@@ -34,7 +33,7 @@ from .collisions import (
     suggest_nu,
 )
 from .errors import DenseLimitError, NumericalError
-from .estimator import EstimateReport, estimate
+from .estimator import EstimateReport, estimate, resolve_plan
 from .models import ThermalPrep, amp_damp_model, magnetization
 from .oracles import Liouvillian, lindblad_evolve
 from .pauli import PauliSum
@@ -270,6 +269,8 @@ def build_config(mapping):
         raise ValueError(f"dynamics.p must be in [0, 1], got {cfg.p}")
     if cfg.t_override < 0:
         raise ValueError(f"execution.t_override must be >= 0, got {cfg.t_override}")
+    if cfg.compilations < 1:
+        raise ValueError(f"execution.compilations must be >= 1, got {cfg.compilations}")
     if cfg.kind == "custom":
         for name, path in (
             ("model.system_file", cfg.system_file),
@@ -467,14 +468,18 @@ def cmd_oracle(cfg, out_dir):
 def cmd_resources(cfg, out_dir):
     problem = build_problem(cfg)
     _write_nu_trace(out_dir, cfg, problem)
-    spec = problem.spec.base if cfg.nonmarkov else problem.spec
-    budget = Budget(cfg.eps, problem.obs.norm)
     h = cfg.config_hash()
     rows = []
     for label in cfg.backends:
         backend = parse_backend(label, **cfg.overrides)
+        # priced under the plan an estimate of this config runs
+        spec, plan = resolve_plan(
+            problem.spec, backend, cfg.eps, cfg.measurement, problem.obs.norm
+        )
+        if plan is None:
+            raise ValueError(f"backend {backend.label()!r} has no gate costs")
         rep = expected_resources(
-            spec, backend, budget, seed=cfg.seed, lcu_samples=cfg.compilations
+            spec, backend, None, seed=cfg.seed, lcu_samples=cfg.compilations, plan=plan
         )
         rows.append(
             (

@@ -41,7 +41,7 @@ from .circuits import (
     CircuitProgram,
     GateOp,
     ResourceReport,
-    _gate_cost,
+    _items_cost,
     fragment_op,
 )
 from .errors import NumericalError
@@ -538,15 +538,6 @@ def suggest_nu(model, t, obs, rho0, eps, cap=1 << 20):
 # -------------------------------------------------------- expected resources
 
 
-def _items_cost(items, controlled):
-    """(cnots, rotations, Pauli gates) of a schedule of (axis, angle | None)
-    items, priced by the rule count_resources uses."""
-    acc = np.zeros(3)
-    for axis, angle in items:
-        acc += _gate_cost(axis, angle is not None, controlled)
-    return acc
-
-
 def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None):
     """Expected per-coherent-run ResourceReport without materializing K programs.
 
@@ -571,9 +562,9 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
             param = plan.per_collision[j]
             if backend.kind == "trotter":
                 step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
-                per_unique[u] = tuple(float(v) for v in param * _items_cost(step, False))
+                per_unique[u] = tuple(float(param * v) for v in _items_cost(step, False))
             elif backend.kind == "qdrift":
-                costs = np.array([_gate_cost(p, True, False)[0] for _, p in nh.h.terms])
+                costs = np.array([_items_cost(((p, 1.0),), False)[0] for _, p in nh.h.terms])
                 p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
                 per_unique[u] = (
                     param * float((nh.probs * costs).sum()),

@@ -4,11 +4,15 @@ Protocol per run: build the collision program, execute it on a fresh copy
 of the input state, and measure. When the final state does not depend on the
 run (the exact backend, or a fixed program), it is computed and measured once
 per estimate: its conditional mean, or the Born distribution from which each
-run draws its shot with its own RNG. With the sampled-LCU backend
-the program carries the control ancilla and the measured operator is
-sigma^x (x) O, whose per-run conditional expectation averages to
-Tr[O Mtilde_K[rho]]/zeta^2; the estimate is mu = (zeta^2 / T) sum_k mu_k.
-Product-formula backends measure O directly (zeta = 1).
+run draws its shot with its own RNG. With the sampled-LCU backend the
+program carries the control ancilla and the measured operator is
+sigma^x (x) O. The ancilla is never held as a register: execute evolves the
+system-sized blocks rho_ab of the ancilla (+) system state, and the
+conditional expectation reads 2 Re Tr[O rho_10] from the one block rho_10
+(a shot draws from the state joined from rho_00, rho_11 and rho_10). Its
+mean over runs is Tr[O Mtilde_K[rho]]/zeta^2; the estimate is
+mu = (zeta^2 / T) sum_k mu_k. Product-formula backends measure O directly
+(zeta = 1).
 
 Budget split: the statistical half is covered by T = hoeffding_T(normO, eps,
 delta, zeta) = ceil(8 normO^2 ln(2/delta) zeta^4 / eps^2), which pins the
@@ -37,7 +41,15 @@ from .collisions import (
     nonmarkov_program,
     parse_backend,
 )
-from .states import Observable, born_distribution, born_draw, born_sample, expectation
+from .states import (
+    Observable,
+    born_distribution,
+    born_draw,
+    born_sample,
+    expectation,
+    hadamard_expectation,
+    join_blocks,
+)
 
 
 def hoeffding_T(norm_o, eps, delta, zeta=1.0):
@@ -48,23 +60,32 @@ def hoeffding_T(norm_o, eps, delta, zeta=1.0):
 
 
 def measured_observable(obs, ancilla):
-    """sigma^x (x) O when the Hadamard-test ancilla is present, else O."""
+    """sigma^x (x) O when the Hadamard-test ancilla is present, else O.
+
+    The ancilla is the most significant qubit, so the upper-right block of
+    sigma^x (x) O is O itself."""
     if not ancilla:
         return obs
     x = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
     return Observable(np.kron(x, obs.matrix))
 
 
-def _measure(final, measured, measurement, rng):
-    """Conditional mean, or one shot drawn with the run's RNG."""
+def run_once(program, rho_system, env_preparers, measured, measurement, rng):
+    """One coherent run: execute and measure (conditional mean or one shot).
+
+    With the Hadamard-test ancilla the conditional mean of sigma^x (x) O is
+    2 Re Tr[O rho_10], so only that block is evolved; a shot is drawn from
+    the joined state of the blocks rho_00, rho_11 and rho_10.
+    """
+    if program.ancilla and measurement == "analytic":
+        blocks = execute(program, rho_system, env_preparers, blocks=((1, 0),))
+        return hadamard_expectation(blocks[1, 0], measured)
+    final = execute(program, rho_system, env_preparers)
+    if program.ancilla:
+        final = join_blocks(final)
     if measurement == "analytic":
         return expectation(final, measured)
     return born_sample(final, measured, rng)
-
-
-def run_once(program, rho_system, env_preparers, measured, measurement, rng):
-    """One coherent run: execute and measure (conditional mean or one shot)."""
-    return _measure(execute(program, rho_system, env_preparers), measured, measurement, rng)
 
 
 @dataclass
@@ -136,8 +157,10 @@ def _program_is_random(spec, backend):
     return isinstance(spec, NonMarkovSpec) and 0.0 < spec.p < 1.0
 
 
-def _prepare(spec, backend, eps, measurement, norm_o):
-    """Resolve (base spec, plan-or-None) for one estimate call."""
+def resolve_plan(spec, backend, eps, measurement, norm_o):
+    """Resolve (base spec, plan-or-None) as estimate does: the plan takes the
+    full eps when nothing is statistical, or when salcu's eps' sets the
+    statistical half aside; otherwise eps/2."""
     base = spec.base if isinstance(spec, NonMarkovSpec) else spec
     if backend.kind == "exact":
         return base, None
@@ -226,7 +249,7 @@ def estimate(
         raise ValueError(f"t_override must be >= 1, got {t_override}")
     if isinstance(backend, str):
         backend = parse_backend(backend)
-    base, plan = _prepare(spec, backend, eps, measurement, obs.norm)
+    base, plan = resolve_plan(spec, backend, eps, measurement, obs.norm)
     zeta = 1.0 if plan is None else plan.zeta
     fixed_program = backend.kind != "exact" and not _program_is_random(spec, backend)
     run_independent = backend.kind == "exact" or fixed_program

@@ -30,9 +30,10 @@ from functools import lru_cache
 
 import numpy as np
 
+from ._draws import cdf_of, draw_index
 from .errors import NumericalError
 from .pauli import PauliString
-from .states import _axis_action_rowform, _xor_index
+from .states import _axis_action_rowform
 
 _EMPIRICAL_STEP_CAP = 1 << 22
 
@@ -54,28 +55,56 @@ def rotations_dense(items, n):
 
     An item (bare axis, angle) is the rotation e^{-i angle P}; an item
     (word, None) is the Pauli word itself, phase included. The product grows
-    from the identity by one-sided updates U <- G U: P U is a row gather
-    (row r of P holds its one entry at column r^x) times a per-row phase, so
-    each item costs O(4^n) and no gate is made dense.
+    from the identity by one-sided updates U <- G U: row r of P U is row r^x
+    of U times a per-row phase, read through a view of U whose qubit axes
+    are reversed where x has a bit, so each item costs O(4^n), no gate is
+    made dense and no row is gathered. A draw repeats few distinct items, so
+    each distinct item's view, phases and cosine are made once per call.
     """
-    out = np.eye(1 << n, dtype=np.complex128)
-    for axis, angle in items:
-        rows = _axis_action_rowform(n, axis.x, axis.z)
-        if angle is None:
-            scale = axis.phase * rows
-        elif axis.x == 0:
-            scale = math.cos(angle) - (1j * math.sin(angle)) * rows
+    dim = 1 << n
+    out = np.eye(dim, dtype=np.complex128)
+    moved = np.empty_like(out)
+    out_q = out.reshape((2,) * n + (dim,))
+    moved_q = moved.reshape(out_q.shape)
+    actions = {}
+    for item in items:
+        action = actions.get(item)
+        if action is None:
+            action = actions[item] = _item_action(item, n, out_q)
+        cos, flipped, scale = action
+        if flipped is None:  # diagonal: a per-row scale
+            out *= scale
+        elif cos is None:  # a word: its phases times the flipped rows
+            np.multiply(scale, flipped, out=moved_q)
+            out[...] = moved
         else:
-            moved = out[_xor_index(n, axis.x)]
-            moved *= ((-1j * math.sin(angle)) * rows)[:, None]
-            out *= math.cos(angle)
+            np.multiply(flipped, scale, out=moved_q)
+            out *= cos
             out += moved
-            continue
-        if axis.x:
-            out = scale[:, None] * out[_xor_index(n, axis.x)]
-        else:
-            out *= scale[:, None]
     return out
+
+
+def _item_action(item, n, out_q):
+    """(cos(angle) or None for a word, row-flipped view of out_q or None
+    when the axis is diagonal, per-row scale) of one schedule item."""
+    axis, angle = item
+    rows = _axis_action_rowform(n, axis.x, axis.z)
+    if axis.x == 0:
+        if angle is None:
+            return None, None, (axis.phase * rows)[:, None]
+        return None, None, (math.cos(angle) - (1j * math.sin(angle)) * rows)[:, None]
+    flipped = out_q[_row_flip(n, axis.x)]
+    row_shape = out_q.shape[:-1] + (1,)
+    if angle is None:
+        return None, flipped, (axis.phase * rows).reshape(row_shape)
+    return math.cos(angle), flipped, ((-1j * math.sin(angle)) * rows).reshape(row_shape)
+
+
+@lru_cache(maxsize=4096)
+def _row_flip(n, x):
+    """Index of the qubit-axis view whose row r is row r^x: the axis of
+    qubit q reversed where x has its bit."""
+    return tuple(slice(None, None, -1) if x >> (n - 1 - q) & 1 else slice(None) for q in range(n))
 
 
 # ------------------------------------------------------------ Trotter / Suzuki
@@ -278,9 +307,10 @@ def choose_lcu_params(tau, k_collisions, eps_prime, c_r=1.0, r_override=None, q_
 
 
 @lru_cache(maxsize=1024)
-def _k_distribution(weights):
+def _k_cdf(weights):
+    """Draw table of the segment order k/2, with probability proportional to weight."""
     probs = np.array(weights, dtype=np.float64)
-    return probs / probs.sum()
+    return cdf_of(probs / probs.sum())
 
 
 @dataclass(frozen=True)
@@ -311,8 +341,7 @@ class SampledUnitary:
 def lcu_sample(nh, params, rng):
     """Draw one unitary whose mean over draws is lcu_expected_dense / alpha_total."""
     x = params.x
-    k_probs = _k_distribution(params.weights)
-    ks = 2 * np.atleast_1d(rng.choice(len(k_probs), size=params.r, p=k_probs))
+    ks = 2 * draw_index(_k_cdf(params.weights), rng, params.r)
     n_draws = int(ks.sum()) + params.r
     picks = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)).tolist())
     terms = nh.h.terms
@@ -335,8 +364,14 @@ def lcu_sample(nh, params, rng):
             wx, wz = x2, z2
         axis, sign = axes[next(picks)]
         phi = math.atan(x / (k + 1))
-        segments.append(Segment(k, PauliString(nh.n, wx, wz, phase % 4), axis, phi * sign))
+        segments.append(Segment(k, _word(nh.n, wx, wz, phase % 4), axis, phi * sign))
     return SampledUnitary(nh.n, tuple(segments))
+
+
+@lru_cache(maxsize=4096)
+def _word(n, x, z, phase_exp):
+    """One PauliString per drawn word value, shared across draws."""
+    return PauliString(n, x, z, phase_exp)
 
 
 def lcu_expected_dense(nh, params):

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._draws import cdf_of, draw_index
 from ._limits import check_dense
 
 _AXES = "IXZY"  # index = (x bit) + 2*(z bit)
@@ -281,8 +282,9 @@ class NormalizedPauliSum:
         total = self.probs.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"coefficients sum to {total}, expected 1")
-        # kill the float residue so rng.choice sees an exact distribution
+        # kill the float residue so draws read an exactly normalized distribution
         self.probs = self.probs / total
+        self.cdf = cdf_of(self.probs)
 
     @property
     def n(self):
@@ -295,8 +297,9 @@ class NormalizedPauliSum:
         return self.h.terms[index]
 
     def sample_term(self, rng, size=None):
-        """Draw term indices i.i.d. with probability = coefficient."""
-        return rng.choice(len(self.probs), size=size, p=self.probs)
+        """Draw term indices i.i.d. with probability = coefficient (the draws of
+        rng.choice(len(probs), size, p=probs), read from the cached table)."""
+        return draw_index(self.cdf, rng, size)
 
 
 def normalize(h):

@@ -6,12 +6,15 @@ their original relative order. Gate application mutates the state in place
 (the wrapped array is replaced); trace and Hermiticity are construction
 invariants, positivity is left to the tests.
 
-Collision fragments run as whole dense unitaries through apply_unitary;
-the row tables here also build those unitaries one-sided in
-hamsim.rotations_dense. Single gates (swaps, and the reference gate kinds
-that circuits.expand_fragments spells out) are translated into the
-monomial / two-sparse form the kernels consume; those translations are
-memoized.
+Collision fragments run as whole dense unitaries through apply_unitary,
+or through apply_sides on one side of an ancilla block rho_ab (any state
+function here acts on such a block, whose trace and Hermiticity are not
+those of a state); join_blocks assembles the ancilla (+) system state from
+rho_00, rho_11 and rho_10. The row tables here also build the unitaries
+one-sided in hamsim.rotations_dense. Single gates (swaps, and the reference
+gate kinds that circuits.expand_fragments spells out) are translated into
+the monomial / two-sparse form the kernels consume; those translations are
+memoized. Born draws read a cumulative table (collidesim._draws).
 """
 
 import struct
@@ -20,6 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from . import _kernels
+from ._draws import cdf_of, draw_index
 from ._limits import check_dense
 from .errors import NumericalError
 from .pauli import PauliString, PauliSum, embed_pauli
@@ -243,26 +247,45 @@ def apply_pauli_rotation(state, axis, angle, targets, control=None, polarity=1):
 def apply_unitary(state, u, targets):
     """state -> U state U† for a dense U on the listed qubits, in any order.
 
-    targets[0] is U's most significant qubit. The whole register in order is
-    a plain U rho U†; otherwise the targets are moved to the front of a
-    qubit-axis view, U acts there, and the axes move back.
+    targets[0] is U's most significant qubit.
+    """
+    return apply_sides(state, u, u, targets)
+
+
+def apply_sides(state, left, right, targets):
+    """state -> L state R† for dense L and R on the listed qubits, in any
+    order; a side given as None is the identity.
+
+    Conjugation is L = R; one side alone evolves an off-diagonal block of an
+    ancilla (+) system state under an ancilla-controlled unitary. targets[0]
+    is the unitaries' most significant qubit. The whole register in order is
+    a plain L rho R†; otherwise the targets are moved to the front of a
+    qubit-axis view, the unitaries act there, and the axes move back.
     """
     n = state.n
     targets = tuple(targets)
     k = len(targets)
-    if u.shape != (1 << k, 1 << k):
-        raise ValueError(f"unitary shape {u.shape} does not fit {k} targets")
+    for u in (left, right):
+        if u is not None and u.shape != (1 << k, 1 << k):
+            raise ValueError(f"unitary shape {u.shape} does not fit {k} targets")
     if len(set(targets)) != k or any(not 0 <= q < n for q in targets):
         raise ValueError(f"targets {targets} are not distinct qubits of the register")
     if targets == tuple(range(n)):
-        state.data = u @ state.data @ u.conj().T
+        data = state.data
+        if left is not None:
+            data = left @ data
+        if right is not None:
+            data = data @ right.conj().T
+        state.data = data
         return state
     order = targets + tuple(q for q in range(n) if q not in targets)
     axes = order + tuple(n + q for q in order)
     dk, dr = 1 << k, 1 << (n - k)
     view = state.data.reshape((2,) * (2 * n)).transpose(axes).reshape(dk, dr, dk, dr)
-    view = np.tensordot(u, view, axes=(1, 0))  # (a, i, c, j) = U rho
-    view = np.tensordot(view, u.conj(), axes=(2, 1)).transpose(0, 1, 3, 2)  # ... U†
+    if left is not None:
+        view = np.tensordot(left, view, axes=(1, 0))  # (a, i, c, j) = L rho
+    if right is not None:
+        view = np.tensordot(view, right.conj(), axes=(2, 1)).transpose(0, 1, 3, 2)  # ... R†
     back = view.reshape((2,) * (2 * n)).transpose(np.argsort(axes))
     state.data = np.ascontiguousarray(back.reshape(1 << n, 1 << n))
     return state
@@ -338,21 +361,37 @@ def expectation(state, obs):
     return val.real
 
 
+def join_blocks(blocks):
+    """The ancilla (+) system state from its blocks rho_00, rho_11 and rho_10,
+    the ancilla on the most significant qubit (rho_01 = rho_10†)."""
+    low, high, off = (blocks[key].data for key in ((0, 0), (1, 1), (1, 0)))
+    return DensityMatrix(np.block([[low, off.conj().T], [off, high]]), check=False)
+
+
+def hadamard_expectation(block, measured):
+    """Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10] from the block rho_10 alone;
+    `measured` is sigma^x (x) O, whose upper-right block is O."""
+    d = block.data.shape[0]
+    return 2.0 * _kernels.expect_tr(measured.matrix[:d, d:], block.data).real
+
+
 def born_distribution(state, obs):
-    """(eigenvalues of obs, their Born probabilities in the state)."""
+    """(eigenvalues of obs, their Born probabilities in the state, the
+    normalized cumulative sum of those probabilities that draws read)."""
     vals, vecs = obs.eig()
     probs = _kernels.born_probs(vecs, state.data)
     probs = np.clip(probs, 0.0, None)
     total = probs.sum()
     if not 0.9 < total < 1.1:
         raise NumericalError(f"Born probabilities sum to {total}")
-    return vals, probs / total
+    probs = probs / total
+    return vals, probs, cdf_of(probs)
 
 
 def born_draw(distribution, rng):
     """One eigenvalue drawn from a born_distribution result."""
-    vals, probs = distribution
-    return float(rng.choice(vals, p=probs))
+    vals, _, cdf = distribution
+    return float(vals[draw_index(cdf, rng)])
 
 
 def born_sample(state, obs, rng):

@@ -20,6 +20,8 @@ from collidesim import (
     rotation_op,
 )
 from collidesim.circuits import expand_fragments
+from collidesim.states import join_blocks
+from dense_reference import execute_register
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
@@ -102,7 +104,10 @@ def test_execute_ancilla_controls():
         ancilla=True,
         ops=(pauli_op(PauliString.from_label("X"), (0,), control=ANCILLA, polarity=1),),
     )
-    got = execute(prog, rho)
+    blocks = execute(prog, rho)
+    assert set(blocks) == {(0, 0), (1, 1), (1, 0)}
+    assert all(b.n == 1 for b in blocks.values())  # no register holds the ancilla
+    got = join_blocks(blocks)
     # |+><+| ancilla on the top bit, controlled-X on the system qubit
     cx = np.eye(4, dtype=np.complex128)
     cx[2:, 2:] = _X
@@ -110,6 +115,12 @@ def test_execute_ancilla_controls():
     want = cx @ joint @ cx.conj().T
     assert got.n == 2
     np.testing.assert_allclose(got.data, want, atol=1e-13)
+    # rho_10 alone evolves as X rho / 2
+    alone = execute(prog, rho, blocks=((1, 0),))
+    assert set(alone) == {(1, 0)}
+    np.testing.assert_allclose(alone[1, 0].data, _X @ rho.data / 2, atol=1e-15)
+    with pytest.raises(ValueError):  # blocks need an ancilla
+        execute(CircuitProgram(1), rho, blocks=((1, 0),))
 
 
 def test_execute_swap_moves_env_state():
@@ -146,6 +157,18 @@ def test_validate_rejects_bad_programs():
         CircuitProgram(1, env_widths=(1,), ops=(GateOp("prepare", slot=0),))
     with pytest.raises(ValueError):  # ancilla op without ancilla
         CircuitProgram(1, ops=(pauli_op(x, (0,), control=ANCILLA),))
+    with pytest.raises(ValueError):  # the ancilla is a control, never a target
+        CircuitProgram(1, ancilla=True, ops=(pauli_op(x, (ANCILLA,)),))
+    with pytest.raises(ValueError):  # only the ancilla controls a fragment
+        CircuitProgram(
+            1,
+            env_widths=(1,),
+            ops=(
+                GateOp("prepare", slot=0),
+                fragment_op([(x, 0.1)], 1, (0,), control=1),
+                GateOp("trace", slot=0),
+            ),
+        )
     with pytest.raises(ValueError):  # axis width != targets
         CircuitProgram(1, ops=(pauli_op(PauliString.from_label("XX"), (0,)),))
     with pytest.raises(ValueError):  # swap width mismatch
@@ -311,9 +334,13 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     assert kinds == ["crotation", "cpauli", "crotation", "cpauli", "crotation"]
     rho = _rand_rho(rng, 2)
     preps = {0: _prep(np.diag([0.3, 0.7])), 1: _prep(_rand_rho(rng, 1).data)}
-    np.testing.assert_allclose(
-        execute(prog, rho, preps).data, execute(flat, rho, preps).data, atol=1e-10
-    )
+    want = execute_register(prog, rho, preps)
+    for program_ in (prog, flat):
+        got = join_blocks(execute(program_, rho, preps))
+        np.testing.assert_allclose(got.data, want, atol=1e-10)
+        # the off-diagonal block alone, as an analytic readout evolves it
+        alone = execute(program_, rho, preps, blocks=((1, 0),))[1, 0]
+        np.testing.assert_allclose(alone.data, want[4:, :4], atol=1e-12)
     assert count_resources(prog) == count_resources(flat)
     assert prog.describe().splitlines()[3] == (
         f"cfragment(anc={polarity}) 1 x [+XYZ 0.31, -iZXY, +ZIZ -0.2, -IZI, +YYX 0.17] on [3,0,2]"

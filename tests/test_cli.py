@@ -11,12 +11,16 @@ from collidesim import (
     DensityMatrix,
     amp_damp_model,
     cli,
+    estimate,
     expectation,
+    expected_resources,
     lindblad_evolve,
     magnetization,
+    parse_backend,
+    required_precision,
 )
 from collidesim.errors import NumericalError
-from collidesim.estimator import EstimateReport
+from collidesim.estimator import EstimateReport, resolve_plan
 
 
 def test_parse_config_text():
@@ -75,6 +79,7 @@ def test_build_config_defaults_and_overrides():
         {"model.m": "2.5"},
         {"execution.t_override": "-3"},
         {"dynamics.N": "40"},
+        {"execution.compilations": "0"},
     ],
     ids=[
         "unknown-key",
@@ -89,6 +94,7 @@ def test_build_config_defaults_and_overrides():
         "non-integer",
         "negative-t-override",
         "length-alias",
+        "no-compilations",
     ],
 )
 def test_build_config_rejects(mapping):
@@ -223,6 +229,32 @@ def test_resources_rows_per_backend(tmp_path):
     assert rows[0][0] == "backend" and rows[0][5] == "cnot"
     assert [r[0] for r in rows[1:]] == ["trotter1", "qdrift"]
     assert all(float(r[5]) > 0 for r in rows[1:])
+
+
+@pytest.mark.parametrize("measurement", ["analytic", "shot"])
+def test_resources_price_the_plan_estimate_runs(tmp_path, measurement):
+    extra = f"dynamics.backends = trotter1,qdrift,salcu\ndynamics.measurement = {measurement}\n"
+    cfg_path = _bench_cfg(tmp_path, extra)
+    assert cli.main(["resources", "--config", cfg_path]) == 0
+    rows = _read_csv(tmp_path / "resources.csv")[1:]
+    cfg = cli.load_config(cfg_path)
+    problem = cli.build_problem(cfg)
+    for row, label in zip(rows, ("trotter1", "qdrift", "salcu")):
+        backend = parse_backend(label)
+        spec, plan = resolve_plan(problem.spec, backend, cfg.eps, measurement, problem.obs.norm)
+        # the plan an estimate runs: qdrift, and any program read by shots, at eps/2
+        ran = estimate(problem.spec, problem.rho0, problem.obs, backend, cfg.eps,
+                       measurement=measurement, t_override=1)
+        halved = label == "qdrift" or (label == "trotter1" and measurement == "shot")
+        mode = "salcu" if label == "salcu" else "generic"
+        assert ran.eps_prime == plan.eps_prime == required_precision(
+            spec.K, problem.obs.norm, cfg.eps / 2 if halved else cfg.eps, mode
+        )
+        want = expected_resources(
+            spec, backend, None, seed=cfg.seed, lcu_samples=cfg.compilations, plan=plan
+        )
+        assert row[0] == label
+        assert [float(v) for v in row[5:10]] == [float(v) for v in want.as_tuple()]
 
 
 def test_sweep_eps_reports_oracle_error(tmp_path):

@@ -41,7 +41,11 @@ from collidesim import (
     tensor_append,
     trace_distance,
 )
+from collidesim import hamsim
 from collidesim.circuits import expand_fragments
+from collidesim.pauli import NormalizedPauliSum
+from collidesim.states import join_blocks
+from dense_reference import count_items, execute_register
 
 
 def _prep(mat):
@@ -519,7 +523,85 @@ def test_sampled_fragments_match_gate_by_gate(backend, nonmarkov):
         words += sum(angle is None for op in frags for _, angle in op.step)
         flat = expand_fragments(prog)
         assert count_resources(prog) == count_resources(flat)
-        got = execute(prog, rho, spec.env_preparers())
-        want = execute(flat, rho, spec.env_preparers())
-        np.testing.assert_allclose(got.data, want.data, atol=1e-10)
+        # both against the dense register, the ancilla (salcu) held as a qubit
+        want = execute_register(prog, rho, spec.env_preparers())
+        for program_ in (prog, flat):
+            got = execute(program_, rho, spec.env_preparers())
+            got = join_blocks(got) if prog.ancilla else got
+            np.testing.assert_allclose(got.data, want, atol=1e-10)
     assert (words > 0) == (backend == "salcu")
+
+
+def _rng_choice_draws(monkeypatch):
+    """Every weighted draw made by rng.choice(..., p=...), as before the cached tables."""
+    monkeypatch.setattr(
+        NormalizedPauliSum,
+        "sample_term",
+        lambda self, rng, size=None: rng.choice(len(self.probs), size=size, p=self.probs),
+    )
+    monkeypatch.setattr(hamsim, "_k_cdf", lambda w: np.array(w, dtype=np.float64) / np.sum(w))
+    monkeypatch.setattr(
+        hamsim, "draw_index", lambda p, rng, size=None: rng.choice(len(p), size=size, p=p)
+    )
+
+
+@pytest.mark.parametrize("backend", ["qdrift", "salcu"])
+def test_sampled_programs_match_rng_choice_draws(backend, monkeypatch):
+    spec = _two_collision_spec()
+    spec = CollisionSpec(spec.n, spec.system_h, spec.collisions, 0.6)  # multi-segment draws
+    plan = markov_plan(spec, parse_backend(backend), Budget(0.05, 1.0))
+
+    def programs():
+        out = []
+        for seed in range(300):
+            rng = np.random.default_rng(np.random.SeedSequence((9, seed)))
+            out.append((markov_program(spec, None, rng=rng, plan=plan).ops, rng.random()))
+        return out
+
+    got = programs()
+    with monkeypatch.context() as patched:
+        _rng_choice_draws(patched)
+        want = programs()
+    assert got == want
+
+
+@pytest.mark.parametrize(
+    "backend, nonmarkov",
+    [
+        ("qdrift", False),
+        ("salcu", False),
+        ("qdrift", True),
+        ("trotter1", False),
+        ("trotter2k:1", True),
+    ],
+    ids=["qdrift", "salcu", "nonmarkov-qdrift", "trotter1", "nonmarkov-trotter2k"],
+)
+def test_counts_match_an_item_walk(backend, nonmarkov):
+    base = _two_collision_spec()
+    spec = CollisionSpec(base.n, base.system_h, base.collisions, 0.6)
+    selector = parse_backend(backend, r=2) if backend == "salcu" else parse_backend(backend)
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        if nonmarkov:
+            prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), selector, Budget(0.02, 1.0), rng=rng)
+        else:
+            prog = markov_program(spec, selector, Budget(0.02, 1.0), rng=rng)
+        want = count_items(prog)
+        assert count_resources(prog).as_tuple() == want
+        assert count_resources(expand_fragments(prog)).as_tuple() == want
+
+
+def test_quickstart_counts_and_expected_resources_stay_pinned():
+    spec = lindblad_collision_spec(amp_damp_model(m=4, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
+    budget = Budget(1e-2, 1.0)
+    pinned = {
+        "trotter1": (122_896.0, 122_880.0, 0.0, 245_776.0, 8),
+        "trotter2k:1": (3_856.0, 3_840.0, 0.0, 7_696.0, 8),
+        "qdrift": (135663.00124312122, 102_296.0, 0.0, 237959.00124312122, 8),
+        "salcu": (1196.875, 704.0, 1.4375, 1900.875, 8),
+    }
+    for label, want in pinned.items():
+        assert expected_resources(spec, parse_backend(label), budget).as_tuple() == want
+    for label in ("trotter1", "trotter2k:1"):
+        prog = markov_program(spec, parse_backend(label), budget)
+        assert count_resources(prog).cnot_count == count_items(prog)[0] == pinned[label][0]

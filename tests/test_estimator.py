@@ -27,12 +27,14 @@ from collidesim import (
     magnetization,
     markov_plan,
     markov_program,
+    nonmarkov_program,
     parse_backend,
     required_precision,
 )
 from collidesim.acceptance import _random_collision
 from collidesim.circuits import expand_fragments
 from collidesim.estimator import measured_observable, run_once
+from dense_reference import execute_register
 
 
 def _spec():
@@ -254,3 +256,43 @@ def test_randomized_estimate_matches_expanded_programs(backend, workers):
         totals = totals + count_resources(flat)
     np.testing.assert_allclose(rep.samples, mus, rtol=0, atol=1e-10)
     assert rep.resources_mean.as_tuple() == tuple(v / runs for v in totals.as_tuple())
+
+
+def _register_readout(program, measured, measurement, rng):
+    """One run measured on the dense ancilla register: the conditional mean
+    Tr[M rho], or a shot drawn by rng.choice from its Born distribution."""
+    rho = execute_register(program, RHO0, _spec().env_preparers())
+    if measurement == "analytic":
+        return float(np.trace(measured.matrix @ rho).real)
+    vals, vecs = measured.eig()
+    probs = np.clip(np.einsum("ia,ij,ja->a", vecs.conj(), rho, vecs).real, 0.0, None)
+    return float(rng.choice(vals, p=probs / probs.sum()))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("measurement", ["analytic", "shot"])
+@pytest.mark.parametrize("p_swap", [None, 0.5], ids=["markov", "nonmarkov"])
+def test_salcu_runs_match_the_dense_ancilla_register(p_swap, measurement, workers):
+    base = _spec()
+    spec = base if p_swap is None else NonMarkovSpec(base, p_swap)
+    eps, delta, seed, runs = 0.2, 0.2, 17, 24
+    rep = estimate(spec, RHO0, OBS, "salcu", eps, delta, seed=seed, measurement=measurement,
+                   t_override=runs, workers=workers, keep_samples=True)
+    plan = markov_plan(base, parse_backend("salcu"), Budget(eps, OBS.norm))
+    measured = measured_observable(OBS, True)
+    want, swaps = [], 0
+    for k in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        if p_swap is None:
+            program = markov_program(base, None, rng=rng, plan=plan)
+        else:
+            program = nonmarkov_program(spec, None, rng=rng, plan=plan)
+        swaps += sum(op.kind == "swap" for op in program.ops)
+        want.append(rep.zeta**2 * _register_readout(program, measured, measurement, rng))
+    if p_swap is not None:
+        assert swaps > 0
+    if measurement == "shot":
+        assert rep.samples == tuple(want)  # the same draw in every run
+    else:
+        np.testing.assert_allclose(np.array(rep.samples) / rep.zeta**2,
+                                   np.array(want) / rep.zeta**2, rtol=0, atol=1e-12)

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from collidesim import (
+    DensityMatrix,
+    Observable,
     PauliSum,
     choose_lcu_params,
     choose_qdrift_length,
@@ -22,8 +24,10 @@ from collidesim import (
     trotter_step,
     unitary_exact,
 )
-from collidesim.hamsim import Segment, _k_distribution, rotation_dense, rotations_dense
+from collidesim._draws import draw_index
+from collidesim.hamsim import Segment, _k_cdf, rotation_dense, rotations_dense
 from collidesim.pauli import PauliString, pauli_mul
+from collidesim.states import born_distribution, born_draw
 
 # XI and ZZ anticommute, so no product formula is exact here
 H2 = PauliSum.from_labels([(0.5, "XI"), (0.3, "-ZZ"), (0.2, "YX")])
@@ -223,10 +227,12 @@ def test_rotations_dense_matches_the_matmul_product():
 
 
 def _lcu_sample_reference(nh, params, rng):
-    """lcu_sample's draws with every word product taken by pauli_mul."""
-    k_probs = _k_distribution(params.weights)
+    """lcu_sample's draws, made by rng.choice, with every word product taken
+    by pauli_mul."""
+    k_probs = np.array(params.weights) / np.sum(params.weights)
     ks = 2 * np.atleast_1d(rng.choice(len(k_probs), size=params.r, p=k_probs))
-    picks = iter(np.atleast_1d(nh.sample_term(rng, size=int(ks.sum()) + params.r)))
+    n_draws = int(ks.sum()) + params.r
+    picks = iter(np.atleast_1d(rng.choice(len(nh.probs), size=n_draws, p=nh.probs)))
     segments = []
     for k in (int(v) for v in ks):
         word = PauliString.identity(nh.n).with_phase_exp(3 * k)
@@ -247,3 +253,21 @@ def test_lcu_sample_words_match_pauli_mul():
             got = lcu_sample(nh, params, np.random.default_rng(seed))
             want = _lcu_sample_reference(nh, params, np.random.default_rng(seed))
             assert got.segments == want
+
+
+def test_cached_cdf_draws_match_rng_choice():
+    nh = normalize(H2)
+    params = choose_lcu_params(1.6, 1, 1e-6, r_override=3)
+    k_probs = np.array(params.weights) / np.sum(params.weights)
+    rho = DensityMatrix.from_vector([0.3, 0.5j, -0.2, 0.7])
+    born = born_distribution(rho, Observable(PauliSum.from_labels([(0.6, "ZI"), (0.4, "XX")])))
+    for seed in range(2000):
+        a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+        for size in (None, 7):
+            want = b.choice(len(nh.probs), size=size, p=nh.probs)
+            assert np.array_equal(nh.sample_term(a, size), want)
+        # the LCU segment-order draw and one Born shot
+        assert np.array_equal(draw_index(_k_cdf(params.weights), a, params.r),
+                              b.choice(len(k_probs), size=params.r, p=k_probs))
+        assert born_draw(born, a) == float(b.choice(born[0], p=born[1]))
+        assert a.random() == b.random()
