@@ -479,7 +479,7 @@ def cmd_resources(cfg, out_dir):
         if plan is None:
             raise ValueError(f"backend {backend.label()!r} has no gate costs")
         rep = expected_resources(
-            spec, backend, None, seed=cfg.seed, lcu_samples=cfg.compilations, plan=plan
+            problem.spec, backend, None, seed=cfg.seed, lcu_samples=cfg.compilations, plan=plan
         )
         rows.append(
             (

@@ -38,6 +38,7 @@ from . import _kernels, hamsim
 from .circuits import (
     ANCILLA,
     PREP_CNOTS,
+    SWAP_CNOTS_PER_QUBIT,
     CircuitProgram,
     GateOp,
     ResourceReport,
@@ -221,25 +222,42 @@ def exact_nonmarkov(nmspec, rho_system, trajectory=False):
     rho <- (1-p) Tr_E[rho] x sigma_{j+1} + p rho. With trajectory=True also
     returns the system marginal Tr_E[rho] after every collision
     (memory-witness bookkeeping).
+
+    The joint index is s*de + e, so the env-diagonal blocks are the strided
+    views data[e::de, e::de]: the marginal is their sum, and the mix writes
+    (1-p) sigma[i,k] Tr_E[rho] into block (i, k) of p*rho in place.
     """
     spec, p = nmspec.base, nmspec.p
     k_total = spec.K
     if k_total == 0:
         return (rho_system.copy(), []) if trajectory else rho_system.copy()
-    d, de = 1 << spec.n, 1 << spec.collisions[0].env_width
-    data = _kernels.kron(rho_system.data, spec.env_state(0).data)
+    de = 1 << spec.collisions[0].env_width
+    per_unique = {}  # distinct collision -> (U, U†, env state)
+    for j, u in enumerate(spec.unique_index):
+        if u not in per_unique:
+            unitary = spec.dense_unitary(j)
+            per_unique[u] = (unitary, unitary.conj().T, spec.env_state(j).data)
+    steps = [per_unique[u] for u in spec.unique_index]
+    data = _kernels.kron(rho_system.data, steps[0][2])
     marginals = []
     for j in range(1, k_total + 1):
-        u = spec.dense_unitary(j - 1)
-        data = u @ data @ u.conj().T
+        unitary, adjoint, _ = steps[j - 1]
+        data = unitary @ data @ adjoint
         if j < k_total and p == 1.0 and not trajectory:
             continue  # the collided env carries over whole
-        marginal = np.einsum("aibi->ab", data.reshape(d, de, d, de))
+        marginal = data[0::de, 0::de] + data[1::de, 1::de]
+        for e in range(2, de):
+            marginal += data[e::de, e::de]
         if trajectory:
             marginals.append(DensityMatrix(marginal.copy(), check=False))
         if j < k_total and p < 1.0:
-            fresh = _kernels.kron(marginal, spec.env_state(j).data)
-            data = fresh if p == 0.0 else (1.0 - p) * fresh + p * data
+            sigma = steps[j][2]
+            if p == 0.0:
+                data.fill(0.0)
+            else:
+                data *= p
+            for i, k in zip(*np.nonzero(sigma)):
+                data[i::de, k::de] += (1.0 - p) * (sigma[i, k] * marginal)
     final = DensityMatrix(marginal, check=False)
     return (final, marginals) if trajectory else final
 
@@ -545,8 +563,14 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
     count exactly; qdrift uses the analytic term-weight expectation (an
     identity-axis rotation is free); salcu averages `lcu_samples` sampled
     collision blocks per distinct collision (seeded, so the report is
-    reproducible).
+    reproducible). A NonMarkovSpec adds its partial swaps: each of the K-1
+    swap points swaps the two env registers with probability p.
     """
+    swap_cnots = 0.0
+    if isinstance(spec, NonMarkovSpec):
+        width = spec.base.collisions[0].env_width
+        swap_cnots = spec.p * (spec.base.K - 1) * SWAP_CNOTS_PER_QUBIT * width
+        spec = spec.base
     if plan is None:
         plan = markov_plan(spec, backend, budget)
     backend = plan.backend
@@ -580,5 +604,5 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
         cnot += dc
         rot += dr
         paulis += dp
-    cnot += PREP_CNOTS * spec.K
+    cnot += PREP_CNOTS * spec.K + swap_cnots
     return ResourceReport(cnot, rot, paulis, cnot + rot, spec.K)

@@ -21,6 +21,7 @@ _PHASE_LABEL = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _LABEL_PHASE = {"": 0, "+": 0, "+i": 1, "i": 1, "-": 2, "-i": 3}
 
 COEFF_EPS = 1e-15  # canonicalization drop threshold
+_I_POWERS = np.array([1, 1j, -1, -1j])  # i^k
 
 
 def _popcount(v):
@@ -239,11 +240,19 @@ class PauliSum:
         )
 
     def to_dense(self):
+        """The 2^n x 2^n matrix: every term's monomial (see PauliString.monomial),
+        scaled by its coefficient, scattered into one array in term order."""
         check_dense(self.n)
         dim = 1 << self.n
         out = np.zeros((dim, dim), dtype=np.complex128)
-        for c, p in self.terms:
-            out += c * p.to_dense()
+        cols = np.arange(dim, dtype=np.int64)
+        coeffs = np.array([c for c, _ in self.terms])
+        x = np.array([p.x for _, p in self.terms], dtype=np.int64)[:, None]
+        z = np.array([p.z for _, p in self.terms], dtype=np.int64)[:, None]
+        phases = _I_POWERS[[(p.phase_exp + p.n_y) % 4 for _, p in self.terms]]
+        signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+        # add.at is unbuffered and walks the terms in order, as a per-term sum would
+        np.add.at(out, (cols ^ x, cols), (coeffs * phases)[:, None] * signs)
         return out
 
     def to_text(self):

@@ -591,6 +591,24 @@ def test_counts_match_an_item_walk(backend, nonmarkov):
         assert count_resources(expand_fragments(prog)).as_tuple() == want
 
 
+def test_expected_resources_price_the_partial_swaps():
+    spec = lindblad_collision_spec(amp_damp_model(m=2, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
+    backend = parse_backend("trotter2k:1")
+    plan = markov_plan(spec, backend, Budget(1e-2, 1.0))
+    reports = {}
+    for p in (0.0, 0.5, 1.0):
+        reports[p] = expected_resources(NonMarkovSpec(spec, p), backend, None, plan=plan)
+    # at p = 0 and p = 1 every program has the same swaps
+    for p in (0.0, 1.0):
+        prog = nonmarkov_program(
+            NonMarkovSpec(spec, p), None, rng=np.random.default_rng(3), plan=plan
+        )
+        assert reports[p].as_tuple() == count_resources(prog).as_tuple()
+    mean = [(a + b) / 2 for a, b in zip(reports[0.0].as_tuple(), reports[1.0].as_tuple())]
+    assert list(reports[0.5].as_tuple()) == mean
+    assert reports[1.0].cnot_count - reports[0.0].cnot_count == 3 * (spec.K - 1)
+
+
 def test_quickstart_counts_and_expected_resources_stay_pinned():
     spec = lindblad_collision_spec(amp_damp_model(m=4, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
     budget = Budget(1e-2, 1.0)

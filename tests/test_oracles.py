@@ -7,7 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy import sparse
 from scipy.linalg import expm
+from scipy.sparse.linalg import expm_multiply
 
 import collidesim
 from collidesim import (
@@ -93,8 +95,45 @@ def test_liouvillian_matches_kron_build():
     for n in (1, 2, 3):
         model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
         np.testing.assert_allclose(
-            Liouvillian(model).matrix, _kron_liouvillian(model), rtol=0, atol=1e-14
+            Liouvillian(model).matrix.toarray(), _kron_liouvillian(model), rtol=0, atol=1e-14
         )
+
+
+def test_liouvillian_is_sparse_with_the_kron_build_nonzeros():
+    for n in (1, 2, 3, 4):
+        model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
+        mat = Liouvillian(model).matrix
+        assert sparse.issparse(mat) and mat.format == "csr"
+        mat.eliminate_zeros()
+        assert mat.nnz == np.count_nonzero(_kron_liouvillian(model))
+
+
+def test_sparse_oracle_matches_dense_generator_at_m5():
+    model = amp_damp_model(5, J=1.0, h=0.1, gamma=1.0)
+    rho0 = DensityMatrix.basis(5, 0)
+    want = expm_multiply(_kron_liouvillian(model), rho0.data.reshape(-1)).reshape(32, 32)
+    got = lindblad_evolve(model, rho0, 1.0)
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+
+
+def test_oracle_memory_stays_near_the_nonzeros_at_m6():
+    # a dense 4096 x 4096 generator alone is 256 MiB; the CSR one with its
+    # 4^6 vectors needs a few MiB
+    root = os.path.dirname(os.path.dirname(collidesim.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import resource, collidesim as cs; "
+        "model = cs.amp_damp_model(6, J=1.0, h=0.1, gamma=1.0); "
+        "rho0 = cs.DensityMatrix.basis(6, 0); "
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        "cs.lindblad_evolve(model, rho0, 1.0); "
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    rise_mib = int(out.stdout.strip()) / 1024  # ru_maxrss is in KiB on Linux
+    assert rise_mib < 64
 
 
 def test_expm_path_matches_dense_exponential():
@@ -103,7 +142,7 @@ def test_expm_path_matches_dense_exponential():
         liou = Liouvillian(amp_damp_model(n, J=1.0, h=0.3, gamma=0.8))
         rho = _rand_rho(rng, n)
         for t in (0.0, 0.1, 0.7, 2.5):
-            want = (expm(liou.matrix * t) @ rho.data.reshape(-1)).reshape(rho.data.shape)
+            want = (expm(liou.matrix.toarray() * t) @ rho.data.reshape(-1)).reshape(rho.data.shape)
             got = lindblad_evolve(liou, rho, t)
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 

@@ -156,6 +156,30 @@ def test_sum_dense_and_algebra():
         np.testing.assert_allclose((s + s).to_dense(), 2.0 * s.to_dense(), atol=1e-13)
 
 
+def _per_term_dense(s):
+    """The sum accumulated term by term from each word's dense matrix."""
+    dim = 1 << s.n
+    out = np.zeros((dim, dim), dtype=np.complex128)
+    for c, p in s.terms:
+        out += c * p.to_dense()
+    return out
+
+
+def test_sum_dense_is_the_per_term_sum_bit_for_bit():
+    rng = np.random.default_rng(23)
+    for _ in range(300):
+        n = int(rng.integers(1, 7))
+        s = PauliSum(
+            n,
+            [(float(rng.uniform(-1, 1)), _random_word(rng, n).bare())
+             for _ in range(int(rng.integers(0, 25)))],
+        )
+        got, want = s.to_dense(), _per_term_dense(s)
+        assert np.array_equal(got, want)
+        # zeros keep their sign too
+        assert np.array_equal(np.signbit(got.view(np.float64)), np.signbit(want.view(np.float64)))
+
+
 def test_sum_text_round_trip():
     s = PauliSum.from_labels([(0.5, "XX"), (0.25, "-ZI"), (0.125, "YZ")])
     again = PauliSum.from_text(s.to_text())
