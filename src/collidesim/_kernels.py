@@ -6,9 +6,8 @@ times each kernel by matrix dimension.
 Collisions do not go through the conjugation kernels: each runs as one
 dense U rho U† in states.apply_unitary, or one side of it on an ancilla
 block in states.apply_sides. The two sparse conjugations serve register
-swaps and the single-gate reference kinds not controlled by the ancilla (a
-fragment spelled out by circuits.expand_fragments), whose unitaries are at
-most 2-sparse per row:
+swaps and the single Pauli words and rotations of states.apply_pauli and
+states.apply_pauli_rotation, whose unitaries are at most 2-sparse per row:
 
     monomial:   U|c> = amps[c] |perm[c]>            (Pauli words, controlled
                 Pauli words, swaps, phases)

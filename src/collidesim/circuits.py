@@ -25,39 +25,35 @@ targets alone and raised to `steps`; an uncontrolled fragment conjugates
 every block, a controlled one multiplies each block on its matching side(s).
 Product formulas repeat their fragments across collisions and runs, so their
 unitary is memoized (hamsim.step_unitary); a `sampled` fragment (one qDRIFT
-or LCU draw) is built once for its run and never memoized. validate,
-describe and count_resources treat a fragment as its expanded gate list: the
-rotation, crotation, pauli and cpauli kinds, which stay as that reference
-form and execute gate by gate (dense, when the ancilla controls them), but
-which no compiler emits.
+or LCU draw) is built once for its run and never memoized. Besides
+fragments a program holds only the `prepare`, `trace` and `swap` ops of its
+env slots, so the circuit IR has four op kinds.
 
-CNOT accounting: a weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the
-usual parity staircase, its controlled version adds 2 (controlled-Rz = 2
-CNOTs + 2 Rz), a controlled weight-w Pauli word costs w, a controlled phase
-costs 0, a register swap costs SWAP_CNOTS_PER_QUBIT = 3 per qubit pair, and
-an env preparation costs a flat PREP_CNOTS = 2 (thermal qubit
-purification). depth_proxy is cnot_count + rotation_count: sequential
-layers, no parallelism credit.
+CNOT accounting: a fragment costs `steps` times the sum of its items. A
+weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the usual parity
+staircase, its controlled version adds 2 (controlled-Rz = 2 CNOTs + 2 Rz),
+a controlled weight-w Pauli word costs w, a controlled phase costs 0, a
+register swap costs SWAP_CNOTS_PER_QUBIT = 3 per qubit pair, and an env
+preparation costs a flat PREP_CNOTS = 2 (thermal qubit purification).
+depth_proxy is cnot_count + rotation_count: sequential layers, no
+parallelism credit.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import states
 from .hamsim import rotations_dense, step_unitary
-from .pauli import PauliString
 
 ANCILLA = -1
 PREP_CNOTS = 2  # one env preparation
 SWAP_CNOTS_PER_QUBIT = 3  # one qubit pair of a register swap
 
-_KINDS = ("pauli", "rotation", "cpauli", "crotation", "fragment", "swap", "prepare", "trace")
+_KINDS = ("fragment", "swap", "prepare", "trace")
 
 
 @dataclass(frozen=True)
 class GateOp:
     kind: str
-    axis: PauliString | None = None
-    angle: float = 0.0
     targets: tuple = ()
     control: int | None = None
     polarity: int = 1
@@ -77,17 +73,6 @@ class GateOp:
             return "anc" if v == ANCILLA else str(v)
 
         ts = ",".join(q(t) for t in self.targets)
-        if self.kind == "pauli":
-            return f"pauli {self.axis.label()} on [{ts}]"
-        if self.kind == "rotation":
-            return f"rot {self.axis.label()} angle {self.angle!r} on [{ts}]"
-        if self.kind == "cpauli":
-            return f"cpauli({q(self.control)}={self.polarity}) {self.axis.label()} on [{ts}]"
-        if self.kind == "crotation":
-            return (
-                f"crot({q(self.control)}={self.polarity}) {self.axis.label()} "
-                f"angle {self.angle!r} on [{ts}]"
-            )
         if self.kind == "fragment":
             items = ", ".join(
                 axis.label() if angle is None else f"{axis.label()} {angle!r}"
@@ -104,18 +89,6 @@ class GateOp:
         return f"trace slot {self.slot}"
 
 
-def pauli_op(axis, targets, control=None, polarity=1):
-    kind = "pauli" if control is None else "cpauli"
-    return GateOp(kind, axis=axis, targets=tuple(targets), control=control, polarity=polarity)
-
-
-def rotation_op(axis, angle, targets, control=None, polarity=1):
-    kind = "rotation" if control is None else "crotation"
-    return GateOp(
-        kind, axis=axis, angle=float(angle), targets=tuple(targets), control=control, polarity=polarity
-    )
-
-
 def fragment_op(step, steps, targets, control=None, polarity=1, sampled=False):
     """`steps` repetitions of a one-step schedule of (bare axis, angle) and
     (word, None) items, optionally controlled; `sampled` marks one random draw."""
@@ -128,23 +101,6 @@ def fragment_op(step, steps, targets, control=None, polarity=1, sampled=False):
         steps=int(steps),
         sampled=sampled,
     )
-
-
-def expand_fragments(program):
-    """The program with every fragment spelled out as its reference gates:
-    the step's rotation and Pauli-word ops (controlled like the fragment),
-    repeated `steps` times. Same effect and same costs, executed gate by gate."""
-    ops = []
-    for op in program.ops:
-        if op.kind != "fragment":
-            ops.append(op)
-            continue
-        for axis, angle in op.step * op.steps:
-            if angle is None:
-                ops.append(pauli_op(axis, op.targets, op.control, op.polarity))
-            else:
-                ops.append(rotation_op(axis, angle, op.targets, op.control, op.polarity))
-    return replace(program, ops=tuple(ops))
 
 
 @dataclass(frozen=True)
@@ -184,13 +140,11 @@ class CircuitProgram:
                     raise ValueError(f"swap needs two distinct active slots, got {op.slots}")
                 if self.env_widths[a] != self.env_widths[b]:
                     raise ValueError("swap needs equal slot widths")
-            else:
+            else:  # fragment
                 ids = set(op.targets)
                 if ANCILLA in ids:
                     raise ValueError("the ancilla can only be a control")
                 if op.control is not None:
-                    if op.control in ids:
-                        raise ValueError("control overlaps targets")
                     ids.add(op.control)
                 for v in ids:
                     if v == ANCILLA:
@@ -202,21 +156,18 @@ class CircuitProgram:
                         slot = self._slot_of(v)
                         if slot not in active:
                             raise ValueError(f"op touches inactive slot {slot}")
-                if op.axis is not None and op.axis.n != len(op.targets):
-                    raise ValueError("axis width != target count")
-                if op.kind == "fragment":
-                    if op.control not in (None, ANCILLA):
-                        raise ValueError("a fragment can be controlled only by the ancilla")
-                    if op.steps < 1 or not op.step:
-                        raise ValueError("fragment needs a non-empty step and steps >= 1")
-                    if op.sampled and op.steps != 1:
-                        raise ValueError("a sampled fragment is one draw: steps must be 1")
-                    width = len(op.targets)
-                    for axis, angle in op.step:
-                        if axis.n != width:
-                            raise ValueError("axis width != target count")
-                        if angle is not None and axis.phase_exp != 0:
-                            raise ValueError("fragment rotation axes must have phase +1")
+                if op.control not in (None, ANCILLA):
+                    raise ValueError("a fragment can be controlled only by the ancilla")
+                if op.steps < 1 or not op.step:
+                    raise ValueError("fragment needs a non-empty step and steps >= 1")
+                if op.sampled and op.steps != 1:
+                    raise ValueError("a sampled fragment is one draw: steps must be 1")
+                width = len(op.targets)
+                for axis, angle in op.step:
+                    if axis.n != width:
+                        raise ValueError("axis width != target count")
+                    if angle is not None and axis.phase_exp != 0:
+                        raise ValueError("fragment rotation axes must have phase +1")
         if active:
             raise ValueError(f"slots never traced: {sorted(active)}")
 
@@ -297,7 +248,7 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
             qubits_b = [phys(v) for v in _slot_vids(program, b)]
             for reg in regs.values():
                 states.apply_swap(reg, qubits_a, qubits_b)
-        elif op.kind == "fragment" or op.control == ANCILLA:
+        else:  # fragment
             qubits = [phys(v) for v in op.targets]
             u = _op_unitary(op)
             for key, reg in regs.items():
@@ -309,25 +260,11 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
                     right = u if col == op.polarity else None
                     if left is not None or right is not None:
                         states.apply_sides(reg, left, right, qubits)
-        else:
-            qubits = [phys(v) for v in op.targets]
-            control = None if op.control is None else phys(op.control)
-            for reg in regs.values():
-                if op.kind in ("pauli", "cpauli"):
-                    states.apply_pauli(reg, op.axis, qubits, control=control, polarity=op.polarity)
-                else:
-                    states.apply_pauli_rotation(
-                        reg, op.axis, op.angle, qubits, control=control, polarity=op.polarity
-                    )
     return regs if program.ancilla else regs[None]
 
 
 def _op_unitary(op):
-    """Dense unitary on the op's targets: a fragment's (memoized unless
-    sampled), or that of a reference gate controlled by the ancilla."""
-    if op.kind != "fragment":
-        angle = op.angle if op.kind == "crotation" else None
-        return rotations_dense(((op.axis, angle),), len(op.targets))
+    """Dense unitary of a fragment on its targets, memoized unless sampled."""
     if op.sampled:
         return rotations_dense(op.step, len(op.targets))
     return step_unitary(op.step, op.steps)
@@ -382,24 +319,17 @@ def _items_cost(items, controlled):
 
 
 def count_resources(program):
-    """Gate costs of the program; a fragment counts as its expanded gate list."""
+    """Gate costs of the program; a fragment costs its step's items `steps` times."""
     cnot = rot = paulis = preps = 0
     for op in program.ops:
         if op.kind == "fragment":
-            gates, reps = op.step, op.steps
-        elif op.kind in ("rotation", "crotation"):
-            gates, reps = ((op.axis, op.angle),), 1
-        elif op.kind in ("pauli", "cpauli"):
-            gates, reps = ((op.axis, None),), 1
-        else:
-            if op.kind == "swap":
-                cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
-            elif op.kind == "prepare":
-                cnot += PREP_CNOTS
-                preps += 1
-            continue
-        c, r, p = _items_cost(gates, op.control is not None)
-        cnot += reps * c
-        rot += reps * r
-        paulis += reps * p
+            c, r, p = _items_cost(op.step, op.control is not None)
+            cnot += op.steps * c
+            rot += op.steps * r
+            paulis += op.steps * p
+        elif op.kind == "swap":
+            cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
+        elif op.kind == "prepare":
+            cnot += PREP_CNOTS
+            preps += 1
     return ResourceReport(cnot, rot, paulis, cnot + rot, preps)

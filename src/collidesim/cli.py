@@ -150,7 +150,7 @@ def _as_float(raw):
 
 def _as_int(raw):
     v = float(raw)
-    if v != int(v):
+    if not math.isfinite(v) or v != int(v):
         raise ValueError(f"expected an integer, got {raw!r}")
     return int(v)
 
@@ -528,6 +528,8 @@ def cmd_sweep(cfg, out_dir, axis, values):
         raise ValueError("sweep needs at least one value")
     if axis == "nu" and cfg.kind != "benchmark":
         raise ValueError("nu sweeps apply to the benchmark model only")
+    if axis == "nu" and min(_as_int(v) for v in values) < 1:
+        raise ValueError("nu sweep values must be integers >= 1")
     if axis == "p" and not cfg.nonmarkov:
         raise ValueError("p sweeps need dynamics.nonmarkov = true")
     h = cfg.config_hash()

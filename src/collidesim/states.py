@@ -11,10 +11,11 @@ or through apply_sides on one side of an ancilla block rho_ab (any state
 function here acts on such a block, whose trace and Hermiticity are not
 those of a state); join_blocks assembles the ancilla (+) system state from
 rho_00, rho_11 and rho_10. The row tables here also build the unitaries
-one-sided in hamsim.rotations_dense. Single gates (swaps, and the reference
-gate kinds that circuits.expand_fragments spells out) are translated into
-the monomial / two-sparse form the kernels consume; those translations are
-memoized. Born draws read a cumulative table (collidesim._draws).
+one-sided in hamsim.rotations_dense. Single gates (register swaps, and the
+Pauli words and rotations of apply_pauli and apply_pauli_rotation, which no
+circuit op emits) are translated into the monomial / two-sparse form the
+kernels consume; those translations are memoized. Born draws read a
+cumulative table (collidesim._draws).
 """
 
 import struct
@@ -153,10 +154,7 @@ def _xor_index(n, x):
 @lru_cache(maxsize=8192)
 def _axis_action(n, x, z, phase_exp):
     """amps with P|c> = amps[c] |c^x> for the word (x, z, i^phase_exp)."""
-    idx = _indices(1 << n)
-    n_y = bin(x & z).count("1")
-    signs = 1.0 - 2.0 * (np.bitwise_count(idx & z) & 1).astype(np.float64)
-    return np.ascontiguousarray((1j ** ((phase_exp + n_y) % 4)) * signs)
+    return PauliString(n, x, z, phase_exp).monomial()[1]
 
 
 @lru_cache(maxsize=8192)

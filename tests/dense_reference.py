@@ -7,13 +7,13 @@ gate is a full-register matrix built with np.kron; a controlled gate is the
 block-diagonal |p><p| (x) U + |1-p><1-p| (x) I on [control] + targets, a
 trace is a partial trace and a swap a product of two-qubit swaps.
 
-count_items prices a program by walking its expanded gate list with the
-cost rule of the circuits module docstring.
+count_items prices a program by walking each fragment's items, `step`
+repeated `steps` times, with the cost rule of the circuits module docstring.
 """
 
 import numpy as np
 
-from collidesim.circuits import ANCILLA, PREP_CNOTS, SWAP_CNOTS_PER_QUBIT, expand_fragments
+from collidesim.circuits import ANCILLA, PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
 
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
 
@@ -90,13 +90,9 @@ def execute_register(program, rho_system, env_preparers=None):
             g = np.eye(1 << n)
             for qa, qb in zip(slot_qubits(op.slots[0]), slot_qubits(op.slots[1])):
                 g = embed(_SWAP, (qa, qb), n) @ g
-        else:
-            if op.kind == "fragment":
-                items = op.step * op.steps
-            else:
-                items = ((op.axis, op.angle if "rotation" in op.kind else None),)
+        else:  # fragment
             u = np.eye(1 << len(op.targets))
-            for axis, angle in items:
+            for axis, angle in op.step * op.steps:
                 u = gate_dense(axis, angle) @ u
             qubits = [phys(v) for v in op.targets]
             if op.control is not None:
@@ -110,20 +106,21 @@ def execute_register(program, rho_system, env_preparers=None):
 def count_items(program):
     """(cnot, rotation, pauli_gate, depth_proxy, env_preps) by an item walk."""
     cnot = rot = paulis = preps = 0
-    for op in expand_fragments(program).ops:
+    for op in program.ops:
         if op.kind == "prepare":
             cnot += PREP_CNOTS
             preps += 1
         elif op.kind == "swap":
             cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
-        elif op.kind in ("pauli", "cpauli"):
-            paulis += 1
-            cnot += op.axis.weight if op.kind == "cpauli" else 0
-        elif op.kind in ("rotation", "crotation"):
-            ctl = op.kind == "crotation"
-            if op.axis.weight:
-                cnot += 2 * (op.axis.weight - 1) + 2 * ctl
-                rot += 1 + ctl
-            else:
-                rot += ctl  # a controlled identity rotation is a phase kick
+        elif op.kind == "fragment":
+            ctl = op.control is not None
+            for axis, angle in op.step * op.steps:
+                if angle is None:
+                    paulis += 1
+                    cnot += axis.weight if ctl else 0
+                elif axis.weight:
+                    cnot += 2 * (axis.weight - 1) + 2 * ctl
+                    rot += 1 + ctl
+                else:
+                    rot += ctl  # a controlled identity rotation is a phase kick
     return cnot, rot, paulis, cnot + rot, preps

@@ -1,5 +1,6 @@
 """Gate IR: execution against dense oracles, validation, resource accounting."""
 
+import math
 import pickle
 
 import numpy as np
@@ -16,12 +17,9 @@ from collidesim import (
     count_resources,
     execute,
     fragment_op,
-    pauli_op,
-    rotation_op,
 )
-from collidesim.circuits import expand_fragments
 from collidesim.states import join_blocks
-from dense_reference import execute_register
+from dense_reference import count_items, execute_register
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
@@ -40,12 +38,11 @@ def _rand_rho(rng, n):
 
 def test_op_constructors_pick_kinds():
     x = PauliString.from_label("X")
-    assert pauli_op(x, (0,)).kind == "pauli"
-    assert pauli_op(x, (0,), control=1).kind == "cpauli"
-    assert rotation_op(x, 0.3, (0,)).kind == "rotation"
-    assert rotation_op(x, 0.3, (0,), control=1).kind == "crotation"
-    with pytest.raises(ValueError):
-        GateOp("hadamard")
+    assert fragment_op([(x, 0.3)], 1, (0,)).kind == "fragment"
+    assert fragment_op([(x, None)], 1, (0,), control=ANCILLA).kind == "fragment"
+    for kind in ("hadamard", "rotation"):
+        with pytest.raises(ValueError):
+            GateOp(kind)
 
 
 def test_execute_one_collision_matches_dense():
@@ -59,7 +56,7 @@ def test_execute_one_collision_matches_dense():
         env_widths=(1,),
         ops=(
             GateOp("prepare", slot=0),
-            rotation_op(xx, theta, (0, 1)),
+            fragment_op([(xx, theta)], 1, (0, 1)),
             GateOp("trace", slot=0),
         ),
     )
@@ -83,7 +80,7 @@ def test_execute_remaps_after_out_of_order_trace():
             GateOp("prepare", slot=0),
             GateOp("prepare", slot=1),
             GateOp("trace", slot=0),
-            rotation_op(xx, theta, (0, 2)),  # vid 2 = slot 1
+            fragment_op([(xx, theta)], 1, (0, 2)),  # vid 2 = slot 1
             GateOp("trace", slot=1),
         ),
     )
@@ -102,7 +99,7 @@ def test_execute_ancilla_controls():
     prog = CircuitProgram(
         1,
         ancilla=True,
-        ops=(pauli_op(PauliString.from_label("X"), (0,), control=ANCILLA, polarity=1),),
+        ops=(fragment_op([(PauliString.from_label("X"), None)], 1, (0,), control=ANCILLA),),
     )
     blocks = execute(prog, rho)
     assert set(blocks) == {(0, 0), (1, 1), (1, 0)}
@@ -124,29 +121,39 @@ def test_execute_ancilla_controls():
 
 
 def test_execute_swap_moves_env_state():
-    # prepare |1> and |0> envs, swap them, then flip the system iff the
-    # surviving slot holds |1>: the flip must fire
+    # prepare |1> and |0> envs, swap them, then flip the system iff slot 1
+    # holds |1>: the flip must fire. The CNOT from slot 1 to the system is
+    # e^{i pi/4 (I - Z_c)(I - X_t)} = e^{-i pi/4 Z_c} e^{-i pi/4 X_t} e^{i pi/4 X_t Z_c}
+    # up to a global phase.
+    cnot = [
+        (PauliString.from_label("IZ"), math.pi / 4),
+        (PauliString.from_label("XI"), math.pi / 4),
+        (PauliString.from_label("XZ"), -math.pi / 4),
+    ]
     rho = DensityMatrix.basis(1, 0)
-    prog = CircuitProgram(
-        1,
-        env_widths=(1, 1),
-        ops=(
-            GateOp("prepare", slot=0),
-            GateOp("prepare", slot=1),
-            GateOp("swap", slots=(0, 1)),
-            pauli_op(PauliString.from_label("X"), (0,), control=2, polarity=1),
-            GateOp("trace", slot=0),
-            GateOp("trace", slot=1),
-        ),
-    )
-    got = execute(prog, rho, {0: _prep(np.diag([0.0, 1.0])), 1: _prep(np.diag([1.0, 0.0]))})
-    np.testing.assert_allclose(got.data, DensityMatrix.basis(1, 1).data, atol=1e-14)
+    preps = {0: _prep(np.diag([0.0, 1.0])), 1: _prep(np.diag([1.0, 0.0]))}
+    for swap, flipped in ((True, 1), (False, 0)):
+        prog = CircuitProgram(
+            1,
+            env_widths=(1, 1),
+            ops=(
+                GateOp("prepare", slot=0),
+                GateOp("prepare", slot=1),
+                *([GateOp("swap", slots=(0, 1))] if swap else []),
+                fragment_op(cnot, 1, (0, 2)),  # vid 2 = slot 1
+                GateOp("trace", slot=0),
+                GateOp("trace", slot=1),
+            ),
+        )
+        got = execute(prog, rho, preps)
+        np.testing.assert_allclose(got.data, execute_register(prog, rho, preps), atol=1e-12)
+        np.testing.assert_allclose(got.data, DensityMatrix.basis(1, flipped).data, atol=1e-12)
 
 
 def test_validate_rejects_bad_programs():
     x = PauliString.from_label("X")
     with pytest.raises(ValueError):  # touches a slot never prepared
-        CircuitProgram(1, env_widths=(1,), ops=(pauli_op(x, (1,)),))
+        CircuitProgram(1, env_widths=(1,), ops=(fragment_op([(x, None)], 1, (1,)),))
     with pytest.raises(ValueError):  # double prepare
         CircuitProgram(
             1,
@@ -156,9 +163,9 @@ def test_validate_rejects_bad_programs():
     with pytest.raises(ValueError):  # never traced
         CircuitProgram(1, env_widths=(1,), ops=(GateOp("prepare", slot=0),))
     with pytest.raises(ValueError):  # ancilla op without ancilla
-        CircuitProgram(1, ops=(pauli_op(x, (0,), control=ANCILLA),))
+        CircuitProgram(1, ops=(fragment_op([(x, None)], 1, (0,), control=ANCILLA),))
     with pytest.raises(ValueError):  # the ancilla is a control, never a target
-        CircuitProgram(1, ancilla=True, ops=(pauli_op(x, (ANCILLA,)),))
+        CircuitProgram(1, ancilla=True, ops=(fragment_op([(x, None)], 1, (ANCILLA,)),))
     with pytest.raises(ValueError):  # only the ancilla controls a fragment
         CircuitProgram(
             1,
@@ -170,7 +177,7 @@ def test_validate_rejects_bad_programs():
             ),
         )
     with pytest.raises(ValueError):  # axis width != targets
-        CircuitProgram(1, ops=(pauli_op(PauliString.from_label("XX"), (0,)),))
+        CircuitProgram(1, ops=(fragment_op([(PauliString.from_label("XX"), None)], 1, (0,)),))
     with pytest.raises(ValueError):  # swap width mismatch
         CircuitProgram(
             1,
@@ -192,14 +199,16 @@ def test_describe_is_stable():
         env_widths=(1,),
         ops=(
             GateOp("prepare", slot=0),
-            rotation_op(PauliString.from_label("XZ"), 0.25, (0, 2), control=ANCILLA, polarity=0),
+            fragment_op(
+                [(PauliString.from_label("XZ"), 0.25)], 1, (0, 2), control=ANCILLA, polarity=0
+            ),
             GateOp("trace", slot=0),
         ),
     )
     assert prog.describe().splitlines() == [
         "program system=2 ancilla=1 slots=[1]",
         "prepare slot 0",
-        "crot(anc=0) +XZ angle 0.25 on [0,2]",
+        "cfragment(anc=0) 1 x [+XZ 0.25] on [0,2]",
         "trace slot 0",
     ]
 
@@ -214,11 +223,12 @@ def test_count_resources_frozen_costs():
         ops=(
             GateOp("prepare", slot=0),  # 2 cnots, 1 prep
             GateOp("prepare", slot=1),  # 2 cnots, 1 prep
-            rotation_op(z3, 0.1, (0, 1, 2)),  # weight 3: 4 cnots, 1 rot
-            rotation_op(xx, 0.2, (3, 4), control=ANCILLA),  # 2(w-1)+2 = 4 cnots, 2 rots
-            rotation_op(PauliString.identity(1), 0.3, (0,), control=ANCILLA),  # phase kick: 1 rot
-            pauli_op(xx, (0, 1)),  # 1 pauli, 0 cnots
-            pauli_op(xx, (0, 1), control=2),  # 1 pauli, 2 cnots
+            fragment_op([(z3, 0.1)], 1, (0, 1, 2)),  # weight 3: 4 cnots, 1 rot
+            fragment_op([(xx, 0.2)], 1, (3, 4), control=ANCILLA),  # 2(w-1)+2 = 4 cnots, 2 rots
+            # phase kick: 1 rot
+            fragment_op([(PauliString.identity(1), 0.3)], 1, (0,), control=ANCILLA),
+            fragment_op([(xx, None)], 1, (0, 1)),  # 1 pauli, 0 cnots
+            fragment_op([(xx, None)], 1, (0, 1), control=ANCILLA),  # 1 pauli, 2 cnots
             GateOp("swap", slots=(0, 1)),  # 3 per qubit * width 2 = 6 cnots
             GateOp("trace", slot=0),
             GateOp("trace", slot=1),
@@ -230,6 +240,7 @@ def test_count_resources_frozen_costs():
     assert rep.pauli_gate_count == 2
     assert rep.env_preps == 2
     assert rep.depth_proxy == rep.cnot_count + rep.rotation_count
+    assert rep.as_tuple() == count_items(prog)
 
 
 def test_resource_report_addition():
@@ -270,12 +281,10 @@ def test_fragment_on_permuted_targets_matches_rotations():
     )
     targets = (3, 0, 2)  # slot 1, system 0, slot 0: out of order, skipping system 1
     frag = _slots_program((fragment_op(step, 3, targets),))
-    rots = _slots_program(tuple(rotation_op(a, t, targets) for a, t in step * 3))
     preps = {0: _prep(np.diag([0.3, 0.7])), 1: _prep(_rand_rho(rng, 1).data)}
     got = execute(frag, rho, preps)
-    want = execute(rots, rho, preps)
-    np.testing.assert_allclose(got.data, want.data, atol=1e-10)
-    assert count_resources(frag) == count_resources(rots)
+    np.testing.assert_allclose(got.data, execute_register(frag, rho, preps), atol=1e-10)
+    assert count_resources(frag).as_tuple() == count_items(frag)
 
 
 def test_fragment_op_is_small_and_validated():
@@ -329,19 +338,15 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
         )
 
     prog = program((frag,))
-    flat = expand_fragments(prog)
-    kinds = [op.kind for op in flat.ops[2:-2]]
-    assert kinds == ["crotation", "cpauli", "crotation", "cpauli", "crotation"]
     rho = _rand_rho(rng, 2)
     preps = {0: _prep(np.diag([0.3, 0.7])), 1: _prep(_rand_rho(rng, 1).data)}
     want = execute_register(prog, rho, preps)
-    for program_ in (prog, flat):
-        got = join_blocks(execute(program_, rho, preps))
-        np.testing.assert_allclose(got.data, want, atol=1e-10)
-        # the off-diagonal block alone, as an analytic readout evolves it
-        alone = execute(program_, rho, preps, blocks=((1, 0),))[1, 0]
-        np.testing.assert_allclose(alone.data, want[4:, :4], atol=1e-12)
-    assert count_resources(prog) == count_resources(flat)
+    got = join_blocks(execute(prog, rho, preps))
+    np.testing.assert_allclose(got.data, want, atol=1e-10)
+    # the off-diagonal block alone, as an analytic readout evolves it
+    alone = execute(prog, rho, preps, blocks=((1, 0),))[1, 0]
+    np.testing.assert_allclose(alone.data, want[4:, :4], atol=1e-12)
+    assert count_resources(prog).as_tuple() == count_items(prog)
     assert prog.describe().splitlines()[3] == (
         f"cfragment(anc={polarity}) 1 x [+XYZ 0.31, -iZXY, +ZIZ -0.2, -IZI, +YYX 0.17] on [3,0,2]"
     )

@@ -80,6 +80,8 @@ def test_build_config_defaults_and_overrides():
         {"execution.t_override": "-3"},
         {"dynamics.N": "40"},
         {"execution.compilations": "0"},
+        {"execution.seed": "inf"},
+        {"dynamics.nu": "1e400"},
     ],
     ids=[
         "unknown-key",
@@ -95,6 +97,8 @@ def test_build_config_defaults_and_overrides():
         "negative-t-override",
         "length-alias",
         "no-compilations",
+        "infinite-seed",
+        "overflowing-nu",
     ],
 )
 def test_build_config_rejects(mapping):
@@ -281,9 +285,14 @@ def test_sweep_t_oracle_matches_lindblad_evolve(tmp_path):
         assert float(row[rows[0].index("oracle")]) == want
 
 
-def test_sweep_axis_validation(tmp_path):
+def test_sweep_axis_validation(tmp_path, capsys):
     cfg = _bench_cfg(tmp_path)
     assert cli.main(["sweep", "--config", cfg, "--axis", "p", "--values", "0.5"]) == 1
+    # nu values must be integers >= 1, checked before any row runs
+    for values in ("2.5", "0", "2,0", "inf"):
+        assert cli.main(["sweep", "--config", cfg, "--axis", "nu", "--values", values]) == 1
+        assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
 
 
 def test_validate_only_runs_named_criterion(capsys):
@@ -300,6 +309,9 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", str(bad)]) == 1
     cfg = _bench_cfg(tmp_path)
     assert cli.main(["run", "--config", cfg, "--backend", "nope"]) == 1
+    infinite = tmp_path / "infinite.cfg"
+    infinite.write_text("execution.seed = inf\n")
+    assert cli.main(["run", "--config", str(infinite)]) == 1
 
     tight = tmp_path / "tight.cfg"  # own file: _bench_cfg reuses one path
     tight.write_text(

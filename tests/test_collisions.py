@@ -2,7 +2,6 @@
 
 import math
 import pickle
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -36,13 +35,11 @@ from collidesim import (
     parse_backend,
     partial_trace,
     required_precision,
-    rotation_op,
     suggest_nu,
     tensor_append,
     trace_distance,
 )
 from collidesim import hamsim
-from collidesim.circuits import expand_fragments
 from collidesim.pauli import NormalizedPauliSum
 from collidesim.states import join_blocks
 from dense_reference import count_items, execute_register
@@ -320,8 +317,7 @@ def test_salcu_program_is_controlled_pair_protocol():
     frags = [op for op in prog.ops if op.kind not in ("prepare", "trace")]
     assert all(op.kind == "fragment" and op.control == ANCILLA for op in frags)
     assert {op.polarity for op in frags} == {0, 1}
-    gate_kinds = {op.kind for op in expand_fragments(prog).ops} - {"prepare", "trace"}
-    assert "crotation" in gate_kinds and gate_kinds <= {"crotation", "cpauli"}
+    assert any(angle is not None for op in frags for _, angle in op.step)
 
 
 def test_expected_resources_match_counted_programs():
@@ -465,17 +461,6 @@ def test_suggest_nu_on_the_five_site_chain():
     assert abs(rows[-1][1] - 0.9948760807189073) < 1e-12
 
 
-def _expanded(program):
-    """The program with every fragment spelled out as its rotation list."""
-    ops = []
-    for op in program.ops:
-        if op.kind == "fragment":
-            ops.extend(rotation_op(a, t, op.targets) for a, t in op.step * op.steps)
-        else:
-            ops.append(op)
-    return replace(program, ops=tuple(ops))
-
-
 @pytest.mark.parametrize("nonmarkov", [False, True], ids=["markov", "nonmarkov"])
 def test_fragments_match_expanded_rotations(nonmarkov):
     rng = np.random.default_rng(71)
@@ -489,12 +474,11 @@ def test_fragments_match_expanded_rotations(nonmarkov):
     else:
         prog = markov_program(spec, parse_backend("trotter2k:1"), budget)
     kinds = [op.kind for op in prog.ops]
-    assert kinds.count("fragment") == spec.K and "rotation" not in kinds
-    flat = _expanded(prog)
-    assert count_resources(prog) == count_resources(flat)
+    assert kinds.count("fragment") == spec.K
+    assert count_resources(prog).as_tuple() == count_items(prog)
     got = execute(prog, rho, spec.env_preparers())
-    want = execute(flat, rho, spec.env_preparers())
-    np.testing.assert_allclose(got.data, want.data, atol=1e-10)
+    want = execute_register(prog, rho, spec.env_preparers())
+    np.testing.assert_allclose(got.data, want, atol=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -521,14 +505,12 @@ def test_sampled_fragments_match_gate_by_gate(backend, nonmarkov):
         per_collision = 2 if backend == "salcu" else 1
         assert len(frags) == per_collision * spec.K and all(op.sampled for op in frags)
         words += sum(angle is None for op in frags for _, angle in op.step)
-        flat = expand_fragments(prog)
-        assert count_resources(prog) == count_resources(flat)
-        # both against the dense register, the ancilla (salcu) held as a qubit
+        assert count_resources(prog).as_tuple() == count_items(prog)
+        # against the dense register, the ancilla (salcu) held as a qubit
         want = execute_register(prog, rho, spec.env_preparers())
-        for program_ in (prog, flat):
-            got = execute(program_, rho, spec.env_preparers())
-            got = join_blocks(got) if prog.ancilla else got
-            np.testing.assert_allclose(got.data, want, atol=1e-10)
+        got = execute(prog, rho, spec.env_preparers())
+        got = join_blocks(got) if prog.ancilla else got
+        np.testing.assert_allclose(got.data, want, atol=1e-10)
     assert (words > 0) == (backend == "salcu")
 
 
@@ -586,9 +568,7 @@ def test_counts_match_an_item_walk(backend, nonmarkov):
             prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), selector, Budget(0.02, 1.0), rng=rng)
         else:
             prog = markov_program(spec, selector, Budget(0.02, 1.0), rng=rng)
-        want = count_items(prog)
-        assert count_resources(prog).as_tuple() == want
-        assert count_resources(expand_fragments(prog)).as_tuple() == want
+        assert count_resources(prog).as_tuple() == count_items(prog)
 
 
 def test_expected_resources_price_the_partial_swaps():

@@ -18,7 +18,6 @@ from collidesim import (
     ResourceReport,
     ThermalPrep,
     amp_damp_model,
-    count_resources,
     estimate,
     exact_k_collision,
     expectation,
@@ -32,9 +31,8 @@ from collidesim import (
     required_precision,
 )
 from collidesim.acceptance import _random_collision
-from collidesim.circuits import expand_fragments
 from collidesim.estimator import measured_observable, run_once
-from dense_reference import execute_register
+from dense_reference import count_items, execute_register
 
 
 def _spec():
@@ -243,17 +241,16 @@ def test_randomized_estimate_matches_expanded_programs(backend, workers):
     eps, delta, seed, runs = 0.2, 0.2, 13, 12
     rep = estimate(spec, RHO0, OBS, backend, eps, delta, seed=seed, t_override=runs,
                    workers=workers, keep_samples=True)
-    # reference: every run's program spelled out gate by gate
+    # reference: every run's program on the dense register, priced item by item
     budget = Budget(eps if backend == "salcu" else eps / 2.0, OBS.norm)
     plan = markov_plan(spec, parse_backend(backend), budget)
     measured = measured_observable(OBS, plan.ancilla)
     mus, totals = [], ResourceReport()
     for k in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        flat = expand_fragments(markov_program(spec, None, rng=rng, plan=plan))
-        mu_k = run_once(flat, RHO0, spec.env_preparers(), measured, "analytic", rng)
-        mus.append(rep.zeta**2 * mu_k)
-        totals = totals + count_resources(flat)
+        program = markov_program(spec, None, rng=rng, plan=plan)
+        mus.append(rep.zeta**2 * _register_readout(program, measured, "analytic", rng))
+        totals = totals + ResourceReport(*count_items(program))
     np.testing.assert_allclose(rep.samples, mus, rtol=0, atol=1e-10)
     assert rep.resources_mean.as_tuple() == tuple(v / runs for v in totals.as_tuple())
 
