@@ -26,3 +26,14 @@ def check_dense(n_qubits):
             f"dense request for {n_qubits} qubits exceeds the limit of {limit} "
             f"(set COLLIDESIM_DENSE_LIMIT to raise it)"
         )
+
+
+def check_entries(entries, what):
+    """Raise if an object storing `entries` entries would not fit in one dense
+    matrix at the qubit limit (4^limit entries)."""
+    limit = dense_qubit_limit()
+    if entries > 4**limit:
+        raise DenseLimitError(
+            f"{what} stores up to {entries} entries, more than the {4**limit} of a dense "
+            f"{limit}-qubit matrix (set COLLIDESIM_DENSE_LIMIT to raise it)"
+        )

@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import acceptance
 from .collisions import (
     Collision,
     CollisionSpec,
@@ -142,10 +141,12 @@ def _as_bool(raw):
     raise ValueError(f"not a boolean: {raw!r}")
 
 
-def _as_float(raw):
-    if isinstance(raw, str) and raw.strip().lower() in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(raw)
+def _as_float(key, raw, allow_inf=False):
+    v = float(raw)
+    if math.isnan(v) or (math.isinf(v) and not allow_inf):
+        kind = "a number or inf" if allow_inf else "a finite number"
+        raise ValueError(f"{key} must be {kind}, got {raw!r}")
+    return v
 
 
 def _as_int(raw):
@@ -212,20 +213,20 @@ def build_config(mapping):
     if cfg.kind == "custom" and any(k in mapping for k in _BENCH_KEYS):
         raise ValueError("benchmark model keys present with model.kind = custom")
     cfg.m = _as_int(get("model.m", 4))
-    cfg.J = _as_float(get("model.J", 1.0))
-    cfg.h = _as_float(get("model.h", 0.1))
-    cfg.gamma = _as_float(get("model.gamma", 1.0))
-    cfg.omega = _as_float(get("model.omega", math.inf))
+    cfg.J = _as_float("model.J", get("model.J", 1.0))
+    cfg.h = _as_float("model.h", get("model.h", 0.1))
+    cfg.gamma = _as_float("model.gamma", get("model.gamma", 1.0))
+    cfg.omega = _as_float("model.omega", get("model.omega", math.inf), allow_inf=True)
     cfg.system_file = str(get("model.system_file", "")).strip()
     cfg.env_file = str(get("model.env_file", "")).strip()
     cfg.interaction_file = str(get("model.interaction_file", "")).strip()
     cfg.env_width = _as_int(get("model.env_width", 1))
-    cfg.env_omega = _as_float(get("model.env_omega", math.inf))
+    cfg.env_omega = _as_float("model.env_omega", get("model.env_omega", math.inf), allow_inf=True)
     cfg.observable_file = str(get("model.observable_file", "")).strip()
     cfg.rho0_file = str(get("model.rho0_file", "")).strip()
-    cfg.t = _as_float(get("dynamics.t", 1.0))
-    cfg.eps = _as_float(get("dynamics.eps", 0.01))
-    cfg.delta = _as_float(get("dynamics.delta", 0.05))
+    cfg.t = _as_float("dynamics.t", get("dynamics.t", 1.0))
+    cfg.eps = _as_float("dynamics.eps", get("dynamics.eps", 0.01))
+    cfg.delta = _as_float("dynamics.delta", get("dynamics.delta", 0.05))
     nu_raw = get("dynamics.nu", "auto")
     cfg.nu = 0 if str(nu_raw).strip().lower() == "auto" else _as_int(nu_raw)
     cfg.backend = str(get("dynamics.backend", "trotter1")).strip()
@@ -237,9 +238,9 @@ def build_config(mapping):
     )
     cfg.measurement = str(get("dynamics.measurement", "analytic")).strip()
     cfg.nonmarkov = _as_bool(get("dynamics.nonmarkov", False))
-    cfg.p = _as_float(get("dynamics.p", 0.0))
+    cfg.p = _as_float("dynamics.p", get("dynamics.p", 0.0))
     cfg.collisions = _as_int(get("dynamics.collisions", 1))
-    cfg.dt = _as_float(get("dynamics.dt", 0.0))
+    cfg.dt = _as_float("dynamics.dt", get("dynamics.dt", 0.0))
     cfg.grid = _as_int(get("dynamics.grid", 1))
     for key, name in (
         ("dynamics.steps", "steps"),
@@ -250,7 +251,7 @@ def build_config(mapping):
         if key in mapping:
             cfg.overrides[name] = _as_int(mapping[key])
     if "dynamics.c_r" in mapping:
-        cfg.overrides["c_r"] = _as_float(mapping["dynamics.c_r"])
+        cfg.overrides["c_r"] = _as_float("dynamics.c_r", mapping["dynamics.c_r"])
     cfg.seed = _as_int(get("execution.seed", 0))
     cfg.workers = _as_int(get("execution.workers", 1))
     cfg.t_override = _as_int(get("execution.t_override", 0))
@@ -259,6 +260,8 @@ def build_config(mapping):
     cfg.out_dir = str(get("output.dir", ".")).strip()
     cfg.samples = _as_bool(get("output.samples", False))
 
+    if not cfg.t > 0.0:
+        raise ValueError(f"dynamics.t must be > 0, got {cfg.t}")
     if not 0.0 < cfg.eps < 1.0:
         raise ValueError(f"dynamics.eps must be in (0, 1), got {cfg.eps}")
     if not 0.0 < cfg.delta < 1.0:
@@ -532,6 +535,9 @@ def cmd_sweep(cfg, out_dir, axis, values):
         raise ValueError("nu sweep values must be integers >= 1")
     if axis == "p" and not cfg.nonmarkov:
         raise ValueError("p sweeps need dynamics.nonmarkov = true")
+    if axis != "nu":
+        for value in values:  # a swept value obeys the config file's rules
+            build_config({**cfg.raw, f"dynamics.{axis}": value})
     h = cfg.config_hash()
     oracle_cache = {}
     liou = None  # no swept axis changes the model, so one Liouvillian serves all
@@ -604,6 +610,8 @@ def cmd_sweep(cfg, out_dir, axis, values):
 
 
 def cmd_validate(names=None):
+    from . import acceptance  # loads scipy.stats; no other command needs it
+
     results = acceptance.run_all(names)
     all_ok = True
     for res in results:

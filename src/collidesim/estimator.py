@@ -25,7 +25,6 @@ results identical for any worker count; aggregation sums in run-index order.
 """
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -272,6 +271,8 @@ def estimate(
         outcome = _fixed_outcome(final, measured, measurement)
     indices = list(range(t_runs))
     if workers > 1 and t_runs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
+
         chunks = np.array_split(indices, min(workers * 4, t_runs))
         args = [
             (spec, base, plan, rho0, measured, measurement, seed, list(c), outcome)

@@ -17,21 +17,33 @@ L[rho] = Heff rho + rho Heff† + sum_j A_j rho A_j†, the generator is
 lindblad_evolve applies e^{Lt} to vec(rho0) (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011) and never forms the 4^n x 4^n exponential.
 
-The dense budget check_dense(2n) still guards the Liouvillian as if it were
-a dense 4^n x 4^n matrix, so it bounds the oracle far more tightly than the
-memory it uses: the 2^n x 2^n Hamiltonian and jump operators the build reads,
-the generator's nonzeros and a few 4^n vectors.
+The Liouvillian is guarded by what the oracle stores, counted before any
+sparse build from the 2^n x 2^n Heff and jump operators the build reads
+anyway (d = 2^n):
+
+    2 d nnz(Heff) + sum_j nnz(A_j)^2 + 8 * 4^n
+
+entries: the two Heff Kronecker products, one product per jump, and eight
+vectors of 4^n entries for e^{Lt}'s iteration and the drift checks. They
+must fit in 4^limit entries, the size of one dense matrix at the qubit
+limit, else DenseLimitError. Like check_dense, the guard sizes the objects
+held; expm_multiply also makes up to three transient scaled or shifted
+copies of the generator while it runs. At the default limit of 12 this
+admits the 9-site chain (about 5.8M generator entries) and refuses the
+10-site one (about 26M) before allocating it.
+
+scipy is imported only inside Liouvillian and lindblad_evolve, so the rest of
+the package loads without it.
 """
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import expm_multiply
 
-from ._limits import check_dense
+from ._limits import check_entries
 from .errors import NumericalError
 from .states import DensityMatrix
 
 _DRIFT_TOL = 1e-9  # largest trace or Hermiticity drift read as rounding
+_WORK_VECTORS = 8  # 4^n vectors the guard reserves beside the generator
 
 
 def spectral_norm(a):
@@ -58,12 +70,20 @@ class Liouvillian:
     vectorization, summed from m + 2 sparse Kronecker products."""
 
     def __init__(self, model):
-        check_dense(2 * model.n)  # the matrix is (2^n)^2 on a side
         dim = 1 << model.n
-        eye = sparse.eye_array(dim, dtype=np.complex128, format="csr")
         h = model.system_h.to_dense()
         jumps = [np.asarray(jump.op, dtype=np.complex128) for jump in model.jumps]
-        heff = sparse.csr_array(-1j * h - 0.5 * sum(a.conj().T @ a for a in jumps))
+        heff = -1j * h - 0.5 * sum(a.conj().T @ a for a in jumps)
+        check_entries(
+            2 * dim * np.count_nonzero(heff)
+            + sum(np.count_nonzero(a) ** 2 for a in jumps)
+            + _WORK_VECTORS * dim * dim,
+            f"the {model.n}-qubit Liouvillian",
+        )
+        from scipy import sparse
+
+        eye = sparse.eye_array(dim, dtype=np.complex128, format="csr")
+        heff = sparse.csr_array(heff)
         mat = sparse.kron(heff, eye, format="csr") + sparse.kron(eye, heff.conj(), format="csr")
         for a in map(sparse.csr_array, jumps):
             mat += sparse.kron(a, a.conj(), format="csr")
@@ -96,6 +116,8 @@ def lindblad_evolve(model, rho0, t):
     re-symmetrized; drift beyond 1e-9 in trace or Hermiticity is a numerical
     failure.
     """
+    from scipy.sparse.linalg import expm_multiply
+
     liou = model if isinstance(model, Liouvillian) else Liouvillian(model)
     dim = 1 << liou.n
     rho = rho0.data if isinstance(rho0, DensityMatrix) else np.asarray(rho0, dtype=np.complex128)

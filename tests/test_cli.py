@@ -4,6 +4,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -82,6 +84,15 @@ def test_build_config_defaults_and_overrides():
         {"execution.compilations": "0"},
         {"execution.seed": "inf"},
         {"dynamics.nu": "1e400"},
+        {"model.gamma": "nan"},
+        {"model.J": "nan"},
+        {"model.h": "-inf"},
+        {"model.omega": "nan"},
+        {"dynamics.t": "nan"},
+        {"dynamics.t": "inf"},
+        {"dynamics.t": "0"},
+        {"dynamics.dt": "nan"},
+        {"dynamics.c_r": "inf"},
     ],
     ids=[
         "unknown-key",
@@ -99,11 +110,29 @@ def test_build_config_defaults_and_overrides():
         "no-compilations",
         "infinite-seed",
         "overflowing-nu",
+        "nan-gamma",
+        "nan-J",
+        "infinite-h",
+        "nan-omega",
+        "nan-t",
+        "infinite-t",
+        "zero-t",
+        "nan-dt",
+        "infinite-c_r",
     ],
 )
 def test_build_config_rejects(mapping):
     with pytest.raises(ValueError):
         cli.build_config(mapping)
+
+
+def test_build_config_takes_inf_only_for_env_omegas(tmp_path):
+    # inf is the zero-temperature environment; every other float key must be finite
+    assert cli.build_config({"model.omega": "inf"}).omega == math.inf
+    custom = cli.load_config_mapping(_custom_files(tmp_path))
+    assert cli.build_config({**custom, "model.env_omega": "inf"}).env_omega == math.inf
+    with pytest.raises(ValueError, match="model.env_omega"):
+        cli.build_config({**custom, "model.env_omega": "nan"})
 
 
 def test_json_config_flattens(tmp_path):
@@ -292,6 +321,23 @@ def test_sweep_axis_validation(tmp_path, capsys):
     for values in ("2.5", "0", "2,0", "inf"):
         assert cli.main(["sweep", "--config", cfg, "--axis", "nu", "--values", values]) == 1
         assert "config error" in capsys.readouterr().err
+    # eps, t and p values obey the config file's rules, also checked before any row runs
+    nonmarkov = tmp_path / "nonmarkov.cfg"  # own file: _bench_cfg reuses one path
+    nonmarkov.write_text((tmp_path / "bench.cfg").read_text() + "dynamics.nonmarkov = true\n")
+    for path, axis, values in (
+        (cfg, "t", "nan"),
+        (cfg, "t", "inf"),
+        (cfg, "t", "0"),
+        (cfg, "t", "0.5,-1"),
+        (cfg, "eps", "nan"),
+        (cfg, "eps", "0"),
+        (cfg, "eps", "0.05,1"),
+        (str(nonmarkov), "p", "-0.1"),
+        (str(nonmarkov), "p", "0.5,nan"),
+    ):
+        argv = ["sweep", "--config", path, "--axis", axis, "--values", values]
+        assert cli.main(argv + ["--backend", "trotter1"]) == 1, (axis, values)
+        assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
 
 
@@ -326,6 +372,23 @@ def test_exit_codes(tmp_path, monkeypatch):
         cli, "cmd_run", lambda cfg, out: (_ for _ in ()).throw(NumericalError("diverged"))
     )
     assert cli.main(["run", "--config", cfg]) == 3
+
+
+def test_run_loads_no_scipy(tmp_path):
+    # only the Lindblad oracle and the release criteria need scipy
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; from collidesim.cli import main; "
+        "rc = main(['run', '--config', sys.argv[1]]); "
+        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, _bench_cfg(tmp_path)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    assert out.stdout.strip() == "0 []"
+    assert (tmp_path / "run.csv").exists()
 
 
 def test_run_csv_is_independent_of_workers(tmp_path):

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,13 +14,16 @@ from scipy.sparse.linalg import expm_multiply
 
 import collidesim
 from collidesim import (
+    DenseLimitError,
     DensityMatrix,
     JumpOp,
     LindbladModel,
     Liouvillian,
     PauliSum,
     amp_damp_model,
+    expectation,
     lindblad_evolve,
+    magnetization,
     spectral_norm,
     trace_distance,
     unitary_exact,
@@ -108,6 +112,41 @@ def test_liouvillian_is_sparse_with_the_kron_build_nonzeros():
         assert mat.nnz == np.count_nonzero(_kron_liouvillian(model))
 
 
+def test_liouvillian_nonzeros_stay_within_the_guard_count():
+    # the guard counts 2 d nnz(Heff) + sum_j nnz(A_j)^2 before building anything
+    for n in (1, 2, 3, 4, 5):
+        model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
+        jumps = [np.asarray(jump.op) for jump in model.jumps]
+        heff = -1j * model.system_h.to_dense() - 0.5 * sum(a.conj().T @ a for a in jumps)
+        counted = (2 << n) * np.count_nonzero(heff) + sum(np.count_nonzero(a) ** 2 for a in jumps)
+        assert Liouvillian(model).matrix.nnz <= counted
+
+
+def test_oracle_runs_m7_under_the_default_limit(monkeypatch):
+    # a dense 4^7 x 4^7 generator is past the 12-qubit budget; its nonzeros are not.
+    # Without coupling or field, each site decays alone: <Z>(t) = 1 - 2 e^{-gamma t}
+    monkeypatch.delenv("COLLIDESIM_DENSE_LIMIT", raising=False)
+    model = amp_damp_model(7, J=0.0, h=0.0, gamma=0.8)
+    out = lindblad_evolve(model, DensityMatrix.basis(7, (1 << 7) - 1), 1.5)
+    want = 1.0 - 2.0 * math.exp(-0.8 * 1.5)
+    assert expectation(out, magnetization(7)) == pytest.approx(want, abs=1e-9)
+
+
+def test_oracle_guard_refuses_m10_before_building(monkeypatch):
+    # at m = 10 the generator alone would store about 26M entries (over 400 MiB);
+    # the guard reads the 1024 x 1024 Heff and stops before any sparse build
+    monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "12")
+    model = amp_damp_model(10, J=1.0, h=0.1, gamma=1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(DenseLimitError, match="10-qubit Liouvillian"):
+            Liouvillian(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * 16 * 4**10  # ten dense 1024 x 1024 complex matrices
+
+
 def test_sparse_oracle_matches_dense_generator_at_m5():
     model = amp_damp_model(5, J=1.0, h=0.1, gamma=1.0)
     rho0 = DensityMatrix.basis(5, 0)
@@ -118,11 +157,12 @@ def test_sparse_oracle_matches_dense_generator_at_m5():
 
 def test_oracle_memory_stays_near_the_nonzeros_at_m6():
     # a dense 4096 x 4096 generator alone is 256 MiB; the CSR one with its
-    # 4^6 vectors needs a few MiB
+    # 4^6 vectors needs a few MiB. scipy is loaded first, so that the rise
+    # counts the oracle and not the import the oracle makes on first use
     root = os.path.dirname(os.path.dirname(collidesim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import resource, collidesim as cs; "
+        "import resource, scipy.sparse.linalg, collidesim as cs; "
         "model = cs.amp_damp_model(6, J=1.0, h=0.1, gamma=1.0); "
         "rho0 = cs.DensityMatrix.basis(6, 0); "
         "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
@@ -158,14 +198,14 @@ def test_amplitude_damping_analytic():
 
 
 def test_import_loads_no_ode_or_special_function_modules():
-    # the oracle needs only scipy.sparse.linalg; scipy.integrate and the
-    # scipy.special it pulls in would add to every import of the package
+    # only Liouvillian and lindblad_evolve need scipy, and they import it
+    # themselves; a serial estimate never needs the process pool either
     root = os.path.dirname(os.path.dirname(collidesim.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
     code = (
         "import sys, collidesim; "
-        "print(sorted(m for m in sys.modules if m.split('.')[:2] in "
-        "(['scipy', 'integrate'], ['scipy', 'special'])))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
+        "or m == 'concurrent.futures.process'))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
