@@ -68,26 +68,6 @@ class GateOp:
         if self.kind not in _KINDS:
             raise ValueError(f"unknown op kind {self.kind!r}")
 
-    def describe(self):
-        def q(v):
-            return "anc" if v == ANCILLA else str(v)
-
-        ts = ",".join(q(t) for t in self.targets)
-        if self.kind == "fragment":
-            items = ", ".join(
-                axis.label() if angle is None else f"{axis.label()} {angle!r}"
-                for axis, angle in self.step
-            )
-            head = "fragment"
-            if self.control is not None:
-                head = f"cfragment({q(self.control)}={self.polarity})"
-            return f"{head} {self.steps} x [{items}] on [{ts}]"
-        if self.kind == "swap":
-            return f"swap slots {self.slots[0]}<->{self.slots[1]}"
-        if self.kind == "prepare":
-            return f"prepare slot {self.slot}"
-        return f"trace slot {self.slot}"
-
 
 def fragment_op(step, steps, targets, control=None, polarity=1, sampled=False):
     """`steps` repetitions of a one-step schedule of (bare axis, angle) and
@@ -115,10 +95,6 @@ class CircuitProgram:
 
     def slot_base(self, slot):
         return self.n_system + sum(self.env_widths[:slot])
-
-    def slot_qubits(self, slot):
-        base = self.slot_base(slot)
-        return tuple(range(base, base + self.env_widths[slot]))
 
     def validate(self):
         n_ids = self.n_system + sum(self.env_widths)
@@ -178,13 +154,6 @@ class CircuitProgram:
                 return s
             off -= w
         raise ValueError(f"virtual qubit {vid} beyond declared slots")
-
-    def describe(self):
-        head = (
-            f"program system={self.n_system} ancilla={int(self.ancilla)} "
-            f"slots={list(self.env_widths)}"
-        )
-        return "\n".join([head, *(op.describe() for op in self.ops)])
 
 
 ANCILLA_BLOCKS = ((0, 0), (1, 1), (1, 0))  # what a shot readout of the joined state needs

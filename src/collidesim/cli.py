@@ -260,6 +260,13 @@ def build_config(mapping):
     cfg.out_dir = str(get("output.dir", ".")).strip()
     cfg.samples = _as_bool(get("output.samples", False))
 
+    for key, value in (
+        ("model.gamma", cfg.gamma),
+        ("model.omega", cfg.omega),
+        ("model.env_omega", cfg.env_omega),
+    ):
+        if value < 0.0:
+            raise ValueError(f"{key} must be >= 0, got {value}")
     if not cfg.t > 0.0:
         raise ValueError(f"dynamics.t must be > 0, got {cfg.t}")
     if not 0.0 < cfg.eps < 1.0:

@@ -220,8 +220,7 @@ def exact_nonmarkov(nmspec, rho_system, trajectory=False):
     After collision j < K the fresh env sigma_{j+1} is appended, partially
     swapped with the collided env and the collided env traced; in closed form
     rho <- (1-p) Tr_E[rho] x sigma_{j+1} + p rho. With trajectory=True also
-    returns the system marginal Tr_E[rho] after every collision
-    (memory-witness bookkeeping).
+    returns the system marginal Tr_E[rho] after every collision.
 
     The joint index is s*de + e, so the env-diagonal blocks are the strided
     views data[e::de, e::de]: the marginal is their sum, and the mix writes
@@ -260,22 +259,6 @@ def exact_nonmarkov(nmspec, rho_system, trajectory=False):
                 data[i::de, k::de] += (1.0 - p) * (sigma[i, k] * marginal)
     final = DensityMatrix(marginal, check=False)
     return (final, marginals) if trajectory else final
-
-
-def memory_witness(nmspec, rho_a, rho_b):
-    """Largest single-collision revival of trace distance between two inputs.
-
-    Markovian (p = 0) dynamics is CPTP at every step, so distances contract
-    and the witness stays at numerical zero; a positive value certifies
-    information backflow through the env memory.
-    """
-    from .oracles import trace_distance
-
-    _, traj_a = exact_nonmarkov(nmspec, rho_a, trajectory=True)
-    _, traj_b = exact_nonmarkov(nmspec, rho_b, trajectory=True)
-    dists = [trace_distance(rho_a, rho_b)]
-    dists += [trace_distance(a, b) for a, b in zip(traj_a, traj_b)]
-    return max(b - a for a, b in zip(dists, dists[1:]))
 
 
 # ----------------------------------------------------------- budget / plan
@@ -513,7 +496,8 @@ def lindblad_collision_spec(model, t, nu):
     m = len(model.jumps)
     dt = t / nu
     lam = math.sqrt(nu / t)
-    z_env = PauliSum(1, [(model.env_strength, PauliString.from_label("Z"))])
+    # the env's own sigma^z; its strength drops out of the nu -> inf limit
+    z_env = PauliSum(1, [(1.0, PauliString.from_label("Z"))])
     prep = _thermal_prep(model.env_omega)
     unique = tuple(
         Collision(1, z_env, lam * jump.interaction, prep) for jump in model.jumps

@@ -42,14 +42,6 @@ def _term_sign(p):
     return 1.0 if p.phase_exp == 0 else -1.0
 
 
-def rotation_dense(axis, angle):
-    """Dense e^{-i angle P} for a bare Pauli word."""
-    dim = 1 << axis.n
-    return math.cos(angle) * np.eye(dim, dtype=np.complex128) - (
-        1j * math.sin(angle)
-    ) * axis.to_dense()
-
-
 def rotations_dense(items, n):
     """Dense product of a schedule applied in list order (entry 0 first).
 
@@ -255,7 +247,6 @@ class LcuParams:
     q: int
     c_r: float
     weights: tuple
-    alpha_segment: float
     alpha_total: float
 
     @property
@@ -276,7 +267,7 @@ def choose_lcu_params(tau, k_collisions, eps_prime, c_r=1.0, r_override=None, q_
     """Pick (r, q) for a collision of angle tau inside a K-collision run.
 
     r = max(ceil(c_r tau^2 K), ceil(tau) + 1) keeps the per-segment angle
-    below 1 and the total weight alpha_total = alpha_segment^r <= e^{tau^2/r}
+    below 1 and the total weight alpha_total = (sum_k w_k)^r <= e^{tau^2/r}
     bounded by a constant when r ~ tau^2 K. q is the smallest even Taylor
     order with r * tail(tau/r, q) <= eps_prime.
     """
@@ -294,15 +285,13 @@ def choose_lcu_params(tau, k_collisions, eps_prime, c_r=1.0, r_override=None, q_
     if q % 2 or q < 0:
         raise ValueError("q must be a nonnegative even integer")
     weights = segment_weights(tau, r, q)
-    alpha_segment = float(sum(weights))
     return LcuParams(
         tau=float(tau),
         r=r,
         q=q,
         c_r=float(c_r),
         weights=weights,
-        alpha_segment=alpha_segment,
-        alpha_total=alpha_segment**r,
+        alpha_total=float(sum(weights)) ** r,
     )
 
 
@@ -322,24 +311,16 @@ class Segment:
     axis: PauliString  # bare rotation axis
     angle: float  # sign-folded phi_k = arctan(x/(k+1))
 
-    def to_dense(self):
-        return self.word.to_dense() @ rotation_dense(self.axis, self.angle)
-
 
 @dataclass(frozen=True)
 class SampledUnitary:
     n: int
     segments: tuple
 
-    def to_dense(self):
-        out = np.eye(1 << self.n, dtype=np.complex128)
-        for seg in self.segments:
-            out = seg.to_dense() @ out
-        return out
-
 
 def lcu_sample(nh, params, rng):
-    """Draw one unitary whose mean over draws is lcu_expected_dense / alpha_total."""
+    """Draw one unitary whose mean over draws is Utilde / alpha_total, with
+    Utilde the factor lcu_enumerate_dense enumerates."""
     x = params.x
     ks = 2 * draw_index(_k_cdf(params.weights), rng, params.r)
     n_draws = int(ks.sum()) + params.r
@@ -372,21 +353,6 @@ def lcu_sample(nh, params, rng):
 def _word(n, x, z, phase_exp):
     """One PauliString per drawn word value, shared across draws."""
     return PauliString(n, x, z, phase_exp)
-
-
-def lcu_expected_dense(nh, params):
-    """Utilde: the degree-(q+1) Taylor truncation of a segment, powered r."""
-    h = nh.h.to_dense()
-    a = (-1j * params.x) * h
-    dim = h.shape[0]
-    seg = np.eye(dim, dtype=np.complex128)
-    power = np.eye(dim, dtype=np.complex128)
-    fact = 1.0
-    for j in range(1, params.q + 2):
-        power = power @ a
-        fact *= j
-        seg = seg + power / fact
-    return np.linalg.matrix_power(seg, params.r)
 
 
 def lcu_enumerate_dense(nh, params, cap=200_000):

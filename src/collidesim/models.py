@@ -107,27 +107,28 @@ class ThermalPrep:
 
 @dataclass(frozen=True)
 class JumpOp:
-    """One dissipation channel: dense jump operator (rate folded in), the
-    Pauli-sum system-env coupling that realizes it in collisions, and rate."""
+    """One dissipation channel: the dense zero-temperature jump operator A
+    (rate folded in) and the Pauli-sum system-env coupling that realizes it
+    in collisions, the exchange coupling A x sigma^+_env + A† x sigma^-_env."""
 
     op: np.ndarray
     interaction: PauliSum
-    rate: float
-
-    def __post_init__(self):
-        if self.rate < 0:
-            raise ValueError("rate must be >= 0")
 
 
 @dataclass(frozen=True)
 class LindbladModel:
-    """dρ/dt = -i[H, ρ] + sum_j (A_j ρ A_j† - {A_j†A_j, ρ}/2)."""
+    """dρ/dt = -i[H, ρ] + sum_j (L_j ρ L_j† - {L_j†L_j, ρ}/2).
+
+    The jumps A_j are the zero-temperature ones. Collisions with env qubits
+    prepared in thermal_env_state(env_omega) = diag(p0, p1) give each A_j
+    the pair L = sqrt(p0) A_j and sqrt(p1) A_j†; at env_omega = inf, p1 = 0
+    and the A_j alone remain.
+    """
 
     n: int
     system_h: PauliSum
     jumps: tuple
     env_omega: float = math.inf
-    env_strength: float = 1.0  # beta_E of the env Hamiltonian beta_E * sigma^z
 
     def __post_init__(self):
         if len(self.jumps) < 1:
@@ -140,15 +141,8 @@ def amp_damp_model(m, J=1.0, h=0.1, gamma=1.0, omega=math.inf):
     """TFIM chain with uniform per-site amplitude damping (field-only at m=1)."""
     system_h = tfim_hamiltonian(m, J, h) if m >= 2 else field_hamiltonian(m, h)
     jumps = tuple(
-        JumpOp(amp_damp_jump(site, gamma, m), amp_damp_interaction(site, gamma, m), gamma)
+        JumpOp(amp_damp_jump(site, gamma, m), amp_damp_interaction(site, gamma, m))
         for site in range(m)
     )
     return LindbladModel(m, system_h, jumps, env_omega=omega)
 
-
-def benchmark_spec(m, t, nu, J=1.0, h=0.1, gamma=1.0, omega=math.inf):
-    """The damped-TFIM benchmark: (LindbladModel, its (m, nu) collision spec)."""
-    from .collisions import lindblad_collision_spec
-
-    model = amp_damp_model(m, J, h, gamma, omega)
-    return model, lindblad_collision_spec(model, t, nu)

@@ -14,6 +14,10 @@ L[rho] = Heff rho + rho Heff† + sum_j A_j rho A_j†, the generator is
 
     L = Heff kron I + I kron conj(Heff) + sum_j A_j kron conj(A_j).
 
+The A_j are the model's zero-temperature jumps. A thermal environment,
+whose qubits are prepared in diag(p0, p1) with p1 > 0, replaces each A_j
+with the pair sqrt(p0) A_j and sqrt(p1) A_j†, and the sums run over both.
+
 lindblad_evolve applies e^{Lt} to vec(rho0) (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011) and never forms the 4^n x 4^n exponential.
 
@@ -36,10 +40,13 @@ scipy is imported only inside Liouvillian and lindblad_evolve, so the rest of
 the package loads without it.
 """
 
+import math
+
 import numpy as np
 
 from ._limits import check_entries
 from .errors import NumericalError
+from .models import thermal_env_state
 from .states import DensityMatrix
 
 _DRIFT_TOL = 1e-9  # largest trace or Hermiticity drift read as rounding
@@ -67,12 +74,16 @@ def unitary_exact(h, tau):
 
 class Liouvillian:
     """4^n x 4^n generator of a LindbladModel as a CSR matrix, row-major
-    vectorization, summed from m + 2 sparse Kronecker products."""
+    vectorization, summed from two sparse Kronecker products of Heff and
+    one per jump (two per jump of a thermal environment)."""
 
     def __init__(self, model):
         dim = 1 << model.n
         h = model.system_h.to_dense()
         jumps = [np.asarray(jump.op, dtype=np.complex128) for jump in model.jumps]
+        p0, p1 = thermal_env_state(model.env_omega).data.diagonal().real
+        if p1 > 0.0:  # a thermal env also drives each jump's adjoint
+            jumps = [math.sqrt(p0) * a for a in jumps] + [math.sqrt(p1) * a.conj().T for a in jumps]
         heff = -1j * h - 0.5 * sum(a.conj().T @ a for a in jumps)
         check_entries(
             2 * dim * np.count_nonzero(heff)
@@ -89,21 +100,6 @@ class Liouvillian:
             mat += sparse.kron(a, a.conj(), format="csr")
         self.n = model.n
         self.matrix = mat
-        self._gamma = 2.0 * spectral_norm(h) + 2.0 * sum(
-            spectral_norm(j.op) ** 2 for j in model.jumps
-        )
-
-    def apply(self, rho):
-        """L[rho] as a dense matrix."""
-        rho = rho.data if isinstance(rho, DensityMatrix) else np.asarray(rho)
-        dim = 1 << self.n
-        return (self.matrix @ rho.reshape(-1)).reshape(dim, dim)
-
-    def gamma_bound(self):
-        """Upper bound on sup ||L[rho]||_1/||rho||_1, the constant steering the
-        collision-count analysis: 2||H|| + 2 sum_j ||A_j||^2. Diagnostic only;
-        discretization depth is chosen empirically, not from this."""
-        return self._gamma
 
     def __repr__(self):
         return f"Liouvillian(n={self.n})"

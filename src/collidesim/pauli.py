@@ -68,10 +68,6 @@ class PauliString:
                 z |= bit
         return cls(n, x, z, _LABEL_PHASE[prefix])
 
-    @classmethod
-    def identity(cls, n):
-        return cls(n, 0, 0, 0)
-
     @property
     def axes(self):
         """Axes word, e.g. 'XZIY' (qubit 0 first)."""
@@ -99,9 +95,6 @@ class PauliString:
 
     def __str__(self):
         return self.label()
-
-    def with_phase_exp(self, phase_exp):
-        return PauliString(self.n, self.x, self.z, phase_exp % 4)
 
     def bare(self):
         """Same axes with phase +1."""
@@ -200,14 +193,6 @@ class PauliSum:
         self.n = n
         self.terms = tuple(canon)
 
-    @classmethod
-    def from_labels(cls, pairs):
-        """Build from (coefficient, label) pairs, e.g. (0.5, '-XZ')."""
-        parsed = [(c, PauliString.from_label(s)) for c, s in pairs]
-        if not parsed:
-            raise ValueError("cannot infer width from an empty list")
-        return cls(parsed[0][1].n, parsed)
-
     def __len__(self):
         return len(self.terms)
 
@@ -254,10 +239,6 @@ class PauliSum:
         # add.at is unbuffered and walks the terms in order, as a per-term sum would
         np.add.at(out, (cols ^ x, cols), (coeffs * phases)[:, None] * signs)
         return out
-
-    def to_text(self):
-        """One term per line: '<coefficient> <sign><axes>'."""
-        return "\n".join(f"{c!r} {p.label()}" for c, p in self.terms) + ("\n" if self.terms else "")
 
     @classmethod
     def from_text(cls, text, n=None):

@@ -70,11 +70,6 @@ class DensityMatrix:
         """Single-qubit |+><+|."""
         return cls.from_vector([1.0, 1.0])
 
-    @classmethod
-    def maximally_mixed(cls, n):
-        dim = 1 << n
-        return cls(np.eye(dim, dtype=np.complex128) / dim, check=False)
-
     def copy(self):
         out = DensityMatrix.__new__(DensityMatrix)
         out.data = self.data.copy()
@@ -83,9 +78,6 @@ class DensityMatrix:
 
     def trace(self):
         return complex(np.trace(self.data))
-
-    def purity(self):
-        return float(np.einsum("ij,ji->", self.data, self.data).real)
 
     def __repr__(self):
         return f"DensityMatrix(n={self.n})"
@@ -397,20 +389,12 @@ def born_sample(state, obs, rng):
     return born_draw(born_distribution(state, obs), rng)
 
 
-# ------------------------------------------------------------- state dump
-
-
-def save_state(state, path):
-    """4-byte little-endian qubit count, then row-major (re, im) float64 pairs."""
-    with open(path, "wb") as fh:
-        fh.write(struct.pack("<I", state.n))
-        interleaved = np.empty(2 * state.data.size, dtype="<f8")
-        interleaved[0::2] = state.data.real.ravel()
-        interleaved[1::2] = state.data.imag.ravel()
-        fh.write(interleaved.tobytes())
+# ------------------------------------------------------------- state file
 
 
 def load_state(path):
+    """Read a state file: a 4-byte little-endian qubit count n, then the
+    4^n entries in row-major order, each a little-endian float64 pair (re, im)."""
     with open(path, "rb") as fh:
         (n,) = struct.unpack("<I", fh.read(4))
         dim = 1 << n

@@ -1,4 +1,4 @@
-"""Dense register references for circuit programs, kept apart from the package.
+"""Dense references and test helpers, kept apart from the package.
 
 execute_register runs a program on one matrix holding the whole register:
 the ancilla (when the program declares one) on the most significant qubit,
@@ -8,11 +8,20 @@ block-diagonal |p><p| (x) U + |1-p><1-p| (x) I on [control] + targets, a
 trace is a partial trace and a swap a product of two-qubit swaps.
 
 count_items prices a program by walking each fragment's items, `step`
-repeated `steps` times, with the cost rule of the circuits module docstring.
+repeated `steps` times, with the cost rule of the circuits module docstring,
+and describe prints a program one op per line.
+
+sampled_dense and lcu_expected_dense are the dense forms of one sampled-LCU
+draw and of the Taylor factor its draws average to; memory_witness is the
+trace-distance revival that certifies non-Markovian backflow. pauli_sum and
+write_state build test inputs.
 """
+
+import struct
 
 import numpy as np
 
+from collidesim import PauliString, PauliSum, exact_nonmarkov, trace_distance
 from collidesim.circuits import ANCILLA, PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
 
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -71,7 +80,8 @@ def execute_register(program, rho_system, env_preparers=None):
         return base + vid - program.slot_base(slot)
 
     def slot_qubits(slot):
-        return [phys(v) for v in program.slot_qubits(slot)]
+        base = program.slot_base(slot)
+        return [phys(v) for v in range(base, base + program.env_widths[slot])]
 
     for op in program.ops:
         if op.kind == "prepare":
@@ -124,3 +134,85 @@ def count_items(program):
                 else:
                     rot += ctl  # a controlled identity rotation is a phase kick
     return cnot, rot, paulis, cnot + rot, preps
+
+
+def describe(program):
+    """The program as text: a header line, then one line per op."""
+
+    def q(v):
+        return "anc" if v == ANCILLA else str(v)
+
+    lines = [
+        f"program system={program.n_system} ancilla={int(program.ancilla)} "
+        f"slots={list(program.env_widths)}"
+    ]
+    for op in program.ops:
+        if op.kind == "fragment":
+            items = ", ".join(
+                axis.label() if angle is None else f"{axis.label()} {angle!r}"
+                for axis, angle in op.step
+            )
+            head = "fragment"
+            if op.control is not None:
+                head = f"cfragment({q(op.control)}={op.polarity})"
+            lines.append(f"{head} {op.steps} x [{items}] on [{','.join(map(q, op.targets))}]")
+        elif op.kind == "swap":
+            lines.append(f"swap slots {op.slots[0]}<->{op.slots[1]}")
+        else:
+            lines.append(f"{op.kind} slot {op.slot}")
+    return "\n".join(lines)
+
+
+def sampled_dense(su):
+    """The dense unitary of one sampled-LCU draw: per segment its rotation,
+    then its word, segment 0 first."""
+    out = np.eye(1 << su.n, dtype=np.complex128)
+    for seg in su.segments:
+        out = seg.word.to_dense() @ gate_dense(seg.axis, seg.angle) @ out
+    return out
+
+
+def lcu_expected_dense(nh, params):
+    """Utilde: the degree-(q+1) Taylor truncation of a segment, powered r."""
+    h = nh.h.to_dense()
+    a = (-1j * params.x) * h
+    dim = h.shape[0]
+    seg = np.eye(dim, dtype=np.complex128)
+    power = np.eye(dim, dtype=np.complex128)
+    fact = 1.0
+    for j in range(1, params.q + 2):
+        power = power @ a
+        fact *= j
+        seg = seg + power / fact
+    return np.linalg.matrix_power(seg, params.r)
+
+
+def memory_witness(nmspec, rho_a, rho_b):
+    """Largest single-collision revival of trace distance between two inputs.
+
+    Markovian (p = 0) dynamics is CPTP at every step, so distances contract
+    and the witness stays at numerical zero; a positive value certifies
+    information backflow through the env memory.
+    """
+    _, traj_a = exact_nonmarkov(nmspec, rho_a, trajectory=True)
+    _, traj_b = exact_nonmarkov(nmspec, rho_b, trajectory=True)
+    dists = [trace_distance(rho_a, rho_b)]
+    dists += [trace_distance(a, b) for a, b in zip(traj_a, traj_b)]
+    return max(b - a for a, b in zip(dists, dists[1:]))
+
+
+def pauli_sum(pairs):
+    """A PauliSum from (coefficient, label) pairs, e.g. (0.5, '-XZ')."""
+    terms = [(c, PauliString.from_label(label)) for c, label in pairs]
+    return PauliSum(terms[0][1].n, terms)
+
+
+def write_state(state, path):
+    """Write the state file load_state reads: a 4-byte little-endian qubit
+    count, then row-major (re, im) float64 pairs."""
+    with open(path, "wb") as fh:
+        fh.write(struct.pack("<I", state.n))
+        interleaved = np.empty(2 * state.data.size, dtype="<f8")
+        interleaved[0::2] = state.data.real.ravel()
+        interleaved[1::2] = state.data.imag.ravel()
+        fh.write(interleaved.tobytes())

@@ -19,7 +19,7 @@ from collidesim import (
     fragment_op,
 )
 from collidesim.states import join_blocks
-from dense_reference import count_items, execute_register
+from dense_reference import count_items, describe, execute_register
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
@@ -205,7 +205,7 @@ def test_describe_is_stable():
             GateOp("trace", slot=0),
         ),
     )
-    assert prog.describe().splitlines() == [
+    assert describe(prog).splitlines() == [
         "program system=2 ancilla=1 slots=[1]",
         "prepare slot 0",
         "cfragment(anc=0) 1 x [+XZ 0.25] on [0,2]",
@@ -226,7 +226,7 @@ def test_count_resources_frozen_costs():
             fragment_op([(z3, 0.1)], 1, (0, 1, 2)),  # weight 3: 4 cnots, 1 rot
             fragment_op([(xx, 0.2)], 1, (3, 4), control=ANCILLA),  # 2(w-1)+2 = 4 cnots, 2 rots
             # phase kick: 1 rot
-            fragment_op([(PauliString.identity(1), 0.3)], 1, (0,), control=ANCILLA),
+            fragment_op([(PauliString(1, 0, 0), 0.3)], 1, (0,), control=ANCILLA),
             fragment_op([(xx, None)], 1, (0, 1)),  # 1 pauli, 0 cnots
             fragment_op([(xx, None)], 1, (0, 1), control=ANCILLA),  # 1 pauli, 2 cnots
             GateOp("swap", slots=(0, 1)),  # 3 per qubit * width 2 = 6 cnots
@@ -295,7 +295,7 @@ def test_fragment_op_is_small_and_validated():
     prog = CircuitProgram(
         1, env_widths=(1,), ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0))
     )
-    assert prog.describe().splitlines()[2] == "fragment 2 x [+XX 0.25, +ZI -0.5] on [0,1]"
+    assert describe(prog).splitlines()[2] == "fragment 2 x [+XX 0.25, +ZI -0.5] on [0,1]"
     # 2 steps x (XX: 2 cnots + 1 rot, ZI: 0 cnots + 1 rot), plus the preparation
     assert count_resources(prog).as_tuple() == (2 + 2 * 2, 2 * 2, 0, 6 + 4, 1)
     for bad in (
@@ -347,7 +347,7 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     alone = execute(prog, rho, preps, blocks=((1, 0),))[1, 0]
     np.testing.assert_allclose(alone.data, want[4:, :4], atol=1e-12)
     assert count_resources(prog).as_tuple() == count_items(prog)
-    assert prog.describe().splitlines()[3] == (
+    assert describe(prog).splitlines()[3] == (
         f"cfragment(anc={polarity}) 1 x [+XYZ 0.31, -iZXY, +ZIZ -0.2, -IZI, +YYX 0.17] on [3,0,2]"
     )
     with pytest.raises(ValueError):  # a sampled fragment is one draw

@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -93,6 +94,9 @@ def test_build_config_defaults_and_overrides():
         {"dynamics.t": "0"},
         {"dynamics.dt": "nan"},
         {"dynamics.c_r": "inf"},
+        {"model.gamma": "-1"},
+        {"model.omega": "-1"},
+        {"model.kind": "custom", "model.env_omega": "-1"},
     ],
     ids=[
         "unknown-key",
@@ -119,11 +123,25 @@ def test_build_config_defaults_and_overrides():
         "zero-t",
         "nan-dt",
         "infinite-c_r",
+        "negative-gamma",
+        "negative-omega",
+        "negative-env_omega",
     ],
 )
 def test_build_config_rejects(mapping):
     with pytest.raises(ValueError):
         cli.build_config(mapping)
+
+
+def test_build_config_names_a_negative_model_value():
+    # checked with the config, not later when a model or env state is built
+    for key, extra in (
+        ("model.gamma", {}),
+        ("model.omega", {}),
+        ("model.env_omega", {"model.kind": "custom"}),
+    ):
+        with pytest.raises(ValueError, match=f"{key} must be >= 0"):
+            cli.build_config({**extra, key: "-1"})
 
 
 def test_build_config_takes_inf_only_for_env_omegas(tmp_path):
@@ -288,6 +306,28 @@ def test_resources_price_the_plan_estimate_runs(tmp_path, measurement):
         )
         assert row[0] == label
         assert [float(v) for v in row[5:10]] == [float(v) for v in want.as_tuple()]
+
+
+def test_readme_config_resources_rows(tmp_path):
+    # the README's experiment.cfg at dynamics.nu = 2: every backend's expected
+    # gate counts, pinned digit for digit (config_hash left out)
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        readme = fh.read()
+    block = re.search(r"```\n(# experiment\.cfg.*?)```", readme, flags=re.S).group(1)
+    mapping = {**cli.parse_config_text(block), "dynamics.nu": "2"}
+    path = tmp_path / "readme.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
+    assert cli.main(["resources", "--config", str(path), "--out", str(tmp_path)]) == 0
+    rows = [row[:-1] for row in _read_csv(tmp_path / "resources.csv")]
+    assert rows == [
+        ["backend", "t", "eps", "nu", "collisions", "cnot", "rotation", "pauli_gate",
+         "depth_proxy", "env_preps"],
+        ["trotter1", "1", "0.01", "2", "8", "122896", "122880", "0", "245776", "8"],
+        ["trotter2k:1", "1", "0.01", "2", "8", "3856", "3840", "0", "7696", "8"],
+        ["qdrift", "1", "0.01", "2", "8", "271299.39429032133", "204584", "0",
+         "475883.39429032133", "8"],
+        ["salcu", "1", "0.01", "2", "8", "1196.875", "704", "1.4375", "1900.875", "8"],
+    ]
 
 
 def test_sweep_eps_reports_oracle_error(tmp_path):

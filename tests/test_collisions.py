@@ -30,7 +30,6 @@ from collidesim import (
     markov_plan,
     magnetization,
     markov_program,
-    memory_witness,
     nonmarkov_program,
     parse_backend,
     partial_trace,
@@ -42,7 +41,7 @@ from collidesim import (
 from collidesim import hamsim
 from collidesim.pauli import NormalizedPauliSum
 from collidesim.states import join_blocks
-from dense_reference import count_items, execute_register
+from dense_reference import count_items, execute_register, memory_witness, pauli_sum
 
 
 def _prep(mat):
@@ -56,17 +55,17 @@ def _prep(mat):
 
 
 def _two_collision_spec():
-    sys_h = PauliSum.from_labels([(0.4, "Z")])
+    sys_h = pauli_sum([(0.4, "Z")])
     col_a = Collision(
         1,
-        PauliSum.from_labels([(0.3, "X")]),
-        PauliSum.from_labels([(0.5, "XX"), (0.2, "-ZY")]),
+        pauli_sum([(0.3, "X")]),
+        pauli_sum([(0.5, "XX"), (0.2, "-ZY")]),
         ThermalPrep(math.inf),
     )
     col_b = Collision(
         1,
-        PauliSum.from_labels([(0.5, "Z")]),
-        PauliSum.from_labels([(0.6, "YY"), (0.3, "XZ")]),
+        pauli_sum([(0.5, "Z")]),
+        pauli_sum([(0.6, "YY"), (0.3, "XZ")]),
         ThermalPrep(math.log(3.0)),
     )
     return CollisionSpec(1, sys_h, (col_a, col_b), 0.2)
@@ -80,16 +79,16 @@ def _rand_rho(rng, n):
 
 
 def test_spec_validation():
-    sys_h = PauliSum.from_labels([(0.4, "Z")])
-    good = Collision(1, PauliSum.from_labels([(0.3, "X")]),
-                     PauliSum.from_labels([(0.5, "XX")]), ThermalPrep(math.inf))
+    sys_h = pauli_sum([(0.4, "Z")])
+    good = Collision(1, pauli_sum([(0.3, "X")]),
+                     pauli_sum([(0.5, "XX")]), ThermalPrep(math.inf))
     with pytest.raises(ValueError):
         CollisionSpec(2, sys_h, (good,), 0.1)  # system width mismatch
     with pytest.raises(ValueError):
         CollisionSpec(1, sys_h, (good,), -0.1)
     with pytest.raises(ValueError):
-        Collision(1, PauliSum.from_labels([(0.3, "XX")]),
-                  PauliSum.from_labels([(0.5, "XX")]), ThermalPrep(math.inf))
+        Collision(1, pauli_sum([(0.3, "XX")]),
+                  pauli_sum([(0.5, "XX")]), ThermalPrep(math.inf))
     with pytest.raises(ValueError):  # interaction must span system + env
         CollisionSpec(2, PauliSum(2, []), (good,), 0.1)
 
@@ -100,7 +99,7 @@ def test_joint_hamiltonian_and_dense_unitary():
     want_h = (
         0.4 * np.kron(np.diag([1.0, -1.0]), np.eye(2))
         + 0.3 * np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
-        + PauliSum.from_labels([(0.5, "XX"), (0.2, "-ZY")]).to_dense()
+        + pauli_sum([(0.5, "XX"), (0.2, "-ZY")]).to_dense()
     )
     np.testing.assert_allclose(beta * nh.h.to_dense(), want_h, atol=1e-13)
     assert beta == pytest.approx(0.4 + 0.3 + 0.5 + 0.2)
@@ -165,17 +164,17 @@ def _mixed_prep(rng, width):
 
 
 def _kraus_case_specs(rng):
-    sys_h = PauliSum.from_labels([(0.4, "ZI"), (0.3, "XX")])
+    sys_h = pauli_sum([(0.4, "ZI"), (0.3, "XX")])
     wide = Collision(
         2,
-        PauliSum.from_labels([(0.3, "XZ"), (0.2, "YI")]),
-        PauliSum.from_labels([(0.5, "XIXI"), (0.2, "-ZYIY"), (0.4, "IXZZ")]),
+        pauli_sum([(0.3, "XZ"), (0.2, "YI")]),
+        pauli_sum([(0.5, "XIXI"), (0.2, "-ZYIY"), (0.4, "IXZZ")]),
         _mixed_prep(rng, 2),
     )
     pure = Collision(
         1,
-        PauliSum.from_labels([(0.5, "Z")]),
-        PauliSum.from_labels([(0.6, "YIY"), (0.3, "XZX")]),
+        pauli_sum([(0.5, "Z")]),
+        pauli_sum([(0.6, "YIY"), (0.3, "XZX")]),
         ThermalPrep(math.inf),
     )
     return {
@@ -196,25 +195,25 @@ def test_exact_map_matches_kron_reference():
 def test_exact_map_rejects_non_positive_env():
     col = Collision(
         1,
-        PauliSum.from_labels([(0.3, "X")]),
-        PauliSum.from_labels([(0.5, "XX")]),
+        pauli_sum([(0.3, "X")]),
+        pauli_sum([(0.5, "XX")]),
         _prep(np.diag([1.2, -0.2])),
     )
-    spec = CollisionSpec(1, PauliSum.from_labels([(0.4, "Z")]), (col,), 0.2)
+    spec = CollisionSpec(1, pauli_sum([(0.4, "Z")]), (col,), 0.2)
     with pytest.raises(NumericalError):
         exact_k_collision(spec, DensityMatrix.plus())
 
 
 def test_exact_nonmarkov_matches_register_swap_reference():
     rng = np.random.default_rng(73)
-    sys_h = PauliSum.from_labels([(0.4, "Z")])
-    inter = PauliSum.from_labels([(0.5, "XX"), (0.2, "-ZY")])
-    cols = [Collision(1, PauliSum.from_labels([(0.3, "X")]), inter, _mixed_prep(rng, 1))
+    sys_h = pauli_sum([(0.4, "Z")])
+    inter = pauli_sum([(0.5, "XX"), (0.2, "-ZY")])
+    cols = [Collision(1, pauli_sum([(0.3, "X")]), inter, _mixed_prep(rng, 1))
             for _ in range(2)]
     wide = Collision(
         2,
-        PauliSum.from_labels([(0.3, "XZ")]),
-        PauliSum.from_labels([(0.5, "XXI"), (0.4, "ZYY")]),
+        pauli_sum([(0.3, "XZ")]),
+        pauli_sum([(0.5, "XXI"), (0.4, "ZYY")]),
         _mixed_prep(rng, 2),
     )
     specs = (
@@ -336,7 +335,7 @@ def test_expected_resources_match_counted_programs():
 
     # an identity system term: its rotations are free, as count_resources prices them
     col = spec.collisions[0]
-    id_spec = CollisionSpec(1, PauliSum.from_labels([(0.3, "I"), (0.4, "Z")]), (col, col), 0.2)
+    id_spec = CollisionSpec(1, pauli_sum([(0.3, "I"), (0.4, "Z")]), (col, col), 0.2)
     for label in ("trotter1", "trotter2k:1"):
         backend = parse_backend(label)
         want = count_resources(markov_program(id_spec, backend, budget))
@@ -371,7 +370,7 @@ def test_lindblad_collision_spec_scaling():
     assert inter["XIX"] == pytest.approx(lam * math.sqrt(0.81) / 2.0)
     # system Hamiltonian is divided across the m collisions of one cycle
     assert spec.system_h.total_weight == pytest.approx(model.system_h.total_weight / 2.0)
-    assert c0.env_h.terms[0][0] == pytest.approx(model.env_strength)
+    assert c0.env_h.terms == ((1.0, PauliString.from_label("Z")),)
     np.testing.assert_allclose(c0.env_prep().data, np.diag([0.75, 0.25]), atol=1e-14)
     assert spec.collisions[2] is c0
     with pytest.raises(ValueError):
@@ -396,7 +395,7 @@ def test_exact_nonmarkov_trajectory_and_endpoints():
 def test_memory_witness_sees_backflow():
     # half-swap exchange collisions: the state leaves the system after the
     # first collision and, with a persistent env, returns after the second
-    inter = PauliSum.from_labels([(0.5, "XX"), (0.5, "YY")])
+    inter = pauli_sum([(0.5, "XX"), (0.5, "YY")])
     col = Collision(1, PauliSum(1, []), inter, ThermalPrep(math.inf))
     spec = CollisionSpec(1, PauliSum(1, []), (col, col, col), math.pi / 2.0)
     a, b = DensityMatrix.basis(1, 0), DensityMatrix.basis(1, 1)

@@ -32,21 +32,21 @@ from collidesim import (
 )
 from collidesim.acceptance import _random_collision
 from collidesim.estimator import measured_observable, run_once
-from dense_reference import count_items, execute_register
+from dense_reference import count_items, execute_register, pauli_sum
 
 
 def _spec():
-    sys_h = PauliSum.from_labels([(0.4, "Z")])
+    sys_h = pauli_sum([(0.4, "Z")])
     col_a = Collision(
         1,
-        PauliSum.from_labels([(0.3, "X")]),
-        PauliSum.from_labels([(0.5, "XX"), (0.2, "-ZY")]),
+        pauli_sum([(0.3, "X")]),
+        pauli_sum([(0.5, "XX"), (0.2, "-ZY")]),
         ThermalPrep(math.inf),
     )
     col_b = Collision(
         1,
-        PauliSum.from_labels([(0.5, "Z")]),
-        PauliSum.from_labels([(0.6, "YY"), (0.3, "XZ")]),
+        pauli_sum([(0.5, "Z")]),
+        pauli_sum([(0.6, "YY"), (0.3, "XZ")]),
         ThermalPrep(math.log(3.0)),
     )
     return CollisionSpec(1, sys_h, (col_a, col_b), 0.2)
@@ -202,7 +202,7 @@ def test_rejects_unknown_measurement():
 def test_fixed_program_shots_match_a_per_run_loop(workers):
     # the hoeffding-coverage instance: one collision, shot readout
     rng = np.random.default_rng(5)
-    spec = CollisionSpec(1, PauliSum.from_labels([(0.3, "Z")]), (_random_collision(rng, 1, 1),), 0.3)
+    spec = CollisionSpec(1, pauli_sum([(0.3, "Z")]), (_random_collision(rng, 1, 1),), 0.3)
     obs = Observable(PauliSum(1, [(1.0, PauliString.from_label("Z"))]))
     rho0 = DensityMatrix.plus()
     eps = delta = 0.1

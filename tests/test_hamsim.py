@@ -8,13 +8,11 @@ import pytest
 from collidesim import (
     DensityMatrix,
     Observable,
-    PauliSum,
     choose_lcu_params,
     choose_qdrift_length,
     choose_taylor_order,
     choose_trotter_steps,
     lcu_enumerate_dense,
-    lcu_expected_dense,
     lcu_sample,
     normalize,
     qdrift_rotations,
@@ -25,13 +23,14 @@ from collidesim import (
     unitary_exact,
 )
 from collidesim._draws import draw_index
-from collidesim.hamsim import Segment, _k_cdf, rotation_dense, rotations_dense
+from collidesim.hamsim import Segment, _k_cdf, rotations_dense
 from collidesim.pauli import PauliString, pauli_mul
 from collidesim.states import born_distribution, born_draw
+from dense_reference import gate_dense, lcu_expected_dense, pauli_sum, sampled_dense
 
 # XI and ZZ anticommute, so no product formula is exact here
-H2 = PauliSum.from_labels([(0.5, "XI"), (0.3, "-ZZ"), (0.2, "YX")])
-H1 = PauliSum.from_labels([(0.7, "X"), (0.3, "Z")])
+H2 = pauli_sum([(0.5, "XI"), (0.3, "-ZZ"), (0.2, "YX")])
+H1 = pauli_sum([(0.7, "X"), (0.3, "Z")])
 
 
 def _trotter_error(h, beta_dt, steps, order):
@@ -51,7 +50,7 @@ def test_rotation_dense_matches_expm():
         axis = PauliString(n, int(rng.integers(0, 1 << n)), int(rng.integers(0, 1 << n)))
         theta = float(rng.uniform(-2, 2))
         want = expm(-1j * theta * axis.to_dense())
-        np.testing.assert_allclose(rotation_dense(axis, theta), want, atol=1e-12)
+        np.testing.assert_allclose(gate_dense(axis, theta), want, atol=1e-12)
 
 
 def test_trotter_orders_converge_at_their_rates():
@@ -154,7 +153,7 @@ def test_choose_lcu_params_invariants():
         assert params.x < 1.0
         assert params.q % 2 == 0
         assert params.weights == segment_weights(tau, params.r, params.q)
-        assert params.alpha_segment == pytest.approx(sum(params.weights))
+        assert params.alpha_total == pytest.approx(sum(params.weights) ** params.r)
         assert params.alpha_total <= math.exp(tau * tau / params.r) + 1e-9
     with pytest.raises(ValueError):
         choose_lcu_params(2.0, 1, 1e-3, r_override=2)  # per-segment angle 1
@@ -197,7 +196,7 @@ def test_lcu_sample_mean_recovers_expected():
     acc = np.zeros_like(want)
     n_draws = 4000
     for _ in range(n_draws):
-        acc += lcu_sample(nh, params, rng).to_dense()
+        acc += sampled_dense(lcu_sample(nh, params, rng))
     got = params.alpha_total * acc / n_draws
     assert np.abs(got - want).max() < 0.05
     # every sampled segment count is even and weights are positive
@@ -221,7 +220,7 @@ def test_rotations_dense_matches_the_matmul_product():
                 items.append((PauliString(n, x, z), float(rng.uniform(-2, 2))))
         want = np.eye(1 << n, dtype=np.complex128)
         for axis, angle in items:
-            gate = axis.to_dense() if angle is None else rotation_dense(axis, angle)
+            gate = gate_dense(axis, angle)
             want = gate @ want
         np.testing.assert_allclose(rotations_dense(items, n), want, atol=1e-12)
 
@@ -235,7 +234,7 @@ def _lcu_sample_reference(nh, params, rng):
     picks = iter(np.atleast_1d(rng.choice(len(nh.probs), size=n_draws, p=nh.probs)))
     segments = []
     for k in (int(v) for v in ks):
-        word = PauliString.identity(nh.n).with_phase_exp(3 * k)
+        word = PauliString(nh.n, 0, 0, 3 * k % 4)
         for _ in range(k):
             word = pauli_mul(word, nh.term(int(next(picks)))[1])
         pm = nh.term(int(next(picks)))[1]
@@ -245,7 +244,7 @@ def _lcu_sample_reference(nh, params, rng):
 
 
 def test_lcu_sample_words_match_pauli_mul():
-    h3 = PauliSum.from_labels([(0.4, "XYZ"), (0.3, "-YYI"), (0.2, "ZXY"), (0.1, "-IZX")])
+    h3 = pauli_sum([(0.4, "XYZ"), (0.3, "-YYI"), (0.2, "ZXY"), (0.1, "-IZX")])
     for h in (H1, H2, h3):
         nh = normalize(h)
         params = choose_lcu_params(1.6, 1, 1e-6, r_override=2)  # x = 0.8: many words
@@ -260,7 +259,7 @@ def test_cached_cdf_draws_match_rng_choice():
     params = choose_lcu_params(1.6, 1, 1e-6, r_override=3)
     k_probs = np.array(params.weights) / np.sum(params.weights)
     rho = DensityMatrix.from_vector([0.3, 0.5j, -0.2, 0.7])
-    born = born_distribution(rho, Observable(PauliSum.from_labels([(0.6, "ZI"), (0.4, "XX")])))
+    born = born_distribution(rho, Observable(pauli_sum([(0.6, "ZI"), (0.4, "XX")])))
     for seed in range(2000):
         a, b = np.random.default_rng(seed), np.random.default_rng(seed)
         for size in (None, 7):

@@ -12,9 +12,9 @@ from collidesim import (
     amp_damp_interaction,
     amp_damp_jump,
     amp_damp_model,
-    benchmark_spec,
     expectation,
     field_hamiltonian,
+    lindblad_collision_spec,
     magnetization,
     tfim_hamiltonian,
     thermal_env_state,
@@ -96,7 +96,6 @@ def test_amp_damp_model_shapes():
     assert model.n == 3
     assert len(model.jumps) == 3
     for site, jump in enumerate(model.jumps):
-        assert jump.rate == 0.5
         assert jump.interaction.n == 4
         # jump operator acts on its own site only
         np.testing.assert_allclose(jump.op, amp_damp_jump(site, 0.5, 3), atol=0)
@@ -105,7 +104,8 @@ def test_amp_damp_model_shapes():
 
 
 def test_benchmark_spec_is_consistent():
-    model, spec = benchmark_spec(2, t=1.0, nu=3, J=1.0, h=0.1, gamma=1.0)
+    model = amp_damp_model(2, J=1.0, h=0.1, gamma=1.0)
+    spec = lindblad_collision_spec(model, t=1.0, nu=3)
     assert isinstance(spec, CollisionSpec)
     assert spec.n == model.n
     assert spec.K == 2 * 3

@@ -21,13 +21,16 @@ from collidesim import (
     Liouvillian,
     PauliSum,
     amp_damp_model,
+    exact_k_collision,
     expectation,
+    lindblad_collision_spec,
     lindblad_evolve,
     magnetization,
     spectral_norm,
     trace_distance,
     unitary_exact,
 )
+from dense_reference import pauli_sum
 
 
 def _rand_rho(rng, n):
@@ -56,7 +59,7 @@ def test_trace_distance_conventions():
 
 
 def test_unitary_exact_matches_expm():
-    h = PauliSum.from_labels([(0.8, "XZ"), (0.4, "-YI"), (0.3, "ZZ")])
+    h = pauli_sum([(0.8, "XZ"), (0.4, "-YI"), (0.3, "ZZ")])
     for tau in (0.0, 0.3, 2.1):
         np.testing.assert_allclose(
             unitary_exact(h, tau), expm(-1j * tau * h.to_dense()), atol=1e-12
@@ -64,21 +67,23 @@ def test_unitary_exact_matches_expm():
 
 
 def test_liouvillian_matches_term_by_term():
-    # vectorized generator vs the commutator/dissipator formula applied densely
+    # vectorized generator vs the commutator/dissipator formula applied densely;
+    # a thermal env (populations 3/4, 1/4 at omega = ln 3) pairs each jump A
+    # with sqrt(3/4) A and sqrt(1/4) A†
     rng = np.random.default_rng(55)
-    model = amp_damp_model(2, J=0.9, h=0.4, gamma=0.7)
-    liou = Liouvillian(model)
-    h = model.system_h.to_dense()
     rho = _rand_rho(rng, 2).data
-    want = -1j * (h @ rho - rho @ h)
-    for jump in model.jumps:
-        a = np.asarray(jump.op)
-        ada = a.conj().T @ a
-        want += a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada)
-    np.testing.assert_allclose(liou.apply(rho), want, atol=1e-12)
-    # the generator annihilates every fixed point's trace: columns sum to tr L[rho] = 0
-    assert np.abs(liou.apply(rho).trace()) < 1e-12
-    assert liou.gamma_bound() > 0
+    for omega, p0, p1 in ((math.inf, 1.0, 0.0), (math.log(3.0), 0.75, 0.25)):
+        model = amp_damp_model(2, J=0.9, h=0.4, gamma=0.7, omega=omega)
+        h = model.system_h.to_dense()
+        want = -1j * (h @ rho - rho @ h)
+        for jump in model.jumps:
+            for a in (math.sqrt(p0) * jump.op, math.sqrt(p1) * jump.op.conj().T):
+                ada = a.conj().T @ a
+                want += a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada)
+        got = (Liouvillian(model).matrix @ rho.reshape(-1)).reshape(rho.shape)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        # the generator preserves trace: tr L[rho] = 0
+        assert abs(got.trace()) < 1e-12
 
 
 def _kron_liouvillian(model):
@@ -197,6 +202,37 @@ def test_amplitude_damping_analytic():
         assert sz == pytest.approx(1.0 - 2.0 * math.exp(-t), abs=1e-9)
 
 
+def test_thermal_environment_relaxes_to_its_populations():
+    # single qubit, J = h = 0, env qubits in diag(p0, p1): the decay |1> -> |0>
+    # at rate gamma p0 and the excitation |0> -> |1> at rate gamma p1 relax
+    # <sz> to p0 - p1 = tanh(omega/2) at rate gamma; from |1>,
+    # <sz>(t) = tanh(omega/2) - (1 + tanh(omega/2)) e^{-gamma t}
+    gamma, omega = 0.7, 1.0
+    rho0 = DensityMatrix.basis(1, 1)
+    cold = lindblad_evolve(amp_damp_model(1, J=0.0, h=0.0, gamma=gamma), rho0, 1.5)
+    warm = lindblad_evolve(amp_damp_model(1, J=0.0, h=0.0, gamma=gamma, omega=omega), rho0, 1.5)
+    z = magnetization(1)
+    decay = math.exp(-gamma * 1.5)
+    assert expectation(cold, z) == pytest.approx(1.0 - 2.0 * decay, abs=1e-9)
+    want = math.tanh(omega / 2.0) - (1.0 + math.tanh(omega / 2.0)) * decay
+    assert expectation(warm, z) == pytest.approx(want, abs=1e-9)
+    assert expectation(cold, z) - expectation(warm, z) > 0.1
+
+
+def test_thermal_collisions_converge_to_the_oracle_at_first_order():
+    # the (m, nu) collision map of a finite-temperature chain approaches the
+    # oracle's e^{Lt} with a gap that falls 4x when nu grows 4x
+    model = amp_damp_model(2, J=1.0, h=0.1, gamma=1.0, omega=1.0)
+    rho0 = DensityMatrix.basis(2, 3)
+    truth = lindblad_evolve(model, rho0, 1.0)
+    gaps = [
+        trace_distance(exact_k_collision(lindblad_collision_spec(model, 1.0, nu), rho0), truth)
+        for nu in (64, 256)
+    ]
+    assert gaps[1] < 5e-4
+    assert 3.5 < gaps[0] / gaps[1] < 4.5
+
+
 def test_import_loads_no_ode_or_special_function_modules():
     # only Liouvillian and lindblad_evolve need scipy, and they import it
     # themselves; a serial estimate never needs the process pool either
@@ -235,7 +271,7 @@ def test_custom_jump_model():
     model = LindbladModel(
         1,
         PauliSum(1, []),
-        (JumpOp(math.sqrt(g) * z, PauliSum(2, []), g),),
+        (JumpOp(math.sqrt(g) * z, PauliSum(2, [])),),
     )
     plus = DensityMatrix.plus()
     out = lindblad_evolve(model, plus, 1.0)

@@ -1,10 +1,17 @@
-"""The package surface: every exported name is bound and star-importable."""
+"""The package surface: every exported name is bound, star-importable, and called."""
 
+import ast
 import os
+import re
 import subprocess
 import sys
+from collections import namedtuple
 
 import collidesim
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src", "collidesim")
+_PERFBENCH = os.path.join(_ROOT, "perfbench")
 
 
 def test_every_exported_name_is_bound():
@@ -22,3 +29,86 @@ def test_star_import_in_a_fresh_interpreter():
         timeout=120,
     )
     assert int(out.stdout) == len(collidesim.__all__)
+
+
+def _read(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        return fh.read()
+
+
+_SOURCES = {
+    name: _read(os.path.join(_SRC, name)).splitlines()
+    for name in sorted(os.listdir(_SRC))
+    if name.endswith(".py") and name != "__init__.py"
+}
+
+
+def _outside_words():
+    """Words of perfbench/*.py and of the README's code spans and blocks."""
+    words = set()
+    for name in sorted(os.listdir(_PERFBENCH)):
+        if name.endswith(".py"):
+            words |= set(re.findall(r"\w+", _read(os.path.join(_PERFBENCH, name))))
+    readme = _read(os.path.join(_ROOT, "README.md"))
+    for code in re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S):
+        words |= set(re.findall(r"\w+", code))
+    return words
+
+
+_Definition = namedtuple("_Definition", "module qualified name first last is_function")
+
+
+def _definitions():
+    """Every top-level def, class and assignment and every method in src/
+    but __init__.py; lines are 1-based and include decorators."""
+    out = []
+    for module, lines in _SOURCES.items():
+        for node in ast.parse("\n".join(lines)).body:
+            members = [("", node)]
+            if isinstance(node, ast.ClassDef):
+                members += [(node.name + ".", d) for d in node.body if isinstance(d, ast.FunctionDef)]
+            for owner, d in members:
+                if isinstance(d, (ast.FunctionDef, ast.ClassDef)):
+                    names = [d.name]
+                elif isinstance(d, ast.Assign):
+                    names = [t.id for t in d.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                first = min([d.lineno] + [x.lineno for x in getattr(d, "decorator_list", [])])
+                is_function = isinstance(d, ast.FunctionDef)
+                out += [
+                    _Definition(module, owner + name, name, first, d.end_lineno, is_function)
+                    for name in names
+                ]
+    return out
+
+
+def _uncalled(defs):
+    """module:qualified name of each definition whose name no src/ line
+    outside the definition mentions (a def or class statement of the same
+    name is not a mention) and no word outside src/ is."""
+    outside = _outside_words()
+    missing = []
+    for d in defs:
+        word = re.compile(rf"\b{d.name}\b")
+        header = re.compile(rf"\s*(?:def|class)\s+{d.name}\b")
+        found = d.name in outside or any(
+            word.search(line) and not header.match(line)
+            for module, lines in _SOURCES.items()
+            for no, line in enumerate(lines, 1)
+            if not (module == d.module and d.first <= no <= d.last)
+        )
+        if not found:
+            missing.append(f"{d.module}:{d.qualified}")
+    return sorted(missing)
+
+
+def test_every_exported_name_has_a_caller():
+    # an alias export, with no definition of its own, is looked for on every line
+    top = {d.name: d for d in _definitions() if d.qualified == d.name}
+    exports = [top.get(name, _Definition("", name, name, 0, 0, False)) for name in collidesim.__all__]
+    assert _uncalled(exports) == []
+
+
+def test_every_public_function_and_method_has_a_caller():
+    assert _uncalled(d for d in _definitions() if d.is_function and not d.name.startswith("_")) == []

