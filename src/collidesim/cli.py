@@ -264,6 +264,9 @@ def build_config(mapping):
         ("model.gamma", cfg.gamma),
         ("model.omega", cfg.omega),
         ("model.env_omega", cfg.env_omega),
+        ("dynamics.dt", cfg.dt),
+        ("dynamics.length", cfg.overrides.get("length", 0)),
+        ("dynamics.q", cfg.overrides.get("q", 0)),
     ):
         if value < 0.0:
             raise ValueError(f"{key} must be >= 0, got {value}")
@@ -281,6 +284,8 @@ def build_config(mapping):
         raise ValueError(f"execution.t_override must be >= 0, got {cfg.t_override}")
     if cfg.compilations < 1:
         raise ValueError(f"execution.compilations must be >= 1, got {cfg.compilations}")
+    if cfg.overrides.get("c_r", 1.0) <= 0.0:
+        raise ValueError(f"dynamics.c_r must be > 0, got {cfg.overrides['c_r']}")
     if cfg.kind == "custom":
         for name, path in (
             ("model.system_file", cfg.system_file),

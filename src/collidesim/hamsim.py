@@ -329,7 +329,7 @@ def lcu_sample(nh, params, rng):
     axes = _signed_axes(nh)
     segments = []
     for k in ks.tolist():
-        # (-i)^k P_l1 ... P_lk on the masks, with pauli_mul's phase rule
+        # (-i)^k P_l1 ... P_lk, multiplied on the masks with exact phases
         wx = wz = 0
         phase = 3 * k
         for _ in range(k):

@@ -1,7 +1,8 @@
 """Benchmark models: transverse-field Ising system with per-site amplitude
 damping, thermal environment qubits, and the magnetization observable.
 
-Site indices are 0-based. Interaction sums live on n+1 qubits with the
+Site indices are 0-based. A jump is held once, as two Hermitian Pauli sums,
+never as a 2^n x 2^n matrix. Interaction sums live on n+1 qubits with the
 environment qubit appended last (qubit n), matching how collision programs
 stack a fresh env register below the system.
 """
@@ -13,8 +14,6 @@ import numpy as np
 
 from .pauli import PauliString, PauliSum
 from .states import DensityMatrix, Observable, tensor_append
-
-_SIGMA_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=np.complex128)  # |0><1|
 
 
 def tfim_hamiltonian(m, J=1.0, h=0.1, periodic=False):
@@ -52,32 +51,20 @@ def magnetization(m):
     return Observable(PauliSum(m, terms))
 
 
-def amp_damp_interaction(site, gamma, m):
-    """(sqrt(gamma)/2)(X_site X_env + Y_site Y_env) on m system + 1 env qubits.
-
-    Equals sqrt(gamma)(sigma^+_site sigma^-_env + h.c.), the exchange coupling
-    whose collision limit generates amplitude damping at rate gamma.
-    """
+def amp_damp_jump(site, gamma, m):
+    """sqrt(gamma) sigma^-_site = (sqrt(gamma)/2)(X_site + i Y_site) on m qubits, whose
+    coupling (sqrt(gamma)/2)(X_site X_env + Y_site Y_env) = sqrt(gamma)(sigma^+_site
+    sigma^-_env + h.c.) generates amplitude damping at rate gamma in the collision limit."""
     if not 0 <= site < m:
         raise ValueError(f"site {site} outside chain of {m}")
     if gamma < 0:
         raise ValueError("gamma must be >= 0")
     c = math.sqrt(gamma) / 2.0
-    xx = "".join("X" if q in (site, m) else "I" for q in range(m + 1))
-    yy = "".join("Y" if q in (site, m) else "I" for q in range(m + 1))
-    return PauliSum(
-        m + 1, [(c, PauliString.from_label(xx)), (c, PauliString.from_label(yy))]
+    x, y = ("".join(axis if q == site else "I" for q in range(m)) for axis in "XY")
+    return JumpOp(
+        PauliSum(m, [(c, PauliString.from_label(x))]),
+        PauliSum(m, [(c, PauliString.from_label(y))]),
     )
-
-
-def amp_damp_jump(site, gamma, n):
-    """Dense sqrt(gamma) sigma^- acting on the given site of n qubits."""
-    if not 0 <= site < n:
-        raise ValueError(f"site {site} outside register of {n}")
-    out = np.array([[1.0]], dtype=np.complex128)
-    for q in range(n):
-        out = np.kron(out, _SIGMA_MINUS if q == site else np.eye(2))
-    return math.sqrt(gamma) * out
 
 
 def thermal_env_state(omega):
@@ -107,12 +94,22 @@ class ThermalPrep:
 
 @dataclass(frozen=True)
 class JumpOp:
-    """One dissipation channel: the dense zero-temperature jump operator A
-    (rate folded in) and the Pauli-sum system-env coupling that realizes it
-    in collisions, the exchange coupling A x sigma^+_env + A† x sigma^-_env."""
+    """One dissipation channel, the zero-temperature jump operator
+    A = x_part + i y_part (rate folded in), with both parts Hermitian Pauli
+    sums on the system."""
 
-    op: np.ndarray
-    interaction: PauliSum
+    x_part: PauliSum
+    y_part: PauliSum
+
+    @property
+    def interaction(self):
+        """The system-env coupling that realizes the jump in collisions, on
+        n+1 qubits with the env last: the exchange coupling
+        A x sigma^+_env + A† x sigma^-_env = x_part x X_env + y_part x Y_env."""
+        n = self.x_part.n
+        terms = [(c, PauliString(n + 1, p.x << 1 | 1, p.z << 1 | env_z, p.phase_exp))
+                 for part, env_z in ((self.x_part, 0), (self.y_part, 1)) for c, p in part]
+        return PauliSum(n + 1, terms)
 
 
 @dataclass(frozen=True)
@@ -135,14 +132,13 @@ class LindbladModel:
             raise ValueError("need at least one jump channel")
         if self.system_h.n != self.n:
             raise ValueError("system Hamiltonian width mismatch")
+        if any(self.n != j.x_part.n or self.n != j.y_part.n for j in self.jumps):
+            raise ValueError("jump operator width mismatch")
 
 
 def amp_damp_model(m, J=1.0, h=0.1, gamma=1.0, omega=math.inf):
     """TFIM chain with uniform per-site amplitude damping (field-only at m=1)."""
     system_h = tfim_hamiltonian(m, J, h) if m >= 2 else field_hamiltonian(m, h)
-    jumps = tuple(
-        JumpOp(amp_damp_jump(site, gamma, m), amp_damp_interaction(site, gamma, m))
-        for site in range(m)
-    )
+    jumps = tuple(amp_damp_jump(site, gamma, m) for site in range(m))
     return LindbladModel(m, system_h, jumps, env_omega=omega)
 

@@ -21,9 +21,9 @@ with the pair sqrt(p0) A_j and sqrt(p1) A_j†, and the sums run over both.
 lindblad_evolve applies e^{Lt} to vec(rho0) (Al-Mohy & Higham, SIAM J. Sci.
 Comput. 33, 2011) and never forms the 4^n x 4^n exponential.
 
-The Liouvillian is guarded by what the oracle stores, counted before any
-sparse build from the 2^n x 2^n Heff and jump operators the build reads
-anyway (d = 2^n):
+The Liouvillian is guarded by what the oracle stores, counted from the
+nonzeros of Heff and the A_j, held as CSR matrices built from their Pauli
+terms (PauliSum.entries) without any dense 2^n x 2^n array (d = 2^n):
 
     2 d nnz(Heff) + sum_j nnz(A_j)^2 + 8 * 4^n
 
@@ -78,25 +78,27 @@ class Liouvillian:
     one per jump (two per jump of a thermal environment)."""
 
     def __init__(self, model):
+        from scipy import sparse
+
         dim = 1 << model.n
-        h = model.system_h.to_dense()
-        jumps = [np.asarray(jump.op, dtype=np.complex128) for jump in model.jumps]
+
+        def csr(h):
+            return sparse.csr_array(h.entries(), shape=(dim, dim))
+
+        jumps = [csr(jump.x_part) + 1j * csr(jump.y_part) for jump in model.jumps]
         p0, p1 = thermal_env_state(model.env_omega).data.diagonal().real
         if p1 > 0.0:  # a thermal env also drives each jump's adjoint
             jumps = [math.sqrt(p0) * a for a in jumps] + [math.sqrt(p1) * a.conj().T for a in jumps]
-        heff = -1j * h - 0.5 * sum(a.conj().T @ a for a in jumps)
+        heff = -1j * csr(model.system_h) - 0.5 * sum(a.conj().T @ a for a in jumps)
+        for a in jumps + [heff]:
+            a.eliminate_zeros()
         check_entries(
-            2 * dim * np.count_nonzero(heff)
-            + sum(np.count_nonzero(a) ** 2 for a in jumps)
-            + _WORK_VECTORS * dim * dim,
+            2 * dim * heff.nnz + sum(a.nnz**2 for a in jumps) + _WORK_VECTORS * dim * dim,
             f"the {model.n}-qubit Liouvillian",
         )
-        from scipy import sparse
-
         eye = sparse.eye_array(dim, dtype=np.complex128, format="csr")
-        heff = sparse.csr_array(heff)
         mat = sparse.kron(heff, eye, format="csr") + sparse.kron(eye, heff.conj(), format="csr")
-        for a in map(sparse.csr_array, jumps):
+        for a in jumps:
             mat += sparse.kron(a, a.conj(), format="csr")
         self.n = model.n
         self.matrix = mat

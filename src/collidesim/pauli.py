@@ -127,17 +127,6 @@ class PauliString:
         return out
 
 
-def pauli_mul(a, b):
-    """Exact product of two Pauli words (same register width)."""
-    if a.n != b.n:
-        raise ValueError("width mismatch")
-    x = a.x ^ b.x
-    z = a.z ^ b.z
-    n_y_c = _popcount(x & z)
-    k = a.phase_exp + b.phase_exp + a.n_y + b.n_y - n_y_c + 2 * _popcount(a.z & b.x)
-    return PauliString(a.n, x, z, k % 4)
-
-
 def embed_pauli(p, n_total, targets):
     """Lift a word onto the listed qubits of a wider register.
 
@@ -224,20 +213,29 @@ class PauliSum:
             [(c, embed_pauli(p, n_total, range(offset, offset + self.n))) for c, p in self.terms],
         )
 
-    def to_dense(self):
-        """The 2^n x 2^n matrix: every term's monomial (see PauliString.monomial),
-        scaled by its coefficient, scattered into one array in term order."""
-        check_dense(self.n)
+    def entries(self):
+        """(values, (rows, cols)) of the 2^n x 2^n matrix: a block of 2^n entries per
+        distinct X mask, summing its terms' monomials times coefficients in term order."""
         dim = 1 << self.n
-        out = np.zeros((dim, dim), dtype=np.complex128)
         cols = np.arange(dim, dtype=np.int64)
         coeffs = np.array([c for c, _ in self.terms])
-        x = np.array([p.x for _, p in self.terms], dtype=np.int64)[:, None]
+        masks, block = np.unique(np.array([p.x for _, p in self.terms], dtype=np.int64),
+                                 return_inverse=True)
         z = np.array([p.z for _, p in self.terms], dtype=np.int64)[:, None]
         phases = _I_POWERS[[(p.phase_exp + p.n_y) % 4 for _, p in self.terms]]
         signs = 1.0 - 2.0 * (np.bitwise_count(cols & z) & 1)
+        values = np.zeros(len(masks) * dim, dtype=np.complex128)
         # add.at is unbuffered and walks the terms in order, as a per-term sum would
-        np.add.at(out, (cols ^ x, cols), (coeffs * phases)[:, None] * signs)
+        slots = (block[:, None] * dim + cols).ravel()
+        np.add.at(values, slots, ((coeffs * phases)[:, None] * signs).ravel())
+        return values, ((cols ^ masks[:, None]).ravel(), np.tile(cols, len(masks)))
+
+    def to_dense(self):
+        """The 2^n x 2^n matrix, scattered from entries()."""
+        check_dense(self.n)
+        values, index = self.entries()
+        out = np.zeros((1 << self.n, 1 << self.n), dtype=np.complex128)
+        out[index] = values
         return out
 
     @classmethod

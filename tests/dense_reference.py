@@ -12,8 +12,10 @@ repeated `steps` times, with the cost rule of the circuits module docstring,
 and describe prints a program one op per line.
 
 sampled_dense and lcu_expected_dense are the dense forms of one sampled-LCU
-draw and of the Taylor factor its draws average to; memory_witness is the
-trace-distance revival that certifies non-Markovian backflow. pauli_sum and
+draw and of the Taylor factor its draws average to, and pauli_mul is the
+exact word product that lcu_sample's words are checked against;
+memory_witness is the trace-distance revival that certifies non-Markovian
+backflow. jump_dense is a jump operator's 2^n x 2^n matrix. pauli_sum and
 write_state build test inputs.
 """
 
@@ -185,6 +187,22 @@ def lcu_expected_dense(nh, params):
         fact *= j
         seg = seg + power / fact
     return np.linalg.matrix_power(seg, params.r)
+
+
+def pauli_mul(a, b):
+    """Exact product of two Pauli words (same register width)."""
+    if a.n != b.n:
+        raise ValueError("width mismatch")
+    x = a.x ^ b.x
+    z = a.z ^ b.z
+    n_y_c = (x & z).bit_count()
+    k = a.phase_exp + b.phase_exp + a.n_y + b.n_y - n_y_c + 2 * (a.z & b.x).bit_count()
+    return PauliString(a.n, x, z, k % 4)
+
+
+def jump_dense(jump):
+    """A = x_part + i y_part as a dense matrix."""
+    return jump.x_part.to_dense() + 1j * jump.y_part.to_dense()
 
 
 def memory_witness(nmspec, rho_a, rho_b):

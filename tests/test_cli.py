@@ -97,6 +97,11 @@ def test_build_config_defaults_and_overrides():
         {"model.gamma": "-1"},
         {"model.omega": "-1"},
         {"model.kind": "custom", "model.env_omega": "-1"},
+        {"dynamics.length": "-2"},
+        {"dynamics.c_r": "0"},
+        {"dynamics.c_r": "-1.5"},
+        {"dynamics.q": "-2"},
+        {"dynamics.dt": "-0.1"},
     ],
     ids=[
         "unknown-key",
@@ -126,6 +131,11 @@ def test_build_config_defaults_and_overrides():
         "negative-gamma",
         "negative-omega",
         "negative-env_omega",
+        "negative-length",
+        "zero-c_r",
+        "negative-c_r",
+        "negative-q",
+        "negative-dt",
     ],
 )
 def test_build_config_rejects(mapping):
@@ -328,6 +338,33 @@ def test_readme_config_resources_rows(tmp_path):
          "475883.39429032133", "8"],
         ["salcu", "1", "0.01", "2", "8", "1196.875", "704", "1.4375", "1900.875", "8"],
     ]
+
+
+def test_resources_at_m10_stays_small(tmp_path):
+    # the paper's 10-site chain: the model holds Pauli terms, not ten dense
+    # 1024 x 1024 jump matrices, so pricing qdrift and salcu stays well
+    # under 128 MiB of resident memory
+    path = tmp_path / "m10.cfg"
+    path.write_text(
+        "model.m = 10\ndynamics.nu = 10\ndynamics.backends = qdrift,salcu\n"
+        f"output.dir = {tmp_path}\n"
+    )
+    root = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import resource, sys; from collidesim.cli import main; "
+        "rc = main(['resources', '--config', sys.argv[1]]); "
+        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(path)],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    rc, maxrss_kib = out.stdout.split()[-2:]  # ru_maxrss is in KiB on Linux
+    assert rc == "0"
+    assert int(maxrss_kib) / 1024 < 128
+    rows = _read_csv(tmp_path / "resources.csv")
+    assert [r[0] for r in rows[1:]] == ["qdrift", "salcu"]
 
 
 def test_sweep_eps_reports_oracle_error(tmp_path):

@@ -24,9 +24,9 @@ from collidesim import (
 )
 from collidesim._draws import draw_index
 from collidesim.hamsim import Segment, _k_cdf, rotations_dense
-from collidesim.pauli import PauliString, pauli_mul
+from collidesim.pauli import PauliString
 from collidesim.states import born_distribution, born_draw
-from dense_reference import gate_dense, lcu_expected_dense, pauli_sum, sampled_dense
+from dense_reference import gate_dense, lcu_expected_dense, pauli_mul, pauli_sum, sampled_dense
 
 # XI and ZZ anticommute, so no product formula is exact here
 H2 = pauli_sum([(0.5, "XI"), (0.3, "-ZZ"), (0.2, "YX")])

@@ -9,7 +9,6 @@ from collidesim import (
     CollisionSpec,
     DensityMatrix,
     ThermalPrep,
-    amp_damp_interaction,
     amp_damp_jump,
     amp_damp_model,
     expectation,
@@ -19,6 +18,7 @@ from collidesim import (
     tfim_hamiltonian,
     thermal_env_state,
 )
+from dense_reference import jump_dense, pauli_sum
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
@@ -55,19 +55,26 @@ def test_magnetization_normalized():
 def test_amp_damp_interaction_is_exchange():
     # sqrt(g)(sigma+_site sigma-_env + h.c.) on system qubit 0, env appended
     g = 0.49
-    inter = amp_damp_interaction(0, g, 1)
+    inter = amp_damp_jump(0, g, 1).interaction
     sp = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |1><0|
     sm = sp.T.conj()
     want = math.sqrt(g) * (np.kron(sp, sm) + np.kron(sm, sp))
     np.testing.assert_allclose(inter.to_dense(), want, atol=1e-14)
+    # term for term, (sqrt(g)/2)(X_s X_env + Y_s Y_env) on every site
+    c = math.sqrt(g) / 2.0
+    for s, label in ((0, "{}II{}"), (1, "I{}I{}"), (2, "II{}{}")):
+        want = pauli_sum([(c, label.format("X", "X")), (c, label.format("Y", "Y"))])
+        assert amp_damp_jump(s, g, 3).interaction.terms == want.terms
     with pytest.raises(ValueError):
-        amp_damp_interaction(2, g, 2)
+        amp_damp_jump(2, g, 2)
+    with pytest.raises(ValueError):
+        amp_damp_jump(0, -g, 2)
 
 
 def test_amp_damp_jump_site_placement():
     j = amp_damp_jump(1, 1.0, 2)
     want = np.kron(np.eye(2), np.array([[0, 1], [0, 0]]))
-    np.testing.assert_allclose(j, want, atol=1e-15)
+    np.testing.assert_allclose(jump_dense(j), want, atol=1e-15)
 
 
 def test_thermal_env_state_values():
@@ -97,8 +104,11 @@ def test_amp_damp_model_shapes():
     assert len(model.jumps) == 3
     for site, jump in enumerate(model.jumps):
         assert jump.interaction.n == 4
-        # jump operator acts on its own site only
-        np.testing.assert_allclose(jump.op, amp_damp_jump(site, 0.5, 3), atol=0)
+        # jump operator acts on its own site only: sqrt(gamma) sigma^- there
+        want = np.eye(1)
+        for q in range(3):
+            want = np.kron(want, np.array([[0, math.sqrt(0.5)], [0, 0]]) if q == site else np.eye(2))
+        np.testing.assert_allclose(jump_dense(jump), want, atol=0)
     single = amp_damp_model(1, h=0.3)
     assert len(single.system_h) == 1
 

@@ -27,10 +27,11 @@ from collidesim import (
     lindblad_evolve,
     magnetization,
     spectral_norm,
+    thermal_env_state,
     trace_distance,
     unitary_exact,
 )
-from dense_reference import pauli_sum
+from dense_reference import jump_dense, pauli_sum
 
 
 def _rand_rho(rng, n):
@@ -76,8 +77,8 @@ def test_liouvillian_matches_term_by_term():
         model = amp_damp_model(2, J=0.9, h=0.4, gamma=0.7, omega=omega)
         h = model.system_h.to_dense()
         want = -1j * (h @ rho - rho @ h)
-        for jump in model.jumps:
-            for a in (math.sqrt(p0) * jump.op, math.sqrt(p1) * jump.op.conj().T):
+        for a in map(jump_dense, model.jumps):
+            for a in (math.sqrt(p0) * a, math.sqrt(p1) * a.conj().T):
                 ada = a.conj().T @ a
                 want += a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada)
         got = (Liouvillian(model).matrix @ rho.reshape(-1)).reshape(rho.shape)
@@ -87,16 +88,19 @@ def test_liouvillian_matches_term_by_term():
 
 
 def _kron_liouvillian(model):
-    """The generator summed term by term from 3m+2 Kronecker products."""
+    """The generator summed term by term from dense Kronecker products, with
+    each jump A paired as sqrt(p0) A, sqrt(p1) A† (p1 = 0 at omega = inf)."""
     dim = 1 << model.n
     eye = np.eye(dim, dtype=np.complex128)
     h = model.system_h.to_dense()
     mat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    p0, p1 = thermal_env_state(model.env_omega).data.diagonal().real
     for jump in model.jumps:
-        a = np.asarray(jump.op, dtype=np.complex128)
-        ada = a.conj().T @ a
-        mat += np.kron(a, a.conj())
-        mat -= 0.5 * (np.kron(ada, eye) + np.kron(eye, ada.T))
+        a = jump_dense(jump)
+        for b in (math.sqrt(p0) * a, math.sqrt(p1) * a.conj().T):
+            bdb = b.conj().T @ b
+            mat += np.kron(b, b.conj())
+            mat -= 0.5 * (np.kron(bdb, eye) + np.kron(eye, bdb.T))
     return mat
 
 
@@ -118,10 +122,10 @@ def test_liouvillian_is_sparse_with_the_kron_build_nonzeros():
 
 
 def test_liouvillian_nonzeros_stay_within_the_guard_count():
-    # the guard counts 2 d nnz(Heff) + sum_j nnz(A_j)^2 before building anything
+    # the guard counts 2 d nnz(Heff) + sum_j nnz(A_j)^2 before any Kronecker product
     for n in (1, 2, 3, 4, 5):
         model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
-        jumps = [np.asarray(jump.op) for jump in model.jumps]
+        jumps = [jump_dense(jump) for jump in model.jumps]
         heff = -1j * model.system_h.to_dense() - 0.5 * sum(a.conj().T @ a for a in jumps)
         counted = (2 << n) * np.count_nonzero(heff) + sum(np.count_nonzero(a) ** 2 for a in jumps)
         assert Liouvillian(model).matrix.nnz <= counted
@@ -139,17 +143,19 @@ def test_oracle_runs_m7_under_the_default_limit(monkeypatch):
 
 def test_oracle_guard_refuses_m10_before_building(monkeypatch):
     # at m = 10 the generator alone would store about 26M entries (over 400 MiB);
-    # the guard reads the 1024 x 1024 Heff and stops before any sparse build
+    # the model holds Pauli terms and the guard counts sparse Heff and jumps, so
+    # building the model and the refusal together stay under one dense
+    # 1024 x 1024 complex matrix
     monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "12")
-    model = amp_damp_model(10, J=1.0, h=0.1, gamma=1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(DenseLimitError, match="10-qubit Liouvillian"):
+        model = amp_damp_model(10, J=1.0, h=0.1, gamma=1.0)
+        with pytest.raises(DenseLimitError, match="10-qubit Liouvillian stores up to 34078720 "):
             Liouvillian(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * 16 * 4**10  # ten dense 1024 x 1024 complex matrices
+    assert peak < 16 * 4**10
 
 
 def test_sparse_oracle_matches_dense_generator_at_m5():
@@ -266,14 +272,32 @@ def test_evolution_preserves_state_structure():
 def test_custom_jump_model():
     # dephasing: L = sqrt(g) Z kills coherence at rate 2g, keeps populations
     g = 0.6
-    z = np.diag([1.0, -1.0]).astype(np.complex128)
-    # empty interaction: this model only feeds the dense oracle
-    model = LindbladModel(
-        1,
-        PauliSum(1, []),
-        (JumpOp(math.sqrt(g) * z, PauliSum(2, [])),),
-    )
+    jump = JumpOp(pauli_sum([(math.sqrt(g), "Z")]), PauliSum(1, []))
+    model = LindbladModel(1, PauliSum(1, []), (jump,))
+    # the collisions' coupling comes from the same jump: sqrt(g) Z x X_env
+    assert jump.interaction.terms == pauli_sum([(math.sqrt(g), "ZX")]).terms
+    with pytest.raises(ValueError, match="jump operator width"):
+        LindbladModel(1, PauliSum(1, []), (JumpOp(jump.x_part, PauliSum(2, [])),))
     plus = DensityMatrix.plus()
     out = lindblad_evolve(model, plus, 1.0)
     assert out.data[0, 0].real == pytest.approx(0.5, abs=1e-10)
     assert out.data[0, 1].real == pytest.approx(0.5 * math.exp(-2.0 * g), abs=1e-9)
+
+
+def test_custom_jump_with_both_parts_matches_kron_build():
+    # A = x_part + i y_part with non-commuting, multi-term parts on two qubits
+    h = pauli_sum([(0.7, "ZZ"), (0.3, "XI"), (0.2, "-IY")])
+    jumps = (
+        JumpOp(pauli_sum([(0.4, "XI"), (0.25, "-ZY")]), pauli_sum([(0.35, "YZ"), (0.1, "IX")])),
+        JumpOp(pauli_sum([(0.5, "IZ")]), pauli_sum([(0.3, "XX"), (0.2, "-YI")])),
+    )
+    for omega in (math.inf, math.log(3.0)):
+        model = LindbladModel(2, h, jumps, env_omega=omega)
+        got = Liouvillian(model).matrix.toarray()
+        np.testing.assert_allclose(got, _kron_liouvillian(model), rtol=0, atol=1e-14)
+    # the coupling is A x sigma^+_env + A† x sigma^-_env, env last
+    sp = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |1><0|
+    for jump in jumps:
+        a = jump_dense(jump)
+        want = np.kron(a, sp) + np.kron(a.conj().T, sp.conj().T)
+        np.testing.assert_allclose(jump.interaction.to_dense(), want, atol=1e-15)

@@ -1,10 +1,12 @@
 """The package surface: every exported name is bound, star-importable, and called."""
 
 import ast
+import io
 import os
 import re
 import subprocess
 import sys
+import tokenize
 from collections import namedtuple
 
 import collidesim
@@ -36,11 +38,26 @@ def _read(path):
         return fh.read()
 
 
+def _code_lines(text):
+    """The lines of a source text with every comment and string literal
+    blanked, so that only code can mention a name."""
+    lines = [list(line) for line in text.split("\n")]
+    for tok in tokenize.generate_tokens(io.StringIO(text).readline):
+        if tok.type in (tokenize.COMMENT, tokenize.STRING):
+            (first, start), (last, end) = tok.start, tok.end
+            for row in range(first, last + 1):
+                line = lines[row - 1]
+                lo, hi = start if row == first else 0, end if row == last else len(line)
+                line[lo:hi] = " " * (hi - lo)
+    return ["".join(line) for line in lines]
+
+
 _SOURCES = {
-    name: _read(os.path.join(_SRC, name)).splitlines()
+    name: _read(os.path.join(_SRC, name))
     for name in sorted(os.listdir(_SRC))
     if name.endswith(".py") and name != "__init__.py"
 }
+_CODE = {name: _code_lines(text) for name, text in _SOURCES.items()}
 
 
 def _outside_words():
@@ -62,8 +79,8 @@ def _definitions():
     """Every top-level def, class and assignment and every method in src/
     but __init__.py; lines are 1-based and include decorators."""
     out = []
-    for module, lines in _SOURCES.items():
-        for node in ast.parse("\n".join(lines)).body:
+    for module, text in _SOURCES.items():
+        for node in ast.parse(text).body:
             members = [("", node)]
             if isinstance(node, ast.ClassDef):
                 members += [(node.name + ".", d) for d in node.body if isinstance(d, ast.FunctionDef)]
@@ -84,9 +101,10 @@ def _definitions():
 
 
 def _uncalled(defs):
-    """module:qualified name of each definition whose name no src/ line
-    outside the definition mentions (a def or class statement of the same
-    name is not a mention) and no word outside src/ is."""
+    """module:qualified name of each definition whose name no code of a src/
+    line outside the definition mentions (a def or class statement of the
+    same name, a comment and a string literal are not mentions) and no word
+    outside src/ is."""
     outside = _outside_words()
     missing = []
     for d in defs:
@@ -94,7 +112,7 @@ def _uncalled(defs):
         header = re.compile(rf"\s*(?:def|class)\s+{d.name}\b")
         found = d.name in outside or any(
             word.search(line) and not header.match(line)
-            for module, lines in _SOURCES.items()
+            for module, lines in _CODE.items()
             for no, line in enumerate(lines, 1)
             if not (module == d.module and d.first <= no <= d.last)
         )

@@ -9,9 +9,8 @@ from collidesim import (
     PauliSum,
     embed_pauli,
     normalize,
-    pauli_mul,
 )
-from dense_reference import pauli_sum
+from dense_reference import pauli_mul, pauli_sum
 
 _I = np.eye(2, dtype=np.complex128)
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
