@@ -89,6 +89,8 @@ _CUSTOM_KEYS = (
     "model.interaction_file",
     "model.env_width",
     "model.env_omega",
+    "dynamics.collisions",
+    "dynamics.dt",
 )
 
 
@@ -622,7 +624,7 @@ def cmd_sweep(cfg, out_dir, axis, values):
 
 
 def cmd_validate(names=None):
-    from . import acceptance  # loads scipy.stats; no other command needs it
+    from . import acceptance  # only validate needs it and the modules it loads
 
     results = acceptance.run_all(names)
     all_ok = True

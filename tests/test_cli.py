@@ -5,8 +5,6 @@ import json
 import math
 import os
 import re
-import subprocess
-import sys
 
 import pytest
 
@@ -24,6 +22,7 @@ from collidesim import (
 )
 from collidesim.errors import NumericalError
 from collidesim.estimator import EstimateReport, resolve_plan
+from fresh_interpreter import run_child
 
 
 def test_parse_config_text():
@@ -92,7 +91,7 @@ def test_build_config_defaults_and_overrides():
         {"dynamics.t": "nan"},
         {"dynamics.t": "inf"},
         {"dynamics.t": "0"},
-        {"dynamics.dt": "nan"},
+        {"model.kind": "custom", "dynamics.dt": "nan"},
         {"dynamics.c_r": "inf"},
         {"model.gamma": "-1"},
         {"model.omega": "-1"},
@@ -101,7 +100,9 @@ def test_build_config_defaults_and_overrides():
         {"dynamics.c_r": "0"},
         {"dynamics.c_r": "-1.5"},
         {"dynamics.q": "-2"},
-        {"dynamics.dt": "-0.1"},
+        {"model.kind": "custom", "dynamics.dt": "-0.1"},
+        {"dynamics.dt": "0.3"},
+        {"dynamics.collisions": "7"},
     ],
     ids=[
         "unknown-key",
@@ -136,11 +137,29 @@ def test_build_config_defaults_and_overrides():
         "negative-c_r",
         "negative-q",
         "negative-dt",
+        "benchmark-dt",
+        "benchmark-collisions",
     ],
 )
 def test_build_config_rejects(mapping):
     with pytest.raises(ValueError):
         cli.build_config(mapping)
+
+
+def test_build_config_checks_dt_range_before_custom_files():
+    # a custom model's dt is range-checked with the config, ahead of its files
+    for value, message in (("nan", "must be a finite number"), ("-0.1", "must be >= 0")):
+        with pytest.raises(ValueError, match=f"dynamics.dt {message}"):
+            cli.build_config({"model.kind": "custom", "dynamics.dt": value})
+
+
+def test_benchmark_model_refuses_the_custom_collision_keys(tmp_path):
+    # the benchmark model takes its collisions from dynamics.nu; dt and
+    # collisions would otherwise be accepted and ignored
+    for extra in ("dynamics.dt = 0.3\n", "dynamics.collisions = 7\n"):
+        with pytest.raises(ValueError, match="custom model keys present"):
+            cli.load_config(_bench_cfg(tmp_path, extra))
+        assert cli.main(["resources", "--config", _bench_cfg(tmp_path, extra)]) == 1
 
 
 def test_build_config_names_a_negative_model_value():
@@ -349,20 +368,14 @@ def test_resources_at_m10_stays_small(tmp_path):
         "model.m = 10\ndynamics.nu = 10\ndynamics.backends = qdrift,salcu\n"
         f"output.dir = {tmp_path}\n"
     )
-    root = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
     code = (
-        "import resource, sys; from collidesim.cli import main; "
+        "from collidesim.cli import main; "
         "rc = main(['resources', '--config', sys.argv[1]]); "
-        "print(rc, resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)"
+        "print(rc, peak_mib())"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(path)],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    rc, maxrss_kib = out.stdout.split()[-2:]  # ru_maxrss is in KiB on Linux
+    rc, peak = run_child(code, path).split()[-2:]
     assert rc == "0"
-    assert int(maxrss_kib) / 1024 < 128
+    assert float(peak) < 128
     rows = _read_csv(tmp_path / "resources.csv")
     assert [r[0] for r in rows[1:]] == ["qdrift", "salcu"]
 
@@ -451,21 +464,32 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", cfg]) == 3
 
 
-def test_run_loads_no_scipy(tmp_path):
-    # only the Lindblad oracle and the release criteria need scipy
-    root = os.path.dirname(os.path.dirname(cli.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+def _loaded_scipy_modules(tmp_path, argv):
+    """Exit code and scipy modules of one command on the m = 2 config, run in
+    a fresh interpreter."""
     code = (
-        "import sys; from collidesim.cli import main; "
-        "rc = main(['run', '--config', sys.argv[1]]); "
-        "print(rc, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "from collidesim.cli import main; "
+        f"rc = main({argv!r} + ['--config', sys.argv[1]]); "
+        "print(rc, scipy_modules())"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, _bench_cfg(tmp_path)],
-        env=env, capture_output=True, text=True, check=True, timeout=120,
-    )
-    assert out.stdout.strip() == "0 []"
+    return run_child(code, _bench_cfg(tmp_path)).strip()
+
+
+def test_run_loads_no_scipy(tmp_path):
+    # only the release criteria (collidesim validate) need scipy
+    assert _loaded_scipy_modules(tmp_path, ["run"]) == "0 []"
     assert (tmp_path / "run.csv").exists()
+
+
+def test_oracle_and_sweep_load_no_scipy(tmp_path):
+    # the oracle and the sweep's oracle column evolve the state by the
+    # Liouvillian's action, with numpy alone
+    assert _loaded_scipy_modules(tmp_path, ["oracle"]) == "0 []"
+    assert _read_csv(tmp_path / "oracle.csv")[1][1]
+    argv = ["sweep", "--axis", "t", "--values", "0.25,0.5"]
+    assert _loaded_scipy_modules(tmp_path, argv) == "0 []"
+    rows = _read_csv(tmp_path / "sweep.csv")
+    assert all(row[rows[0].index("oracle")] for row in rows[1:])
 
 
 def test_run_csv_is_independent_of_workers(tmp_path):

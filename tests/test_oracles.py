@@ -1,24 +1,21 @@
 """Dense reference machinery: norms, exponentials, Liouvillian evolution."""
 
 import math
-import os
-import subprocess
-import sys
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
-from scipy import sparse
 from scipy.linalg import expm
 from scipy.sparse.linalg import expm_multiply
 
-import collidesim
 from collidesim import (
     DenseLimitError,
     DensityMatrix,
     JumpOp,
     LindbladModel,
     Liouvillian,
+    NumericalError,
     PauliSum,
     amp_damp_model,
     exact_k_collision,
@@ -31,7 +28,9 @@ from collidesim import (
     trace_distance,
     unitary_exact,
 )
+from collidesim import oracles
 from dense_reference import jump_dense, pauli_sum
+from fresh_interpreter import run_child
 
 
 def _rand_rho(rng, n):
@@ -67,8 +66,14 @@ def test_unitary_exact_matches_expm():
         )
 
 
+def _act(liou, x):
+    """L[x] for a Hermitian x, through the Liouvillian's action."""
+    x = np.ascontiguousarray(x, dtype=np.complex128)
+    return liou.apply(x, np.empty_like(x), np.empty_like(x))
+
+
 def test_liouvillian_matches_term_by_term():
-    # vectorized generator vs the commutator/dissipator formula applied densely;
+    # the action vs the commutator/dissipator formula applied densely;
     # a thermal env (populations 3/4, 1/4 at omega = ln 3) pairs each jump A
     # with sqrt(3/4) A and sqrt(1/4) A†
     rng = np.random.default_rng(55)
@@ -81,7 +86,7 @@ def test_liouvillian_matches_term_by_term():
             for a in (math.sqrt(p0) * a, math.sqrt(p1) * a.conj().T):
                 ada = a.conj().T @ a
                 want += a @ rho @ a.conj().T - 0.5 * (ada @ rho + rho @ ada)
-        got = (Liouvillian(model).matrix @ rho.reshape(-1)).reshape(rho.shape)
+        got = _act(Liouvillian(model), rho)
         np.testing.assert_allclose(got, want, atol=1e-12)
         # the generator preserves trace: tr L[rho] = 0
         assert abs(got.trace()) < 1e-12
@@ -104,31 +109,70 @@ def _kron_liouvillian(model):
     return mat
 
 
+def _hermitian_basis(dim):
+    """E_ii, E_ij + E_ji and i(E_ij - E_ji) for i < j: a real basis of the
+    Hermitian d x d matrices, so the action on it fixes the whole generator."""
+    for i in range(dim):
+        for j in range(i, dim):
+            for phase in (1.0, 1j) if i < j else (1.0,):
+                e = np.zeros((dim, dim), dtype=np.complex128)
+                e[i, j] = phase
+                e[j, i] = np.conj(phase)
+                yield e
+
+
+def _assert_action_matches_kron(model, atol):
+    liou, kron = Liouvillian(model), _kron_liouvillian(model)
+    dim = 1 << model.n
+    for e in _hermitian_basis(dim):
+        want = (kron @ e.reshape(-1)).reshape(dim, dim)
+        np.testing.assert_allclose(_act(liou, e), want, rtol=0, atol=atol)
+
+
 def test_liouvillian_matches_kron_build():
     for n in (1, 2, 3):
-        model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
-        np.testing.assert_allclose(
-            Liouvillian(model).matrix.toarray(), _kron_liouvillian(model), rtol=0, atol=1e-14
-        )
+        _assert_action_matches_kron(amp_damp_model(n, J=0.9, h=0.4, gamma=0.7), atol=1e-14)
 
 
-def test_liouvillian_is_sparse_with_the_kron_build_nonzeros():
-    for n in (1, 2, 3, 4):
-        model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
-        mat = Liouvillian(model).matrix
-        assert sparse.issparse(mat) and mat.format == "csr"
-        mat.eliminate_zeros()
-        assert mat.nnz == np.count_nonzero(_kron_liouvillian(model))
+def test_liouvillian_bound_covers_the_generator_norm():
+    # vec is an isometry of the Frobenius norm, so ||L|| is the spectral norm of the Kronecker build
+    for model in (
+        amp_damp_model(1, J=0.0, h=0.0, gamma=1.0),
+        amp_damp_model(2, J=0.9, h=0.4, gamma=0.7, omega=math.log(3.0)),
+        amp_damp_model(3, J=1.0, h=0.1, gamma=1.0),
+    ):
+        assert spectral_norm(_kron_liouvillian(model)) <= Liouvillian(model).bound
 
 
-def test_liouvillian_nonzeros_stay_within_the_guard_count():
-    # the guard counts 2 d nnz(Heff) + sum_j nnz(A_j)^2 before any Kronecker product
-    for n in (1, 2, 3, 4, 5):
-        model = amp_damp_model(n, J=0.9, h=0.4, gamma=0.7)
-        jumps = [jump_dense(jump) for jump in model.jumps]
-        heff = -1j * model.system_h.to_dense() - 0.5 * sum(a.conj().T @ a for a in jumps)
-        counted = (2 << n) * np.count_nonzero(heff) + sum(np.count_nonzero(a) ** 2 for a in jumps)
-        assert Liouvillian(model).matrix.nnz <= counted
+def test_taylor_degree_cap_is_the_first_that_bounds_the_tail():
+    # by degree K the tail bound theta^(K+1) / (K! (K + 1 - theta)) is under half the unit roundoff
+    def tail(k):
+        return oracles._THETA ** (k + 1) / (math.factorial(k) * (k + 1 - oracles._THETA))
+
+    cap = oracles._DEGREE_CAP
+    assert tail(cap) <= 2.0**-54 < tail(cap - 1)
+
+
+def test_unconverged_taylor_step_is_a_numerical_error(monkeypatch):
+    monkeypatch.setattr(oracles, "_DEGREE_CAP", 3)
+    model = amp_damp_model(2, J=1.0, h=0.1, gamma=1.0)
+    with pytest.raises(NumericalError, match="did not converge by degree 3"):
+        lindblad_evolve(model, DensityMatrix.basis(2, 0), 1.0)
+
+
+def test_lindblad_evolve_rejects_a_non_hermitian_state():
+    # the action computes X Heff† as (Heff X)†, which holds for a Hermitian X only
+    model = amp_damp_model(1, J=0.0, h=0.3, gamma=1.0)
+    rho = np.array([[0.5, 0.5], [0.0, 0.5]], dtype=np.complex128)
+    with pytest.raises(ValueError, match="not Hermitian"):
+        lindblad_evolve(model, rho, 1.0)
+
+
+def test_lindblad_evolve_rejects_a_non_finite_time():
+    model = amp_damp_model(1, J=0.0, h=0.3, gamma=1.0)
+    for t in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="t must be finite"):
+            lindblad_evolve(model, DensityMatrix.basis(1, 0), t)
 
 
 def test_oracle_runs_m7_under_the_default_limit(monkeypatch):
@@ -141,16 +185,17 @@ def test_oracle_runs_m7_under_the_default_limit(monkeypatch):
     assert expectation(out, magnetization(7)) == pytest.approx(want, abs=1e-9)
 
 
-def test_oracle_guard_refuses_m10_before_building(monkeypatch):
-    # at m = 10 the generator alone would store about 26M entries (over 400 MiB);
-    # the model holds Pauli terms and the guard counts sparse Heff and jumps, so
-    # building the model and the refusal together stay under one dense
-    # 1024 x 1024 complex matrix
+def test_oracle_guard_refuses_m11_before_building(monkeypatch):
+    # at m = 11 the four 2048 x 2048 work arrays alone fill a dense 12-qubit
+    # matrix (256 MiB); the model holds Pauli terms and the guard counts the
+    # mask vectors and the work arrays before allocating either, so building
+    # the model and the refusal together stay under one dense 1024 x 1024
+    # complex matrix
     monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "12")
     tracemalloc.start()
     try:
-        model = amp_damp_model(10, J=1.0, h=0.1, gamma=1.0)
-        with pytest.raises(DenseLimitError, match="10-qubit Liouvillian stores up to 34078720 "):
+        model = amp_damp_model(11, J=1.0, h=0.1, gamma=1.0)
+        with pytest.raises(DenseLimitError, match="11-qubit Liouvillian stores up to 16848896 "):
             Liouvillian(model)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -166,34 +211,62 @@ def test_sparse_oracle_matches_dense_generator_at_m5():
     np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
 
-def test_oracle_memory_stays_near_the_nonzeros_at_m6():
-    # a dense 4096 x 4096 generator alone is 256 MiB; the CSR one with its
-    # 4^6 vectors needs a few MiB. scipy is loaded first, so that the rise
-    # counts the oracle and not the import the oracle makes on first use
-    root = os.path.dirname(os.path.dirname(collidesim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+def _evolve_peak_rise_mib(m):
+    """Rise of a fresh interpreter's own peak resident memory over one
+    lindblad_evolve on the m-site chain."""
     code = (
-        "import resource, scipy.sparse.linalg, collidesim as cs; "
-        "model = cs.amp_damp_model(6, J=1.0, h=0.1, gamma=1.0); "
-        "rho0 = cs.DensityMatrix.basis(6, 0); "
-        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss; "
+        "import collidesim as cs; "
+        f"model = cs.amp_damp_model({m}, J=1.0, h=0.1, gamma=1.0); "
+        f"rho0 = cs.DensityMatrix.basis({m}, 0); "
+        "before = peak_mib(); "
         "cs.lindblad_evolve(model, rho0, 1.0); "
-        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)"
+        "print(peak_mib() - before)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    rise_mib = int(out.stdout.strip()) / 1024  # ru_maxrss is in KiB on Linux
-    assert rise_mib < 64
+    return float(run_child(code))
+
+
+def test_oracle_memory_stays_near_the_nonzeros_at_m6():
+    # a dense 4096 x 4096 generator alone is 256 MiB; the action holds four
+    # 64 x 64 work arrays and a few mask vectors
+    assert _evolve_peak_rise_mib(6) < 64
+
+
+def test_oracle_memory_stays_small_at_m8():
+    # four 256 x 256 complex work arrays are 4 MiB; a generator-sized copy of
+    # the m = 8 Liouvillian, sparse or not, would be far more
+    assert _evolve_peak_rise_mib(8) < 32
+
+
+@pytest.mark.parametrize("m", [5, 6])
+def test_oracle_guard_count_covers_the_traced_peak(monkeypatch, m):
+    # the count is read from the guard's own refusal under a 1-qubit limit,
+    # and bounds, at 16 bytes an entry, all that building the Liouvillian and
+    # evolving with it hold at once
+    model = amp_damp_model(m, J=1.0, h=0.1, gamma=1.0)
+    rho0 = DensityMatrix.basis(m, 0)
+    monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "1")
+    with pytest.raises(DenseLimitError) as refusal:
+        Liouvillian(model)
+    counted = int(re.search(r"stores up to (\d+) entries", str(refusal.value)).group(1))
+    monkeypatch.delenv("COLLIDESIM_DENSE_LIMIT")
+    lindblad_evolve(model, rho0, 1.0)  # fills the index caches the oracle keeps
+    tracemalloc.start()
+    try:
+        lindblad_evolve(model, rho0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert 4 * 16 * 4**m <= peak <= 16 * counted
 
 
 def test_expm_path_matches_dense_exponential():
     rng = np.random.default_rng(59)
     for n in (1, 2, 3):
-        liou = Liouvillian(amp_damp_model(n, J=1.0, h=0.3, gamma=0.8))
+        model = amp_damp_model(n, J=1.0, h=0.3, gamma=0.8)
+        liou, kron = Liouvillian(model), _kron_liouvillian(model)
         rho = _rand_rho(rng, n)
         for t in (0.0, 0.1, 0.7, 2.5):
-            want = (expm(liou.matrix.toarray() * t) @ rho.data.reshape(-1)).reshape(rho.data.shape)
+            want = (expm(kron * t) @ rho.data.reshape(-1)).reshape(rho.data.shape)
             got = lindblad_evolve(liou, rho, t)
             np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
 
@@ -240,19 +313,24 @@ def test_thermal_collisions_converge_to_the_oracle_at_first_order():
 
 
 def test_import_loads_no_ode_or_special_function_modules():
-    # only Liouvillian and lindblad_evolve need scipy, and they import it
-    # themselves; a serial estimate never needs the process pool either
-    root = os.path.dirname(os.path.dirname(collidesim.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([root, os.environ.get("PYTHONPATH", "")]))
+    # only the release criteria (collidesim validate) need scipy, and the
+    # acceptance module is imported by that command alone; a serial estimate
+    # never needs the process pool either
     code = (
-        "import sys, collidesim; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' "
-        "or m == 'concurrent.futures.process'))"
+        "import collidesim; "
+        "print(scipy_modules(), 'concurrent.futures.process' in sys.modules)"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    assert run_child(code).strip() == "[] False"
+
+
+def test_oracle_loads_no_scipy():
+    code = (
+        "import collidesim as cs; "
+        "model = cs.amp_damp_model(3, J=1.0, h=0.1, gamma=1.0); "
+        "cs.lindblad_evolve(cs.Liouvillian(model), cs.DensityMatrix.basis(3, 0), 1.0); "
+        "print(scipy_modules())"
     )
-    assert out.stdout.strip() == "[]"
+    assert run_child(code).strip() == "[]"
 
 
 def test_evolution_preserves_state_structure():
@@ -292,9 +370,7 @@ def test_custom_jump_with_both_parts_matches_kron_build():
         JumpOp(pauli_sum([(0.5, "IZ")]), pauli_sum([(0.3, "XX"), (0.2, "-YI")])),
     )
     for omega in (math.inf, math.log(3.0)):
-        model = LindbladModel(2, h, jumps, env_omega=omega)
-        got = Liouvillian(model).matrix.toarray()
-        np.testing.assert_allclose(got, _kron_liouvillian(model), rtol=0, atol=1e-14)
+        _assert_action_matches_kron(LindbladModel(2, h, jumps, env_omega=omega), atol=1e-14)
     # the coupling is A x sigma^+_env + A† x sigma^-_env, env last
     sp = np.array([[0, 0], [1, 0]], dtype=np.complex128)  # |1><0|
     for jump in jumps:
