@@ -8,7 +8,8 @@ the detail strings.
 """
 
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import expm
@@ -39,6 +40,7 @@ class CriterionResult:
     name: str
     passed: bool
     detail: str
+    seconds: float = 0.0  # wall time of the check
 
 
 # ------------------------------------------------------------ shared helpers
@@ -475,7 +477,9 @@ CRITERIA = (
 def run_criterion(name):
     for key, fn in CRITERIA:
         if key == name:
-            return fn()
+            start = time.perf_counter()
+            result = fn()
+            return replace(result, seconds=time.perf_counter() - start)
     raise ValueError(f"unknown criterion {name!r}")
 
 

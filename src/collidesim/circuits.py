@@ -16,20 +16,26 @@ ancilla values), and an ancilla-controlled op multiplies a block on the
 side(s) whose ancilla value matches its polarity.
 
 Every collision of every backend is one `fragment` op on the collision's
-n+w targets: a one-step schedule of items repeated `steps` times, where an
-item is a rotation (bare axis, angle) or a Pauli word (word, None) with its
-phase. Only the ancilla can control a fragment; the fragment then acts only
-where the ancilla reads `polarity`. It executes as a single dense
-multiplication: the step unitary is built by hamsim.rotations_dense on the
-targets alone and raised to `steps`; an uncontrolled fragment conjugates
-every block, a controlled one multiplies each block on its matching side(s).
-Product formulas repeat their fragments across collisions and runs, so their
-unitary is memoized (hamsim.step_unitary); a `sampled` fragment (one qDRIFT
-or LCU draw) is built once for its run and never memoized. Besides
-fragments a program holds only the `prepare`, `trace` and `swap` ops of its
-env slots, so the circuit IR has four op kinds.
+n+w targets. A product-formula fragment is a one-step schedule of items
+repeated `steps` times, where an item is a rotation (bare axis, angle) or a
+Pauli word (word, None) with its phase. A sampled fragment (one qDRIFT or
+LCU draw) is its collision's hamsim.RotationTable plus `picks`, the indices
+of the drawn items in order, applied once. Only the ancilla can control a
+fragment; the fragment then acts only where the ancilla reads `polarity`.
+It executes as a single dense multiplication: the step unitary is built by
+hamsim.rotations_dense on the targets alone and raised to `steps`; an
+uncontrolled fragment conjugates every block, a controlled one multiplies
+each block on its matching side(s). Product formulas repeat their
+fragments across collisions and runs, so their unitary is memoized
+(hamsim.step_unitary); a sampled fragment is built once for its run and
+never memoized, but its table keeps each entry's action across the draws
+of an estimate. Besides fragments a program holds only the `prepare`,
+`trace` and `swap` ops of its env slots, so the circuit IR has four op
+kinds. Validation checks a table's entries as they enter it and a sampled
+fragment's picks by their range.
 
-CNOT accounting: a fragment costs `steps` times the sum of its items. A
+CNOT accounting: a fragment costs `steps` times the sum of its items; a
+sampled one prices each table entry once and weights it by its pick count. A
 weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the usual parity
 staircase, its controlled version adds 2 (controlled-Rz = 2 CNOTs + 2 Rz),
 a controlled weight-w Pauli word costs w, a controlled phase costs 0, a
@@ -41,8 +47,10 @@ parallelism credit.
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import states
-from .hamsim import rotations_dense, step_unitary
+from .hamsim import RotationTable, rotations_dense, step_unitary
 
 ANCILLA = -1
 PREP_CNOTS = 2  # one env preparation
@@ -60,26 +68,28 @@ class GateOp:
     slot: int | None = None
     slots: tuple | None = None
     prep: int | None = None  # preparer key for prepare ops (defaults to slot)
-    step: tuple = ()  # fragment ops: one step of (bare axis, angle) | (word, None), in order
+    step: tuple = ()  # fragment ops: one step of (bare axis, angle) | (word, None), in order,
+    # or the RotationTable a sampled fragment picks from
     steps: int = 1  # fragment ops: repetitions of the step
-    sampled: bool = False  # fragment ops: one random draw, never memoized
+    picks: tuple | None = None  # sampled fragments: indices into `step`, in order
 
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown op kind {self.kind!r}")
 
 
-def fragment_op(step, steps, targets, control=None, polarity=1, sampled=False):
+def fragment_op(step, steps, targets, control=None, polarity=1, picks=None):
     """`steps` repetitions of a one-step schedule of (bare axis, angle) and
-    (word, None) items, optionally controlled; `sampled` marks one random draw."""
+    (word, None) items, optionally controlled. With `picks`, one random draw:
+    step[picks[0]], step[picks[1]], ... applied once, never memoized."""
     return GateOp(
         "fragment",
         targets=tuple(targets),
         control=control,
         polarity=polarity,
-        step=tuple(step),
+        step=step if isinstance(step, RotationTable) else tuple(step),
         steps=int(steps),
-        sampled=sampled,
+        picks=None if picks is None else tuple(picks),
     )
 
 
@@ -136,9 +146,16 @@ class CircuitProgram:
                     raise ValueError("a fragment can be controlled only by the ancilla")
                 if op.steps < 1 or not op.step:
                     raise ValueError("fragment needs a non-empty step and steps >= 1")
-                if op.sampled and op.steps != 1:
-                    raise ValueError("a sampled fragment is one draw: steps must be 1")
+                if op.picks is not None:
+                    if op.steps != 1:
+                        raise ValueError("a sampled fragment is one draw: steps must be 1")
+                    if not op.picks or min(op.picks) < 0 or max(op.picks) >= len(op.step):
+                        raise ValueError("a sampled fragment needs picks in range(len(step))")
                 width = len(op.targets)
+                if isinstance(op.step, RotationTable):  # entries checked as they entered
+                    if op.step.n != width:
+                        raise ValueError("axis width != target count")
+                    continue
                 for axis, angle in op.step:
                     if axis.n != width:
                         raise ValueError("axis width != target count")
@@ -234,8 +251,8 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
 
 def _op_unitary(op):
     """Dense unitary of a fragment on its targets, memoized unless sampled."""
-    if op.sampled:
-        return rotations_dense(op.step, len(op.targets))
+    if op.picks is not None:
+        return rotations_dense(op.step, len(op.targets), op.picks)
     return step_unitary(op.step, op.steps)
 
 
@@ -287,12 +304,34 @@ def _items_cost(items, controlled):
     return cnot, rot, paulis
 
 
+def _entry_costs(entries, controlled):
+    """One row (cnots, rotations, Pauli gates) per entry, as an int array; a
+    RotationTable keeps its rows until it grows."""
+    kept = entries.costs if isinstance(entries, RotationTable) else {}
+    rows = kept.get(controlled)
+    if rows is None or len(rows) != len(entries):
+        rows = np.array([_items_cost((item,), controlled) for item in entries], dtype=np.int64)
+        kept[controlled] = rows
+    return rows
+
+
+def _picked_cost(entries, picks, controlled):
+    """(cnots, rotations, Pauli gates) of the items entries[picks[i]]: each
+    entry priced once, weighted by its pick count."""
+    rows = _entry_costs(entries, controlled)
+    return tuple((np.bincount(picks, minlength=len(rows)) @ rows).tolist())
+
+
 def count_resources(program):
-    """Gate costs of the program; a fragment costs its step's items `steps` times."""
+    """Gate costs of the program; a fragment costs its step's items `steps`
+    times, a sampled one its picked items."""
     cnot = rot = paulis = preps = 0
     for op in program.ops:
         if op.kind == "fragment":
-            c, r, p = _items_cost(op.step, op.control is not None)
+            if op.picks is None:
+                c, r, p = _items_cost(op.step, op.control is not None)
+            else:
+                c, r, p = _picked_cost(op.step, op.picks, op.control is not None)
             cnot += op.steps * c
             rot += op.steps * r
             paulis += op.steps * p

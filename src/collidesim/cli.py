@@ -455,16 +455,23 @@ def cmd_run(cfg, out_dir):
     return 0
 
 
+def _evolve_through(liou, rho0, times):
+    """(t, state at t) for increasing times, each state evolved from the last."""
+    state, now = rho0, 0.0
+    for t in times:
+        state = lindblad_evolve(liou, state, float(t) - now)
+        now = float(t)
+        yield now, state
+
+
 def cmd_oracle(cfg, out_dir):
     problem = build_problem(cfg)
     _write_nu_trace(out_dir, cfg, problem)
     rows = []
     if cfg.kind == "benchmark" and not cfg.nonmarkov:
         times = np.linspace(0.0, cfg.t, cfg.grid) if cfg.grid > 1 else [cfg.t]
-        liou = Liouvillian(problem.model)
-        for t in times:
-            val = expectation(lindblad_evolve(liou, problem.rho0, float(t)), problem.obs)
-            rows.append((float(t), val))
+        for t, state in _evolve_through(Liouvillian(problem.model), problem.rho0, times):
+            rows.append((t, expectation(state, problem.obs)))
     else:
         spec = problem.spec if cfg.nonmarkov else NonMarkovSpec(problem.spec, 0.0)
         base = spec.base
@@ -554,16 +561,17 @@ def cmd_sweep(cfg, out_dir, axis, values):
             build_config({**cfg.raw, f"dynamics.{axis}": value})
     h = cfg.config_hash()
     oracle_cache = {}
-    liou = None  # no swept axis changes the model, so one Liouvillian serves all
 
     def oracle_at(problem, t):
-        nonlocal liou
         if cfg.kind != "benchmark" or cfg.nonmarkov:
             return None
-        if t not in oracle_cache:
-            if liou is None:
-                liou = Liouvillian(problem.model)
-            oracle_cache[t] = expectation(lindblad_evolve(liou, problem.rho0, t), problem.obs)
+        if not oracle_cache:
+            # no swept axis changes the model or rho0: one pass through the
+            # sorted times gives every oracle value
+            times = sorted({float(v) for v in values}) if axis == "t" else [t]
+            liou = Liouvillian(problem.model)
+            for now, state in _evolve_through(liou, problem.rho0, times):
+                oracle_cache[now] = expectation(state, problem.obs)
         return oracle_cache[t]
 
     rows = []
@@ -632,6 +640,7 @@ def cmd_validate(names=None):
         tag = "PASS" if res.passed else "FAIL"
         all_ok = all_ok and res.passed
         print(f"{tag} {res.name}: {res.detail}")
+        print(f"{res.name}: {res.seconds:.2f} s", file=sys.stderr)
     return 0 if all_ok else 1
 
 

@@ -43,6 +43,7 @@ from .circuits import (
     GateOp,
     ResourceReport,
     _items_cost,
+    _picked_cost,
     fragment_op,
 )
 from .errors import NumericalError
@@ -390,32 +391,19 @@ def _collision_ops(spec, j, plan, rng, targets):
         step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
         return [fragment_op(step, param, targets)]
     if backend.kind == "qdrift":
-        rotations = hamsim.qdrift_rotations(nh, beta, spec.dt, param, rng)
-        return [fragment_op(rotations, 1, targets, sampled=True)]
+        draw = hamsim.qdrift_rotations(nh, beta, spec.dt, param, rng)
+        return [fragment_op(draw.table, 1, targets, picks=draw.picks)]
     if backend.kind == "salcu":
-        return [
-            fragment_op(
-                _lcu_items(hamsim.lcu_sample(nh, param, rng)),
-                1,
-                targets,
-                control=ANCILLA,
-                polarity=polarity,
-                sampled=True,
+        ops = []
+        for polarity in (1, 0):
+            draw = hamsim.lcu_sample(nh, param, rng)
+            ops.append(
+                fragment_op(
+                    draw.table, 1, targets, control=ANCILLA, polarity=polarity, picks=draw.picks
+                )
             )
-            for polarity in (1, 0)
-        ]
+        return ops
     raise ValueError(f"no collision gates for backend {backend.kind!r}")
-
-
-def _lcu_items(su):
-    """Fragment items of a sampled unitary: per segment the rotation, then
-    the word unless it is +I."""
-    items = []
-    for seg in su.segments:
-        items.append((seg.axis, seg.angle))
-        if not (seg.word.is_identity_axes() and seg.word.phase_exp == 0):
-            items.append((seg.word, None))
-    return items
 
 
 def markov_program(spec, backend, budget=None, rng=None, plan=None):
@@ -582,7 +570,8 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
             else:
                 acc = np.zeros(3)
                 for _ in range(2 * lcu_samples):  # the X and Y draw of each sample
-                    acc += _items_cost(_lcu_items(hamsim.lcu_sample(nh, param, rng)), True)
+                    draw = hamsim.lcu_sample(nh, param, rng)
+                    acc += _picked_cost(draw.table, draw.picks, True)
                 per_unique[u] = tuple(acc / lcu_samples)
         dc, dr, dp = per_unique[u]
         cnot += dc

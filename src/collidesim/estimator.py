@@ -22,6 +22,10 @@ statistical error, so it runs once with the full eps on the approximation.
 
 Runs are seeded independently as SeedSequence((root_seed, run_index)), making
 results identical for any worker count; aggregation sums in run-index order.
+A shot run of a fixed program reads only the first double of its generator,
+so those runs take their doubles from one array pass over the run indices
+(_seeding.first_doubles) and their shots from one searchsorted per block;
+each such estimate first checks run 0 against numpy's generator.
 """
 
 import math
@@ -29,6 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._seeding import BLOCK, first_doubles
 from .circuits import ResourceReport, count_resources, execute
 from .collisions import (
     Budget,
@@ -40,10 +45,10 @@ from .collisions import (
     nonmarkov_program,
     parse_backend,
 )
+from .errors import NumericalError
 from .states import (
     Observable,
     born_distribution,
-    born_draw,
     born_sample,
     expectation,
     hadamard_expectation,
@@ -197,25 +202,51 @@ def _fixed_outcome(final, measured, measurement):
     return born_distribution(final, measured)
 
 
-def _run_block(spec, base, plan, rho0, measured, measurement, seed, indices, outcome):
-    """Sequential runs for the given indices; the parallel path ships this off.
+def _run_block(spec, base, plan, rho0, measured, measurement, seed, start, stop, outcome):
+    """Sequential runs start..stop-1; the parallel path ships this off.
 
-    With a fixed outcome given, each run only reads it (a shot draws from it
-    with the run's RNG); otherwise each run builds, executes and counts its
-    own program.
+    With a fixed outcome given, each run only reads it: a shot run draws its
+    eigenvalue with the first double of its generator, taken for a block of
+    runs at a time from first_doubles. Otherwise each run builds, executes
+    and counts its own program.
     """
-    mus = np.empty(len(indices))
+    mus = np.empty(stop - start)
     totals = ResourceReport()
-    for pos, k in enumerate(indices):
-        if outcome is not None:
-            analytic = measurement == "analytic"
-            mus[pos] = outcome if analytic else born_draw(outcome, _run_rng(seed, k))
-            continue
+    if outcome is not None:
+        if measurement == "analytic":
+            mus.fill(outcome)
+            return mus, totals
+        vals, _, cdf = outcome
+        for lo in range(start, stop, BLOCK):
+            hi = min(lo + BLOCK, stop)
+            picks = cdf.searchsorted(first_doubles(seed, lo, hi), side="right")
+            mus[lo - start : hi - start] = vals[picks]
+        return mus, totals
+    for pos, k in enumerate(range(start, stop)):
         rng = _run_rng(seed, k)
         program = _build_program(spec, base, plan, rng)
         mus[pos] = run_once(program, rho0, base.env_preparers(), measured, measurement, rng)
         totals = totals + count_resources(program)
     return mus, totals
+
+
+def _check_first_doubles(seed):
+    """Run 0's double from first_doubles must be its generator's own."""
+    want = _run_rng(seed, 0).random()
+    got = float(first_doubles(seed, 0, 1)[0])
+    if got != want:
+        raise NumericalError(
+            f"seeding pass gives {got!r} for run 0 of seed {seed}, numpy {want!r}"
+        )
+
+
+def _shared_floats(values):
+    """The values as a tuple of floats holding one float object per distinct
+    bit pattern: shot runs repeat a few eigenvalues, so a kept sample costs
+    its 8-byte slot rather than a float object of its own."""
+    bits, inverse = np.unique(values.view(np.uint64), return_inverse=True)
+    objects = bits.view(np.float64).tolist()
+    return tuple(map(objects.__getitem__, inverse.tolist()))
 
 
 def _block_worker(args):
@@ -269,15 +300,15 @@ def estimate(
     if run_independent:
         final = _fixed_final_state(spec, base, rho0, fixed)
         outcome = _fixed_outcome(final, measured, measurement)
-    indices = list(range(t_runs))
+        if measurement == "shot":
+            _check_first_doubles(seed)
     if workers > 1 and t_runs > 1:
         from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
 
-        chunks = np.array_split(indices, min(workers * 4, t_runs))
+        bounds = np.linspace(0, t_runs, min(workers * 4, t_runs) + 1).astype(int).tolist()
         args = [
-            (spec, base, plan, rho0, measured, measurement, seed, list(c), outcome)
-            for c in chunks
-            if len(c)
+            (spec, base, plan, rho0, measured, measurement, seed, lo, hi, outcome)
+            for lo, hi in zip(bounds, bounds[1:])
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_block_worker, args))
@@ -287,7 +318,7 @@ def estimate(
             totals = totals + r[1]
     else:
         mus, totals = _run_block(
-            spec, base, plan, rho0, measured, measurement, seed, indices, outcome
+            spec, base, plan, rho0, measured, measurement, seed, 0, t_runs, outcome
         )
     scaled = zeta**2 * mus
     mu = float(scaled.sum() / t_runs)
@@ -313,5 +344,5 @@ def estimate(
         seed=seed,
         resources_mean=res_mean,
         under_sampled=under_sampled,
-        samples=tuple(float(v) for v in scaled) if keep_samples else (),
+        samples=_shared_floats(scaled) if keep_samples else (),
     )

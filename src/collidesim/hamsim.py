@@ -22,6 +22,15 @@ within eps_prime of the exact exponential.
 rotations_dense is the one builder of a schedule's dense unitary on the
 collision's own qubits: the memoized Trotter step_unitary and every sampled
 qDRIFT or LCU fragment go through it.
+
+A sampled draw is a Draw: picks, an index tuple into its collision's
+RotationTable. The qDRIFT table holds one rotation per term; the LCU table
+holds the rotation of every (segment order, term) pair, then each word as
+it is first drawn. Tables are kept on the normalized sum (its `derived`
+dict), per compiler parameters, for as long as the sum lives, so all draws
+of an estimate share them, and rotations_dense keeps each entry's dense
+action on its table. A table's kept actions write one buffer, so a table is
+used by one thread at a time; estimates run in parallel as processes.
 """
 
 import math
@@ -36,33 +45,114 @@ from .pauli import PauliString
 from .states import _axis_action_rowform
 
 _EMPIRICAL_STEP_CAP = 1 << 22
+_EXPAND_DIM = 32  # tables up to this dimension hold full d x d row scales
+_EXPAND_ENTRIES = 64  # ... for their first entries: at most 1 MiB per table at d = 32
 
 
 def _term_sign(p):
     return 1.0 if p.phase_exp == 0 else -1.0
 
 
-def rotations_dense(items, n):
-    """Dense product of a schedule applied in list order (entry 0 first).
+class RotationTable:
+    """The items a collision's draws pick from, (bare axis, angle) or (word,
+    None), in a fixed order.
+
+    Append-only, so the picks of a draw stay valid as the table grows. Each
+    entry is checked as it enters: its width is the table's and a rotation
+    axis has phase +1. `costs` keeps the entries' gate prices by control
+    flag (circuits prices them), and rotations_dense keeps their actions.
+    """
+
+    def __init__(self, n, items=()):
+        self.n = n
+        self.items = []
+        self.costs = {}
+        self.work = None
+        for item in items:
+            self.append(item)
+
+    def append(self, item):
+        """Add an item; returns its index."""
+        axis, angle = item
+        if axis.n != self.n:
+            raise ValueError("axis width != table width")
+        if angle is not None and axis.phase_exp != 0:
+            raise ValueError("rotation axes must have phase +1")
+        self.items.append(item)
+        return len(self.items) - 1
+
+    def __len__(self):
+        return len(self.items)
+
+    def __getitem__(self, index):
+        return self.items[index]
+
+    def __getstate__(self):
+        # kept actions are views of the workspace buffer; a copy makes its own
+        return {**self.__dict__, "work": None}
+
+
+@dataclass(frozen=True)
+class Draw:
+    """One sampled schedule: item i is table[picks[i]]."""
+
+    table: RotationTable
+    picks: tuple
+
+    def __len__(self):
+        return len(self.picks)
+
+
+class _Workspace:
+    """The product buffer of rotations_dense, its row-flipped views and each
+    entry's action on them, made at the entry's first pick."""
+
+    def __init__(self, n, expand):
+        dim = 1 << n
+        self.out = np.empty((dim, dim), dtype=np.complex128)
+        self.moved = np.empty_like(self.out)
+        self.out_q = self.out.reshape((2,) * n + (dim,))
+        self.moved_q = self.moved.reshape(self.out_q.shape)
+        self.actions = []
+        self.expand = expand
+
+
+def rotations_dense(table, n, picks=None):
+    """Dense product of table[picks[0]], table[picks[1]], ... applied in that
+    order (the first pick first); with no picks, of the entries in order.
 
     An item (bare axis, angle) is the rotation e^{-i angle P}; an item
     (word, None) is the Pauli word itself, phase included. The product grows
     from the identity by one-sided updates U <- G U: row r of P U is row r^x
     of U times a per-row phase, read through a view of U whose qubit axes
     are reversed where x has a bit, so each item costs O(4^n), no gate is
-    made dense and no row is gathered. A draw repeats few distinct items, so
-    each distinct item's view, phases and cosine are made once per call.
+    made dense and no row is gathered.
+
+    Each entry's action (its cosine, flipped view and row scale) is made
+    once, at its first pick, and the picks are walked by index. A
+    RotationTable of dimension at most _EXPAND_DIM keeps its actions, on a
+    buffer of its own, across calls, and holds the row scales of its first
+    _EXPAND_ENTRIES entries as full d x d arrays: draws reuse entries, and a
+    contiguous multiply costs about half a (d, 1) broadcast at d = 32. Any
+    other table keeps (d, 1) scales and its actions for one call.
     """
     dim = 1 << n
-    out = np.eye(dim, dtype=np.complex128)
-    moved = np.empty_like(out)
-    out_q = out.reshape((2,) * n + (dim,))
-    moved_q = moved.reshape(out_q.shape)
-    actions = {}
-    for item in items:
-        action = actions.get(item)
+    kept = isinstance(table, RotationTable) and table.n == n and dim <= _EXPAND_DIM
+    if kept:
+        if table.work is None:
+            table.work = _Workspace(n, expand=True)
+        work = table.work
+    else:
+        work = _Workspace(n, expand=False)
+    out, moved, moved_q = work.out, work.moved, work.moved_q
+    out[...] = _identity(dim)
+    actions = work.actions
+    if len(actions) < len(table):
+        actions.extend([None] * (len(table) - len(actions)))
+    for i in range(len(table)) if picks is None else picks:
+        action = actions[i]
         if action is None:
-            action = actions[item] = _item_action(item, n, out_q)
+            action = actions[i] = _item_action(table[i], work, work.expand and i < _EXPAND_ENTRIES)
         cos, flipped, scale = action
         if flipped is None:  # diagonal: a per-row scale
             out *= scale
@@ -73,23 +163,41 @@ def rotations_dense(items, n):
             np.multiply(flipped, scale, out=moved_q)
             out *= cos
             out += moved
-    return out
+    return out.copy() if kept else out
 
 
-def _item_action(item, n, out_q):
-    """(cos(angle) or None for a word, row-flipped view of out_q or None
-    when the axis is diagonal, per-row scale) of one schedule item."""
+@lru_cache(maxsize=16)
+def _identity(dim):
+    eye = np.eye(dim, dtype=np.complex128)
+    eye.setflags(write=False)
+    return eye
+
+
+def _item_action(item, work, expand):
+    """(cos(angle) or None for a word, row-flipped view of the workspace
+    buffer or None when the axis is diagonal, per-row scale, as a full
+    array when `expand`) of one schedule item."""
     axis, angle = item
+    out_q = work.out_q
+    n = out_q.ndim - 1
     rows = _axis_action_rowform(n, axis.x, axis.z)
     if axis.x == 0:
         if angle is None:
-            return None, None, (axis.phase * rows)[:, None]
-        return None, None, (math.cos(angle) - (1j * math.sin(angle)) * rows)[:, None]
+            scale = (axis.phase * rows)[:, None]
+        else:
+            scale = (math.cos(angle) - (1j * math.sin(angle)) * rows)[:, None]
+        return None, None, _expanded(scale, work.out.shape) if expand else scale
     flipped = out_q[_row_flip(n, axis.x)]
     row_shape = out_q.shape[:-1] + (1,)
     if angle is None:
-        return None, flipped, (axis.phase * rows).reshape(row_shape)
-    return math.cos(angle), flipped, ((-1j * math.sin(angle)) * rows).reshape(row_shape)
+        cos, scale = None, (axis.phase * rows).reshape(row_shape)
+    else:
+        cos, scale = math.cos(angle), ((-1j * math.sin(angle)) * rows).reshape(row_shape)
+    return cos, flipped, _expanded(scale, out_q.shape) if expand else scale
+
+
+def _expanded(scale, shape):
+    return np.ascontiguousarray(np.broadcast_to(scale, shape))
 
 
 @lru_cache(maxsize=4096)
@@ -186,20 +294,32 @@ def choose_qdrift_length(beta, dt, eps_prime):
     return max(1, math.ceil(2.0 * (beta * dt) ** 2 / eps_prime))
 
 
-@lru_cache(maxsize=256)
+def _derived(nh, key, make):
+    """make(), kept on the normalized sum under key for as long as it lives."""
+    value = nh.derived.get(key)
+    if value is None:
+        value = nh.derived[key] = make()
+    return value
+
+
 def _signed_axes(nh):
     """Per term index: (bare axis, sign of the term's word), built once per sum."""
-    return tuple((p.bare(), _term_sign(p)) for _, p in nh.h.terms)
+    return _derived(nh, "axes", lambda: tuple((p.bare(), _term_sign(p)) for _, p in nh.h.terms))
 
 
 def qdrift_rotations(nh, beta, dt, length, rng):
-    """((bare axis, angle), ...): length draws l ~ p, each rotated by beta dt/N."""
+    """length draws l ~ p into the table of rotations (bare axis of term l,
+    its sign times beta dt/N)."""
     if length < 1:
         raise ValueError("length must be >= 1")
     base = beta * dt / length
-    table = tuple((axis, base * sign) for axis, sign in _signed_axes(nh))
+
+    def make():
+        return RotationTable(nh.n, ((axis, base * sign) for axis, sign in _signed_axes(nh)))
+
+    table = _derived(nh, ("qdrift", base), make)
     picks = np.atleast_1d(nh.sample_term(rng, size=length))
-    return tuple(table[l] for l in picks.tolist())
+    return Draw(table, tuple(picks.tolist()))
 
 
 # ------------------------------------------------------------- sampled LCU
@@ -312,28 +432,70 @@ class Segment:
     angle: float  # sign-folded phi_k = arctan(x/(k+1))
 
 
+class _LcuTable(RotationTable):
+    """The rotation (bare axis of term l, its sign times phi_k) of segment
+    order k at entry (k/2) L + l, L terms; then each word as first drawn."""
+
+    def __init__(self, nh, params):
+        axes = _signed_axes(nh)
+        super().__init__(
+            nh.n,
+            (
+                (axis, math.atan(params.x / (k + 1)) * sign)
+                for k in range(0, params.q + 1, 2)
+                for axis, sign in axes
+            ),
+        )
+        self.n_terms = len(axes)
+        self.n_rotations = len(self)
+        self.words = {}  # (x, z, phase_exp) -> entry
+
+
 @dataclass(frozen=True)
-class SampledUnitary:
-    n: int
-    segments: tuple
+class SampledUnitary(Draw):
+    """One LCU draw: per segment the pick of its rotation, then of its word
+    unless the word is +I."""
+
+    @property
+    def n(self):
+        return self.table.n
+
+    @property
+    def segments(self):
+        """The draw's Segments, read back from the picks."""
+        table, picks = self.table, self.picks
+        out = []
+        i = 0
+        while i < len(picks):
+            axis, angle = table[picks[i]]
+            k = 2 * (picks[i] // table.n_terms)
+            i += 1
+            word = _word(table.n, 0, 0, 0)
+            if i < len(picks) and picks[i] >= table.n_rotations:
+                word = table[picks[i]][0]
+                i += 1
+            out.append(Segment(k, word, axis, angle))
+        return tuple(out)
 
 
 def lcu_sample(nh, params, rng):
     """Draw one unitary whose mean over draws is Utilde / alpha_total, with
     Utilde the factor lcu_enumerate_dense enumerates."""
-    x = params.x
+    table = _derived(nh, params, lambda: _LcuTable(nh, params))
     ks = 2 * draw_index(_k_cdf(params.weights), rng, params.r)
     n_draws = int(ks.sum()) + params.r
-    picks = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)).tolist())
+    drawn = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)).tolist())
     terms = nh.h.terms
-    axes = _signed_axes(nh)
-    segments = []
+    picks = []
     for k in ks.tolist():
+        if not k:  # the word is +I: the rotation alone
+            picks.append(next(drawn))
+            continue
         # (-i)^k P_l1 ... P_lk, multiplied on the masks with exact phases
         wx = wz = 0
         phase = 3 * k
         for _ in range(k):
-            p = terms[next(picks)][1]
+            p = terms[next(drawn)][1]
             x2, z2 = wx ^ p.x, wz ^ p.z
             phase += (
                 p.phase_exp
@@ -343,10 +505,14 @@ def lcu_sample(nh, params, rng):
                 + 2 * (wz & p.x).bit_count()
             )
             wx, wz = x2, z2
-        axis, sign = axes[next(picks)]
-        phi = math.atan(x / (k + 1))
-        segments.append(Segment(k, _word(nh.n, wx, wz, phase % 4), axis, phi * sign))
-    return SampledUnitary(nh.n, tuple(segments))
+        picks.append((k // 2) * table.n_terms + next(drawn))
+        key = (wx, wz, phase % 4)
+        if key != (0, 0, 0):
+            entry = table.words.get(key)
+            if entry is None:
+                entry = table.words[key] = table.append((_word(nh.n, *key), None))
+            picks.append(entry)
+    return SampledUnitary(table, tuple(picks))
 
 
 @lru_cache(maxsize=4096)

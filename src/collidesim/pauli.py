@@ -273,6 +273,7 @@ class NormalizedPauliSum:
         # kill the float residue so draws read an exactly normalized distribution
         self.probs = self.probs / total
         self.cdf = cdf_of(self.probs)
+        self.derived = {}  # compiler data made from this sum (hamsim's draw tables)
 
     @property
     def n(self):

@@ -7,9 +7,11 @@ gate is a full-register matrix built with np.kron; a controlled gate is the
 block-diagonal |p><p| (x) U + |1-p><1-p| (x) I on [control] + targets, a
 trace is a partial trace and a swap a product of two-qubit swaps.
 
-count_items prices a program by walking each fragment's items, `step`
-repeated `steps` times, with the cost rule of the circuits module docstring,
-and describe prints a program one op per line.
+count_items prices a program by walking each fragment's items
+(fragment_items: `step` repeated `steps` times, or a sampled fragment's
+picks of its table) with the cost rule of the circuits module docstring
+(price_items), and describe prints a program one op per line.
+rotations_by_item is the bit-for-bit reference of hamsim.rotations_dense.
 
 sampled_dense and lcu_expected_dense are the dense forms of one sampled-LCU
 draw and of the Taylor factor its draws average to, and pauli_mul is the
@@ -19,12 +21,14 @@ backflow. jump_dense is a jump operator's 2^n x 2^n matrix. pauli_sum and
 write_state build test inputs.
 """
 
+import math
 import struct
 
 import numpy as np
 
 from collidesim import PauliString, PauliSum, exact_nonmarkov, trace_distance
 from collidesim.circuits import ANCILLA, PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
+from collidesim.states import _axis_action_rowform
 
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
 
@@ -58,6 +62,14 @@ def partial_trace(rho, qubits, n):
     dk, dt = 1 << len(keep), 1 << len(qubits)
     view = rho.reshape((2,) * (2 * n)).transpose(order + [n + q for q in order])
     return np.einsum("atbt->ab", view.reshape(dk, dt, dk, dt))
+
+
+def fragment_items(op):
+    """The items a fragment applies, in order: the entries its picks name,
+    or its step repeated `steps` times."""
+    if op.picks is not None:
+        return [op.step[i] for i in op.picks]
+    return list(op.step) * op.steps
 
 
 def execute_register(program, rho_system, env_preparers=None):
@@ -104,7 +116,7 @@ def execute_register(program, rho_system, env_preparers=None):
                 g = embed(_SWAP, (qa, qb), n) @ g
         else:  # fragment
             u = np.eye(1 << len(op.targets))
-            for axis, angle in op.step * op.steps:
+            for axis, angle in fragment_items(op):
                 u = gate_dense(axis, angle) @ u
             qubits = [phys(v) for v in op.targets]
             if op.control is not None:
@@ -113,6 +125,21 @@ def execute_register(program, rho_system, env_preparers=None):
             g = embed(u, qubits, n)
         rho = g @ rho @ g.conj().T
     return rho
+
+
+def price_items(items, ctl):
+    """(cnot, rotation, pauli_gate) of a list of items, walked one by one."""
+    cnot = rot = paulis = 0
+    for axis, angle in items:
+        if angle is None:
+            paulis += 1
+            cnot += axis.weight if ctl else 0
+        elif axis.weight:
+            cnot += 2 * (axis.weight - 1) + 2 * ctl
+            rot += 1 + ctl
+        else:
+            rot += ctl  # a controlled identity rotation is a phase kick
+    return cnot, rot, paulis
 
 
 def count_items(program):
@@ -125,17 +152,34 @@ def count_items(program):
         elif op.kind == "swap":
             cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
         elif op.kind == "fragment":
-            ctl = op.control is not None
-            for axis, angle in op.step * op.steps:
-                if angle is None:
-                    paulis += 1
-                    cnot += axis.weight if ctl else 0
-                elif axis.weight:
-                    cnot += 2 * (axis.weight - 1) + 2 * ctl
-                    rot += 1 + ctl
-                else:
-                    rot += ctl  # a controlled identity rotation is a phase kick
+            c, r, p = price_items(fragment_items(op), op.control is not None)
+            cnot, rot, paulis = cnot + c, rot + r, paulis + p
     return cnot, rot, paulis, cnot + rot, preps
+
+
+def rotations_by_item(items, n):
+    """The product of rotations_dense's one-sided updates, made item by item
+    with (d, 1) row scales and no action kept: its bit-for-bit reference."""
+    dim = 1 << n
+    out = np.eye(dim, dtype=np.complex128)
+    out_q = out.reshape((2,) * n + (dim,))
+    for axis, angle in items:
+        rows = _axis_action_rowform(n, axis.x, axis.z)
+        if axis.x == 0:
+            if angle is None:
+                out *= (axis.phase * rows)[:, None]
+            else:
+                out *= (math.cos(angle) - (1j * math.sin(angle)) * rows)[:, None]
+            continue
+        flip = tuple(slice(None, None, -1) if axis.x >> (n - 1 - q) & 1 else slice(None) for q in range(n))
+        row_shape = out_q.shape[:-1] + (1,)
+        if angle is None:
+            out_q[...] = (axis.phase * rows).reshape(row_shape) * out_q[flip]
+        else:
+            moved = out_q[flip] * ((-1j * math.sin(angle)) * rows).reshape(row_shape)
+            out *= math.cos(angle)
+            out += moved.reshape(dim, dim)
+    return out
 
 
 def describe(program):
@@ -152,7 +196,7 @@ def describe(program):
         if op.kind == "fragment":
             items = ", ".join(
                 axis.label() if angle is None else f"{axis.label()} {angle!r}"
-                for axis, angle in op.step
+                for axis, angle in (op.step if op.picks is None else fragment_items(op))
             )
             head = "fragment"
             if op.control is not None:

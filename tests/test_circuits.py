@@ -18,6 +18,7 @@ from collidesim import (
     execute,
     fragment_op,
 )
+from collidesim.hamsim import RotationTable
 from collidesim.states import join_blocks
 from dense_reference import count_items, describe, execute_register
 
@@ -321,7 +322,8 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
         (PauliString.from_label("YYX"), 0.17),
     )
     targets = (3, 0, 2)
-    frag = fragment_op(step, 1, targets, control=ANCILLA, polarity=polarity, sampled=True)
+    picks = range(len(step))
+    frag = fragment_op(step, 1, targets, control=ANCILLA, polarity=polarity, picks=picks)
 
     def program(gates):
         return CircuitProgram(
@@ -351,4 +353,47 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
         f"cfragment(anc={polarity}) 1 x [+XYZ 0.31, -iZXY, +ZIZ -0.2, -IZI, +YYX 0.17] on [3,0,2]"
     )
     with pytest.raises(ValueError):  # a sampled fragment is one draw
-        program((fragment_op(step, 2, targets, control=ANCILLA, sampled=True),))
+        program((fragment_op(step, 2, targets, control=ANCILLA, picks=picks),))
+
+
+def _table_program(step, picks, control=None):
+    op = fragment_op(step, 1, (0, 1), control=control, picks=picks)
+    return CircuitProgram(
+        1,
+        ancilla=control is not None,
+        env_widths=(1,),
+        ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0)),
+    )
+
+
+def test_picked_fragments_price_each_entry_by_its_pick_count():
+    rng = np.random.default_rng(71)
+    table = RotationTable(2, [
+        (PauliString.from_label("XY"), 0.3),  # weight 2 rotation
+        (PauliString.from_label("ZI"), -0.1),  # weight 1 rotation
+        (PauliString.from_label("II"), 0.2),  # identity rotation: a phase kick when controlled
+        (PauliString.from_label("-iZX"), None),  # phased word
+    ])
+    for control in (None, ANCILLA):
+        for size in (1, 7, 500):
+            picks = tuple(int(v) for v in rng.integers(0, len(table), size=size))
+            prog = _table_program(table, picks, control)
+            assert count_resources(prog).as_tuple() == count_items(prog)
+    # the table keeps one row of prices per entry and control flag, extended as it grows
+    assert set(table.costs) == {False, True}
+    table.append((PauliString.from_label("YY"), 0.4))
+    prog = _table_program(table, (4, 4, 0), ANCILLA)
+    assert count_resources(prog).as_tuple() == count_items(prog)
+
+
+def test_validate_checks_the_pick_range():
+    table = RotationTable(2, [(PauliString.from_label("XY"), 0.3), (PauliString.from_label("ZZ"), 0.1)])
+    _table_program(table, (0, 1, 1))
+    for bad in ((0, -1), (2,), (0, 1, 5), ()):
+        with pytest.raises(ValueError):
+            _table_program(table, bad)
+    narrow = RotationTable(1, [(PauliString.from_label("X"), 0.3)])
+    with pytest.raises(ValueError):  # a table as wide as the targets
+        _table_program(narrow, (0,))
+    with pytest.raises(ValueError):  # a draw is applied once
+        CircuitProgram(1, ops=(fragment_op(narrow, 2, (0,), picks=(0,)),))

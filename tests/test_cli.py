@@ -22,6 +22,7 @@ from collidesim import (
 )
 from collidesim.errors import NumericalError
 from collidesim.estimator import EstimateReport, resolve_plan
+from collidesim.oracles import Liouvillian
 from fresh_interpreter import run_child
 
 
@@ -272,6 +273,51 @@ def test_oracle_grid_csv_reproduces(tmp_path):
     assert (tmp_path / "oracle.csv").read_bytes() == first
 
 
+def _count_applies(monkeypatch):
+    calls = []
+    apply = Liouvillian.apply
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return apply(self, *args, **kwargs)
+
+    monkeypatch.setattr(Liouvillian, "apply", counted)
+    return calls
+
+
+def test_oracle_grid_evolves_each_time_from_the_last(tmp_path, monkeypatch):
+    calls = _count_applies(monkeypatch)
+    lindblad_evolve(amp_damp_model(3), DensityMatrix.basis(3, 0), 2.0)
+    endpoint = len(calls)
+    calls.clear()
+    cfg = tmp_path / "grid.cfg"
+    cfg.write_text(
+        "model.m = 3\ndynamics.t = 2.0\ndynamics.nu = 2\ndynamics.grid = 11\n"
+        f"output.dir = {tmp_path}\n"
+    )
+    assert cli.main(["oracle", "--config", str(cfg)]) == 0
+    # the endpoint's work plus a few Taylor terms per grid interval, where
+    # evolving every time from rho0 made about grid / 2 endpoints' worth
+    assert len(calls) <= endpoint + 8 * 10
+    rows = _read_csv(tmp_path / "oracle.csv")
+    model, obs, rho0 = amp_damp_model(3), magnetization(3), DensityMatrix.basis(3, 0)
+    for row in rows[1:]:
+        want = expectation(lindblad_evolve(model, rho0, float(row[0])), obs)
+        assert abs(float(row[1]) - want) <= 1e-12
+
+
+def test_sweep_t_evolves_its_sorted_times_once(tmp_path, monkeypatch):
+    calls = _count_applies(monkeypatch)
+    lindblad_evolve(amp_damp_model(2), DensityMatrix.basis(2, 0), 1.0)
+    endpoint = len(calls)
+    calls.clear()
+    cfg = _bench_cfg(tmp_path)
+    values = "1.0,0.25,0.75,0.5"
+    argv = ["sweep", "--config", cfg, "--axis", "t", "--values", values, "--backend", "trotter1"]
+    assert cli.main(argv) == 0
+    assert len(calls) <= endpoint + 8 * 4
+
+
 def _custom_files(tmp_path):
     (tmp_path / "system.txt").write_text("0.4 Z\n")
     (tmp_path / "env.txt").write_text("0.3 X\n")
@@ -436,6 +482,15 @@ def test_validate_only_runs_named_criterion(capsys):
     out = capsys.readouterr().out
     assert out.startswith("PASS nonmarkov-reductions")
     assert len(out.strip().splitlines()) == 1
+
+
+def test_validate_times_each_criterion_on_stderr(capsys):
+    assert cli.main(["validate", "--only", "nonmarkov-reductions,lindblad-convergence"]) == 0
+    captured = capsys.readouterr()
+    assert [line.split()[0] for line in captured.out.splitlines()] == ["PASS", "PASS"]
+    err = [line for line in captured.err.splitlines() if line.endswith(" s")]
+    assert [line.split(":")[0] for line in err] == ["nonmarkov-reductions", "lindblad-convergence"]
+    assert all(float(line.split()[-2]) >= 0 for line in err)
 
 
 def test_exit_codes(tmp_path, monkeypatch):

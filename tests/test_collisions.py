@@ -39,9 +39,17 @@ from collidesim import (
     trace_distance,
 )
 from collidesim import hamsim
+from collidesim.circuits import PREP_CNOTS
 from collidesim.pauli import NormalizedPauliSum
 from collidesim.states import join_blocks
-from dense_reference import count_items, execute_register, memory_witness, pauli_sum
+from dense_reference import (
+    count_items,
+    execute_register,
+    fragment_items,
+    memory_witness,
+    pauli_sum,
+    price_items,
+)
 
 
 def _prep(mat):
@@ -303,8 +311,8 @@ def test_qdrift_program_seed_determinism():
     assert a.ops != c.ops
     plan = markov_plan(spec, backend, budget)
     frags = [op for op in a.ops if op.kind == "fragment"]
-    assert [len(op.step) for op in frags] == list(plan.per_collision)
-    assert all(op.sampled and op.steps == 1 and op.control is None for op in frags)
+    assert [len(op.picks) for op in frags] == list(plan.per_collision)
+    assert all(op.picks is not None and op.steps == 1 and op.control is None for op in frags)
 
 
 def test_salcu_program_is_controlled_pair_protocol():
@@ -316,7 +324,7 @@ def test_salcu_program_is_controlled_pair_protocol():
     frags = [op for op in prog.ops if op.kind not in ("prepare", "trace")]
     assert all(op.kind == "fragment" and op.control == ANCILLA for op in frags)
     assert {op.polarity for op in frags} == {0, 1}
-    assert any(angle is not None for op in frags for _, angle in op.step)
+    assert any(angle is not None for op in frags for _, angle in fragment_items(op))
 
 
 def test_expected_resources_match_counted_programs():
@@ -352,6 +360,29 @@ def test_expected_resources_match_counted_programs():
         expected_resources(spec, parse_backend("exact"), budget)
     with pytest.raises(ValueError):
         markov_program(spec, parse_backend("exact"), budget)
+
+
+def test_expected_salcu_resources_price_the_expanded_draws():
+    # longer collisions in two segments each, so the draws carry words
+    base = _two_collision_spec()
+    spec = CollisionSpec(base.n, base.system_h, base.collisions, 0.6)
+    plan = markov_plan(spec, parse_backend("salcu", r=2), Budget(0.02, 1.0))
+    got = expected_resources(spec, None, None, seed=4, lcu_samples=6, plan=plan)
+    # the same draws, each priced by walking its items one by one
+    rng = np.random.default_rng(4)
+    cnot = rot = paulis = 0.0
+    per_unique = {}
+    for j, u in enumerate(spec.unique_index):
+        if u not in per_unique:
+            nh, _ = spec.joint(j)
+            acc = np.zeros(3)
+            for _ in range(12):
+                draw = hamsim.lcu_sample(nh, plan.per_collision[j], rng)
+                acc += price_items([draw.table[i] for i in draw.picks], True)
+            per_unique[u] = tuple(acc / 6)
+        cnot, rot, paulis = cnot + per_unique[u][0], rot + per_unique[u][1], paulis + per_unique[u][2]
+    cnot += PREP_CNOTS * spec.K
+    assert got.as_tuple() == (cnot, rot, paulis, cnot + rot, spec.K)
 
 
 def test_lindblad_collision_spec_scaling():
@@ -502,8 +533,8 @@ def test_sampled_fragments_match_gate_by_gate(backend, nonmarkov):
             prog = markov_program(spec, selector, budget, rng=draw)
         frags = [op for op in prog.ops if op.kind == "fragment"]
         per_collision = 2 if backend == "salcu" else 1
-        assert len(frags) == per_collision * spec.K and all(op.sampled for op in frags)
-        words += sum(angle is None for op in frags for _, angle in op.step)
+        assert len(frags) == per_collision * spec.K and all(op.picks for op in frags)
+        words += sum(angle is None for op in frags for _, angle in fragment_items(op))
         assert count_resources(prog).as_tuple() == count_items(prog)
         # against the dense register, the ancilla (salcu) held as a qubit
         want = execute_register(prog, rho, spec.env_preparers())

@@ -31,6 +31,7 @@ from collidesim import (
     required_precision,
 )
 from collidesim.acceptance import _random_collision
+from collidesim.errors import NumericalError
 from collidesim.estimator import measured_observable, run_once
 from dense_reference import count_items, execute_register, pauli_sum
 
@@ -220,6 +221,24 @@ def test_fixed_program_shots_match_a_per_run_loop(workers):
     assert rep.samples == tuple(float(v) for v in mus)
     assert rep.mu == float(mus.sum() / rep.t_runs)
     assert rep.stderr == float(mus.std(ddof=1) / math.sqrt(rep.t_runs))
+
+
+def test_a_seeding_pass_that_misses_numpy_at_run_0_is_a_numerical_failure(monkeypatch):
+    from collidesim import estimator
+
+    real = estimator.first_doubles
+
+    def off_by_one_ulp(seed, start, stop):
+        return np.nextafter(real(seed, start, stop), 2.0)
+
+    monkeypatch.setattr(estimator, "first_doubles", off_by_one_ulp)
+    rng = np.random.default_rng(5)
+    spec = CollisionSpec(1, pauli_sum([(0.3, "Z")]), (_random_collision(rng, 1, 1),), 0.3)
+    obs = Observable(PauliSum(1, [(1.0, PauliString.from_label("Z"))]))
+    with pytest.raises(NumericalError, match="run 0"):
+        estimate(spec, DensityMatrix.plus(), obs, "trotter1", 0.1, 0.1, seed=3, measurement="shot")
+    # an analytic readout of a fixed program draws nothing, so it is not checked
+    estimate(spec, DensityMatrix.plus(), obs, "trotter1", 0.1, 0.1, seed=3)
 
 
 def test_quickstart_cnot_counts_stay_pinned():

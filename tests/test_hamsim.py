@@ -23,10 +23,17 @@ from collidesim import (
     unitary_exact,
 )
 from collidesim._draws import draw_index
-from collidesim.hamsim import Segment, _k_cdf, rotations_dense
+from collidesim.hamsim import _EXPAND_DIM, RotationTable, Segment, _k_cdf, rotations_dense
 from collidesim.pauli import PauliString
 from collidesim.states import born_distribution, born_draw
-from dense_reference import gate_dense, lcu_expected_dense, pauli_mul, pauli_sum, sampled_dense
+from dense_reference import (
+    gate_dense,
+    lcu_expected_dense,
+    pauli_mul,
+    pauli_sum,
+    rotations_by_item,
+    sampled_dense,
+)
 
 # XI and ZZ anticommute, so no product formula is exact here
 H2 = pauli_sum([(0.5, "XI"), (0.3, "-ZZ"), (0.2, "YX")])
@@ -113,7 +120,8 @@ def test_qdrift_channel_is_unbiased():
     want = float(np.trace(z @ u_exact @ rho @ u_exact.conj().T).real)
     vals = []
     for _ in range(1500):
-        u = rotations_dense(qdrift_rotations(nh, nh.beta, beta_dt / nh.beta, length, rng), 1)
+        draw = qdrift_rotations(nh, nh.beta, beta_dt / nh.beta, length, rng)
+        u = rotations_dense(draw.table, 1, draw.picks)
         vals.append(float(np.trace(z @ u @ rho @ u.conj().T).real))
     vals = np.asarray(vals)
     tol = 1e-3 + 4 * vals.std() / math.sqrt(vals.size)
@@ -223,6 +231,69 @@ def test_rotations_dense_matches_the_matmul_product():
             gate = gate_dense(axis, angle)
             want = gate @ want
         np.testing.assert_allclose(rotations_dense(items, n), want, atol=1e-12)
+
+
+def _random_items(rng, n, count):
+    """Diagonal and non-diagonal rotations and phased words, as LCU tables hold."""
+    items = []
+    for _ in range(count):
+        x = 0 if rng.random() < 0.3 else int(rng.integers(0, 1 << n))
+        z = int(rng.integers(0, 1 << n))
+        if rng.random() < 0.3:
+            items.append((PauliString(n, x, z, int(rng.integers(0, 4))), None))
+        else:
+            items.append((PauliString(n, x, z), float(rng.uniform(-2, 2))))
+    return items
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rotations_dense_on_picks_is_the_item_product_bit_for_bit(n):
+    rng = np.random.default_rng(60 + n)
+    table = RotationTable(n, _random_items(rng, n, 9))
+    kept = (1 << n) <= _EXPAND_DIM
+    for count in (1, 5, 300):  # each entry once, and many times
+        picks = tuple(int(v) for v in rng.integers(0, len(table), size=count))
+        want = rotations_by_item([table[i] for i in picks], n)
+        got = rotations_dense(table, n, picks)
+        assert got.tobytes() == want.tobytes()
+        assert (table.work is not None) == kept  # actions kept on small tables only
+        # the same draw from a plain tuple, and the table's entries once each
+        assert rotations_dense(tuple(table.items), n, picks).tobytes() == want.tobytes()
+        once = rotations_by_item(table.items, n)
+        assert rotations_dense(table, n).tobytes() == once.tobytes()
+    # an entry appended after actions were kept, picked beside the old ones
+    fresh = table.append(_random_items(rng, n, 1)[0])
+    picks = (fresh, 0, fresh, 1)
+    want = rotations_by_item([table[i] for i in picks], n)
+    assert rotations_dense(table, n, picks).tobytes() == want.tobytes()
+
+
+def test_rotation_table_checks_entries_as_they_enter():
+    table = RotationTable(2)
+    with pytest.raises(ValueError):
+        table.append((PauliString.from_label("X"), 0.1))  # width
+    with pytest.raises(ValueError):
+        table.append((PauliString.from_label("-XX"), 0.1))  # phased rotation axis
+    assert table.append((PauliString.from_label("-iXY"), None)) == 0  # a word keeps its phase
+
+
+def test_draws_keep_what_the_benchmark_tracer_reads():
+    # perfbench counts len() of a qDRIFT draw, and segments plus non-identity
+    # words of an LCU draw, as the gates a sampler hands to emission
+    nh = normalize(H2)
+    draw = qdrift_rotations(nh, nh.beta, 0.3, 77, np.random.default_rng(3))
+    assert len(draw) == 77 == len(draw.picks)
+    params = choose_lcu_params(1.6, 1, 1e-6, r_override=2)
+    for seed in range(10):
+        su = lcu_sample(nh, params, np.random.default_rng(seed))
+        words = sum(1 for s in su.segments if not (s.word.is_identity_axes() and s.word.phase_exp == 0))
+        assert len(su.segments) + words == len(su.picks)
+        items = [su.table[i] for i in su.picks]
+        assert items == [
+            item
+            for seg in su.segments
+            for item in [(seg.axis, seg.angle)] + ([(seg.word, None)] if seg.word != PauliString(nh.n, 0, 0) else [])
+        ]
 
 
 def _lcu_sample_reference(nh, params, rng):
