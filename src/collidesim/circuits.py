@@ -22,17 +22,31 @@ Pauli word (word, None) with its phase. A sampled fragment (one qDRIFT or
 LCU draw) is its collision's hamsim.RotationTable plus `picks`, the indices
 of the drawn items in order, applied once. Only the ancilla can control a
 fragment; the fragment then acts only where the ancilla reads `polarity`.
-It executes as a single dense multiplication: the step unitary is built by
-hamsim.rotations_dense on the targets alone and raised to `steps`; an
-uncontrolled fragment conjugates every block, a controlled one multiplies
-each block on its matching side(s). Product formulas repeat their
-fragments across collisions and runs, so their unitary is memoized
-(hamsim.step_unitary); a sampled fragment is built once for its run and
-never memoized, but its table keeps each entry's action across the draws
-of an estimate. Besides fragments a program holds only the `prepare`,
-`trace` and `swap` ops of its env slots, so the circuit IR has four op
-kinds. Validation checks a table's entries as they enter it and a sampled
-fragment's picks by their range.
+Besides fragments a program holds only the `prepare`, `trace` and `swap`
+ops of its env slots, so the circuit IR has four op kinds. Validation checks
+a table's entries as they enter it and a sampled fragment's picks by their
+range.
+
+Execution. A Markov collision is a Kraus map on the system, so execute
+runs every window of the op sequence that is one: a `prepare` while no env
+slot is active, then fragments on the system and that slot in physical
+order, then the slot's `trace`. Every markov_program is made of such
+windows. With the env state's eigen-columns E = [sqrt(p_b) e_b]
+(states.kraus_start, memoized on the state's value), the window's
+fragments that act on one side of a block are applied to I (x) E, giving
+V = U (I x E), whose d_s x d_s blocks are the Kraus operators
+K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block then becomes
+sum_k L_k rho R_k† through states.apply_kraus, the exact maps' kernel. A
+sampled fragment is built by hamsim.rotations_dense on the d_s * rank(E)
+columns of I (x) E alone, a product-formula one is its memoized step unitary
+(hamsim.step_unitary) times I (x) E. Any other op sequence (two live slots,
+swaps, fragments off the window's order) runs on the joint register: a
+prepare appends the env (states.tensor_append), a fragment's unitary acts
+on its targets, conjugating every block or, when controlled, multiplying
+each block on its matching side(s) (states.apply_sides), and a trace
+removes the slot (states.partial_trace). A sampled fragment is built once
+for its run and never memoized, but its table keeps each entry's action
+across the draws of an estimate.
 
 CNOT accounting: a fragment costs `steps` times the sum of its items; a
 sampled one prices each table entry once and weights it by its pick count. A
@@ -50,6 +64,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import states
+from ._limits import check_dense
 from .hamsim import RotationTable, rotations_dense, step_unitary
 
 ANCILLA = -1
@@ -190,6 +205,14 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     when a == p and on the column side when b == p; every other op acts on
     both sides of every block, and prepare and trace act on each block.
     rho_10 alone gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10].
+
+    A collision window (prepare on an empty environment, fragments on the
+    system and that slot in physical order, its trace) runs as a Kraus map
+    on each block and never builds the joint state; every other op runs on
+    the joint register. Both raise the same errors: a preparer of the wrong
+    width is a ValueError, a joint register past the dense limit a
+    DenseLimitError. A window also refuses an env state with an eigenvalue
+    below -1e-12 (NumericalError), as the exact map does.
     """
     if rho_system.n != program.n_system:
         raise ValueError("system state width mismatch")
@@ -214,12 +237,23 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
             base += program.env_widths[s]
         return base + (vid - program.slot_base(slot))
 
-    for op in program.ops:
+    ops = program.ops
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        i += 1
         if op.kind == "prepare":
             key = op.slot if op.prep is None else op.prep
             fresh = env_preparers[key]()
             if fresh.n != program.env_widths[op.slot]:
                 raise ValueError(f"slot {op.slot} preparer has wrong width")
+            end = None if active else _window_end(program, i - 1)
+            if end is not None:
+                check_dense(program.n_system + fresh.n)
+                start = states.kraus_start(program.n_system, fresh.data)
+                _run_window(ops[i:end], start, program.n_system, regs)
+                i = end + 1
+                continue
             for reg in regs.values():
                 states.tensor_append(reg, fresh)
             active.append(op.slot)
@@ -249,11 +283,59 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     return regs if program.ancilla else regs[None]
 
 
-def _op_unitary(op):
-    """Dense unitary of a fragment on its targets, memoized unless sampled."""
+def _window_end(program, start):
+    """Index of the trace that closes a Kraus window opened by the prepare at
+    `start` on an empty environment, or None: the window's ops must be
+    fragments on the system and that slot, in physical order, then the
+    slot's trace."""
+    slot = program.ops[start].slot
+    base = program.slot_base(slot)
+    joint = tuple(range(program.n_system)) + tuple(range(base, base + program.env_widths[slot]))
+    for end in range(start + 1, len(program.ops)):
+        op = program.ops[end]
+        if op.kind == "trace":  # the slot is the only one active, so it is this slot's
+            return end
+        if op.kind != "fragment" or op.targets != joint:
+            return None
+    return None
+
+
+def _run_window(frags, start, n_system, regs):
+    """Run one Kraus window on every block. The window's fragments that act
+    on ancilla value v (all of them without an ancilla), applied to `start`
+    = I (x) E, give V_v = U_v (I x E), whose d_s x d_s blocks are the Kraus
+    operators of that side; block rho_ab becomes sum_k L_k rho_ab R_k† with
+    L_k from V_a and R_k from V_b."""
+    ds = 1 << n_system
+    shape = (ds, start.shape[0] // ds, ds, start.shape[1] // ds)
+    products, stacked, adjoints = {}, {}, {}
+
+    def product(v):
+        if v not in products:
+            out = start
+            for op in frags:
+                if op.control is None or op.polarity == v:
+                    out = _op_unitary(op, out)
+            products[v] = out.reshape(shape)
+        return products[v]
+
+    for key, reg in regs.items():
+        row, col = (None, None) if key is None else key
+        if row not in stacked:
+            stacked[row] = states.kraus_stacked(product(row))
+        if col not in adjoints:
+            adjoints[col] = states.kraus_adjoints(product(col))
+        reg.data = states.apply_kraus(reg.data, stacked[row], adjoints[col])
+
+
+def _op_unitary(op, start=None):
+    """Dense unitary of a fragment on its targets, memoized unless sampled;
+    with a d x c `start`, the unitary times start, a sampled one built on
+    those columns alone."""
     if op.picks is not None:
-        return rotations_dense(op.step, len(op.targets), op.picks)
-    return step_unitary(op.step, op.steps)
+        return rotations_dense(op.step, len(op.targets), op.picks, start)
+    u = step_unitary(op.step, op.steps)
+    return u if start is None else u @ start
 
 
 def _slot_vids(program, slot):

@@ -9,11 +9,13 @@ for duration dt, i.e. U_j = e^{-i beta_j dt Hbar_j} with Hbar_j = H_j/beta_j
 and beta_j the total weight. The exact map composes Tr_E[U_j(. x rho_Ej)U_j†]
 as Kraus maps on the system: with rho_Ej = sum_b p_b |e_b><e_b|, collision j
 is rho -> sum_ab K_ab rho K_ab† with K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>),
-so the exact state never carries an env register. Programs replace each U_j
-with a compiled approximation at a per-collision precision
-eps' = eps/(3 K normO) (deterministic product formulas, triangle inequality
-over K collisions) or eps' = eps/(6 K normO) for the sampled-LCU backend,
-whose Hadamard-test protocol pays the factor 2.
+so the exact state never carries an env register; the eigen-columns, the
+stacking and the two-matmul step are states' Kraus helpers, which
+circuits.execute runs every Markov collision of a program through as well.
+Programs replace each U_j with a compiled approximation at a per-collision
+precision eps' = eps/(3 K normO) (deterministic product formulas, triangle
+inequality over K collisions) or eps' = eps/(6 K normO) for the sampled-LCU
+backend, whose Hadamard-test protocol pays the factor 2.
 
 Lindblad discretization: an (m, nu) spec has K = m*nu collisions of duration
 dt = t/nu, cycling through the m jump couplings scaled by lambda = sqrt(nu/t)
@@ -48,9 +50,7 @@ from .circuits import (
 )
 from .errors import NumericalError
 from .pauli import PauliString, PauliSum, normalize
-from .states import DensityMatrix
-
-_ENV_EIG_TOL = 1e-12  # most negative env-state eigenvalue read as rounding
+from .states import DensityMatrix, apply_kraus, env_columns, kraus_adjoints, kraus_stacked
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,26 +143,19 @@ class CollisionSpec:
         """(stacked, adjoints) Kraus operators of collision j, cached per
         distinct collision.
 
-        With the env state sigma = sum_b p_b |e_b><e_b| (one eigh), the ops are
-        K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>) on the system, for env basis
-        states a and the p_b > 0. `stacked` is the (k*d, d) column of the K_ab,
-        `adjoints` the (k*d, d) column of their adjoints, so that the collision
-        is hstack(stacked @ rho) @ adjoints.
+        With the env state sigma = sum_b p_b |e_b><e_b| (states.env_columns),
+        the ops are K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>) on the system,
+        for env basis states a and the p_b > 0, stacked as states.apply_kraus
+        reads them (states.kraus_stacked and kraus_adjoints).
         """
         u = self.unique_index[j]
         if u not in self._kraus:
             c = self.unique[u]
             d, de = 1 << self.n, 1 << c.env_width
-            probs, vecs = np.linalg.eigh(c.env_prep().data)
-            if probs.min() < -_ENV_EIG_TOL:
-                raise NumericalError(f"env state of collision {j} has eigenvalue {probs.min():.3e}")
-            keep = probs > 0.0
-            vecs = vecs[:, keep] * np.sqrt(probs[keep])
+            vecs = env_columns(c.env_prep().data)
             # ops[s, a, s', b] = sum_e U[(s, a), (s', e)] vecs[e, b]
             ops = self.dense_unitary(j).reshape(d, de, d, de) @ vecs
-            stacked = np.ascontiguousarray(ops.transpose(1, 3, 0, 2)).reshape(-1, d)
-            adjoints = np.ascontiguousarray(ops.conj().transpose(1, 3, 2, 0)).reshape(-1, d)
-            self._kraus[u] = (stacked, adjoints)
+            self._kraus[u] = (kraus_stacked(ops), kraus_adjoints(ops))
         return self._kraus[u]
 
     def tau(self, j):
@@ -201,17 +194,14 @@ def exact_k_collision(spec, rho_system):
     """Compose the K exact collisions as Kraus maps on the system; returns
     the final system state.
 
-    Each collision is two matmuls: the stacked K_k rho, then
-    sum_k (K_k rho) K_k† as one product with the stacked adjoints.
+    Each collision is states.apply_kraus with the collision's stacked
+    operators and adjoints: two matmuls.
     """
     if spec.K == 0:
         return rho_system.copy()
     data = rho_system.data
-    d = data.shape[0]
     for j in range(spec.K):
-        stacked, adjoints = spec.kraus(j)
-        applied = (stacked @ data).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
-        data = applied @ adjoints
+        data = apply_kraus(data, *spec.kraus(j))
     return DensityMatrix(data, check=False)
 
 
@@ -504,6 +494,8 @@ def suggest_nu(model, t, obs, rho0, eps, cap=1 << 20):
     """Double nu until the exact collision estimate settles within eps/2.
 
     Returns (nu, trace) where trace rows are (nu, estimate, change-from-half).
+    No nu above cap is evaluated: a search that has not settled by then is a
+    NumericalError.
     """
     from .states import expectation
 
@@ -514,7 +506,7 @@ def suggest_nu(model, t, obs, rho0, eps, cap=1 << 20):
     nu = 1
     prev = est(nu)
     rows = [(nu, prev, math.nan)]
-    while nu <= cap:
+    while 2 * nu <= cap:
         nxt = est(2 * nu)
         delta = abs(nxt - prev)
         rows.append((2 * nu, nxt, delta))
@@ -522,7 +514,7 @@ def suggest_nu(model, t, obs, rho0, eps, cap=1 << 20):
             return 2 * nu, rows
         nu *= 2
         prev = nxt
-    raise NumericalError(f"nu did not settle below {cap}")
+    raise NumericalError(f"nu did not settle up to {cap}")
 
 
 # -------------------------------------------------------- expected resources

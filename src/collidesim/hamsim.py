@@ -21,7 +21,10 @@ within eps_prime of the exact exponential.
 
 rotations_dense is the one builder of a schedule's dense unitary on the
 collision's own qubits: the memoized Trotter step_unitary and every sampled
-qDRIFT or LCU fragment go through it.
+qDRIFT or LCU fragment go through it. A sampled fragment inside a collision
+is built only on the columns its environment's state can feed, U (I x E)
+with E the state's eigen-columns sqrt(p_b) e_b, by starting the product
+from I x E instead of the identity (circuits.execute).
 
 A sampled draw is a Draw: picks, an index tuple into its collision's
 RotationTable. The qDRIFT table holds one rotation per term; the LCU table
@@ -45,7 +48,7 @@ from .pauli import PauliString
 from .states import _axis_action_rowform
 
 _EMPIRICAL_STEP_CAP = 1 << 22
-_EXPAND_DIM = 32  # tables up to this dimension hold full d x d row scales
+_EXPAND_DIM = 32  # tables up to this dimension hold full d x c row scales
 _EXPAND_ENTRIES = 64  # ... for their first entries: at most 1 MiB per table at d = 32
 
 
@@ -104,48 +107,55 @@ class Draw:
 
 
 class _Workspace:
-    """The product buffer of rotations_dense, its row-flipped views and each
-    entry's action on them, made at the entry's first pick."""
+    """The d x cols product buffer of rotations_dense, its row-flipped views
+    and each entry's action on them, made at the entry's first pick."""
 
-    def __init__(self, n, expand):
+    def __init__(self, n, cols, expand):
         dim = 1 << n
-        self.out = np.empty((dim, dim), dtype=np.complex128)
+        self.out = np.empty((dim, cols), dtype=np.complex128)
         self.moved = np.empty_like(self.out)
-        self.out_q = self.out.reshape((2,) * n + (dim,))
+        self.out_q = self.out.reshape((2,) * n + (cols,))
         self.moved_q = self.moved.reshape(self.out_q.shape)
         self.actions = []
         self.expand = expand
 
 
-def rotations_dense(table, n, picks=None):
+def rotations_dense(table, n, picks=None, start=None):
     """Dense product of table[picks[0]], table[picks[1]], ... applied in that
     order (the first pick first); with no picks, of the entries in order.
+    With a d x c `start`, the product times start, so only the c columns a
+    caller needs are built; without, the product itself.
 
     An item (bare axis, angle) is the rotation e^{-i angle P}; an item
     (word, None) is the Pauli word itself, phase included. The product grows
-    from the identity by one-sided updates U <- G U: row r of P U is row r^x
-    of U times a per-row phase, read through a view of U whose qubit axes
-    are reversed where x has a bit, so each item costs O(4^n), no gate is
-    made dense and no row is gathered.
+    from the start (the identity by default) by one-sided updates
+    U <- G U: row r of P U is row r^x of U times a per-row phase, read
+    through a view of U whose qubit axes are reversed where x has a bit, so
+    each item costs O(2^n c), no gate is made dense and no row is gathered.
+    Every update is elementwise, so column j of the result is bit for bit
+    column j of the product applied to column j of the start.
 
     Each entry's action (its cosine, flipped view and row scale) is made
     once, at its first pick, and the picks are walked by index. A
     RotationTable of dimension at most _EXPAND_DIM keeps its actions, on a
-    buffer of its own, across calls, and holds the row scales of its first
-    _EXPAND_ENTRIES entries as full d x d arrays: draws reuse entries, and a
-    contiguous multiply costs about half a (d, 1) broadcast at d = 32. Any
-    other table keeps (d, 1) scales and its actions for one call.
+    buffer of its own sized by the start's column count, across calls, and
+    holds the row scales of its first _EXPAND_ENTRIES entries as full
+    d x c arrays: draws reuse entries, and a contiguous multiply costs about
+    half a (d, 1) broadcast at d = 32. A call with another column count
+    remakes them. Any other table keeps (d, 1) scales and its actions for
+    one call.
     """
     dim = 1 << n
+    cols = dim if start is None else start.shape[1]
     kept = isinstance(table, RotationTable) and table.n == n and dim <= _EXPAND_DIM
     if kept:
-        if table.work is None:
-            table.work = _Workspace(n, expand=True)
+        if table.work is None or table.work.out.shape[1] != cols:
+            table.work = _Workspace(n, cols, expand=True)
         work = table.work
     else:
-        work = _Workspace(n, expand=False)
+        work = _Workspace(n, cols, expand=False)
     out, moved, moved_q = work.out, work.moved, work.moved_q
-    out[...] = _identity(dim)
+    out[...] = _identity(dim) if start is None else start
     actions = work.actions
     if len(actions) < len(table):
         actions.extend([None] * (len(table) - len(actions)))

@@ -6,10 +6,16 @@ their original relative order. Gate application mutates the state in place
 (the wrapped array is replaced); trace and Hermiticity are construction
 invariants, positivity is left to the tests.
 
-Collision fragments run as whole dense unitaries through apply_unitary,
-or through apply_sides on one side of an ancilla block rho_ab (any state
-function here acts on such a block, whose trace and Hermiticity are not
-those of a state); join_blocks assembles the ancilla (+) system state from
+A collision on a freshly prepared env register runs as a Kraus map on the
+system: env_columns takes the env state's eigen-columns sqrt(p_b) e_b (one
+eigh, memoized on the state's value), kraus_stacked and kraus_adjoints
+stack the operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and
+apply_kraus applies sum_k L_k rho R_k† as two matmuls; the exact maps and
+program execution share these. Any other fragment runs as a whole dense
+unitary through apply_unitary, or through apply_sides on one side of an
+ancilla block rho_ab (any state function here acts on such a block, whose
+trace and Hermiticity are not those of a state), between tensor_append and
+partial_trace; join_blocks assembles the ancilla (+) system state from
 rho_00, rho_11 and rho_10. The row tables here also build the unitaries
 one-sided in hamsim.rotations_dense. Single gates (register swaps, and the
 Pauli words and rotations of apply_pauli and apply_pauli_rotation, which no
@@ -32,6 +38,7 @@ from .pauli import PauliString, PauliSum, embed_pauli
 _HERM_TOL = 1e-10
 _TRACE_TOL = 1e-8
 _IMAG_TOL = 1e-8
+_ENV_EIG_TOL = 1e-12  # most negative env-state eigenvalue read as rounding
 
 
 class DensityMatrix:
@@ -339,6 +346,72 @@ def _scatter(positions):
         out |= ((local >> (count - 1 - j)) & 1) << pos
     out.setflags(write=False)
     return out
+
+
+# ------------------------------------------------------------ Kraus maps
+
+
+def env_columns(sigma):
+    """The columns sqrt(p_b) e_b, p_b > 0, of an env state
+    sigma = sum_b p_b |e_b><e_b| (one eigh), as a read-only de x k array.
+
+    Memoized on the state's value in a bounded cache. An eigenvalue below
+    -_ENV_EIG_TOL is a numerical failure; smaller negative ones are rounding
+    and dropped.
+    """
+    sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
+    return _env_columns(sigma.tobytes(), sigma.shape[0])
+
+
+@lru_cache(maxsize=64)
+def _env_columns(raw, de):
+    probs, vecs = np.linalg.eigh(np.frombuffer(raw, dtype=np.complex128).reshape(de, de))
+    if probs.min() < -_ENV_EIG_TOL:
+        raise NumericalError(f"env state has eigenvalue {probs.min():.3e}")
+    keep = probs > 0.0
+    cols = vecs[:, keep] * np.sqrt(probs[keep])
+    cols.setflags(write=False)
+    return cols
+
+
+def kraus_start(n_system, sigma):
+    """I (x) E on n_system qubits and the env, with E = env_columns(sigma):
+    the d x d_s k matrix whose product with a joint unitary U holds the
+    Kraus operators (I x <a|) U (I x sqrt(p_b) |e_b>). Memoized like
+    env_columns; read-only."""
+    sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
+    return _kraus_start(n_system, sigma.tobytes(), sigma.shape[0])
+
+
+@lru_cache(maxsize=16)
+def _kraus_start(n_system, raw, de):
+    start = np.kron(np.eye(1 << n_system, dtype=np.complex128), _env_columns(raw, de))
+    start.setflags(write=False)
+    return start
+
+
+def kraus_stacked(ops):
+    """The Kraus operators K_ab = ops[:, a, :, b] of ops[s, a, s', b] stacked
+    as one (k d, d) column, k = de * nb, for apply_kraus's left side."""
+    d = ops.shape[0]
+    return np.ascontiguousarray(ops.transpose(1, 3, 0, 2)).reshape(-1, d)
+
+
+def kraus_adjoints(ops):
+    """The adjoints K_ab† of the same operators, stacked in the same order,
+    for apply_kraus's right side."""
+    d = ops.shape[0]
+    return np.ascontiguousarray(ops.conj().transpose(1, 3, 2, 0)).reshape(-1, d)
+
+
+def apply_kraus(data, stacked, adjoints):
+    """sum_k L_k data R_k† from the stacked L_k and the stacked adjoints R_k†:
+    two matmuls, the stacked L_k data, then hstack(L_k data) times the
+    stacked R_k†. With L = R it is the channel sum_k K_k rho K_k†; with the
+    ancilla-controlled sides of a block rho_ab it evolves the block."""
+    d = data.shape[0]
+    applied = (stacked @ data).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
+    return applied @ adjoints
 
 
 def expectation(state, obs):

@@ -16,6 +16,8 @@ rotations_by_item is the bit-for-bit reference of hamsim.rotations_dense.
 sampled_dense and lcu_expected_dense are the dense forms of one sampled-LCU
 draw and of the Taylor factor its draws average to, and pauli_mul is the
 exact word product that lcu_sample's words are checked against;
+generic_path_calls counts the joint-register steps execute takes outside
+its Kraus windows;
 memory_witness is the trace-distance revival that certifies non-Markovian
 backflow. jump_dense is a jump operator's 2^n x 2^n matrix. pauli_sum and
 write_state build test inputs.
@@ -23,10 +25,11 @@ write_state build test inputs.
 
 import math
 import struct
+from collections import Counter
 
 import numpy as np
 
-from collidesim import PauliString, PauliSum, exact_nonmarkov, trace_distance
+from collidesim import PauliString, PauliSum, exact_nonmarkov, states, trace_distance
 from collidesim.circuits import ANCILLA, PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
 from collidesim.states import _axis_action_rowform
 
@@ -278,3 +281,18 @@ def write_state(state, path):
         interleaved[0::2] = state.data.real.ravel()
         interleaved[1::2] = state.data.imag.ravel()
         fh.write(interleaved.tobytes())
+
+
+def generic_path_calls(monkeypatch):
+    """Counter of the calls to states.tensor_append, partial_trace and
+    apply_sides, the joint-register steps of execute's generic path."""
+    calls = Counter()
+    for name in ("tensor_append", "partial_trace", "apply_sides"):
+        real = getattr(states, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(states, name, counted)
+    return calls

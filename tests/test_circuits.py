@@ -9,18 +9,28 @@ from scipy.linalg import expm
 
 from collidesim import (
     ANCILLA,
+    Budget,
     CircuitProgram,
+    Collision,
+    CollisionSpec,
+    DenseLimitError,
     DensityMatrix,
     GateOp,
+    NonMarkovSpec,
     PauliString,
     ResourceReport,
+    ThermalPrep,
     count_resources,
     execute,
     fragment_op,
+    markov_program,
+    nonmarkov_program,
+    parse_backend,
 )
+from collidesim.acceptance import _random_collision
 from collidesim.hamsim import RotationTable
 from collidesim.states import join_blocks
-from dense_reference import count_items, describe, execute_register
+from dense_reference import count_items, describe, execute_register, generic_path_calls, pauli_sum
 
 _X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 
@@ -397,3 +407,126 @@ def test_validate_checks_the_pick_range():
         _table_program(narrow, (0,))
     with pytest.raises(ValueError):  # a draw is applied once
         CircuitProgram(1, ops=(fragment_op(narrow, 2, (0,), picks=(0,)),))
+
+
+# --------------------------------------------------------- Kraus windows
+
+
+_WINDOW_ENVS = {
+    "pure": ThermalPrep(math.inf),
+    "thermal": ThermalPrep(math.log(3.0)),  # p1 = 1/4: two Kraus columns per input
+    "coverage": _random_collision(np.random.default_rng(5), 1, 1).env_prep,  # non-diagonal, pure
+}
+
+
+def _window_spec(prep):
+    col = Collision(
+        1,
+        pauli_sum([(0.5, "Z")]),
+        pauli_sum([(0.6, "YIY"), (0.3, "XZX"), (0.2, "-ZIZ")]),
+        prep,
+    )
+    return CollisionSpec(2, pauli_sum([(0.4, "ZI"), (0.3, "XX")]), (col, col, col), 0.3)
+
+
+def _assert_matches_register(prog, rho, preps):
+    want = execute_register(prog, rho, preps)
+    if not prog.ancilla:
+        np.testing.assert_allclose(execute(prog, rho, preps).data, want, rtol=0, atol=1e-12)
+        return
+    d = rho.data.shape[0]
+    got = join_blocks(execute(prog, rho, preps))  # the shot blocks (0,0), (1,1), (1,0)
+    np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    alone = execute(prog, rho, preps, blocks=((1, 0),))  # the analytic block
+    np.testing.assert_allclose(alone[1, 0].data, want[d:, :d], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("env", sorted(_WINDOW_ENVS))
+@pytest.mark.parametrize("backend", ["qdrift", "salcu", "trotter1", "trotter2k:1"])
+def test_kraus_windows_match_the_dense_register(backend, env, monkeypatch):
+    spec = _window_spec(_WINDOW_ENVS[env])
+    rho = _rand_rho(np.random.default_rng(81), spec.n)
+    prog = markov_program(spec, parse_backend(backend), Budget(0.2, 1.0), np.random.default_rng(83))
+    calls = generic_path_calls(monkeypatch)
+    _assert_matches_register(prog, rho, spec.env_preparers())
+    assert not calls  # every collision ran as a Kraus map
+
+
+def test_a_hand_built_window_with_two_fragments_per_side_takes_the_kraus_path(monkeypatch):
+    rng = np.random.default_rng(85)
+    table = RotationTable(2, [
+        (PauliString.from_label("XY"), 0.3),
+        (PauliString.from_label("ZI"), -0.4),
+        (PauliString.from_label("-iYX"), None),
+    ])
+    step = ((PauliString.from_label("YZ"), 0.2), (PauliString.from_label("XX"), -0.35))
+    preps = {0: _prep(_rand_rho(rng, 1).data)}  # full rank: two Kraus columns
+    rho = _rand_rho(rng, 1)
+    for ancilla in (False, True):
+        control = ANCILLA if ancilla else None
+        window = (
+            fragment_op(table, 1, (0, 1), control=control, polarity=1, picks=(0, 2, 1, 0)),
+            fragment_op(step, 3, (0, 1)),
+            fragment_op(table, 1, (0, 1), control=control, polarity=1, picks=(1, 1, 2)),
+            fragment_op(step, 2, (0, 1), control=control, polarity=0),
+        )
+        prog = CircuitProgram(
+            1,
+            ancilla=ancilla,
+            env_widths=(1,),
+            ops=(GateOp("prepare", slot=0), *window, GateOp("trace", slot=0)) * 2,
+        )
+        calls = generic_path_calls(monkeypatch)
+        _assert_matches_register(prog, rho, preps)
+        assert not calls
+
+
+def test_non_markov_and_out_of_order_programs_take_the_generic_path(monkeypatch):
+    spec = _window_spec(_WINDOW_ENVS["thermal"])
+    rho = _rand_rho(np.random.default_rng(87), spec.n)
+    nonmarkov = nonmarkov_program(
+        NonMarkovSpec(spec, 1.0), parse_backend("trotter1"), Budget(0.2, 1.0), np.random.default_rng(88)
+    )
+    assert any(op.kind == "swap" for op in nonmarkov.ops)
+    xx = PauliString.from_label("XX")
+    out_of_order = CircuitProgram(  # slot 1 collides after slot 0 was traced
+        1,
+        env_widths=(1, 1),
+        ops=(
+            GateOp("prepare", slot=0),
+            GateOp("prepare", slot=1),
+            GateOp("trace", slot=0),
+            fragment_op([(xx, 0.6)], 1, (0, 2)),
+            GateOp("trace", slot=1),
+        ),
+    )
+    permuted = CircuitProgram(  # env first: not the window's physical order
+        1,
+        env_widths=(1,),
+        ops=(GateOp("prepare", slot=0), fragment_op([(xx, 0.6)], 1, (1, 0)), GateOp("trace", slot=0)),
+    )
+    env = _prep(np.diag([0.25, 0.75]))
+    one = _rand_rho(np.random.default_rng(89), 1)
+    for prog, state, preps in (
+        (nonmarkov, rho, spec.env_preparers()),
+        (out_of_order, one, {0: env, 1: env}),
+        (permuted, one, {0: env}),
+    ):
+        calls = generic_path_calls(monkeypatch)
+        _assert_matches_register(prog, state, preps)
+        assert calls["tensor_append"] and calls["partial_trace"] and calls["apply_sides"]
+
+
+def test_kraus_windows_keep_the_executor_guards(monkeypatch):
+    spec = _window_spec(_WINDOW_ENVS["pure"])
+    rho = _rand_rho(np.random.default_rng(91), spec.n)
+    for backend in ("qdrift", "salcu"):
+        prog = markov_program(spec, parse_backend(backend), Budget(0.2, 1.0), np.random.default_rng(93))
+        with pytest.raises(ValueError, match="slot 0 preparer has wrong width"):
+            execute(prog, rho, {u: ThermalPrep(math.inf, width=2) for u in range(len(spec.unique))})
+        monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "2")  # the joint register has 3 qubits
+        with pytest.raises(DenseLimitError):
+            execute(prog, rho, spec.env_preparers())
+        monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "3")
+        execute(prog, rho, spec.env_preparers())
+        monkeypatch.delenv("COLLIDESIM_DENSE_LIMIT")

@@ -38,7 +38,7 @@ from collidesim import (
     tensor_append,
     trace_distance,
 )
-from collidesim import hamsim
+from collidesim import collisions, hamsim
 from collidesim.circuits import PREP_CNOTS
 from collidesim.pauli import NormalizedPauliSum
 from collidesim.states import join_blocks
@@ -482,6 +482,26 @@ def test_suggest_nu_doubles_until_settled():
     assert rows[-1][2] < eps / 2.0
     assert math.isnan(rows[0][2])
     assert [r[0] for r in rows] == [2**i for i in range(len(rows))]
+
+
+def test_suggest_nu_never_evaluates_past_its_cap(monkeypatch):
+    model = amp_damp_model(2)
+    obs, rho0 = magnetization(2), DensityMatrix.basis(2, 0)
+    eps = 2e-4  # eps/2 lies between the 4 -> 8 change (4.5e-5) and the 2 -> 4 one (2.4e-4)
+    built = []
+    real = collisions.lindblad_collision_spec
+
+    def counted(model, t, nu):
+        built.append(nu)
+        return real(model, t, nu)
+
+    monkeypatch.setattr(collisions, "lindblad_collision_spec", counted)
+    nu, rows = suggest_nu(model, 1.0, obs, rho0, eps, cap=8)
+    assert nu == 8 and max(built) == 8 and rows[-1][2] < eps / 2.0
+    built.clear()
+    with pytest.raises(NumericalError, match="up to 4"):
+        suggest_nu(model, 1.0, obs, rho0, eps, cap=4)
+    assert built == [1, 2, 4]
 
 
 def test_suggest_nu_on_the_five_site_chain():

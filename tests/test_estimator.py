@@ -33,7 +33,7 @@ from collidesim import (
 from collidesim.acceptance import _random_collision
 from collidesim.errors import NumericalError
 from collidesim.estimator import measured_observable, run_once
-from dense_reference import count_items, execute_register, pauli_sum
+from dense_reference import count_items, execute_register, generic_path_calls, pauli_sum
 
 
 def _spec():
@@ -312,3 +312,14 @@ def test_salcu_runs_match_the_dense_ancilla_register(p_swap, measurement, worker
     else:
         np.testing.assert_allclose(np.array(rep.samples) / rep.zeta**2,
                                    np.array(want) / rep.zeta**2, rtol=0, atol=1e-12)
+
+
+def test_markov_estimates_never_touch_the_joint_register(monkeypatch):
+    # a tripwire: the Kraus windows must not fall back to the generic path
+    calls = generic_path_calls(monkeypatch)
+    spec = _spec()
+    for backend, runs in (("qdrift", 3), ("salcu", 3), ("trotter1", None)):
+        estimate(spec, RHO0, OBS, backend, 0.2, 0.2, seed=3, t_override=runs)
+    assert not calls
+    estimate(NonMarkovSpec(spec, 0.5), RHO0, OBS, "trotter1", 0.2, 0.2, seed=3, t_override=4)
+    assert calls["tensor_append"] and calls["partial_trace"] and calls["apply_sides"]

@@ -268,6 +268,29 @@ def test_rotations_dense_on_picks_is_the_item_product_bit_for_bit(n):
     assert rotations_dense(table, n, picks).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_rotations_dense_from_identity_columns_is_the_full_build_bit_for_bit(n):
+    rng = np.random.default_rng(90 + n)
+    dim = 1 << n
+    table = RotationTable(n, _random_items(rng, n, 9))
+    eye = np.eye(dim, dtype=np.complex128)
+    column_sets = [np.arange(dim), np.arange(0, dim, 2), rng.permutation(dim)[: max(1, dim // 4)]]
+    for grow in (False, True):
+        if grow:  # an entry appended between calls, picked beside the old ones
+            table.append(_random_items(rng, n, 1)[0])
+        picks = tuple(int(v) for v in rng.integers(0, len(table), size=40)) + (len(table) - 1,)
+        full = rotations_dense(table, n, picks)
+        for cols in column_sets:
+            start = eye[:, cols]
+            want = full[:, cols]
+            for source in (table, tuple(table.items)):  # kept actions up to d = 32, then not
+                got = rotations_dense(source, n, picks, start=start)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            assert (table.work is not None) == (dim <= _EXPAND_DIM)
+        # back to the full build once the kept workspace was sized for fewer columns
+        assert rotations_dense(table, n, picks).tobytes() == full.tobytes()
+
+
 def test_rotation_table_checks_entries_as_they_enter():
     table = RotationTable(2)
     with pytest.raises(ValueError):
