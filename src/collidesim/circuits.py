@@ -48,8 +48,19 @@ removes the slot (states.partial_trace). A sampled fragment is built once
 for its run and never memoized, but its table keeps each entry's action
 across the draws of an estimate.
 
+Skeletons. A randomized estimate runs one program shape many times, so it
+builds a Skeleton once: the program with its sampled fragments' picks and
+its partial swaps left open, validated once, with one draw function per
+open op. A run draws the open ops in op order with its own generator and
+runs its Kraus windows on that draw directly, with no program of its own;
+a skeleton that is not all windows (the non-Markov one) runs the program
+the draw fills in. The same windows serve execute, so a program and its
+skeleton run the same arithmetic.
+
 CNOT accounting: a fragment costs `steps` times the sum of its items; a
-sampled one prices each table entry once and weights it by its pick count. A
+sampled one prices each table entry once and weights it by its pick count,
+and a skeleton's runs pool their pick counts per table, so the table is
+priced once per block of runs. A
 weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the usual parity
 staircase, its controlled version adds 2 (controlled-Rz = 2 CNOTs + 2 Rz),
 a controlled weight-w Pauli word costs w, a controlled phase costs 0, a
@@ -59,7 +70,7 @@ depth_proxy is cnot_count + rotation_count: sequential layers, no
 parallelism credit.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -214,16 +225,8 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     DenseLimitError. A window also refuses an env state with an eigenvalue
     below -1e-12 (NumericalError), as the exact map does.
     """
-    if rho_system.n != program.n_system:
-        raise ValueError("system state width mismatch")
-    if program.ancilla:
-        keys = ANCILLA_BLOCKS if blocks is None else tuple(blocks)
-        half = states.DensityMatrix(0.5 * rho_system.data, check=False)
-        regs = {key: half.copy() for key in keys}
-    elif blocks is not None:
-        raise ValueError("blocks apply only to a program with an ancilla")
-    else:
-        regs = {None: rho_system.copy()}
+    regs = _registers(program, rho_system, blocks)
+    windows = _kraus_windows(program)
     active = []  # slot ids in preparation order
 
     def phys(vid):
@@ -241,19 +244,15 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     i = 0
     while i < len(ops):
         op = ops[i]
+        end = windows.get(i)
+        if end is not None:
+            start = _window_start(program, op, env_preparers)
+            _run_window([(f, f.picks) for f in ops[i + 1 : end]], start, program.n_system, regs)
+            i = end + 1
+            continue
         i += 1
         if op.kind == "prepare":
-            key = op.slot if op.prep is None else op.prep
-            fresh = env_preparers[key]()
-            if fresh.n != program.env_widths[op.slot]:
-                raise ValueError(f"slot {op.slot} preparer has wrong width")
-            end = None if active else _window_end(program, i - 1)
-            if end is not None:
-                check_dense(program.n_system + fresh.n)
-                start = states.kraus_start(program.n_system, fresh.data)
-                _run_window(ops[i:end], start, program.n_system, regs)
-                i = end + 1
-                continue
+            fresh = _fresh_env(program, op, env_preparers)
             for reg in regs.values():
                 states.tensor_append(reg, fresh)
             active.append(op.slot)
@@ -270,7 +269,7 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
                 states.apply_swap(reg, qubits_a, qubits_b)
         else:  # fragment
             qubits = [phys(v) for v in op.targets]
-            u = _op_unitary(op)
+            u = _op_unitary(op, op.picks)
             for key, reg in regs.items():
                 if op.control is None:
                     states.apply_unitary(reg, u, qubits)
@@ -281,6 +280,43 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
                     if left is not None or right is not None:
                         states.apply_sides(reg, left, right, qubits)
     return regs if program.ancilla else regs[None]
+
+
+def _registers(program, rho_system, blocks):
+    """The registers execute evolves: {None: rho}, or the ancilla blocks
+    {(a, b): rho/2} named in `blocks` (default ANCILLA_BLOCKS)."""
+    if rho_system.n != program.n_system:
+        raise ValueError("system state width mismatch")
+    if program.ancilla:
+        keys = ANCILLA_BLOCKS if blocks is None else tuple(blocks)
+        half = states.DensityMatrix(0.5 * rho_system.data, check=False)
+        return {key: half.copy() for key in keys}
+    if blocks is not None:
+        raise ValueError("blocks apply only to a program with an ancilla")
+    return {None: rho_system.copy()}
+
+
+def _kraus_windows(program):
+    """{index of a prepare: index of the trace closing its Kraus window} for
+    every prepare on an empty environment that opens one. Which slots are
+    active depends on the op sequence alone, so the windows do too."""
+    ops = program.ops
+    windows = {}
+    active = 0
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        if op.kind == "prepare":
+            end = None if active else _window_end(program, i)
+            if end is not None:
+                windows[i] = end
+                i = end + 1
+                continue
+            active += 1
+        elif op.kind == "trace":
+            active -= 1
+        i += 1
+    return windows
 
 
 def _window_end(program, start):
@@ -300,12 +336,29 @@ def _window_end(program, start):
     return None
 
 
+def _fresh_env(program, op, env_preparers):
+    """The fresh state a prepare op puts in its slot, checked for width."""
+    key = op.slot if op.prep is None else op.prep
+    fresh = env_preparers[key]()
+    if fresh.n != program.env_widths[op.slot]:
+        raise ValueError(f"slot {op.slot} preparer has wrong width")
+    return fresh
+
+
+def _window_start(program, op, env_preparers):
+    """I (x) E for the Kraus window the prepare op opens."""
+    fresh = _fresh_env(program, op, env_preparers)
+    check_dense(program.n_system + fresh.n)
+    return states.kraus_start(program.n_system, fresh.data)
+
+
 def _run_window(frags, start, n_system, regs):
-    """Run one Kraus window on every block. The window's fragments that act
-    on ancilla value v (all of them without an ancilla), applied to `start`
-    = I (x) E, give V_v = U_v (I x E), whose d_s x d_s blocks are the Kraus
-    operators of that side; block rho_ab becomes sum_k L_k rho_ab R_k† with
-    L_k from V_a and R_k from V_b."""
+    """Run one Kraus window, its fragments given as (op, picks), on every
+    block. The window's fragments that act on ancilla value v (all of them
+    without an ancilla), applied to `start` = I (x) E, give
+    V_v = U_v (I x E), whose d_s x d_s blocks are the Kraus operators of
+    that side; block rho_ab becomes sum_k L_k rho_ab R_k† with L_k from V_a
+    and R_k from V_b."""
     ds = 1 << n_system
     shape = (ds, start.shape[0] // ds, ds, start.shape[1] // ds)
     products, stacked, adjoints = {}, {}, {}
@@ -313,9 +366,9 @@ def _run_window(frags, start, n_system, regs):
     def product(v):
         if v not in products:
             out = start
-            for op in frags:
+            for op, picks in frags:
                 if op.control is None or op.polarity == v:
-                    out = _op_unitary(op, out)
+                    out = _op_unitary(op, picks, out)
             products[v] = out.reshape(shape)
         return products[v]
 
@@ -328,14 +381,159 @@ def _run_window(frags, start, n_system, regs):
         reg.data = states.apply_kraus(reg.data, stacked[row], adjoints[col])
 
 
-def _op_unitary(op, start=None):
-    """Dense unitary of a fragment on its targets, memoized unless sampled;
-    with a d x c `start`, the unitary times start, a sampled one built on
-    those columns alone."""
-    if op.picks is not None:
-        return rotations_dense(op.step, len(op.targets), op.picks, start)
+def _op_unitary(op, picks, start=None):
+    """Dense unitary of a fragment on its targets, memoized unless sampled
+    (`picks` given); with a d x c `start`, the unitary times start, a sampled
+    one built on those columns alone."""
+    if picks is not None:
+        return rotations_dense(op.step, len(op.targets), picks, start)
     u = step_unitary(op.step, op.steps)
     return u if start is None else u @ start
+
+
+class Skeleton:
+    """A program with its draws left open, built and validated once and run
+    once per draw.
+
+    `template` is a CircuitProgram holding every op. The ops that `draws`
+    names are open: a sampled fragment there has no picks of its own (its
+    step is the RotationTable they index) and a swap there is kept or
+    dropped per run. `draws` pairs each open op's index, in op order, with
+    a function of the run's generator giving that fragment's picks or
+    whether that swap is kept; draw() calls them in that order, so a run
+    consumes its generator as emitting the program op by op would, and
+    fill(draw) is that program. A template made of Kraus windows alone,
+    with no open swap, runs a draw's windows directly through the window
+    step execute takes; any other runs its filled program. tally() prices
+    runs from pooled pick counts.
+    """
+
+    def __init__(self, template, draws):
+        self.template = template
+        self.draws = tuple(draws)
+        position = {index: pos for pos, (index, _) in enumerate(self.draws)}
+        ops = template.ops
+        windows = _kraus_windows(template)
+        self.windows = None  # per window: its prepare and (fragment, draw position or None)
+        if sum(end + 1 - i for i, end in windows.items()) == len(ops):
+            self.windows = tuple(
+                (ops[i], tuple((ops[f], position.get(f)) for f in range(i + 1, end)))
+                for i, end in windows.items()
+            )
+
+    @property
+    def ancilla(self):
+        return self.template.ancilla
+
+    def draw(self, rng):
+        """One value per open op, in op order: picks, or whether a swap is kept."""
+        return tuple(make(rng) for _, make in self.draws)
+
+    def fill(self, draw):
+        """The program of one draw; a template with no open op is its own."""
+        if not self.draws:
+            return self.template
+        ops = list(self.template.ops)
+        for (index, _), value in zip(self.draws, draw):
+            op = ops[index]
+            if op.kind == "fragment":
+                ops[index] = replace(op, picks=tuple(value))
+            elif not value:
+                ops[index] = None
+        t = self.template
+        return CircuitProgram(
+            t.n_system, t.ancilla, t.env_widths, tuple(op for op in ops if op is not None)
+        )
+
+    def run(self, draw, rho_system, env_preparers=None, blocks=None):
+        """execute(self.fill(draw), ...), without making the program when
+        the template is Kraus windows alone."""
+        if self.windows is None:
+            return execute(self.fill(draw), rho_system, env_preparers, blocks)
+        t = self.template
+        regs = _registers(t, rho_system, blocks)
+        for prep, frags in self.windows:
+            start = _window_start(t, prep, env_preparers)
+            chosen = [(op, op.picks if pos is None else draw[pos]) for op, pos in frags]
+            _run_window(chosen, start, t.n_system, regs)
+        return regs if t.ancilla else regs[None]
+
+    def tally(self):
+        return _Tally(self)
+
+
+_POOL = 1 << 16  # picks a _Pool holds before it counts them
+
+
+class _Pool:
+    """The picks of one table's fragments that share a control flag, counted
+    per entry with np.bincount every _POOL picks."""
+
+    def __init__(self, table, controlled):
+        self.table = table
+        self.controlled = controlled
+        self.pending = []
+        self.counts = np.zeros(0, dtype=np.int64)
+
+    def add(self, picks):
+        self.pending.extend(picks)
+        if len(self.pending) >= _POOL:
+            self.count()
+
+    def count(self):
+        counts = np.bincount(np.array(self.pending, dtype=np.intp), minlength=len(self.table))
+        counts[: len(self.counts)] += self.counts  # the table only grows
+        self.counts = counts
+        self.pending.clear()
+
+    def cost(self):
+        """(cnots, rotations, Pauli gates) of every pick so far."""
+        self.count()
+        return self.counts @ _entry_costs(self.table, self.controlled)
+
+
+class _Tally:
+    """Summed gate costs of a skeleton's runs: its closed ops priced once and
+    counted per run, each table's picks pooled and priced per entry, and
+    each kept swap at its slot width. The sums are integers, so they equal
+    the sum of count_resources over the filled programs."""
+
+    def __init__(self, skeleton):
+        template = skeleton.template
+        open_ops = {index for index, _ in skeleton.draws}
+        closed = [op for i, op in enumerate(template.ops) if i not in open_ops]
+        self.fixed = _ops_cost(closed, template.env_widths)
+        self.runs = 0
+        self.swap_cnots = 0
+        pools = {}
+        self.sinks = []  # per open op: its pool, or the CNOTs of the swap
+        for index, _ in skeleton.draws:
+            op = template.ops[index]
+            if op.kind == "fragment":
+                key = (id(op.step), op.control is not None)
+                if key not in pools:
+                    pools[key] = _Pool(op.step, op.control is not None)
+                self.sinks.append(pools[key])
+            else:
+                self.sinks.append(SWAP_CNOTS_PER_QUBIT * template.env_widths[op.slots[0]])
+        self.pools = tuple(pools.values())
+
+    def add(self, draw):
+        self.runs += 1
+        for sink, value in zip(self.sinks, draw):
+            if isinstance(sink, _Pool):
+                sink.add(value)
+            elif value:
+                self.swap_cnots += sink
+
+    def report(self):
+        """The summed ResourceReport of the runs added."""
+        cnot, rot, paulis, preps = (self.runs * v for v in self.fixed)
+        cnot += self.swap_cnots
+        for pool in self.pools:
+            c, r, p = pool.cost().tolist()
+            cnot, rot, paulis = cnot + c, rot + r, paulis + p
+        return ResourceReport(cnot, rot, paulis, cnot + rot, preps)
 
 
 def _slot_vids(program, slot):
@@ -407,8 +605,14 @@ def _picked_cost(entries, picks, controlled):
 def count_resources(program):
     """Gate costs of the program; a fragment costs its step's items `steps`
     times, a sampled one its picked items."""
+    cnot, rot, paulis, preps = _ops_cost(program.ops, program.env_widths)
+    return ResourceReport(cnot, rot, paulis, cnot + rot, preps)
+
+
+def _ops_cost(ops, env_widths):
+    """(cnots, rotations, Pauli gates, env preparations) of a list of ops."""
     cnot = rot = paulis = preps = 0
-    for op in program.ops:
+    for op in ops:
         if op.kind == "fragment":
             if op.picks is None:
                 c, r, p = _items_cost(op.step, op.control is not None)
@@ -418,8 +622,8 @@ def count_resources(program):
             rot += op.steps * r
             paulis += op.steps * p
         elif op.kind == "swap":
-            cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
+            cnot += SWAP_CNOTS_PER_QUBIT * env_widths[op.slots[0]]
         elif op.kind == "prepare":
             cnot += PREP_CNOTS
             preps += 1
-    return ResourceReport(cnot, rot, paulis, cnot + rot, preps)
+    return cnot, rot, paulis, preps

@@ -33,6 +33,7 @@ swap hands the collided env to the surviving register.
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -44,6 +45,7 @@ from .circuits import (
     CircuitProgram,
     GateOp,
     ResourceReport,
+    Skeleton,
     _items_cost,
     _picked_cost,
     fragment_op,
@@ -371,33 +373,87 @@ def _collision_targets(spec, j, slot_base):
     return tuple(range(n)) + tuple(range(slot_base, slot_base + w))
 
 
-def _collision_ops(spec, j, plan, rng, targets):
-    """The gates of collision j as fragments: the product-formula step, one
-    qDRIFT draw, or the sampled-LCU pair (controlled X, anti-controlled Y)."""
-    nh, beta = spec.joint(j)
+def _qdrift_picks(nh, beta, dt, length, rng):
+    return hamsim.qdrift_rotations(nh, beta, dt, length, rng).picks
+
+
+def _lcu_picks(nh, params, rng):
+    return hamsim.lcu_sample(nh, params, rng).picks
+
+
+def _swap_kept(p, rng):
+    return bool(rng.random() < p)
+
+
+def _collision_parts(spec, plan):
+    """Per distinct collision, its fragments as (step, steps, polarity,
+    draw): the product-formula step (polarity None, no draw), the qDRIFT
+    table and its draw, or the sampled-LCU pair on one table, the controlled
+    X (polarity 1) then the anti-controlled Y (polarity 0), each drawn on
+    its own. A draw maps a run's generator to the fragment's picks."""
     backend = plan.backend
-    param = plan.per_collision[j]
-    if backend.kind == "trotter":
-        step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
-        return [fragment_op(step, param, targets)]
-    if backend.kind == "qdrift":
-        draw = hamsim.qdrift_rotations(nh, beta, spec.dt, param, rng)
-        return [fragment_op(draw.table, 1, targets, picks=draw.picks)]
-    if backend.kind == "salcu":
-        ops = []
-        for polarity in (1, 0):
-            draw = hamsim.lcu_sample(nh, param, rng)
-            ops.append(
-                fragment_op(
-                    draw.table, 1, targets, control=ANCILLA, polarity=polarity, picks=draw.picks
-                )
-            )
-        return ops
-    raise ValueError(f"no collision gates for backend {backend.kind!r}")
+    if backend.kind == "exact":
+        raise ValueError("the exact backend evolves densely; no program exists")
+    parts = {}
+    for j, u in enumerate(spec.unique_index):
+        if u in parts:
+            continue
+        nh, beta = spec.joint(j)
+        param = plan.per_collision[j]
+        if backend.kind == "trotter":
+            step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
+            parts[u] = ((step, param, None, None),)
+        elif backend.kind == "qdrift":
+            table = hamsim.qdrift_table(nh, beta, spec.dt, param)
+            parts[u] = ((table, 1, None, partial(_qdrift_picks, nh, beta, spec.dt, param)),)
+        elif backend.kind == "salcu":
+            table = hamsim.lcu_table(nh, param)
+            draw = partial(_lcu_picks, nh, param)
+            parts[u] = ((table, 1, 1, draw), (table, 1, 0, draw))
+        else:
+            raise ValueError(f"no collision gates for backend {backend.kind!r}")
+    return parts
+
+
+def _emit(ops, draws, parts, targets):
+    """Append one collision's fragments on `targets`, and the draws of its
+    sampled ones."""
+    for step, steps, polarity, draw in parts:
+        if draw is not None:
+            draws.append((len(ops), draw))
+        if polarity is None:
+            ops.append(fragment_op(step, steps, targets))
+        else:
+            ops.append(fragment_op(step, steps, targets, control=ANCILLA, polarity=polarity))
+
+
+def markov_skeleton(spec, plan):
+    """The K-collision program (prepare, collide, trace per collision) as a
+    circuits.Skeleton: every collision is one fragment (two for salcu), and
+    a randomized backend's fragments are open, drawn per run collision by
+    collision (salcu: X, then Y). Built and validated once per plan."""
+    parts = _collision_parts(spec, plan)
+    widths = []
+    slot_of_width = {}
+    for c in spec.collisions:
+        if c.env_width not in slot_of_width:
+            slot_of_width[c.env_width] = len(widths)
+            widths.append(c.env_width)
+    ops, draws = [], []
+    for j, u in enumerate(spec.unique_index):
+        slot = slot_of_width[spec.collisions[j].env_width]
+        base = spec.n + sum(widths[:slot])
+        ops.append(GateOp("prepare", slot=slot, prep=u))
+        _emit(ops, draws, parts[u], _collision_targets(spec, j, base))
+        ops.append(GateOp("trace", slot=slot))
+    template = CircuitProgram(
+        n_system=spec.n, ancilla=plan.ancilla, env_widths=tuple(widths), ops=tuple(ops)
+    )
+    return Skeleton(template, draws)
 
 
 def markov_program(spec, backend, budget=None, rng=None, plan=None):
-    """Emit the full K-collision program (prepare, collide, trace per collision).
+    """Emit the full K-collision program: markov_skeleton plus one draw.
 
     Every collision is one fragment op (two for salcu). Randomized backends
     (qdrift, salcu) consume rng and emit sampled fragments; call again for a
@@ -407,59 +463,48 @@ def markov_program(spec, backend, budget=None, rng=None, plan=None):
     """
     if plan is None:
         plan = markov_plan(spec, backend, budget)
-    backend = plan.backend
-    if backend.kind == "exact":
-        raise ValueError("the exact backend evolves densely; no program exists")
-    widths = []
-    slot_of_width = {}
-    for c in spec.collisions:
-        if c.env_width not in slot_of_width:
-            slot_of_width[c.env_width] = len(widths)
-            widths.append(c.env_width)
-    ops = []
-    for j in range(spec.K):
-        w = spec.collisions[j].env_width
-        slot = slot_of_width[w]
-        base = spec.n + sum(widths[:slot])
-        targets = _collision_targets(spec, j, base)
-        ops.append(GateOp("prepare", slot=slot, prep=spec.unique_index[j]))
-        ops.extend(_collision_ops(spec, j, plan, rng, targets))
-        ops.append(GateOp("trace", slot=slot))
-    return CircuitProgram(
-        n_system=spec.n, ancilla=plan.ancilla, env_widths=tuple(widths), ops=tuple(ops)
-    )
+    skeleton = markov_skeleton(spec, plan)
+    return skeleton.fill(skeleton.draw(rng))
 
 
-def nonmarkov_program(nmspec, backend, budget=None, rng=None, plan=None):
-    """Two-register program: odd collisions hit slot 0, even collisions slot 1.
+def nonmarkov_skeleton(nmspec, plan):
+    """The two-register program as a circuits.Skeleton: odd collisions hit
+    slot 0, even collisions slot 1, with the fragments of markov_skeleton.
 
     After each non-final collision the fresh env lands in the other slot and
-    the just-collided slot is swapped with it with probability p (the swap op
-    is present or absent per sample), then traced.
+    the just-collided slot is swapped with it, a swap kept with probability
+    p per run (and absent at p = 0), then traced. A run draws each
+    collision's fragments, then its swap.
     """
     spec, p = nmspec.base, nmspec.p
-    if plan is None:
-        plan = markov_plan(spec, backend, budget)
-    backend = plan.backend
-    if backend.kind == "exact":
-        raise ValueError("the exact backend evolves densely; no program exists")
+    parts = _collision_parts(spec, plan)
     w = spec.collisions[0].env_width
     ops = [GateOp("prepare", slot=0, prep=spec.unique_index[0])]
+    draws = []
     for j in range(1, spec.K + 1):
         active = 0 if j % 2 == 1 else 1
-        base = spec.n + active * w
-        targets = _collision_targets(spec, j - 1, base)
-        ops.extend(_collision_ops(spec, j - 1, plan, rng, targets))
+        targets = _collision_targets(spec, j - 1, spec.n + active * w)
+        _emit(ops, draws, parts[spec.unique_index[j - 1]], targets)
         if j < spec.K:
             other = 1 - active
             ops.append(GateOp("prepare", slot=other, prep=spec.unique_index[j]))
-            swapped = bool(rng.random() < p) if p > 0 else False
-            if swapped:
+            if p > 0:
+                draws.append((len(ops), partial(_swap_kept, p)))
                 ops.append(GateOp("swap", slots=(active, other)))
         ops.append(GateOp("trace", slot=active))
-    return CircuitProgram(
+    template = CircuitProgram(
         n_system=spec.n, ancilla=plan.ancilla, env_widths=(w, w), ops=tuple(ops)
     )
+    return Skeleton(template, draws)
+
+
+def nonmarkov_program(nmspec, backend, budget=None, rng=None, plan=None):
+    """Two-register program: nonmarkov_skeleton plus one draw, so the swap
+    op is present or absent per sample."""
+    if plan is None:
+        plan = markov_plan(nmspec.base, backend, budget)
+    skeleton = nonmarkov_skeleton(nmspec, plan)
+    return skeleton.fill(skeleton.draw(rng))
 
 
 # --------------------------------------------------- Lindblad discretization

@@ -1,9 +1,13 @@
 """Monte-Carlo estimation of Tr[O M_K[rho]].
 
-Protocol per run: build the collision program, execute it on a fresh copy
-of the input state, and measure. When the final state does not depend on the
-run (the exact backend, or a fixed program), it is computed and measured once
-per estimate: its conditional mean, or the Born distribution from which each
+Protocol: an estimate builds its collision program once as a skeleton
+(circuits.Skeleton), with the random parts left open; each run draws them
+with its own RNG, runs that draw on a fresh copy of the input state, and
+measures. A run's gate costs come from its draw: the block's picks are
+pooled per table and priced once, which sums to count_resources over the
+runs' programs. When the final state does not depend on the run (the exact
+backend, or a fixed program), it is computed and measured once per
+estimate: its conditional mean, or the Born distribution from which each
 run draws its shot with its own RNG. With the sampled-LCU backend the
 program carries the control ancilla and the measured operator is
 sigma^x (x) O. The ancilla is never held as a register: execute evolves the
@@ -30,6 +34,7 @@ each such estimate first checks run 0 against numpy's generator.
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -42,7 +47,9 @@ from .collisions import (
     exact_nonmarkov,
     markov_plan,
     markov_program,
+    markov_skeleton,
     nonmarkov_program,
+    nonmarkov_skeleton,
     parse_backend,
 )
 from .errors import NumericalError
@@ -74,17 +81,21 @@ def measured_observable(obs, ancilla):
     return Observable(np.kron(x, obs.matrix))
 
 
-def run_once(program, rho_system, env_preparers, measured, measurement, rng):
-    """One coherent run: execute and measure (conditional mean or one shot).
+def run_once(program, rho_system, env_preparers, measured, measurement, rng, draw=None):
+    """One coherent run: execute the program, or with `draw` run that draw
+    of a Skeleton, and measure (conditional mean or one shot).
 
     With the Hadamard-test ancilla the conditional mean of sigma^x (x) O is
     2 Re Tr[O rho_10], so only that block is evolved; a shot is drawn from
     the joined state of the blocks rho_00, rho_11 and rho_10.
     """
+    if draw is None:
+        run = partial(execute, program, rho_system, env_preparers)
+    else:
+        run = partial(program.run, draw, rho_system, env_preparers)
     if program.ancilla and measurement == "analytic":
-        blocks = execute(program, rho_system, env_preparers, blocks=((1, 0),))
-        return hadamard_expectation(blocks[1, 0], measured)
-    final = execute(program, rho_system, env_preparers)
+        return hadamard_expectation(run(blocks=((1, 0),))[1, 0], measured)
+    final = run()
     if program.ancilla:
         final = join_blocks(final)
     if measurement == "analytic":
@@ -185,6 +196,12 @@ def _build_program(spec, base, plan, rng):
     return markov_program(base, None, rng=rng, plan=plan)
 
 
+def _skeleton(spec, base, plan):
+    if isinstance(spec, NonMarkovSpec):
+        return nonmarkov_skeleton(spec, plan)
+    return markov_skeleton(base, plan)
+
+
 def _fixed_final_state(spec, base, rho0, fixed):
     """The run-independent final state: the exact map, or the fixed program's output."""
     if fixed is not None:
@@ -202,32 +219,33 @@ def _fixed_outcome(final, measured, measurement):
     return born_distribution(final, measured)
 
 
-def _run_block(spec, base, plan, rho0, measured, measurement, seed, start, stop, outcome):
+def _run_block(skeleton, preparers, rho0, measured, measurement, seed, start, stop, outcome):
     """Sequential runs start..stop-1; the parallel path ships this off.
 
     With a fixed outcome given, each run only reads it: a shot run draws its
     eigenvalue with the first double of its generator, taken for a block of
-    runs at a time from first_doubles. Otherwise each run builds, executes
-    and counts its own program.
+    runs at a time from first_doubles. Otherwise each run draws the
+    skeleton's open ops with its own generator and runs that draw, and the
+    block's gate costs come from its pooled draws.
     """
     mus = np.empty(stop - start)
-    totals = ResourceReport()
     if outcome is not None:
         if measurement == "analytic":
             mus.fill(outcome)
-            return mus, totals
+            return mus, ResourceReport()
         vals, _, cdf = outcome
         for lo in range(start, stop, BLOCK):
             hi = min(lo + BLOCK, stop)
             picks = cdf.searchsorted(first_doubles(seed, lo, hi), side="right")
             mus[lo - start : hi - start] = vals[picks]
-        return mus, totals
+        return mus, ResourceReport()
+    tally = skeleton.tally()
     for pos, k in enumerate(range(start, stop)):
         rng = _run_rng(seed, k)
-        program = _build_program(spec, base, plan, rng)
-        mus[pos] = run_once(program, rho0, base.env_preparers(), measured, measurement, rng)
-        totals = totals + count_resources(program)
-    return mus, totals
+        draw = skeleton.draw(rng)
+        mus[pos] = run_once(skeleton, rho0, preparers, measured, measurement, rng, draw)
+        tally.add(draw)
+    return mus, tally.report()
 
 
 def _check_first_doubles(seed):
@@ -295,6 +313,8 @@ def estimate(
     measured = measured_observable(obs, ancilla)
     measured.eig()  # prime the cache once, before any fork
     fixed = _build_program(spec, base, plan, _run_rng(seed, 0)) if fixed_program else None
+    skeleton = None if run_independent else _skeleton(spec, base, plan)
+    preparers = base.env_preparers()
     # computed here, in the parent, so workers only read it
     outcome = None
     if run_independent:
@@ -307,7 +327,7 @@ def estimate(
 
         bounds = np.linspace(0, t_runs, min(workers * 4, t_runs) + 1).astype(int).tolist()
         args = [
-            (spec, base, plan, rho0, measured, measurement, seed, lo, hi, outcome)
+            (skeleton, preparers, rho0, measured, measurement, seed, lo, hi, outcome)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -318,7 +338,7 @@ def estimate(
             totals = totals + r[1]
     else:
         mus, totals = _run_block(
-            spec, base, plan, rho0, measured, measurement, seed, 0, t_runs, outcome
+            skeleton, preparers, rho0, measured, measurement, seed, 0, t_runs, outcome
         )
     scaled = zeta**2 * mus
     mu = float(scaled.sum() / t_runs)

@@ -17,23 +17,28 @@ Routes:
 
 Step/length/order choosers implement the matching worst-case formulas; the
 empirical strategy instead doubles the step count until the dense product is
-within eps_prime of the exact exponential.
+within eps_prime of the exact exponential, and keeps the count it finds on
+the normalized sum, so later plans on the same sum do not search again.
 
 rotations_dense is the one builder of a schedule's dense unitary on the
 collision's own qubits: the memoized Trotter step_unitary and every sampled
-qDRIFT or LCU fragment go through it. A sampled fragment inside a collision
-is built only on the columns its environment's state can feed, U (I x E)
-with E the state's eigen-columns sqrt(p_b) e_b, by starting the product
-from I x E instead of the identity (circuits.execute).
+qDRIFT or LCU fragment go through it. Most rotations cost it two numpy
+passes: it carries their cosines in a scalar factor and adds -i tan(angle)
+times the flipped rows. A sampled fragment inside a collision is built only
+on the columns its environment's state can feed, U (I x E) with E the
+state's eigen-columns sqrt(p_b) e_b, by starting the product from I x E
+instead of the identity (circuits).
 
 A sampled draw is a Draw: picks, an index tuple into its collision's
 RotationTable. The qDRIFT table holds one rotation per term; the LCU table
 holds the rotation of every (segment order, term) pair, then each word as
 it is first drawn. Tables are kept on the normalized sum (its `derived`
 dict), per compiler parameters, for as long as the sum lives, so all draws
-of an estimate share them, and rotations_dense keeps each entry's dense
-action on its table. A table's kept actions write one buffer, so a table is
-used by one thread at a time; estimates run in parallel as processes.
+of an estimate share them; qdrift_table and lcu_table name a table before
+any draw, as a program skeleton needs. rotations_dense keeps each entry's
+dense action on its table. A table's kept actions write one buffer, so a
+table is used by one thread at a time; estimates run in parallel as
+processes.
 """
 
 import math
@@ -50,6 +55,8 @@ from .states import _axis_action_rowform
 _EMPIRICAL_STEP_CAP = 1 << 22
 _EXPAND_DIM = 32  # tables up to this dimension hold full d x c row scales
 _EXPAND_ENTRIES = 64  # ... for their first entries: at most 1 MiB per table at d = 32
+_FOLD_BELOW = 1e-150  # rotations_dense multiplies its cosine product in below this
+_DIAGONAL, _WORD, _TAN, _SIN = "diagonal", "word", "tan", "sin"  # kinds of item action
 
 
 def _term_sign(p):
@@ -132,10 +139,18 @@ def rotations_dense(table, n, picks=None, start=None):
     U <- G U: row r of P U is row r^x of U times a per-row phase, read
     through a view of U whose qubit axes are reversed where x has a bit, so
     each item costs O(2^n c), no gate is made dense and no row is gathered.
-    Every update is elementwise, so column j of the result is bit for bit
-    column j of the product applied to column j of the start.
+    A diagonal item is one pass (a per-row scale) and a word two (its
+    phases times the flipped rows into a second buffer, copied back). A
+    non-diagonal rotation with |cos(angle)| >= 1/2 is two passes,
+    U <- U + (-i tan(angle) rows) * flipped U, its cosine joining a scalar
+    factor that multiplies the result once at the end, or earlier when it
+    falls below _FOLD_BELOW; any other rotation is three,
+    U <- cos(angle) U + (-i sin(angle) rows) * flipped U. Every update is
+    elementwise and the factor depends on the picks alone, so column j of
+    the result is bit for bit column j of the product applied to column j
+    of the start.
 
-    Each entry's action (its cosine, flipped view and row scale) is made
+    Each entry's action (its kind, cosine, flipped view and row scale) is made
     once, at its first pick, and the picks are walked by index. A
     RotationTable of dimension at most _EXPAND_DIM keeps its actions, on a
     buffer of its own sized by the start's column count, across calls, and
@@ -159,20 +174,34 @@ def rotations_dense(table, n, picks=None, start=None):
     actions = work.actions
     if len(actions) < len(table):
         actions.extend([None] * (len(table) - len(actions)))
+    multiply, add = np.multiply, np.add  # called with a positional out: the loop is per-call bound
+    factor = 1.0  # the product so far is factor * out
     for i in range(len(table)) if picks is None else picks:
         action = actions[i]
         if action is None:
             action = actions[i] = _item_action(table[i], work, work.expand and i < _EXPAND_ENTRIES)
-        cos, flipped, scale = action
-        if flipped is None:  # diagonal: a per-row scale
-            out *= scale
-        elif cos is None:  # a word: its phases times the flipped rows
-            np.multiply(scale, flipped, out=moved_q)
+        kind, cos, flipped, scale = action
+        if kind is _TAN:  # out + (-i tan(angle) rows) * flipped rows; the cosine joins factor
+            multiply(flipped, scale, moved_q)
+            add(out, moved, out)
+            factor *= cos
+            if abs(factor) < _FOLD_BELOW:
+                out *= factor
+                factor = 1.0
+        elif kind is _DIAGONAL:  # a per-row scale
+            multiply(out, scale, out)
+        elif kind is _WORD:  # its phases times the flipped rows
+            multiply(scale, flipped, moved_q)
             out[...] = moved
-        else:
-            np.multiply(flipped, scale, out=moved_q)
+        else:  # cos(angle) out + (-i sin(angle) rows) * flipped rows
+            multiply(flipped, scale, moved_q)
             out *= cos
-            out += moved
+            add(out, moved, out)
+    if factor != 1.0:
+        if kept:
+            return out * factor
+        out *= factor
+        return out
     return out.copy() if kept else out
 
 
@@ -184,9 +213,11 @@ def _identity(dim):
 
 
 def _item_action(item, work, expand):
-    """(cos(angle) or None for a word, row-flipped view of the workspace
-    buffer or None when the axis is diagonal, per-row scale, as a full
-    array when `expand`) of one schedule item."""
+    """(kind, cos(angle) or None for a word, row-flipped view of the
+    workspace buffer or None when the axis is diagonal, per-row scale, as a
+    full array when `expand`) of one schedule item. A non-diagonal rotation
+    with |cos(angle)| >= 1/2 is of kind _TAN, its scale -i tan(angle) times
+    the rows; one with a smaller cosine keeps -i sin(angle)."""
     axis, angle = item
     out_q = work.out_q
     n = out_q.ndim - 1
@@ -196,14 +227,18 @@ def _item_action(item, work, expand):
             scale = (axis.phase * rows)[:, None]
         else:
             scale = (math.cos(angle) - (1j * math.sin(angle)) * rows)[:, None]
-        return None, None, _expanded(scale, work.out.shape) if expand else scale
+        return _DIAGONAL, None, None, _expanded(scale, work.out.shape) if expand else scale
     flipped = out_q[_row_flip(n, axis.x)]
     row_shape = out_q.shape[:-1] + (1,)
     if angle is None:
-        cos, scale = None, (axis.phase * rows).reshape(row_shape)
+        kind, cos, scale = _WORD, None, (axis.phase * rows).reshape(row_shape)
     else:
-        cos, scale = math.cos(angle), ((-1j * math.sin(angle)) * rows).reshape(row_shape)
-    return cos, flipped, _expanded(scale, out_q.shape) if expand else scale
+        cos = math.cos(angle)
+        if abs(cos) >= 0.5:
+            kind, scale = _TAN, ((-1j * math.tan(angle)) * rows).reshape(row_shape)
+        else:
+            kind, scale = _SIN, ((-1j * math.sin(angle)) * rows).reshape(row_shape)
+    return kind, cos, flipped, _expanded(scale, out_q.shape) if expand else scale
 
 
 def _expanded(scale, shape):
@@ -218,6 +253,14 @@ def _row_flip(n, x):
 
 
 # ------------------------------------------------------------ Trotter / Suzuki
+
+
+def _derived(nh, key, make):
+    """make(), kept on the normalized sum under key for as long as it lives."""
+    value = nh.derived.get(key)
+    if value is None:
+        value = nh.derived[key] = make()
+    return value
 
 
 @lru_cache(maxsize=64)
@@ -270,7 +313,8 @@ def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy="worst_case"):
     worst_case: ceil(c * (beta dt)^(1+1/p) * (1/eps')^(1/p)) with p = order and
     documented constants c = 0.5 for order 1 (first-order commutator bound for
     a unit-weight sum), c = 1.0 otherwise. empirical: smallest power of two
-    whose dense product is within eps_prime of the exact exponential.
+    whose dense product is within eps_prime of the exact exponential, kept
+    on nh per (beta, dt, order, eps_prime).
     """
     if eps_prime <= 0:
         raise ValueError("eps_prime must be > 0")
@@ -282,9 +326,16 @@ def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy="worst_case"):
         return max(1, math.ceil(c * tau ** (1.0 + 1.0 / order) * (1.0 / eps_prime) ** (1.0 / order)))
     if strategy != "empirical":
         raise ValueError(f"unknown strategy {strategy!r}")
+    key = ("empirical_steps", beta, dt, order, eps_prime)
+    return _derived(nh, key, lambda: _empirical_steps(nh, beta, dt, order, eps_prime))
+
+
+def _empirical_steps(nh, beta, dt, order, eps_prime):
+    """Smallest power of two whose dense product is within eps_prime of the
+    exact exponential, up to _EMPIRICAL_STEP_CAP."""
     from .oracles import spectral_norm, unitary_exact
 
-    target = unitary_exact(nh.h, tau)
+    target = unitary_exact(nh.h, beta * dt)
     steps = 1
     while steps <= _EMPIRICAL_STEP_CAP:
         product = step_unitary(trotter_step(nh, beta, dt, steps, order), steps)
@@ -304,22 +355,14 @@ def choose_qdrift_length(beta, dt, eps_prime):
     return max(1, math.ceil(2.0 * (beta * dt) ** 2 / eps_prime))
 
 
-def _derived(nh, key, make):
-    """make(), kept on the normalized sum under key for as long as it lives."""
-    value = nh.derived.get(key)
-    if value is None:
-        value = nh.derived[key] = make()
-    return value
-
-
 def _signed_axes(nh):
     """Per term index: (bare axis, sign of the term's word), built once per sum."""
     return _derived(nh, "axes", lambda: tuple((p.bare(), _term_sign(p)) for _, p in nh.h.terms))
 
 
-def qdrift_rotations(nh, beta, dt, length, rng):
-    """length draws l ~ p into the table of rotations (bare axis of term l,
-    its sign times beta dt/N)."""
+def qdrift_table(nh, beta, dt, length):
+    """The table qdrift_rotations draws from: per term l, the rotation (bare
+    axis of term l, its sign times beta dt/N)."""
     if length < 1:
         raise ValueError("length must be >= 1")
     base = beta * dt / length
@@ -327,7 +370,12 @@ def qdrift_rotations(nh, beta, dt, length, rng):
     def make():
         return RotationTable(nh.n, ((axis, base * sign) for axis, sign in _signed_axes(nh)))
 
-    table = _derived(nh, ("qdrift", base), make)
+    return _derived(nh, ("qdrift", base), make)
+
+
+def qdrift_rotations(nh, beta, dt, length, rng):
+    """length draws l ~ p into qdrift_table."""
+    table = qdrift_table(nh, beta, dt, length)
     picks = np.atleast_1d(nh.sample_term(rng, size=length))
     return Draw(table, tuple(picks.tolist()))
 
@@ -488,10 +536,15 @@ class SampledUnitary(Draw):
         return tuple(out)
 
 
+def lcu_table(nh, params):
+    """The table lcu_sample draws from, kept on the sum per parameters."""
+    return _derived(nh, params, lambda: _LcuTable(nh, params))
+
+
 def lcu_sample(nh, params, rng):
     """Draw one unitary whose mean over draws is Utilde / alpha_total, with
     Utilde the factor lcu_enumerate_dense enumerates."""
-    table = _derived(nh, params, lambda: _LcuTable(nh, params))
+    table = lcu_table(nh, params)
     ks = 2 * draw_index(_k_cdf(params.weights), rng, params.r)
     n_draws = int(ks.sum()) + params.r
     drawn = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)).tolist())

@@ -17,7 +17,8 @@ sampled_dense and lcu_expected_dense are the dense forms of one sampled-LCU
 draw and of the Taylor factor its draws average to, and pauli_mul is the
 exact word product that lcu_sample's words are checked against;
 generic_path_calls counts the joint-register steps execute takes outside
-its Kraus windows;
+its Kraus windows, and per_run_program_calls the program checks and
+pricings that a skeleton's runs make once per estimate, not per run;
 memory_witness is the trace-distance revival that certifies non-Markovian
 backflow. jump_dense is a jump operator's 2^n x 2^n matrix. pauli_sum and
 write_state build test inputs.
@@ -29,8 +30,10 @@ from collections import Counter
 
 import numpy as np
 
-from collidesim import PauliString, PauliSum, exact_nonmarkov, states, trace_distance
+import collidesim
+from collidesim import PauliString, PauliSum, circuits, estimator, exact_nonmarkov, states, trace_distance
 from collidesim.circuits import ANCILLA, PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
+from collidesim.hamsim import _FOLD_BELOW
 from collidesim.states import _axis_action_rowform
 
 _SWAP = np.eye(4)[[0, 2, 1, 3]]
@@ -162,10 +165,14 @@ def count_items(program):
 
 def rotations_by_item(items, n):
     """The product of rotations_dense's one-sided updates, made item by item
-    with (d, 1) row scales and no action kept: its bit-for-bit reference."""
+    with (d, 1) row scales and no action kept: its bit-for-bit reference.
+    A non-diagonal rotation with |cos| >= 1/2 adds its -i tan term and puts
+    its cosine into a factor, multiplied in at the end or once it falls
+    below the fold threshold."""
     dim = 1 << n
     out = np.eye(dim, dtype=np.complex128)
     out_q = out.reshape((2,) * n + (dim,))
+    factor = 1.0
     for axis, angle in items:
         rows = _axis_action_rowform(n, axis.x, axis.z)
         if axis.x == 0:
@@ -178,10 +185,19 @@ def rotations_by_item(items, n):
         row_shape = out_q.shape[:-1] + (1,)
         if angle is None:
             out_q[...] = (axis.phase * rows).reshape(row_shape) * out_q[flip]
+        elif abs(math.cos(angle)) >= 0.5:
+            moved = out_q[flip] * ((-1j * math.tan(angle)) * rows).reshape(row_shape)
+            out += moved.reshape(dim, dim)
+            factor *= math.cos(angle)
+            if abs(factor) < _FOLD_BELOW:
+                out *= factor
+                factor = 1.0
         else:
             moved = out_q[flip] * ((-1j * math.sin(angle)) * rows).reshape(row_shape)
             out *= math.cos(angle)
             out += moved.reshape(dim, dim)
+    if factor != 1.0:
+        out *= factor
     return out
 
 
@@ -295,4 +311,26 @@ def generic_path_calls(monkeypatch):
             return _real(*args, **kwargs)
 
         monkeypatch.setattr(states, name, counted)
+    return calls
+
+
+def per_run_program_calls(monkeypatch):
+    """Counter of the calls to CircuitProgram.validate and count_resources
+    (under every name the package binds it to), the per-program work that
+    building and pricing a program costs."""
+    calls = Counter()
+    real_validate = circuits.CircuitProgram.validate
+    real_count = circuits.count_resources
+
+    def validate(self):
+        calls["validate"] += 1
+        return real_validate(self)
+
+    def count_resources(program):
+        calls["count_resources"] += 1
+        return real_count(program)
+
+    monkeypatch.setattr(circuits.CircuitProgram, "validate", validate)
+    for module in (collidesim, circuits, estimator):
+        monkeypatch.setattr(module, "count_resources", count_resources)
     return calls

@@ -32,8 +32,15 @@ from collidesim import (
 )
 from collidesim.acceptance import _random_collision
 from collidesim.errors import NumericalError
-from collidesim.estimator import measured_observable, run_once
-from dense_reference import count_items, execute_register, generic_path_calls, pauli_sum
+from collidesim.circuits import count_resources
+from collidesim.estimator import measured_observable, resolve_plan, run_once
+from dense_reference import (
+    count_items,
+    execute_register,
+    generic_path_calls,
+    pauli_sum,
+    per_run_program_calls,
+)
 
 
 def _spec():
@@ -323,3 +330,73 @@ def test_markov_estimates_never_touch_the_joint_register(monkeypatch):
     assert not calls
     estimate(NonMarkovSpec(spec, 0.5), RHO0, OBS, "trotter1", 0.2, 0.2, seed=3, t_override=4)
     assert calls["tensor_append"] and calls["partial_trace"] and calls["apply_sides"]
+
+
+SKELETON_CASES = [
+    ("qdrift", None, "analytic"),
+    ("salcu", None, "analytic"),
+    ("salcu", None, "shot"),
+    ("qdrift", 0.5, "analytic"),
+    ("trotter2k:1", 0.5, "analytic"),
+]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("backend, p_swap, measurement", SKELETON_CASES)
+def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measurement, workers):
+    # reference: build, execute and price each run's own program, as markov_program
+    # and nonmarkov_program give it for the run's generator
+    base = _spec()
+    spec = base if p_swap is None else NonMarkovSpec(base, p_swap)
+    eps, delta, seed, runs = 0.2, 0.2, 19, 16
+    rep = estimate(spec, RHO0, OBS, backend, eps, delta, seed=seed, measurement=measurement,
+                   t_override=runs, workers=workers, keep_samples=True)
+    _, plan = resolve_plan(spec, parse_backend(backend), eps, measurement, OBS.norm)
+    measured = measured_observable(OBS, plan.ancilla)
+    want, totals = [], ResourceReport()
+    for k in range(runs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
+        if p_swap is None:
+            program = markov_program(base, None, rng=rng, plan=plan)
+        else:
+            program = nonmarkov_program(spec, None, rng=rng, plan=plan)
+        mu = run_once(program, RHO0, base.env_preparers(), measured, measurement, rng)
+        want.append(rep.zeta**2 * mu)
+        totals = totals + count_resources(program)
+    assert rep.samples == tuple(want)
+    assert rep.resources_mean == ResourceReport(*(v / runs for v in totals.as_tuple()))
+
+
+def test_randomized_estimates_check_and_price_no_program_per_run(monkeypatch):
+    # a tripwire: the skeleton is validated once per estimate and runs are
+    # priced from pooled picks, so neither count grows with the run count
+    calls = per_run_program_calls(monkeypatch)
+    spec = _spec()
+    for backend, measurement in (("qdrift", "analytic"), ("salcu", "analytic"), ("salcu", "shot")):
+        for runs in (1, 20):
+            calls.clear()
+            estimate(spec, RHO0, OBS, backend, 0.2, 0.2, seed=3, measurement=measurement,
+                     t_override=runs)
+            assert calls == {"validate": 1}, (backend, measurement, runs)
+
+
+def test_the_empirical_step_search_runs_once_per_spec(monkeypatch):
+    from collections import Counter
+
+    from collidesim import oracles
+
+    calls = Counter()
+    real = oracles.unitary_exact
+
+    def unitary_exact(*args, **kwargs):
+        calls["unitary_exact"] += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(oracles, "unitary_exact", unitary_exact)
+    spec = NonMarkovSpec(_spec(), 0.5)
+    kw = dict(seed=3, keep_samples=True)
+    one = estimate(spec, RHO0, OBS, "trotter2k:1", 0.2, 0.2, t_override=1, **kw)
+    assert calls["unitary_exact"] == 2  # one search per distinct collision
+    many = estimate(spec, RHO0, OBS, "trotter2k:1", 0.2, 0.2, t_override=5, **kw)
+    assert calls["unitary_exact"] == 2  # the step counts are kept on the spec's sums
+    assert many.samples[0] == one.samples[0]

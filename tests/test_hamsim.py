@@ -233,6 +233,46 @@ def test_rotations_dense_matches_the_matmul_product():
         np.testing.assert_allclose(rotations_dense(items, n), want, atol=1e-12)
 
 
+@pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2, 2.0, -2.0, math.pi])
+def test_rotations_dense_matches_the_matmul_product_at_wide_angles(theta):
+    # |cos| < 1/2 keeps the sin update, cos = -1 takes the tan update with tan ~ 0
+    rng = np.random.default_rng(52)
+    for n in (1, 2, 3, 4):
+        items = []
+        for _ in range(12):
+            x = 0 if rng.random() < 0.2 else int(rng.integers(1, 1 << n))
+            axis = PauliString(n, x, int(rng.integers(0, 1 << n)))
+            items.append((axis, theta) if rng.random() < 0.7 else (axis, float(rng.uniform(-2, 2))))
+        want = np.eye(1 << n, dtype=np.complex128)
+        for axis, angle in items:
+            want = gate_dense(axis, angle) @ want
+        got = rotations_dense(items, n)
+        np.testing.assert_allclose(got, want, atol=1e-12)
+        assert got.tobytes() == rotations_by_item(items, n).tobytes()
+
+
+def test_a_long_draw_at_cos_0_6_folds_its_cosines_and_stays_exact():
+    # 0.6^5000 is far below the smallest double, so the cosine product must be
+    # multiplied in along the way
+    n = 3
+    theta = math.acos(0.6)
+    rng = np.random.default_rng(53)
+    items = [
+        (PauliString(n, int(rng.integers(1, 1 << n)), int(rng.integers(0, 1 << n))), angle)
+        for angle in (theta, -theta, math.pi - theta, theta - math.pi)
+        for _ in range(3)
+    ]
+    table = RotationTable(n, items)
+    picks = tuple(int(v) for v in rng.integers(0, len(table), size=5000))
+    got = rotations_dense(table, n, picks)
+    assert np.isfinite(got).all()
+    assert got.tobytes() == rotations_by_item([table[i] for i in picks], n).tobytes()
+    want = np.eye(1 << n, dtype=np.complex128)
+    for i in picks:
+        want = gate_dense(*table[i]) @ want
+    np.testing.assert_allclose(got, want, atol=1e-12)
+
+
 def _random_items(rng, n, count):
     """Diagonal and non-diagonal rotations and phased words, as LCU tables hold."""
     items = []
