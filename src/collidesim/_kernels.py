@@ -5,8 +5,8 @@ times each kernel by matrix dimension.
 
 Collisions do not go through the conjugation kernels: a Markov collision
 runs as a Kraus map on the system (states.apply_kraus), any other fragment
-as one dense U rho U† in states.apply_unitary, or one side of it on an
-ancilla block in states.apply_sides. The two sparse conjugations serve register
+as one dense U rho U†, or one side of it on an ancilla block, in
+states.apply_sides. The two sparse conjugations serve register
 swaps and the single Pauli words and rotations of states.apply_pauli and
 states.apply_pauli_rotation, whose unitaries are at most 2-sparse per row:
 

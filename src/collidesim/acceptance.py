@@ -5,6 +5,10 @@ CriterionResult. `collidesim validate` prints one line per criterion and the
 test suite asserts each one, so the two entry points can never disagree about
 what "working" means. Tolerances are part of the contract and are stated in
 the detail strings.
+
+The criteria need numpy alone: their exponentials of Hermitian matrices go
+through oracles.unitary_exact, and the hoeffding-coverage allowance is an
+exact binomial quantile (_binom_quantile).
 """
 
 import math
@@ -12,8 +16,6 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.stats import binom
 
 from . import hamsim
 from .collisions import (
@@ -102,6 +104,25 @@ def _apply_kraus(kraus, rho):
     return sum(k @ rho @ k.conj().T for k in kraus)
 
 
+def _binom_quantile(q, n, p):
+    """Smallest k with P[Bin(n, p) <= k] >= q, in exact rational arithmetic.
+
+    With p = a / b and q = c / e exactly (a float is a dyadic rational),
+    P[Bin(n, p) <= k] = sum_{j <= k} C(n, j) a^j (b - a)^(n - j) / b^n, so
+    each k is tested as e * sum >= c * b^n on integers. A CDF equal to q
+    reaches it.
+    """
+    a, b = p.as_integer_ratio()
+    c, e = q.as_integer_ratio()
+    target = c * b**n
+    total = 0
+    for k in range(n + 1):
+        total += math.comb(n, k) * a**k * (b - a) ** (n - k)
+        if e * total >= target:
+            return k
+    return n
+
+
 def _loglog_slope(xs, ys):
     return float(np.polyfit(np.log(np.asarray(xs, float)), np.log(np.asarray(ys, float)), 1)[0])
 
@@ -134,7 +155,7 @@ def exact_map_equivalence():
             + c.interaction_h.to_dense()
         )
         joint = np.kron(rho, c.env_prep().data)
-        u = expm(-1j * dt * h)
+        u = unitary_exact(h, dt)
         joint = u @ joint @ u.conj().T
         rho = np.einsum("aibi->ab", joint.reshape(1 << n, 2, 1 << n, 2))
     dist = trace_distance(exact_k_collision(spec, rho0), rho)
@@ -238,7 +259,7 @@ def hoeffding_coverage():
         )
         t_match = t_match and rep.t_runs == t_runs
         failures += abs(rep.mu - truth) > eps
-    allowed = int(binom.ppf(0.99, n_rep, delta))
+    allowed = _binom_quantile(0.99, n_rep, delta)
     return CriterionResult(
         "hoeffding-coverage",
         t_match and failures <= allowed,
@@ -421,7 +442,7 @@ def map_distance_bounds():
                 u = _random_unitary(rng, dim)
                 g = _random_hermitian(rng, dim)
                 g *= rng.uniform(0.0, 0.3) / spectral_norm(g)
-                v = u @ expm(-1j * g)
+                v = u @ unitary_exact(g, 1.0)
                 eps_cert = max(eps_cert, 2.0 * spectral_norm(u - v))
                 rho_a = u @ rho_a @ u.conj().T
                 rho_b = v @ rho_b @ v.conj().T
@@ -442,7 +463,7 @@ def map_distance_bounds():
         u = _random_unitary(rng, dim)
         g = _random_hermitian(rng, dim)
         g *= rng.uniform(0.0, 0.5) / spectral_norm(g)
-        u_tilde = u @ expm(-1j * g)
+        u_tilde = u @ unitary_exact(g, 1.0)
         ka = _random_kraus(rng, dim, int(rng.integers(1, 4)))
         kb = _random_kraus(rng, dim, int(rng.integers(1, 4)))
         rho = _random_state(rng, dim)

@@ -42,8 +42,8 @@ columns of I (x) E alone, a product-formula one is its memoized step unitary
 (hamsim.step_unitary) times I (x) E. Any other op sequence (two live slots,
 swaps, fragments off the window's order) runs on the joint register: a
 prepare appends the env (states.tensor_append), a fragment's unitary acts
-on its targets, conjugating every block or, when controlled, multiplying
-each block on its matching side(s) (states.apply_sides), and a trace
+on its targets through states.apply_sides, conjugating every block or, when
+controlled, multiplying each block on its matching side(s), and a trace
 removes the slot (states.partial_trace). A sampled fragment is built once
 for its run and never memoized, but its table keeps each entry's action
 across the draws of an estimate.
@@ -271,14 +271,11 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
             qubits = [phys(v) for v in op.targets]
             u = _op_unitary(op, op.picks)
             for key, reg in regs.items():
-                if op.control is None:
-                    states.apply_unitary(reg, u, qubits)
-                else:
-                    row, col = key
-                    left = u if row == op.polarity else None
-                    right = u if col == op.polarity else None
-                    if left is not None or right is not None:
-                        states.apply_sides(reg, left, right, qubits)
+                row, col = (None, None) if key is None else key
+                left = u if op.control is None or row == op.polarity else None
+                right = u if op.control is None or col == op.polarity else None
+                if left is not None or right is not None:
+                    states.apply_sides(reg, left, right, qubits)
     return regs if program.ancilla else regs[None]
 
 

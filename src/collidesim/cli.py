@@ -284,8 +284,13 @@ def build_config(mapping):
         raise ValueError(f"dynamics.p must be in [0, 1], got {cfg.p}")
     if cfg.t_override < 0:
         raise ValueError(f"execution.t_override must be >= 0, got {cfg.t_override}")
-    if cfg.compilations < 1:
-        raise ValueError(f"execution.compilations must be >= 1, got {cfg.compilations}")
+    for key, value in (
+        ("dynamics.grid", cfg.grid),
+        ("execution.workers", cfg.workers),
+        ("execution.compilations", cfg.compilations),
+    ):
+        if value < 1:
+            raise ValueError(f"{key} must be >= 1, got {value}")
     if cfg.overrides.get("c_r", 1.0) <= 0.0:
         raise ValueError(f"dynamics.c_r must be > 0, got {cfg.overrides['c_r']}")
     if cfg.kind == "custom":
@@ -632,7 +637,7 @@ def cmd_sweep(cfg, out_dir, axis, values):
 
 
 def cmd_validate(names=None):
-    from . import acceptance  # only validate needs it and the modules it loads
+    from . import acceptance  # only validate needs the release criteria
 
     results = acceptance.run_all(names)
     all_ok = True
@@ -678,6 +683,8 @@ def _apply_flag_overrides(cfg, args):
         cfg.seed = args.seed
         cfg.raw["execution.seed"] = str(args.seed)
     if args.workers is not None:
+        if args.workers < 1:
+            raise ValueError(f"--workers must be >= 1, got {args.workers}")
         cfg.workers = args.workers
         cfg.raw["execution.workers"] = str(args.workers)
     if args.backend is not None:

@@ -160,13 +160,6 @@ class CollisionSpec:
             self._kraus[u] = (kraus_stacked(ops), kraus_adjoints(ops))
         return self._kraus[u]
 
-    def tau(self, j):
-        return self.joint(j)[1] * self.dt
-
-    @property
-    def beta(self):
-        return max(self.joint(j)[1] for j in range(self.K)) if self.K else 0.0
-
     def env_preparers(self):
         return {u: c.env_prep for u, c in enumerate(self.unique)}
 

@@ -307,7 +307,7 @@ def step_unitary(step, steps):
     return u
 
 
-def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy="worst_case"):
+def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy):
     """Step count for a target dense error eps_prime.
 
     worst_case: ceil(c * (beta dt)^(1+1/p) * (1/eps')^(1/p)) with p = order and
@@ -480,16 +480,6 @@ def _k_cdf(weights):
     return cdf_of(probs / probs.sum())
 
 
-@dataclass(frozen=True)
-class Segment:
-    """One sampled segment: word then rotation, applied rotation-first."""
-
-    k: int
-    word: PauliString  # (-i)^k P_l1 ... P_lk with all term signs folded in
-    axis: PauliString  # bare rotation axis
-    angle: float  # sign-folded phi_k = arctan(x/(k+1))
-
-
 class _LcuTable(RotationTable):
     """The rotation (bare axis of term l, its sign times phi_k) of segment
     order k at entry (k/2) L + l, L terms; then each word as first drawn."""
@@ -505,35 +495,7 @@ class _LcuTable(RotationTable):
             ),
         )
         self.n_terms = len(axes)
-        self.n_rotations = len(self)
         self.words = {}  # (x, z, phase_exp) -> entry
-
-
-@dataclass(frozen=True)
-class SampledUnitary(Draw):
-    """One LCU draw: per segment the pick of its rotation, then of its word
-    unless the word is +I."""
-
-    @property
-    def n(self):
-        return self.table.n
-
-    @property
-    def segments(self):
-        """The draw's Segments, read back from the picks."""
-        table, picks = self.table, self.picks
-        out = []
-        i = 0
-        while i < len(picks):
-            axis, angle = table[picks[i]]
-            k = 2 * (picks[i] // table.n_terms)
-            i += 1
-            word = _word(table.n, 0, 0, 0)
-            if i < len(picks) and picks[i] >= table.n_rotations:
-                word = table[picks[i]][0]
-                i += 1
-            out.append(Segment(k, word, axis, angle))
-        return tuple(out)
 
 
 def lcu_table(nh, params):
@@ -543,7 +505,8 @@ def lcu_table(nh, params):
 
 def lcu_sample(nh, params, rng):
     """Draw one unitary whose mean over draws is Utilde / alpha_total, with
-    Utilde the factor lcu_enumerate_dense enumerates."""
+    Utilde the factor lcu_enumerate_dense enumerates. Its picks hold, per
+    segment, the rotation's entry and then the word's, unless the word is +I."""
     table = lcu_table(nh, params)
     ks = 2 * draw_index(_k_cdf(params.weights), rng, params.r)
     n_draws = int(ks.sum()) + params.r
@@ -575,7 +538,7 @@ def lcu_sample(nh, params, rng):
             if entry is None:
                 entry = table.words[key] = table.append((_word(nh.n, *key), None))
             picks.append(entry)
-    return SampledUnitary(table, tuple(picks))
+    return Draw(table, tuple(picks))
 
 
 @lru_cache(maxsize=4096)

@@ -59,6 +59,7 @@ from ._limits import check_entries
 from .errors import NumericalError
 from .hamsim import _row_flip
 from .models import thermal_env_state
+from .pauli import PauliSum
 from .states import DensityMatrix, _xor_index
 
 _DRIFT_TOL = 1e-9  # largest trace or Hermiticity drift read as rounding
@@ -93,8 +94,9 @@ def trace_distance(a, b):
 
 
 def unitary_exact(h, tau):
-    """e^{-i tau H} for a PauliSum H, via Hermitian eigendecomposition."""
-    dense = h.to_dense()
+    """e^{-i tau H} for a Hermitian H, a PauliSum or a dense array, via its
+    eigendecomposition."""
+    dense = h.to_dense() if isinstance(h, PauliSum) else np.asarray(h)
     vals, vecs = np.linalg.eigh(dense)
     return (vecs * np.exp(-1j * tau * vals)) @ vecs.conj().T
 

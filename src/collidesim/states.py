@@ -12,8 +12,8 @@ eigh, memoized on the state's value), kraus_stacked and kraus_adjoints
 stack the operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and
 apply_kraus applies sum_k L_k rho R_k† as two matmuls; the exact maps and
 program execution share these. Any other fragment runs as a whole dense
-unitary through apply_unitary, or through apply_sides on one side of an
-ancilla block rho_ab (any state function here acts on such a block, whose
+unitary through apply_sides, on both sides of a register or on one side of
+an ancilla block rho_ab (any state function here acts on such a block, whose
 trace and Hermiticity are not those of a state), between tensor_append and
 partial_trace; join_blocks assembles the ancilla (+) system state from
 rho_00, rho_11 and rho_10. The row tables here also build the unitaries
@@ -239,14 +239,6 @@ def apply_pauli_rotation(state, axis, angle, targets, control=None, polarity=1):
         state.data, _xor_index(n, g.x), np.ascontiguousarray(diag), np.ascontiguousarray(off)
     )
     return state
-
-
-def apply_unitary(state, u, targets):
-    """state -> U state U† for a dense U on the listed qubits, in any order.
-
-    targets[0] is U's most significant qubit.
-    """
-    return apply_sides(state, u, u, targets)
 
 
 def apply_sides(state, left, right, targets):

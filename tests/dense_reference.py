@@ -13,8 +13,9 @@ picks of its table) with the cost rule of the circuits module docstring
 (price_items), and describe prints a program one op per line.
 rotations_by_item is the bit-for-bit reference of hamsim.rotations_dense.
 
-sampled_dense and lcu_expected_dense are the dense forms of one sampled-LCU
-draw and of the Taylor factor its draws average to, and pauli_mul is the
+segments reads a sampled-LCU draw back as its Segments; sampled_dense and
+lcu_expected_dense are the dense forms of one such draw and of the Taylor
+factor its draws average to, and pauli_mul is the
 exact word product that lcu_sample's words are checked against;
 generic_path_calls counts the joint-register steps execute takes outside
 its Kraus windows, and per_run_program_calls the program checks and
@@ -27,6 +28,7 @@ write_state build test inputs.
 import math
 import struct
 from collections import Counter
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -228,11 +230,40 @@ def describe(program):
     return "\n".join(lines)
 
 
-def sampled_dense(su):
+@dataclass(frozen=True)
+class Segment:
+    """One sampled segment: word then rotation, applied rotation-first."""
+
+    k: int
+    word: PauliString  # (-i)^k P_l1 ... P_lk with all term signs folded in
+    axis: PauliString  # bare rotation axis
+    angle: float  # sign-folded phi_k = arctan(x/(k+1))
+
+
+def segments(draw):
+    """The Segments of one sampled-LCU draw, read back from its picks: each
+    rotation pick at entry (k/2) L + l (L terms), then a word pick (an entry
+    whose angle is None) unless the word is +I."""
+    table, picks = draw.table, draw.picks
+    out = []
+    i = 0
+    while i < len(picks):
+        axis, angle = table[picks[i]]
+        k = 2 * (picks[i] // table.n_terms)
+        i += 1
+        word = PauliString(table.n, 0, 0)
+        if i < len(picks) and table[picks[i]][1] is None:
+            word = table[picks[i]][0]
+            i += 1
+        out.append(Segment(k, word, axis, angle))
+    return tuple(out)
+
+
+def sampled_dense(draw):
     """The dense unitary of one sampled-LCU draw: per segment its rotation,
     then its word, segment 0 first."""
-    out = np.eye(1 << su.n, dtype=np.complex128)
-    for seg in su.segments:
+    out = np.eye(1 << draw.table.n, dtype=np.complex128)
+    for seg in segments(draw):
         out = seg.word.to_dense() @ gate_dense(seg.axis, seg.angle) @ out
     return out
 

@@ -519,6 +519,25 @@ def test_exit_codes(tmp_path, monkeypatch):
     assert cli.main(["run", "--config", cfg]) == 3
 
 
+@pytest.mark.parametrize("grid", ["0", "-4"])
+def test_grid_below_one_is_a_config_error(tmp_path, capsys, grid):
+    cfg = _bench_cfg(tmp_path, f"dynamics.grid = {grid}\n")
+    assert cli.main(["oracle", "--config", cfg]) == 1
+    assert f"dynamics.grid must be >= 1, got {grid}" in capsys.readouterr().err
+    assert not (tmp_path / "oracle.csv").exists()
+
+
+def test_workers_below_one_is_a_config_error(tmp_path, capsys):
+    cfg = _bench_cfg(tmp_path, "execution.workers = -3\n")
+    assert cli.main(["run", "--config", cfg]) == 1
+    assert "execution.workers must be >= 1, got -3" in capsys.readouterr().err
+    # the flag overrides the config after it is built, and is checked there
+    cfg = _bench_cfg(tmp_path)
+    assert cli.main(["run", "--config", cfg, "--workers", "0"]) == 1
+    assert "--workers must be >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
+
+
 def _loaded_scipy_modules(tmp_path, argv):
     """Exit code and scipy modules of one command on the m = 2 config, run in
     a fresh interpreter."""
@@ -531,7 +550,7 @@ def _loaded_scipy_modules(tmp_path, argv):
 
 
 def test_run_loads_no_scipy(tmp_path):
-    # only the release criteria (collidesim validate) need scipy
+    # the package needs numpy alone; scipy is only the tests' reference
     assert _loaded_scipy_modules(tmp_path, ["run"]) == "0 []"
     assert (tmp_path / "run.csv").exists()
 

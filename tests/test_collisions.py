@@ -111,7 +111,6 @@ def test_joint_hamiltonian_and_dense_unitary():
     )
     np.testing.assert_allclose(beta * nh.h.to_dense(), want_h, atol=1e-13)
     assert beta == pytest.approx(0.4 + 0.3 + 0.5 + 0.2)
-    assert spec.tau(0) == pytest.approx(beta * 0.2)
     np.testing.assert_allclose(
         spec.dense_unitary(0), expm(-1j * 0.2 * want_h), atol=1e-12
     )

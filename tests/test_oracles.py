@@ -59,11 +59,14 @@ def test_trace_distance_conventions():
 
 
 def test_unitary_exact_matches_expm():
+    # a PauliSum and a dense Hermitian array, the forms the release criteria pass
     h = pauli_sum([(0.8, "XZ"), (0.4, "-YI"), (0.3, "ZZ")])
-    for tau in (0.0, 0.3, 2.1):
-        np.testing.assert_allclose(
-            unitary_exact(h, tau), expm(-1j * tau * h.to_dense()), atol=1e-12
-        )
+    rng = np.random.default_rng(59)
+    g = rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8))
+    for herm in (h, h.to_dense(), (g + g.conj().T) / 2.0):
+        dense = herm.to_dense() if isinstance(herm, PauliSum) else herm
+        for tau in (0.0, 0.3, 2.1):
+            np.testing.assert_allclose(unitary_exact(herm, tau), expm(-1j * tau * dense), atol=1e-12)
 
 
 def _act(liou, x):
@@ -313,9 +316,8 @@ def test_thermal_collisions_converge_to_the_oracle_at_first_order():
 
 
 def test_import_loads_no_ode_or_special_function_modules():
-    # only the release criteria (collidesim validate) need scipy, and the
-    # acceptance module is imported by that command alone; a serial estimate
-    # never needs the process pool either
+    # the package needs numpy alone (scipy is the tests' reference), and a
+    # serial estimate never needs the process pool
     code = (
         "import collidesim; "
         "print(scipy_modules(), 'concurrent.futures.process' in sys.modules)"

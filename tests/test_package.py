@@ -1,4 +1,5 @@
-"""The package surface: every exported name is bound, star-importable, and called."""
+"""The package surface: every exported name is bound, star-importable, and
+called, and the package imports numpy and the standard library alone."""
 
 import ast
 import io
@@ -8,6 +9,8 @@ import subprocess
 import sys
 import tokenize
 from collections import namedtuple
+
+import pytest
 
 import collidesim
 
@@ -130,3 +133,31 @@ def test_every_exported_name_has_a_caller():
 
 def test_every_public_function_and_method_has_a_caller():
     assert _uncalled(d for d in _definitions() if d.is_function and not d.name.startswith("_")) == []
+
+
+def _imported_modules(text):
+    """Top-level name of every module a source text imports, at any depth
+    (imports inside functions included); a relative import is the package."""
+    names = set()
+    for node in ast.walk(ast.parse(text)):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            names.add("collidesim" if node.level else node.module.split(".")[0])
+    return names
+
+
+def test_the_package_needs_numpy_alone():
+    sources = {**_SOURCES, "__init__.py": _read(os.path.join(_SRC, "__init__.py"))}
+    allowed = set(sys.stdlib_module_names) | {"numpy", "collidesim"}
+    outside = {
+        (module, name)
+        for module, text in sources.items()
+        for name in _imported_modules(text)
+        if name not in allowed
+    }
+    assert outside == set()
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(_ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert [re.match(r"[\w-]+", dep).group() for dep in project["dependencies"]] == ["numpy"]

@@ -13,7 +13,6 @@ from collidesim import (
     apply_pauli,
     apply_pauli_rotation,
     apply_swap,
-    apply_unitary,
     born_sample,
     embed_pauli,
     expectation,
@@ -21,6 +20,7 @@ from collidesim import (
     partial_trace,
     tensor_append,
 )
+from collidesim.states import apply_sides
 from dense_reference import write_state
 
 
@@ -240,7 +240,7 @@ def test_apply_unitary_matches_dense(targets):
     u, _ = np.linalg.qr(a)
     full = _embedded(u, targets, 4)
     want = full @ rho.data @ full.conj().T
-    got = apply_unitary(rho.copy(), u, targets)
+    got = apply_sides(rho.copy(), u, u, targets)  # a unitary is both sides
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
@@ -248,7 +248,7 @@ def test_apply_unitary_rejects_bad_targets():
     rho = DensityMatrix.basis(2, 0)
     for bad in ((0, 0), (0, 2), (0,)):  # repeated, outside the register, wrong width
         with pytest.raises(ValueError):
-            apply_unitary(rho.copy(), np.eye(4), bad)
+            apply_sides(rho.copy(), np.eye(4), np.eye(4), bad)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 32])
