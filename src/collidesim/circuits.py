@@ -27,18 +27,18 @@ ops of its env slots, so the circuit IR has four op kinds. Validation checks
 a table's entries as they enter it and a sampled fragment's picks by their
 range.
 
-Execution. A Markov collision is a Kraus map on the system, so execute
-runs every window of the op sequence that is one: a `prepare` while no env
-slot is active, then fragments on the system and that slot in physical
-order, then the slot's `trace`. Every markov_program is made of such
-windows. With the env state's eigen-columns E = [sqrt(p_b) e_b]
-(states.kraus_start, memoized on the state's value), the window's
-fragments that act on one side of a block are applied to I (x) E, giving
+Execution. execute runs a program as a Skeleton (below) with no open op.
+A Markov collision is a Kraus map on the system, so every window of the op
+sequence that is one runs as such: a `prepare` while no env slot is active, then
+fragments on the system and that slot in physical order, then the slot's
+`trace`. Every markov_program is made of such windows. With the env state's
+eigen-columns E = [sqrt(p_b) e_b], the window's fragments that act on one
+side of a block are applied to I (x) E (states.kraus_start), giving
 V = U (I x E), whose d_s x d_s blocks are the Kraus operators
 K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block then becomes
 sum_k L_k rho R_k† through states.apply_kraus, the exact maps' kernel. A
 sampled fragment is built by hamsim.rotations_dense on the d_s * rank(E)
-columns of I (x) E alone, a product-formula one is its memoized step unitary
+columns of I (x) E alone, a product-formula one is its step unitary
 (hamsim.step_unitary) times I (x) E. Any other op sequence (two live slots,
 swaps, fragments off the window's order) runs on the joint register: a
 prepare appends the env (states.tensor_append), a fragment's unitary acts
@@ -51,11 +51,9 @@ across the draws of an estimate.
 Skeletons. A randomized estimate runs one program shape many times, so it
 builds a Skeleton once: the program with its sampled fragments' picks and
 its partial swaps left open, validated once, with one draw function per
-open op. A run draws the open ops in op order with its own generator and
-runs its Kraus windows on that draw directly, with no program of its own;
-a skeleton that is not all windows (the non-Markov one) runs the program
-the draw fills in. The same windows serve execute, so a program and its
-skeleton run the same arithmetic.
+open op and the env preparers bound. It works out what no run changes
+before its first run, and a run draws the open ops in op order with its own
+generator and runs that draw with no program of its own, Markov or not.
 
 CNOT accounting: a fragment costs `steps` times the sum of its items; a
 sampled one prices each table entry once and weights it by its pick count,
@@ -223,64 +221,14 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     the joint register. Both raise the same errors: a preparer of the wrong
     width is a ValueError, a joint register past the dense limit a
     DenseLimitError. A window also refuses an env state with an eigenvalue
-    below -1e-12 (NumericalError), as the exact map does.
+    below -1e-12 (NumericalError), as the exact map does. The program runs
+    as a Skeleton with no open op.
     """
-    regs = _registers(program, rho_system, blocks)
-    windows = _kraus_windows(program)
-    active = []  # slot ids in preparation order
-
-    def phys(vid):
-        if vid < program.n_system:
-            return vid
-        slot = program._slot_of(vid)
-        base = program.n_system
-        for s in active:
-            if s == slot:
-                break
-            base += program.env_widths[s]
-        return base + (vid - program.slot_base(slot))
-
-    ops = program.ops
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        end = windows.get(i)
-        if end is not None:
-            start = _window_start(program, op, env_preparers)
-            _run_window([(f, f.picks) for f in ops[i + 1 : end]], start, program.n_system, regs)
-            i = end + 1
-            continue
-        i += 1
-        if op.kind == "prepare":
-            fresh = _fresh_env(program, op, env_preparers)
-            for reg in regs.values():
-                states.tensor_append(reg, fresh)
-            active.append(op.slot)
-        elif op.kind == "trace":
-            qubits = [phys(v) for v in _slot_vids(program, op.slot)]
-            for reg in regs.values():
-                states.partial_trace(reg, qubits)
-            active.remove(op.slot)
-        elif op.kind == "swap":
-            a, b = op.slots
-            qubits_a = [phys(v) for v in _slot_vids(program, a)]
-            qubits_b = [phys(v) for v in _slot_vids(program, b)]
-            for reg in regs.values():
-                states.apply_swap(reg, qubits_a, qubits_b)
-        else:  # fragment
-            qubits = [phys(v) for v in op.targets]
-            u = _op_unitary(op, op.picks)
-            for key, reg in regs.items():
-                row, col = (None, None) if key is None else key
-                left = u if op.control is None or row == op.polarity else None
-                right = u if op.control is None or col == op.polarity else None
-                if left is not None or right is not None:
-                    states.apply_sides(reg, left, right, qubits)
-    return regs if program.ancilla else regs[None]
+    return Skeleton(program, (), env_preparers).run((), rho_system, blocks)
 
 
 def _registers(program, rho_system, blocks):
-    """The registers execute evolves: {None: rho}, or the ancilla blocks
+    """The registers a run evolves: {None: rho}, or the ancilla blocks
     {(a, b): rho/2} named in `blocks` (default ANCILLA_BLOCKS)."""
     if rho_system.n != program.n_system:
         raise ValueError("system state width mismatch")
@@ -291,29 +239,6 @@ def _registers(program, rho_system, blocks):
     if blocks is not None:
         raise ValueError("blocks apply only to a program with an ancilla")
     return {None: rho_system.copy()}
-
-
-def _kraus_windows(program):
-    """{index of a prepare: index of the trace closing its Kraus window} for
-    every prepare on an empty environment that opens one. Which slots are
-    active depends on the op sequence alone, so the windows do too."""
-    ops = program.ops
-    windows = {}
-    active = 0
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        if op.kind == "prepare":
-            end = None if active else _window_end(program, i)
-            if end is not None:
-                windows[i] = end
-                i = end + 1
-                continue
-            active += 1
-        elif op.kind == "trace":
-            active -= 1
-        i += 1
-    return windows
 
 
 def _window_end(program, start):
@@ -333,29 +258,13 @@ def _window_end(program, start):
     return None
 
 
-def _fresh_env(program, op, env_preparers):
-    """The fresh state a prepare op puts in its slot, checked for width."""
-    key = op.slot if op.prep is None else op.prep
-    fresh = env_preparers[key]()
-    if fresh.n != program.env_widths[op.slot]:
-        raise ValueError(f"slot {op.slot} preparer has wrong width")
-    return fresh
-
-
-def _window_start(program, op, env_preparers):
-    """I (x) E for the Kraus window the prepare op opens."""
-    fresh = _fresh_env(program, op, env_preparers)
-    check_dense(program.n_system + fresh.n)
-    return states.kraus_start(program.n_system, fresh.data)
-
-
-def _run_window(frags, start, n_system, regs):
-    """Run one Kraus window, its fragments given as (op, picks), on every
-    block. The window's fragments that act on ancilla value v (all of them
-    without an ancilla), applied to `start` = I (x) E, give
-    V_v = U_v (I x E), whose d_s x d_s blocks are the Kraus operators of
-    that side; block rho_ab becomes sum_k L_k rho_ab R_k† with L_k from V_a
-    and R_k from V_b."""
+def _run_window(start, frags, draw, n_system, regs):
+    """Run one Kraus window, its fragments given as (op, unitary, draw
+    position), on every block. The window's fragments that act on ancilla
+    value v (all of them without an ancilla), applied to `start` = I (x) E,
+    give V_v = U_v (I x E), whose d_s x d_s blocks are the Kraus operators
+    of that side; block rho_ab becomes sum_k L_k rho_ab R_k† with L_k from
+    V_a and R_k from V_b."""
     ds = 1 << n_system
     shape = (ds, start.shape[0] // ds, ds, start.shape[1] // ds)
     products, stacked, adjoints = {}, {}, {}
@@ -363,9 +272,10 @@ def _run_window(frags, start, n_system, regs):
     def product(v):
         if v not in products:
             out = start
-            for op, picks in frags:
+            for frag in frags:
+                op = frag[0]
                 if op.control is None or op.polarity == v:
-                    out = _op_unitary(op, picks, out)
+                    out = _unitary(frag, draw, out)
             products[v] = out.reshape(shape)
         return products[v]
 
@@ -378,13 +288,16 @@ def _run_window(frags, start, n_system, regs):
         reg.data = states.apply_kraus(reg.data, stacked[row], adjoints[col])
 
 
-def _op_unitary(op, picks, start=None):
-    """Dense unitary of a fragment on its targets, memoized unless sampled
-    (`picks` given); with a d x c `start`, the unitary times start, a sampled
-    one built on those columns alone."""
-    if picks is not None:
+def _unitary(frag, draw, start=None):
+    """Dense unitary on its targets of a fragment given as (op, unitary,
+    draw position): the unitary of a closed product-formula fragment, or a
+    sampled one built from its picks, the op's own or the draw's at that
+    position. With a d x c `start`, the unitary times start, a sampled one
+    built on those columns alone."""
+    op, u, pos = frag
+    if u is None:
+        picks = op.picks if pos is None else draw[pos]
         return rotations_dense(op.step, len(op.targets), picks, start)
-    u = step_unitary(op.step, op.steps)
     return u if start is None else u @ start
 
 
@@ -399,24 +312,22 @@ class Skeleton:
     a function of the run's generator giving that fragment's picks or
     whether that swap is kept; draw() calls them in that order, so a run
     consumes its generator as emitting the program op by op would, and
-    fill(draw) is that program. A template made of Kraus windows alone,
-    with no open swap, runs a draw's windows directly through the window
-    step execute takes; any other runs its filled program. tally() prices
-    runs from pooled pick counts.
+    fill(draw) is that program. tally() prices runs from pooled pick counts.
+
+    `env_preparers` maps each prepare's key to its preparer, as execute
+    takes them. Before its first run a skeleton works out once what no run
+    changes: its Kraus windows, each prepare's fresh state and each
+    window's start I (x) E (one preparer call and one eigh per prep key),
+    each closed fragment's unitary, and the physical qubits of every other
+    op (fixed, since a swap never changes which slots are active). A run
+    reads only its draw and does the arithmetic.
     """
 
-    def __init__(self, template, draws):
+    def __init__(self, template, draws, env_preparers=None):
         self.template = template
         self.draws = tuple(draws)
-        position = {index: pos for pos, (index, _) in enumerate(self.draws)}
-        ops = template.ops
-        windows = _kraus_windows(template)
-        self.windows = None  # per window: its prepare and (fragment, draw position or None)
-        if sum(end + 1 - i for i, end in windows.items()) == len(ops):
-            self.windows = tuple(
-                (ops[i], tuple((ops[f], position.get(f)) for f in range(i + 1, end)))
-                for i, end in windows.items()
-            )
+        self.env_preparers = env_preparers
+        self._steps = None  # worked out at the first run
 
     @property
     def ancilla(self):
@@ -442,18 +353,99 @@ class Skeleton:
             t.n_system, t.ancilla, t.env_widths, tuple(op for op in ops if op is not None)
         )
 
-    def run(self, draw, rho_system, env_preparers=None, blocks=None):
-        """execute(self.fill(draw), ...), without making the program when
-        the template is Kraus windows alone."""
-        if self.windows is None:
-            return execute(self.fill(draw), rho_system, env_preparers, blocks)
+    def run(self, draw, rho_system, blocks=None):
+        """The final state of one draw, as execute(self.fill(draw), ...) gives it."""
         t = self.template
         regs = _registers(t, rho_system, blocks)
-        for prep, frags in self.windows:
-            start = _window_start(t, prep, env_preparers)
-            chosen = [(op, op.picks if pos is None else draw[pos]) for op, pos in frags]
-            _run_window(chosen, start, t.n_system, regs)
+        if self._steps is None:
+            self._steps = self._compile()
+        for step in self._steps:
+            kind = step[0]
+            if kind == "window":
+                _run_window(step[1], step[2], draw, t.n_system, regs)
+            elif kind == "prepare":
+                for reg in regs.values():
+                    states.tensor_append(reg, step[1])
+            elif kind == "trace":
+                for reg in regs.values():
+                    states.partial_trace(reg, step[1])
+            elif kind == "swap":
+                _, qubits_a, qubits_b, pos = step
+                if pos is None or draw[pos]:
+                    for reg in regs.values():
+                        states.apply_swap(reg, qubits_a, qubits_b)
+            else:  # fragment
+                _, qubits, frag = step
+                op, u = frag[0], _unitary(frag, draw)
+                for key, reg in regs.items():
+                    row, col = (None, None) if key is None else key
+                    left = u if op.control is None or row == op.polarity else None
+                    right = u if op.control is None or col == op.polarity else None
+                    if left is not None or right is not None:
+                        states.apply_sides(reg, left, right, qubits)
         return regs if t.ancilla else regs[None]
+
+    def _compile(self):
+        """A run's steps in op order: ("window", I (x) E, frags) per Kraus
+        window, else ("prepare", fresh state), ("trace", qubits), ("swap",
+        qubits, qubits, pos) or ("fragment", qubits, frag). A frag is (op,
+        its unitary if closed and product formula, pos), and pos is the
+        op's draw position, None when closed."""
+        t = self.template
+        ops, n = t.ops, t.n_system
+        position = {index: pos for pos, (index, _) in enumerate(self.draws)}
+        fresh, starts = {}, {}  # per prep key: the fresh state, a window's I (x) E
+        active = []  # slot ids in preparation order
+
+        def prepared(op):
+            key = op.slot if op.prep is None else op.prep
+            if key not in fresh:
+                fresh[key] = self.env_preparers[key]()
+            if fresh[key].n != t.env_widths[op.slot]:
+                raise ValueError(f"slot {op.slot} preparer has wrong width")
+            return key
+
+        def frag(i):
+            op = ops[i]
+            closed = op.picks is None and i not in position
+            return op, step_unitary(op.step, op.steps) if closed else None, position.get(i)
+
+        def qubits(slot):
+            base = n + sum(t.env_widths[s] for s in active[: active.index(slot)])
+            return list(range(base, base + t.env_widths[slot]))
+
+        def located(vid):
+            if vid < n:
+                return vid
+            slot = t._slot_of(vid)
+            return qubits(slot)[vid - t.slot_base(slot)]
+
+        steps = []
+        i = 0
+        while i < len(ops):
+            op = ops[i]
+            end = None if active or op.kind != "prepare" else _window_end(t, i)
+            if end is not None:
+                key = prepared(op)
+                if key not in starts:
+                    check_dense(n + fresh[key].n)
+                    starts[key] = states.kraus_start(n, fresh[key].data)
+                steps.append(("window", starts[key], tuple(frag(f) for f in range(i + 1, end))))
+                i = end + 1
+                continue
+            if op.kind == "prepare":
+                steps.append(("prepare", fresh[prepared(op)]))
+                active.append(op.slot)
+            elif op.kind == "trace":
+                steps.append(("trace", qubits(op.slot)))
+                active.remove(op.slot)
+            elif op.kind == "swap":
+                a, b = op.slots
+                steps.append(("swap", qubits(a), qubits(b), position.get(i)))
+            else:  # fragment
+                steps.append(("fragment", [located(v) for v in op.targets], frag(i)))
+            i += 1
+        return tuple(steps)
 
     def tally(self):
         return _Tally(self)
@@ -531,11 +523,6 @@ class _Tally:
             c, r, p = pool.cost().tolist()
             cnot, rot, paulis = cnot + c, rot + r, paulis + p
         return ResourceReport(cnot, rot, paulis, cnot + rot, preps)
-
-
-def _slot_vids(program, slot):
-    base = program.slot_base(slot)
-    return range(base, base + program.env_widths[slot])
 
 
 @dataclass(frozen=True)

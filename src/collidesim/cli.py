@@ -267,7 +267,6 @@ def build_config(mapping):
         ("model.omega", cfg.omega),
         ("model.env_omega", cfg.env_omega),
         ("dynamics.dt", cfg.dt),
-        ("dynamics.length", cfg.overrides.get("length", 0)),
         ("dynamics.q", cfg.overrides.get("q", 0)),
     ):
         if value < 0.0:
@@ -288,6 +287,9 @@ def build_config(mapping):
         ("dynamics.grid", cfg.grid),
         ("execution.workers", cfg.workers),
         ("execution.compilations", cfg.compilations),
+        ("dynamics.steps", cfg.overrides.get("steps", 1)),
+        ("dynamics.length", cfg.overrides.get("length", 1)),
+        ("dynamics.r", cfg.overrides.get("r", 1)),
     ):
         if value < 1:
             raise ValueError(f"{key} must be >= 1, got {value}")

@@ -442,7 +442,7 @@ def markov_skeleton(spec, plan):
     template = CircuitProgram(
         n_system=spec.n, ancilla=plan.ancilla, env_widths=tuple(widths), ops=tuple(ops)
     )
-    return Skeleton(template, draws)
+    return Skeleton(template, draws, spec.env_preparers())
 
 
 def markov_program(spec, backend, budget=None, rng=None, plan=None):
@@ -467,7 +467,8 @@ def nonmarkov_skeleton(nmspec, plan):
     After each non-final collision the fresh env lands in the other slot and
     the just-collided slot is swapped with it, a swap kept with probability
     p per run (and absent at p = 0), then traced. A run draws each
-    collision's fragments, then its swap.
+    collision's fragments, then its swap. It holds the base spec's env
+    preparers.
     """
     spec, p = nmspec.base, nmspec.p
     parts = _collision_parts(spec, plan)
@@ -488,7 +489,7 @@ def nonmarkov_skeleton(nmspec, plan):
     template = CircuitProgram(
         n_system=spec.n, ancilla=plan.ancilla, env_widths=(w, w), ops=tuple(ops)
     )
-    return Skeleton(template, draws)
+    return Skeleton(template, draws, spec.env_preparers())
 
 
 def nonmarkov_program(nmspec, backend, budget=None, rng=None, plan=None):
@@ -565,9 +566,11 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
     count exactly; qdrift uses the analytic term-weight expectation (an
     identity-axis rotation is free); salcu averages `lcu_samples` sampled
     collision blocks per distinct collision (seeded, so the report is
-    reproducible). A NonMarkovSpec adds its partial swaps: each of the K-1
-    swap points swaps the two env registers with probability p.
+    reproducible), at least 1. A NonMarkovSpec adds its partial swaps: each
+    of the K-1 swap points swaps the two env registers with probability p.
     """
+    if lcu_samples < 1:
+        raise ValueError(f"lcu_samples must be >= 1, got {lcu_samples}")
     swap_cnots = 0.0
     if isinstance(spec, NonMarkovSpec):
         width = spec.base.collisions[0].env_width

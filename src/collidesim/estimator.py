@@ -1,16 +1,17 @@
 """Monte-Carlo estimation of Tr[O M_K[rho]].
 
 Protocol: an estimate builds its collision program once as a skeleton
-(circuits.Skeleton), with the random parts left open; each run draws them
-with its own RNG, runs that draw on a fresh copy of the input state, and
-measures. A run's gate costs come from its draw: the block's picks are
+(circuits.Skeleton), with the random parts left open and the env preparers
+bound; each run, Markov or not, draws the open parts with its own RNG, runs
+that draw on a fresh copy of the input state with no program of its own,
+and measures. A run's gate costs come from its draw: the block's picks are
 pooled per table and priced once, which sums to count_resources over the
 runs' programs. When the final state does not depend on the run (the exact
 backend, or a fixed program), it is computed and measured once per
 estimate: its conditional mean, or the Born distribution from which each
 run draws its shot with its own RNG. With the sampled-LCU backend the
 program carries the control ancilla and the measured operator is
-sigma^x (x) O. The ancilla is never held as a register: execute evolves the
+sigma^x (x) O. The ancilla is never held as a register: a run evolves the
 system-sized blocks rho_ab of the ancilla (+) system state, and the
 conditional expectation reads 2 Re Tr[O rho_10] from the one block rho_10
 (a shot draws from the state joined from rho_00, rho_11 and rho_10). Its
@@ -83,7 +84,8 @@ def measured_observable(obs, ancilla):
 
 def run_once(program, rho_system, env_preparers, measured, measurement, rng, draw=None):
     """One coherent run: execute the program, or with `draw` run that draw
-    of a Skeleton, and measure (conditional mean or one shot).
+    of a Skeleton (which holds its own env preparers), and measure
+    (conditional mean or one shot).
 
     With the Hadamard-test ancilla the conditional mean of sigma^x (x) O is
     2 Re Tr[O rho_10], so only that block is evolved; a shot is drawn from
@@ -92,7 +94,7 @@ def run_once(program, rho_system, env_preparers, measured, measurement, rng, dra
     if draw is None:
         run = partial(execute, program, rho_system, env_preparers)
     else:
-        run = partial(program.run, draw, rho_system, env_preparers)
+        run = partial(program.run, draw, rho_system)
     if program.ancilla and measurement == "analytic":
         return hadamard_expectation(run(blocks=((1, 0),))[1, 0], measured)
     final = run()
@@ -219,7 +221,7 @@ def _fixed_outcome(final, measured, measurement):
     return born_distribution(final, measured)
 
 
-def _run_block(skeleton, preparers, rho0, measured, measurement, seed, start, stop, outcome):
+def _run_block(skeleton, rho0, measured, measurement, seed, start, stop, outcome):
     """Sequential runs start..stop-1; the parallel path ships this off.
 
     With a fixed outcome given, each run only reads it: a shot run draws its
@@ -243,7 +245,7 @@ def _run_block(skeleton, preparers, rho0, measured, measurement, seed, start, st
     for pos, k in enumerate(range(start, stop)):
         rng = _run_rng(seed, k)
         draw = skeleton.draw(rng)
-        mus[pos] = run_once(skeleton, rho0, preparers, measured, measurement, rng, draw)
+        mus[pos] = run_once(skeleton, rho0, None, measured, measurement, rng, draw)
         tally.add(draw)
     return mus, tally.report()
 
@@ -314,7 +316,6 @@ def estimate(
     measured.eig()  # prime the cache once, before any fork
     fixed = _build_program(spec, base, plan, _run_rng(seed, 0)) if fixed_program else None
     skeleton = None if run_independent else _skeleton(spec, base, plan)
-    preparers = base.env_preparers()
     # computed here, in the parent, so workers only read it
     outcome = None
     if run_independent:
@@ -327,7 +328,7 @@ def estimate(
 
         bounds = np.linspace(0, t_runs, min(workers * 4, t_runs) + 1).astype(int).tolist()
         args = [
-            (skeleton, preparers, rho0, measured, measurement, seed, lo, hi, outcome)
+            (skeleton, rho0, measured, measurement, seed, lo, hi, outcome)
             for lo, hi in zip(bounds, bounds[1:])
         ]
         with ProcessPoolExecutor(max_workers=workers) as pool:
@@ -338,7 +339,7 @@ def estimate(
             totals = totals + r[1]
     else:
         mus, totals = _run_block(
-            skeleton, preparers, rho0, measured, measurement, seed, 0, t_runs, outcome
+            skeleton, rho0, measured, measurement, seed, 0, t_runs, outcome
         )
     scaled = zeta**2 * mus
     mu = float(scaled.sum() / t_runs)

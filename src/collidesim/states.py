@@ -8,10 +8,11 @@ invariants, positivity is left to the tests.
 
 A collision on a freshly prepared env register runs as a Kraus map on the
 system: env_columns takes the env state's eigen-columns sqrt(p_b) e_b (one
-eigh, memoized on the state's value), kraus_stacked and kraus_adjoints
-stack the operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and
-apply_kraus applies sum_k L_k rho R_k† as two matmuls; the exact maps and
-program execution share these. Any other fragment runs as a whole dense
+eigh, which a circuits.Skeleton makes once per env state and the exact map
+once per distinct collision), kraus_stacked and kraus_adjoints stack the
+operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and apply_kraus
+applies sum_k L_k rho R_k† as two matmuls; the exact maps and program
+execution share these. Any other fragment runs as a whole dense
 unitary through apply_sides, on both sides of a register or on one side of
 an ancilla block rho_ab (any state function here acts on such a block, whose
 trace and Hermiticity are not those of a state), between tensor_append and
@@ -345,39 +346,24 @@ def _scatter(positions):
 
 def env_columns(sigma):
     """The columns sqrt(p_b) e_b, p_b > 0, of an env state
-    sigma = sum_b p_b |e_b><e_b| (one eigh), as a read-only de x k array.
+    sigma = sum_b p_b |e_b><e_b| (one eigh), as a de x k array.
 
-    Memoized on the state's value in a bounded cache. An eigenvalue below
-    -_ENV_EIG_TOL is a numerical failure; smaller negative ones are rounding
-    and dropped.
+    An eigenvalue below -_ENV_EIG_TOL is a numerical failure; smaller
+    negative ones are rounding and dropped.
     """
-    sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
-    return _env_columns(sigma.tobytes(), sigma.shape[0])
-
-
-@lru_cache(maxsize=64)
-def _env_columns(raw, de):
-    probs, vecs = np.linalg.eigh(np.frombuffer(raw, dtype=np.complex128).reshape(de, de))
+    probs, vecs = np.linalg.eigh(np.ascontiguousarray(sigma, dtype=np.complex128))
     if probs.min() < -_ENV_EIG_TOL:
         raise NumericalError(f"env state has eigenvalue {probs.min():.3e}")
     keep = probs > 0.0
-    cols = vecs[:, keep] * np.sqrt(probs[keep])
-    cols.setflags(write=False)
-    return cols
+    return vecs[:, keep] * np.sqrt(probs[keep])
 
 
 def kraus_start(n_system, sigma):
     """I (x) E on n_system qubits and the env, with E = env_columns(sigma):
     the d x d_s k matrix whose product with a joint unitary U holds the
-    Kraus operators (I x <a|) U (I x sqrt(p_b) |e_b>). Memoized like
-    env_columns; read-only."""
-    sigma = np.ascontiguousarray(sigma, dtype=np.complex128)
-    return _kraus_start(n_system, sigma.tobytes(), sigma.shape[0])
-
-
-@lru_cache(maxsize=16)
-def _kraus_start(n_system, raw, de):
-    start = np.kron(np.eye(1 << n_system, dtype=np.complex128), _env_columns(raw, de))
+    Kraus operators (I x <a|) U (I x sqrt(p_b) |e_b>); read-only, since a
+    skeleton's runs share it."""
+    start = np.kron(np.eye(1 << n_system, dtype=np.complex128), env_columns(sigma))
     start.setflags(write=False)
     return start
 

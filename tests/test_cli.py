@@ -98,6 +98,11 @@ def test_build_config_defaults_and_overrides():
         {"model.omega": "-1"},
         {"model.kind": "custom", "model.env_omega": "-1"},
         {"dynamics.length": "-2"},
+        {"dynamics.steps": "0", "dynamics.length": "0", "dynamics.r": "0"},
+        {"dynamics.steps": "0"},
+        {"dynamics.length": "0"},
+        {"dynamics.r": "0"},
+        {"dynamics.steps": "-3", "dynamics.backend": "qdrift"},
         {"dynamics.c_r": "0"},
         {"dynamics.c_r": "-1.5"},
         {"dynamics.q": "-2"},
@@ -134,6 +139,11 @@ def test_build_config_defaults_and_overrides():
         "negative-omega",
         "negative-env_omega",
         "negative-length",
+        "zero-overrides",
+        "zero-steps",
+        "zero-length",
+        "zero-r",
+        "negative-steps-for-qdrift",
         "zero-c_r",
         "negative-c_r",
         "negative-q",

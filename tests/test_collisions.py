@@ -384,6 +384,14 @@ def test_expected_salcu_resources_price_the_expanded_draws():
     assert got.as_tuple() == (cnot, rot, paulis, cnot + rot, spec.K)
 
 
+@pytest.mark.parametrize("samples", [0, -2])
+def test_expected_resources_need_an_lcu_sample(samples):
+    # no sample would price the salcu collisions as 0/0
+    spec = lindblad_collision_spec(amp_damp_model(m=2, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
+    with pytest.raises(ValueError, match="lcu_samples must be >= 1"):
+        expected_resources(spec, parse_backend("salcu"), Budget(1e-2, 1.0), lcu_samples=samples)
+
+
 def test_lindblad_collision_spec_scaling():
     model = amp_damp_model(2, J=1.0, h=0.1, gamma=0.81, omega=math.log(3.0))
     t, nu = 2.0, 8

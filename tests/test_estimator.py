@@ -1,6 +1,8 @@
 """Estimator: run counts, budget split, seeding, and statistical behavior."""
 
 import math
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from collidesim import (
     amp_damp_model,
     estimate,
     exact_k_collision,
+    execute,
     expectation,
     hoeffding_T,
     lindblad_collision_spec,
@@ -369,15 +372,67 @@ def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measu
 
 def test_randomized_estimates_check_and_price_no_program_per_run(monkeypatch):
     # a tripwire: the skeleton is validated once per estimate and runs are
-    # priced from pooled picks, so neither count grows with the run count
+    # priced from pooled picks, so neither count grows with the run count,
+    # and a non-Markov run executes its draw with no program of its own
     calls = per_run_program_calls(monkeypatch)
     spec = _spec()
-    for backend, measurement in (("qdrift", "analytic"), ("salcu", "analytic"), ("salcu", "shot")):
+    memory = NonMarkovSpec(spec, 0.5)
+    for target, backend, measurement in (
+        (spec, "qdrift", "analytic"),
+        (spec, "salcu", "analytic"),
+        (spec, "salcu", "shot"),
+        (memory, "qdrift", "analytic"),
+        (memory, "trotter2k:1", "analytic"),
+    ):
         for runs in (1, 20):
             calls.clear()
-            estimate(spec, RHO0, OBS, backend, 0.2, 0.2, seed=3, measurement=measurement,
+            estimate(target, RHO0, OBS, backend, 0.2, 0.2, seed=3, measurement=measurement,
                      t_override=runs)
             assert calls == {"validate": 1}, (backend, measurement, runs)
+
+
+class _CountedPrep:
+    """A preparer that counts its calls under its key."""
+
+    def __init__(self, prep, calls, key):
+        self.prep, self.calls, self.key = prep, calls, key
+
+    def __call__(self):
+        self.calls[self.key] += 1
+        return self.prep()
+
+
+def test_env_states_are_prepared_once_per_prep_key():
+    # a tripwire: a skeleton prepares each distinct env state once, before
+    # its first run, so no run calls a preparer
+    calls = Counter()
+    base = _spec()
+    col_a, col_b = (
+        replace(c, env_prep=_CountedPrep(c.env_prep, calls, key))
+        for key, c in zip("ab", base.collisions)
+    )
+    spec = CollisionSpec(1, base.system_h, (col_a, col_b, col_a, col_b), base.dt)
+    memory = NonMarkovSpec(spec, 0.5)
+    for target, backend, measurement in (
+        (spec, "qdrift", "analytic"),
+        (spec, "salcu", "shot"),
+        (spec, "trotter1", "shot"),
+        (memory, "qdrift", "analytic"),
+        (memory, "trotter2k:1", "analytic"),
+    ):
+        for runs in (1, 20):
+            calls.clear()
+            estimate(target, RHO0, OBS, backend, 0.2, 0.2, seed=3, measurement=measurement,
+                     t_override=runs)
+            assert calls == {"a": 1, "b": 1}, (backend, measurement, runs)
+    rng = np.random.default_rng(5)
+    for program in (
+        markov_program(spec, parse_backend("salcu"), Budget(0.2, 1.0), rng),
+        nonmarkov_program(NonMarkovSpec(spec, 1.0), parse_backend("trotter1"), Budget(0.2, 1.0), rng),
+    ):
+        calls.clear()
+        execute(program, RHO0, spec.env_preparers())
+        assert calls == {"a": 1, "b": 1}
 
 
 def test_the_empirical_step_search_runs_once_per_spec(monkeypatch):
