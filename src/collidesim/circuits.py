@@ -16,16 +16,15 @@ ancilla values), and an ancilla-controlled op multiplies a block on the
 side(s) whose ancilla value matches its polarity.
 
 Every collision of every backend is one `fragment` op on the collision's
-n+w targets. A product-formula fragment is a one-step schedule of items
-repeated `steps` times, where an item is a rotation (bare axis, angle) or a
-Pauli word (word, None) with its phase. A sampled fragment (one qDRIFT or
-LCU draw) is its collision's hamsim.RotationTable plus `picks`, the indices
-of the drawn items in order, applied once. Only the ancilla can control a
+n+w targets, and its `step` is a hamsim.RotationTable of items: rotations
+(bare axis, angle) and Pauli words (word, None) with their phase. A
+product-formula fragment applies its table in order, `steps` times. A
+sampled fragment (one qDRIFT or LCU draw) adds `picks`, the indices of the
+drawn items in order, applied once. Only the ancilla can control a
 fragment; the fragment then acts only where the ancilla reads `polarity`.
 Besides fragments a program holds only the `prepare`, `trace` and `swap`
-ops of its env slots, so the circuit IR has four op kinds. Validation checks
-a table's entries as they enter it and a sampled fragment's picks by their
-range.
+ops of its env slots, so the circuit IR has four op kinds. A table checks
+its entries as they enter it, and validation its width and the picks.
 
 Execution. execute runs a program as a Skeleton (below) with no open op.
 A Markov collision is a Kraus map on the system, so every window of the op
@@ -92,8 +91,8 @@ class GateOp:
     slot: int | None = None
     slots: tuple | None = None
     prep: int | None = None  # preparer key for prepare ops (defaults to slot)
-    step: tuple = ()  # fragment ops: one step of (bare axis, angle) | (word, None), in order,
-    # or the RotationTable a sampled fragment picks from
+    step: RotationTable | None = None  # fragment ops: the items applied in order,
+    # or the table a sampled fragment picks from
     steps: int = 1  # fragment ops: repetitions of the step
     picks: tuple | None = None  # sampled fragments: indices into `step`, in order
 
@@ -105,13 +104,16 @@ class GateOp:
 def fragment_op(step, steps, targets, control=None, polarity=1, picks=None):
     """`steps` repetitions of a one-step schedule of (bare axis, angle) and
     (word, None) items, optionally controlled. With `picks`, one random draw:
-    step[picks[0]], step[picks[1]], ... applied once, never memoized."""
+    step[picks[0]], step[picks[1]], ... applied once, never memoized. A
+    hand-built item list becomes a RotationTable of width len(targets)."""
+    if not isinstance(step, RotationTable):
+        step = RotationTable(len(targets), step)
     return GateOp(
         "fragment",
         targets=tuple(targets),
         control=control,
         polarity=polarity,
-        step=step if isinstance(step, RotationTable) else tuple(step),
+        step=step,
         steps=int(steps),
         picks=None if picks is None else tuple(picks),
     )
@@ -175,16 +177,8 @@ class CircuitProgram:
                         raise ValueError("a sampled fragment is one draw: steps must be 1")
                     if not op.picks or min(op.picks) < 0 or max(op.picks) >= len(op.step):
                         raise ValueError("a sampled fragment needs picks in range(len(step))")
-                width = len(op.targets)
-                if isinstance(op.step, RotationTable):  # entries checked as they entered
-                    if op.step.n != width:
-                        raise ValueError("axis width != target count")
-                    continue
-                for axis, angle in op.step:
-                    if axis.n != width:
-                        raise ValueError("axis width != target count")
-                    if angle is not None and axis.phase_exp != 0:
-                        raise ValueError("fragment rotation axes must have phase +1")
+                if op.step.n != len(op.targets):  # entries checked as they entered
+                    raise ValueError("axis width != target count")
         if active:
             raise ValueError(f"slots never traced: {sorted(active)}")
 
@@ -297,7 +291,7 @@ def _unitary(frag, draw, start=None):
     op, u, pos = frag
     if u is None:
         picks = op.picks if pos is None else draw[pos]
-        return rotations_dense(op.step, len(op.targets), picks, start)
+        return rotations_dense(op.step, picks, start)
     return u if start is None else u @ start
 
 
@@ -548,41 +542,34 @@ class ResourceReport:
         return tuple(getattr(self, f) for f in self.FIELDS)
 
 
-def _items_cost(items, controlled):
-    """(cnots, rotations, Pauli gates) of a schedule of (bare axis, angle) and
-    (word, None) items, each priced from its masks' weight w: a rotation
-    2(w-1) CNOTs, plus 2 CNOTs and a rotation when controlled; a controlled
-    word w CNOTs; a controlled identity rotation is a phase kick."""
-    cnot = rot = paulis = 0
-    for axis, angle in items:
-        w = (axis.x | axis.z).bit_count()
-        if angle is None:
-            paulis += 1
-            if controlled:
-                cnot += w
-        elif w:
-            cnot += 2 * (w - 1) + 2 * controlled
-            rot += 1 + controlled
-        else:
-            rot += controlled
-    return cnot, rot, paulis
+def _item_cost(item, controlled):
+    """(cnots, rotations, Pauli gates) of a (bare axis, angle) or (word, None)
+    item, priced from its masks' weight w: a rotation 2(w-1) CNOTs, plus 2
+    CNOTs and a rotation when controlled; a controlled word w CNOTs; a
+    controlled identity rotation is a phase kick."""
+    axis, angle = item
+    w = (axis.x | axis.z).bit_count()
+    if angle is None:
+        return w * controlled, 0, 1
+    if w:
+        return 2 * (w - 1) + 2 * controlled, 1 + controlled, 0
+    return 0, int(controlled), 0
 
 
-def _entry_costs(entries, controlled):
-    """One row (cnots, rotations, Pauli gates) per entry, as an int array; a
-    RotationTable keeps its rows until it grows."""
-    kept = entries.costs if isinstance(entries, RotationTable) else {}
-    rows = kept.get(controlled)
-    if rows is None or len(rows) != len(entries):
-        rows = np.array([_items_cost((item,), controlled) for item in entries], dtype=np.int64)
-        kept[controlled] = rows
+def _entry_costs(table, controlled):
+    """One row (cnots, rotations, Pauli gates) per entry, as an int array,
+    kept on the table until it grows."""
+    rows = table.costs.get(controlled)
+    if rows is None or len(rows) != len(table):
+        rows = np.array([_item_cost(item, controlled) for item in table], dtype=np.int64)
+        table.costs[controlled] = rows
     return rows
 
 
-def _picked_cost(entries, picks, controlled):
-    """(cnots, rotations, Pauli gates) of the items entries[picks[i]]: each
+def _picked_cost(table, picks, controlled):
+    """(cnots, rotations, Pauli gates) of the items table[picks[i]]: each
     entry priced once, weighted by its pick count."""
-    rows = _entry_costs(entries, controlled)
+    rows = _entry_costs(table, controlled)
     return tuple((np.bincount(picks, minlength=len(rows)) @ rows).tolist())
 
 
@@ -599,7 +586,7 @@ def _ops_cost(ops, env_widths):
     for op in ops:
         if op.kind == "fragment":
             if op.picks is None:
-                c, r, p = _items_cost(op.step, op.control is not None)
+                c, r, p = _entry_costs(op.step, op.control is not None).sum(axis=0).tolist()
             else:
                 c, r, p = _picked_cost(op.step, op.picks, op.control is not None)
             cnot += op.steps * c

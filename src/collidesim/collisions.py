@@ -46,7 +46,8 @@ from .circuits import (
     GateOp,
     ResourceReport,
     Skeleton,
-    _items_cost,
+    _entry_costs,
+    _item_cost,
     _picked_cost,
     fragment_op,
 )
@@ -79,7 +80,8 @@ class CollisionSpec:
     """System + dt + K collision records, with per-collision derived data cached.
 
     Repeated Collision instances (the Lindblad cycle reuses m of them) share
-    their normalized joint Hamiltonian and dense unitary.
+    their normalized joint Hamiltonian and dense unitary, and collisions with
+    one env preparer (all m of the cycle) share its key, state and eigh.
     """
 
     def __init__(self, n, system_h, collisions, dt):
@@ -95,26 +97,17 @@ class CollisionSpec:
         self.system_h = system_h
         self.collisions = collisions
         self.dt = float(dt)
-        seen = {}
-        unique = []
-        index = []
-        for c in collisions:
-            if id(c) not in seen:
-                seen[id(c)] = len(unique)
-                unique.append(c)
-            index.append(seen[id(c)])
-        self.unique = tuple(unique)
-        self.unique_index = tuple(index)
+        self.unique, self.unique_index = _distinct(collisions)
+        self._preparers, self.prep_index = _distinct([c.env_prep for c in collisions])
         self._joint = {}
         self._dense_u = {}
         self._kraus = {}
+        self._env = {}
+        self._env_cols = {}
 
     def __getstate__(self):
-        state = self.__dict__.copy()
-        state["_joint"] = {}
-        state["_dense_u"] = {}
-        state["_kraus"] = {}
-        return state
+        caches = ("_joint", "_dense_u", "_kraus", "_env", "_env_cols")
+        return {**self.__dict__, **{name: {} for name in caches}}
 
     @property
     def K(self):
@@ -152,19 +145,37 @@ class CollisionSpec:
         """
         u = self.unique_index[j]
         if u not in self._kraus:
-            c = self.unique[u]
-            d, de = 1 << self.n, 1 << c.env_width
-            vecs = env_columns(c.env_prep().data)
+            d, de = 1 << self.n, 1 << self.unique[u].env_width
+            k = self.prep_index[j]  # one eigh per distinct preparer
+            if k not in self._env_cols:
+                self._env_cols[k] = env_columns(self.env_state(j).data)
+            vecs = self._env_cols[k]
             # ops[s, a, s', b] = sum_e U[(s, a), (s', e)] vecs[e, b]
             ops = self.dense_unitary(j).reshape(d, de, d, de) @ vecs
             self._kraus[u] = (kraus_stacked(ops), kraus_adjoints(ops))
         return self._kraus[u]
 
     def env_preparers(self):
-        return {u: c.env_prep for u, c in enumerate(self.unique)}
+        """Each distinct preparer by its key, as prep_index names them."""
+        return dict(enumerate(self._preparers))
 
     def env_state(self, j):
-        return self.collisions[j].env_prep()
+        """Collision j's env state, prepared once per distinct preparer; read-only."""
+        k = self.prep_index[j]
+        if k not in self._env:
+            state = self._preparers[k]()
+            state.data.setflags(write=False)
+            self._env[k] = state
+        return self._env[k]
+
+
+def _distinct(objects):
+    """(the distinct objects by identity, in order of first use; each
+    object's index among them)."""
+    first = {}
+    for obj in objects:
+        first.setdefault(id(obj), (len(first), obj))
+    return tuple(obj for _, obj in first.values()), tuple(first[id(obj)][0] for obj in objects)
 
 
 @dataclass(frozen=True)
@@ -217,7 +228,7 @@ def exact_nonmarkov(nmspec, rho_system, trajectory=False):
     if k_total == 0:
         return (rho_system.copy(), []) if trajectory else rho_system.copy()
     de = 1 << spec.collisions[0].env_width
-    per_unique = {}  # distinct collision -> (U, U†, env state)
+    per_unique = {}  # distinct collision -> (U, U†, its preparer's env state)
     for j, u in enumerate(spec.unique_index):
         if u not in per_unique:
             unitary = spec.dense_unitary(j)
@@ -436,7 +447,7 @@ def markov_skeleton(spec, plan):
     for j, u in enumerate(spec.unique_index):
         slot = slot_of_width[spec.collisions[j].env_width]
         base = spec.n + sum(widths[:slot])
-        ops.append(GateOp("prepare", slot=slot, prep=u))
+        ops.append(GateOp("prepare", slot=slot, prep=spec.prep_index[j]))
         _emit(ops, draws, parts[u], _collision_targets(spec, j, base))
         ops.append(GateOp("trace", slot=slot))
     template = CircuitProgram(
@@ -473,7 +484,7 @@ def nonmarkov_skeleton(nmspec, plan):
     spec, p = nmspec.base, nmspec.p
     parts = _collision_parts(spec, plan)
     w = spec.collisions[0].env_width
-    ops = [GateOp("prepare", slot=0, prep=spec.unique_index[0])]
+    ops = [GateOp("prepare", slot=0, prep=spec.prep_index[0])]
     draws = []
     for j in range(1, spec.K + 1):
         active = 0 if j % 2 == 1 else 1
@@ -481,7 +492,7 @@ def nonmarkov_skeleton(nmspec, plan):
         _emit(ops, draws, parts[spec.unique_index[j - 1]], targets)
         if j < spec.K:
             other = 1 - active
-            ops.append(GateOp("prepare", slot=other, prep=spec.unique_index[j]))
+            ops.append(GateOp("prepare", slot=other, prep=spec.prep_index[j]))
             if p > 0:
                 draws.append((len(ops), partial(_swap_kept, p)))
                 ops.append(GateOp("swap", slots=(active, other)))
@@ -591,9 +602,10 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
             param = plan.per_collision[j]
             if backend.kind == "trotter":
                 step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
-                per_unique[u] = tuple(float(param * v) for v in _items_cost(step, False))
+                costs = _entry_costs(step, False).sum(axis=0).tolist()
+                per_unique[u] = tuple(float(param * v) for v in costs)
             elif backend.kind == "qdrift":
-                costs = np.array([_items_cost(((p, 1.0),), False)[0] for _, p in nh.h.terms])
+                costs = np.array([_item_cost((p, 1.0), False)[0] for _, p in nh.h.terms])
                 p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
                 per_unique[u] = (
                     param * float((nh.probs * costs).sum()),

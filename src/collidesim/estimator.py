@@ -35,8 +35,6 @@ each such estimate first checks run 0 against numpy's generator.
 
 import math
 from dataclasses import dataclass
-from functools import partial
-
 import numpy as np
 
 from ._seeding import BLOCK, first_doubles
@@ -82,23 +80,18 @@ def measured_observable(obs, ancilla):
     return Observable(np.kron(x, obs.matrix))
 
 
-def run_once(program, rho_system, env_preparers, measured, measurement, rng, draw=None):
-    """One coherent run: execute the program, or with `draw` run that draw
-    of a Skeleton (which holds its own env preparers), and measure
-    (conditional mean or one shot).
+def run_once(skeleton, draw, rho_system, measured, measurement, rng):
+    """One coherent run: run one draw of a Skeleton (which holds its own env
+    preparers) and measure (conditional mean or one shot).
 
     With the Hadamard-test ancilla the conditional mean of sigma^x (x) O is
     2 Re Tr[O rho_10], so only that block is evolved; a shot is drawn from
     the joined state of the blocks rho_00, rho_11 and rho_10.
     """
-    if draw is None:
-        run = partial(execute, program, rho_system, env_preparers)
-    else:
-        run = partial(program.run, draw, rho_system)
-    if program.ancilla and measurement == "analytic":
-        return hadamard_expectation(run(blocks=((1, 0),))[1, 0], measured)
-    final = run()
-    if program.ancilla:
+    if skeleton.ancilla and measurement == "analytic":
+        return hadamard_expectation(skeleton.run(draw, rho_system, ((1, 0),))[1, 0], measured)
+    final = skeleton.run(draw, rho_system)
+    if skeleton.ancilla:
         final = join_blocks(final)
     if measurement == "analytic":
         return expectation(final, measured)
@@ -245,7 +238,7 @@ def _run_block(skeleton, rho0, measured, measurement, seed, start, stop, outcome
     for pos, k in enumerate(range(start, stop)):
         rng = _run_rng(seed, k)
         draw = skeleton.draw(rng)
-        mus[pos] = run_once(skeleton, rho0, None, measured, measurement, rng, draw)
+        mus[pos] = run_once(skeleton, draw, rho0, measured, measurement, rng)
         tally.add(draw)
     return mus, tally.report()
 

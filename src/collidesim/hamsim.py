@@ -20,14 +20,14 @@ empirical strategy instead doubles the step count until the dense product is
 within eps_prime of the exact exponential, and keeps the count it finds on
 the normalized sum, so later plans on the same sum do not search again.
 
-rotations_dense is the one builder of a schedule's dense unitary on the
-collision's own qubits: the memoized Trotter step_unitary and every sampled
-qDRIFT or LCU fragment go through it. Most rotations cost it two numpy
-passes: it carries their cosines in a scalar factor and adds -i tan(angle)
-times the flipped rows. A sampled fragment inside a collision is built only
-on the columns its environment's state can feed, U (I x E) with E the
-state's eigen-columns sqrt(p_b) e_b, by starting the product from I x E
-instead of the identity (circuits).
+Every schedule is a RotationTable, walked in order (a Trotter step) or by a
+draw's picks, and rotations_dense is the one builder of its dense unitary on
+the collision's own qubits. Most rotations cost it two numpy passes: it
+carries their cosines in a scalar factor and adds -i tan(angle) times the
+flipped rows. A sampled fragment inside a collision is built only on the
+columns its environment's state can feed, U (I x E) with E the state's
+eigen-columns sqrt(p_b) e_b, by starting the product from I x E instead of
+the identity (circuits).
 
 A sampled draw is a Draw: picks, an index tuple into its collision's
 RotationTable. The qDRIFT table holds one rotation per term; the LCU table
@@ -36,9 +36,9 @@ it is first drawn. Tables are kept on the normalized sum (its `derived`
 dict), per compiler parameters, for as long as the sum lives, so all draws
 of an estimate share them; qdrift_table and lcu_table name a table before
 any draw, as a program skeleton needs. rotations_dense keeps each entry's
-dense action on its table. A table's kept actions write one buffer, so a
-table is used by one thread at a time; estimates run in parallel as
-processes.
+dense action on a table walked by picks. A table's kept actions write one
+buffer, so a table is used by one thread at a time; estimates run in
+parallel as processes.
 """
 
 import math
@@ -64,13 +64,13 @@ def _term_sign(p):
 
 
 class RotationTable:
-    """The items a collision's draws pick from, (bare axis, angle) or (word,
-    None), in a fixed order.
+    """Schedule items, (bare axis, angle) or (word, None), in a fixed order:
+    one product-formula step, or the entries a collision's draws pick from.
 
     Append-only, so the picks of a draw stay valid as the table grows. Each
     entry is checked as it enters: its width is the table's and a rotation
     axis has phase +1. `costs` keeps the entries' gate prices by control
-    flag (circuits prices them), and rotations_dense keeps their actions.
+    flag (circuits prices them), and rotations_dense keeps picked actions.
     """
 
     def __init__(self, n, items=()):
@@ -117,17 +117,16 @@ class _Workspace:
     """The d x cols product buffer of rotations_dense, its row-flipped views
     and each entry's action on them, made at the entry's first pick."""
 
-    def __init__(self, n, cols, expand):
+    def __init__(self, n, cols):
         dim = 1 << n
         self.out = np.empty((dim, cols), dtype=np.complex128)
         self.moved = np.empty_like(self.out)
         self.out_q = self.out.reshape((2,) * n + (cols,))
         self.moved_q = self.moved.reshape(self.out_q.shape)
         self.actions = []
-        self.expand = expand
 
 
-def rotations_dense(table, n, picks=None, start=None):
+def rotations_dense(table, picks=None, start=None):
     """Dense product of table[picks[0]], table[picks[1]], ... applied in that
     order (the first pick first); with no picks, of the entries in order.
     With a d x c `start`, the product times start, so only the c columns a
@@ -151,24 +150,25 @@ def rotations_dense(table, n, picks=None, start=None):
     of the start.
 
     Each entry's action (its kind, cosine, flipped view and row scale) is made
-    once, at its first pick, and the picks are walked by index. A
-    RotationTable of dimension at most _EXPAND_DIM keeps its actions, on a
+    once, at its first pick, and the picks are walked by index. Walked by
+    picks, a table of dimension at most _EXPAND_DIM keeps its actions, on a
     buffer of its own sized by the start's column count, across calls, and
     holds the row scales of its first _EXPAND_ENTRIES entries as full
     d x c arrays: draws reuse entries, and a contiguous multiply costs about
     half a (d, 1) broadcast at d = 32. A call with another column count
-    remakes them. Any other table keeps (d, 1) scales and its actions for
-    one call.
+    remakes them. A table walked in order (a Trotter step, whose power
+    step_unitary memoizes) or larger keeps (d, 1) scales for one call.
     """
+    n = table.n
     dim = 1 << n
     cols = dim if start is None else start.shape[1]
-    kept = isinstance(table, RotationTable) and table.n == n and dim <= _EXPAND_DIM
+    kept = picks is not None and dim <= _EXPAND_DIM
     if kept:
         if table.work is None or table.work.out.shape[1] != cols:
-            table.work = _Workspace(n, cols, expand=True)
+            table.work = _Workspace(n, cols)
         work = table.work
     else:
-        work = _Workspace(n, cols, expand=False)
+        work = _Workspace(n, cols)
     out, moved, moved_q = work.out, work.moved, work.moved_q
     out[...] = _identity(dim) if start is None else start
     actions = work.actions
@@ -179,7 +179,7 @@ def rotations_dense(table, n, picks=None, start=None):
     for i in range(len(table)) if picks is None else picks:
         action = actions[i]
         if action is None:
-            action = actions[i] = _item_action(table[i], work, work.expand and i < _EXPAND_ENTRIES)
+            action = actions[i] = _item_action(table[i], work, kept and i < _EXPAND_ENTRIES)
         kind, cos, flipped, scale = action
         if kind is _TAN:  # out + (-i tan(angle) rows) * flipped rows; the cosine joins factor
             multiply(flipped, scale, moved_q)
@@ -277,8 +277,8 @@ def _suzuki_fractions(k, n_terms):
 
 
 def trotter_step(nh, beta, dt, steps, order=1):
-    """One step of the product formula: a tuple of (bare axis, angle) in
-    application order; the full formula applies it `steps` times."""
+    """One step of the product formula: a RotationTable of (bare axis,
+    angle) in application order; the full formula applies it `steps` times."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
     lam = beta * dt / steps
@@ -288,21 +288,26 @@ def trotter_step(nh, beta, dt, steps, order=1):
         schedule = _suzuki_fractions(order // 2, len(nh))
     else:
         raise ValueError(f"order must be 1 or even, got {order}")
-    step = []
+    step = RotationTable(nh.n)
     for l, frac in schedule:
         c, p = nh.term(l)
         step.append((p.bare(), lam * c * frac * _term_sign(p)))
-    return tuple(step)
+    return step
 
 
-@lru_cache(maxsize=32)
 def step_unitary(step, steps):
-    """Dense rotations_dense(step)^steps, memoized on the schedule's value.
+    """Dense rotations_dense(step)^steps, memoized on the step's items and
+    `steps`, so the tables of fresh specs on equal sums share one product.
 
     Shared by the empirical step search and program execution, so a certified
     product is not rebuilt when its fragment runs. The result is read-only.
     """
-    u = np.linalg.matrix_power(rotations_dense(step, step[0][0].n), steps)
+    return _step_power(step.n, tuple(step.items), steps)
+
+
+@lru_cache(maxsize=32)
+def _step_power(n, items, steps):
+    u = np.linalg.matrix_power(rotations_dense(RotationTable(n, items)), steps)
     u.setflags(write=False)
     return u
 

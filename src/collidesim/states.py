@@ -8,8 +8,8 @@ invariants, positivity is left to the tests.
 
 A collision on a freshly prepared env register runs as a Kraus map on the
 system: env_columns takes the env state's eigen-columns sqrt(p_b) e_b (one
-eigh, which a circuits.Skeleton makes once per env state and the exact map
-once per distinct collision), kraus_stacked and kraus_adjoints stack the
+eigh, which a circuits.Skeleton and the exact map make once per env
+preparer), kraus_stacked and kraus_adjoints stack the
 operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and apply_kraus
 applies sum_k L_k rho R_k† as two matmuls; the exact maps and program
 execution share these. Any other fragment runs as a whole dense

@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -302,16 +303,24 @@ def test_fragment_op_is_small_and_validated():
     xx = PauliString.from_label("XX")
     op = fragment_op([(xx, 0.25), (PauliString.from_label("ZI"), -0.5)], 2, (0, 1))
     assert op.kind == "fragment" and op.step[0] == (xx, 0.25) and op.steps == 2
-    assert pickle.loads(pickle.dumps(op)) == op and hash(op) == hash(fragment_op(op.step, 2, (0, 1)))
+    assert type(op.step) is RotationTable and op.step.n == 2
+    # a copy holds an equal table of its own
+    copy = pickle.loads(pickle.dumps(op))
+    assert copy.step is not op.step and (copy.step.n, copy.step.items) == (op.step.n, op.step.items)
+    assert replace(copy, step=op.step) == op and hash(op) == hash(fragment_op(op.step, 2, (0, 1)))
     prog = CircuitProgram(
         1, env_widths=(1,), ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0))
     )
     assert describe(prog).splitlines()[2] == "fragment 2 x [+XX 0.25, +ZI -0.5] on [0,1]"
     # 2 steps x (XX: 2 cnots + 1 rot, ZI: 0 cnots + 1 rot), plus the preparation
     assert count_resources(prog).as_tuple() == (2 + 2 * 2, 2 * 2, 0, 6 + 4, 1)
+    # an item is checked as it enters the fragment's table
+    with pytest.raises(ValueError):
+        fragment_op([(PauliString.from_label("X"), 0.1)], 1, (0, 1))  # axis width
+    with pytest.raises(ValueError):
+        fragment_op([(PauliString.from_label("-XX"), 0.1)], 1, (0, 1))  # phased axis
     for bad in (
-        fragment_op([(PauliString.from_label("X"), 0.1)], 1, (0, 1)),  # axis width
-        fragment_op([(PauliString.from_label("-XX"), 0.1)], 1, (0, 1)),  # phased axis
+        fragment_op(RotationTable(1, [(PauliString.from_label("X"), 0.1)]), 1, (0, 1)),  # table width
         fragment_op([(xx, 0.1)], 0, (0, 1)),  # no repetitions
         fragment_op([], 1, (0, 1)),  # empty step
     ):

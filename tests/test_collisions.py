@@ -2,6 +2,7 @@
 
 import math
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -292,9 +293,14 @@ def test_markov_program_structure_and_accuracy():
     assert kinds.count("prepare") == 2
     assert kinds.count("trace") == 2
     assert kinds[0] == "prepare" and kinds[-1] == "trace"
-    # prepare ops carry the distinct-collision preparer key
+    # prepare ops carry the key of their collision's preparer, one per distinct preparer
     preps = [op.prep for op in prog.ops if op.kind == "prepare"]
-    assert preps == [0, 1]
+    assert preps == [0, 1] and list(spec.env_preparers()) == [0, 1]
+    shared = replace(spec.collisions[1], env_prep=spec.collisions[0].env_prep)
+    one_prep = CollisionSpec(1, spec.system_h, (spec.collisions[0], shared), spec.dt)
+    shared_prog = markov_program(one_prep, parse_backend("trotter1"), Budget(1e-4, 1.0))
+    assert [op.prep for op in shared_prog.ops if op.kind == "prepare"] == [0, 0]
+    assert list(one_prep.env_preparers()) == [0]
     got = execute(prog, rho, spec.env_preparers())
     assert trace_distance(got, exact_k_collision(spec, rho)) < 1e-4
 

@@ -22,6 +22,7 @@ from collidesim import (
     amp_damp_model,
     estimate,
     exact_k_collision,
+    exact_nonmarkov,
     execute,
     expectation,
     hoeffding_T,
@@ -35,7 +36,7 @@ from collidesim import (
 )
 from collidesim.acceptance import _random_collision
 from collidesim.errors import NumericalError
-from collidesim.circuits import count_resources
+from collidesim.circuits import Skeleton, count_resources
 from collidesim.estimator import measured_observable, resolve_plan, run_once
 from dense_reference import (
     count_items,
@@ -223,8 +224,8 @@ def test_fixed_program_shots_match_a_per_run_loop(workers):
     # reference: rebuild and re-execute the program on every run
     plan = markov_plan(spec, parse_backend("trotter1"), Budget(eps / 2.0, obs.norm))
     mus = np.array([
-        run_once(markov_program(spec, None, plan=plan), rho0, spec.env_preparers(), obs, "shot",
-                 np.random.default_rng(np.random.SeedSequence((seed, k))))
+        run_once(Skeleton(markov_program(spec, None, plan=plan), (), spec.env_preparers()), (),
+                 rho0, obs, "shot", np.random.default_rng(np.random.SeedSequence((seed, k))))
         for k in range(rep.t_runs)
     ])
     assert rep.t_runs == hoeffding_T(obs.norm, eps, delta)
@@ -363,7 +364,7 @@ def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measu
             program = markov_program(base, None, rng=rng, plan=plan)
         else:
             program = nonmarkov_program(spec, None, rng=rng, plan=plan)
-        mu = run_once(program, RHO0, base.env_preparers(), measured, measurement, rng)
+        mu = run_once(Skeleton(program, (), base.env_preparers()), (), RHO0, measured, measurement, rng)
         want.append(rep.zeta**2 * mu)
         totals = totals + count_resources(program)
     assert rep.samples == tuple(want)
@@ -404,14 +405,22 @@ class _CountedPrep:
 
 def test_env_states_are_prepared_once_per_prep_key():
     # a tripwire: a skeleton prepares each distinct env state once, before
-    # its first run, so no run calls a preparer
+    # its first run, so no run calls a preparer; collisions that share a
+    # preparer (as the Lindblad cycle's do) share its one call
     calls = Counter()
     base = _spec()
-    col_a, col_b = (
-        replace(c, env_prep=_CountedPrep(c.env_prep, calls, key))
-        for key, c in zip("ab", base.collisions)
-    )
-    spec = CollisionSpec(1, base.system_h, (col_a, col_b, col_a, col_b), base.dt)
+    shared = _CountedPrep(base.collisions[0].env_prep, calls, "s")
+    for keys in ("ab", "ss"):
+        col_a, col_b = (
+            replace(c, env_prep=shared if key == "s" else _CountedPrep(c.env_prep, calls, key))
+            for key, c in zip(keys, base.collisions)
+        )
+        collisions = (col_a, col_b, col_a, col_b)
+        _check_one_call_per_preparer(base, collisions, calls, dict.fromkeys(keys, 1))
+
+
+def _check_one_call_per_preparer(base, collisions, calls, want):
+    spec = CollisionSpec(1, base.system_h, collisions, base.dt)
     memory = NonMarkovSpec(spec, 0.5)
     for target, backend, measurement in (
         (spec, "qdrift", "analytic"),
@@ -424,7 +433,7 @@ def test_env_states_are_prepared_once_per_prep_key():
             calls.clear()
             estimate(target, RHO0, OBS, backend, 0.2, 0.2, seed=3, measurement=measurement,
                      t_override=runs)
-            assert calls == {"a": 1, "b": 1}, (backend, measurement, runs)
+            assert calls == want, (backend, measurement, runs)
     rng = np.random.default_rng(5)
     for program in (
         markov_program(spec, parse_backend("salcu"), Budget(0.2, 1.0), rng),
@@ -432,7 +441,15 @@ def test_env_states_are_prepared_once_per_prep_key():
     ):
         calls.clear()
         execute(program, RHO0, spec.env_preparers())
-        assert calls == {"a": 1, "b": 1}
+        assert calls == want
+    # the exact maps read one state per preparer of a fresh spec
+    for exact in (
+        lambda s: exact_k_collision(s, RHO0),
+        lambda s: exact_nonmarkov(NonMarkovSpec(s, 0.5), RHO0),
+    ):
+        calls.clear()
+        exact(CollisionSpec(1, base.system_h, collisions, base.dt))
+        assert calls == want
 
 
 def test_the_empirical_step_search_runs_once_per_spec(monkeypatch):

@@ -1,5 +1,6 @@
 """Compiled collision unitaries against the dense exponential."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -23,7 +24,7 @@ from collidesim import (
     unitary_exact,
 )
 from collidesim._draws import draw_index
-from collidesim.hamsim import _EXPAND_DIM, Draw, RotationTable, _k_cdf, rotations_dense
+from collidesim.hamsim import _EXPAND_DIM, Draw, RotationTable, _k_cdf, rotations_dense, step_unitary
 from collidesim.pauli import PauliString
 from collidesim.states import born_distribution, born_draw
 from dense_reference import (
@@ -45,7 +46,7 @@ H1 = pauli_sum([(0.7, "X"), (0.3, "Z")])
 def _trotter_error(h, beta_dt, steps, order):
     nh = normalize(h)
     step = trotter_step(nh, nh.beta, beta_dt / nh.beta, steps, order)
-    u = rotations_dense(step * steps, h.n)
+    u = rotations_dense(step, tuple(range(len(step))) * steps)
     return spectral_norm(u - unitary_exact(h, beta_dt / nh.beta))
 
 
@@ -78,9 +79,58 @@ def test_trotter_rotation_schedule_shape():
     r2 = trotter_step(nh, nh.beta, 0.3, 5, order=2)
     assert len(r2) == 2 * len(nh)
     # all axes are bare; signed terms fold the sign into the angle
-    assert all(axis.phase_exp == 0 for axis, _ in r1 + r2)
+    assert all(axis.phase_exp == 0 for axis, _ in [*r1, *r2])
     with pytest.raises(ValueError):
         trotter_step(nh, nh.beta, 0.3, 0)
+
+
+# (length, sha256 of repr([(axis label, angle), ...])) of trotter_step(normalize(H2), beta, 0.3,
+# 5, order): the items, angles and order every Trotter estimate and CNOT count rests on
+TROTTER_STEP_DIGESTS = {
+    1: (3, "23df8146ce1683643352e92096843d65c1c2c679fb5355ca328f2b42f41c054b"),
+    2: (6, "e455b7636cc40f2f64c78f51ac96e08d6414001556b0a2f242b474d2433c3d8a"),
+    4: (30, "68c4dcd868f30168bd1fce75c5ac80456d8659e8f8f3e49916b967fe74141cb0"),
+}
+
+
+def _suzuki_reference(terms, lam, order):
+    """(axis, angle) of the order-`order` product formula, by the textbook
+    recursion S_2k(lam) = S_2k-2(u lam)^2 S_2k-2((1-4u) lam) S_2k-2(u lam)^2."""
+    if order == 1:
+        return [(p.bare(), lam * c * (1.0 if p.phase_exp == 0 else -1.0)) for c, p in terms]
+    if order == 2:
+        half = _suzuki_reference(terms, lam / 2, 1)
+        return half + half[::-1]
+    k = order // 2
+    u = 1.0 / (4.0 - 4.0 ** (1.0 / (2 * k - 1)))
+    outer = _suzuki_reference(terms, u * lam, order - 2)
+    return outer * 2 + _suzuki_reference(terms, (1.0 - 4.0 * u) * lam, order - 2) + outer * 2
+
+
+@pytest.mark.parametrize("order", [1, 2, 4])
+def test_trotter_step_keeps_its_items_angles_and_order(order):
+    nh = normalize(H2)
+    step = trotter_step(nh, nh.beta, 0.3, 5, order)
+    assert type(step) is RotationTable and step.n == nh.n
+    items = list(step)
+    length, digest = TROTTER_STEP_DIGESTS[order]
+    text = repr([(axis.label(), angle) for axis, angle in items])
+    assert len(items) == length and hashlib.sha256(text.encode()).hexdigest() == digest
+    want = _suzuki_reference([nh.term(l) for l in range(len(nh))], nh.beta * 0.3 / 5, order)
+    assert [axis for axis, _ in items] == [axis for axis, _ in want]
+    np.testing.assert_allclose([a for _, a in items], [a for _, a in want], rtol=1e-14, atol=0)
+
+
+def test_a_product_formula_step_keeps_no_actions():
+    # a step is walked once and its power memoized, so no workspace stays on it
+    nh = normalize(H2)
+    step = trotter_step(nh, nh.beta, 0.3, 5, order=2)
+    u = step_unitary(step, 5)
+    assert step.work is None and not u.flags.writeable
+    # equal steps share one product, whichever table asks
+    assert step_unitary(trotter_step(nh, nh.beta, 0.3, 5, order=2), 5) is u
+    assert u.tobytes() == np.linalg.matrix_power(rotations_dense(step), 5).tobytes()
+    assert step.work is None  # walked in order, with no picks
 
 
 def test_choose_trotter_steps_worst_case_frozen():
@@ -123,7 +173,7 @@ def test_qdrift_channel_is_unbiased():
     vals = []
     for _ in range(1500):
         draw = qdrift_rotations(nh, nh.beta, beta_dt / nh.beta, length, rng)
-        u = rotations_dense(draw.table, 1, draw.picks)
+        u = rotations_dense(draw.table, draw.picks)
         vals.append(float(np.trace(z @ u @ rho @ u.conj().T).real))
     vals = np.asarray(vals)
     tol = 1e-3 + 4 * vals.std() / math.sqrt(vals.size)
@@ -233,7 +283,7 @@ def test_rotations_dense_matches_the_matmul_product():
         for axis, angle in items:
             gate = gate_dense(axis, angle)
             want = gate @ want
-        np.testing.assert_allclose(rotations_dense(items, n), want, atol=1e-12)
+        np.testing.assert_allclose(rotations_dense(RotationTable(n, items)), want, atol=1e-12)
 
 
 @pytest.mark.parametrize("theta", [math.pi / 2, -math.pi / 2, 2.0, -2.0, math.pi])
@@ -249,7 +299,7 @@ def test_rotations_dense_matches_the_matmul_product_at_wide_angles(theta):
         want = np.eye(1 << n, dtype=np.complex128)
         for axis, angle in items:
             want = gate_dense(axis, angle) @ want
-        got = rotations_dense(items, n)
+        got = rotations_dense(RotationTable(n, items))
         np.testing.assert_allclose(got, want, atol=1e-12)
         assert got.tobytes() == rotations_by_item(items, n).tobytes()
 
@@ -267,7 +317,7 @@ def test_a_long_draw_at_cos_0_6_folds_its_cosines_and_stays_exact():
     ]
     table = RotationTable(n, items)
     picks = tuple(int(v) for v in rng.integers(0, len(table), size=5000))
-    got = rotations_dense(table, n, picks)
+    got = rotations_dense(table, picks)
     assert np.isfinite(got).all()
     assert got.tobytes() == rotations_by_item([table[i] for i in picks], n).tobytes()
     want = np.eye(1 << n, dtype=np.complex128)
@@ -297,18 +347,17 @@ def test_rotations_dense_on_picks_is_the_item_product_bit_for_bit(n):
     for count in (1, 5, 300):  # each entry once, and many times
         picks = tuple(int(v) for v in rng.integers(0, len(table), size=count))
         want = rotations_by_item([table[i] for i in picks], n)
-        got = rotations_dense(table, n, picks)
+        got = rotations_dense(table, picks)
         assert got.tobytes() == want.tobytes()
         assert (table.work is not None) == kept  # actions kept on small tables only
-        # the same draw from a plain tuple, and the table's entries once each
-        assert rotations_dense(tuple(table.items), n, picks).tobytes() == want.tobytes()
+        # the table's entries once each, in order
         once = rotations_by_item(table.items, n)
-        assert rotations_dense(table, n).tobytes() == once.tobytes()
+        assert rotations_dense(table).tobytes() == once.tobytes()
     # an entry appended after actions were kept, picked beside the old ones
     fresh = table.append(_random_items(rng, n, 1)[0])
     picks = (fresh, 0, fresh, 1)
     want = rotations_by_item([table[i] for i in picks], n)
-    assert rotations_dense(table, n, picks).tobytes() == want.tobytes()
+    assert rotations_dense(table, picks).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -322,16 +371,15 @@ def test_rotations_dense_from_identity_columns_is_the_full_build_bit_for_bit(n):
         if grow:  # an entry appended between calls, picked beside the old ones
             table.append(_random_items(rng, n, 1)[0])
         picks = tuple(int(v) for v in rng.integers(0, len(table), size=40)) + (len(table) - 1,)
-        full = rotations_dense(table, n, picks)
+        full = rotations_dense(table, picks)
         for cols in column_sets:
             start = eye[:, cols]
             want = full[:, cols]
-            for source in (table, tuple(table.items)):  # kept actions up to d = 32, then not
-                got = rotations_dense(source, n, picks, start=start)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+            got = rotations_dense(table, picks, start=start)  # kept actions up to d = 32, then not
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
             assert (table.work is not None) == (dim <= _EXPAND_DIM)
         # back to the full build once the kept workspace was sized for fewer columns
-        assert rotations_dense(table, n, picks).tobytes() == full.tobytes()
+        assert rotations_dense(table, picks).tobytes() == full.tobytes()
 
 
 def test_rotation_table_checks_entries_as_they_enter():
