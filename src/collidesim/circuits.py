@@ -2,50 +2,45 @@
 
 A program owns one system register, an optional single control ancilla, and
 a set of environment slots that are prepared fresh, collided with, and traced
-away (possibly several times per slot). Virtual qubit ids are static:
+away (possibly several times per slot). The live register at an op is the
+system first, then the slots active there in order of preparation, so a
+freshly prepared slot always lands on the least significant qubits.
 
-    ancilla          -1 (only when the program declares one; control only)
-    system qubit q   q
-    env slot s, k    n_system + sum(widths of slots < s) + k
+One rule is the program grammar: a fragment's table acts on the whole live
+register. Its `step` is a hamsim.RotationTable of items, rotations (bare
+axis, angle) and Pauli words (word, None) with their phase, as wide as the
+live register. A product-formula fragment applies its table in order,
+`steps` times. A sampled fragment (one qDRIFT or LCU draw) adds `picks`, the
+indices of the drawn items in order, applied once. A fragment with a
+`polarity` in {0, 1} is controlled by the ancilla and acts only where the
+ancilla reads that value; `polarity` None is uncontrolled. Besides fragments
+a program holds only the `prepare`, `trace` and `swap` ops of its env slots,
+so the circuit IR has four op kinds. A table checks its entries as they
+enter it, and validation its width and the picks.
 
-Physically the system comes first and active env slots stack below it in
-order of preparation, so a freshly prepared slot always lands on the least
-significant qubits. The ancilla is not a register: execute evolves the
-system-sized blocks rho_ab of the ancilla (+) system state (a, b the
-ancilla values), and an ancilla-controlled op multiplies a block on the
-side(s) whose ancilla value matches its polarity.
-
-Every collision of every backend is one `fragment` op on the collision's
-n+w targets, and its `step` is a hamsim.RotationTable of items: rotations
-(bare axis, angle) and Pauli words (word, None) with their phase. A
-product-formula fragment applies its table in order, `steps` times. A
-sampled fragment (one qDRIFT or LCU draw) adds `picks`, the indices of the
-drawn items in order, applied once. Only the ancilla can control a
-fragment; the fragment then acts only where the ancilla reads `polarity`.
-Besides fragments a program holds only the `prepare`, `trace` and `swap`
-ops of its env slots, so the circuit IR has four op kinds. A table checks
-its entries as they enter it, and validation its width and the picks.
+The ancilla is not a register: execute evolves the system-sized blocks
+rho_ab of the ancilla (+) system state (a, b the ancilla values), and a
+controlled fragment multiplies a block on the side(s) whose ancilla value
+matches its polarity.
 
 Execution. execute runs a program as a Skeleton (below) with no open op.
 A Markov collision is a Kraus map on the system, so every window of the op
-sequence that is one runs as such: a `prepare` while no env slot is active, then
-fragments on the system and that slot in physical order, then the slot's
-`trace`. Every markov_program is made of such windows. With the env state's
-eigen-columns E = [sqrt(p_b) e_b], the window's fragments that act on one
-side of a block are applied to I (x) E (states.kraus_start), giving
-V = U (I x E), whose d_s x d_s blocks are the Kraus operators
-K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block then becomes
-sum_k L_k rho R_k† through states.apply_kraus, the exact maps' kernel. A
-sampled fragment is built by hamsim.rotations_dense on the d_s * rank(E)
-columns of I (x) E alone, a product-formula one is its step unitary
-(hamsim.step_unitary) times I (x) E. Any other op sequence (two live slots,
-swaps, fragments off the window's order) runs on the joint register: a
-prepare appends the env (states.tensor_append), a fragment's unitary acts
-on its targets through states.apply_sides, conjugating every block or, when
-controlled, multiplying each block on its matching side(s), and a trace
-removes the slot (states.partial_trace). A sampled fragment is built once
-for its run and never memoized, but its table keeps each entry's action
-across the draws of an estimate.
+sequence that is one runs as such: a `prepare` while no env slot is active,
+then fragments, then the slot's `trace`. Every markov_program is made of
+such windows. With the env state's eigen-columns E = [sqrt(p_b) e_b], the
+window's fragments that act on one side of a block are applied to
+I (x) E (states.kraus_start), giving V = U (I x E), whose d_s x d_s blocks
+are the Kraus operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block
+then becomes sum_k L_k rho R_k† through states.apply_kraus, the exact maps'
+kernel. A sampled fragment is built by hamsim.rotations_dense on the
+d_s * rank(E) columns of I (x) E alone, a product-formula one is its step
+unitary (hamsim.step_unitary) times I (x) E. Any other op sequence (two live
+slots, swaps) runs on the joint register: a prepare appends the env
+(states.tensor_append), a fragment's unitary conjugates every block through
+states.apply_sides or, when controlled, multiplies each block on its
+matching side(s), and a trace removes the slot (states.partial_trace). A
+sampled fragment is built once for its run and never memoized, but its
+table keeps each entry's action across the draws of an estimate.
 
 Skeletons. A randomized estimate runs one program shape many times, so it
 builds a Skeleton once: the program with its sampled fragments' picks and
@@ -75,7 +70,6 @@ from . import states
 from ._limits import check_dense
 from .hamsim import RotationTable, rotations_dense, step_unitary
 
-ANCILLA = -1
 PREP_CNOTS = 2  # one env preparation
 SWAP_CNOTS_PER_QUBIT = 3  # one qubit pair of a register swap
 
@@ -85,14 +79,13 @@ _KINDS = ("fragment", "swap", "prepare", "trace")
 @dataclass(frozen=True)
 class GateOp:
     kind: str
-    targets: tuple = ()
-    control: int | None = None
-    polarity: int = 1
+    polarity: int | None = None  # fragment ops: the ancilla value it acts at;
+    # None for an uncontrolled fragment
     slot: int | None = None
     slots: tuple | None = None
     prep: int | None = None  # preparer key for prepare ops (defaults to slot)
-    step: RotationTable | None = None  # fragment ops: the items applied in order,
-    # or the table a sampled fragment picks from
+    step: RotationTable | None = None  # fragment ops: the items applied in order
+    # on the whole live register, or the table a sampled fragment picks from
     steps: int = 1  # fragment ops: repetitions of the step
     picks: tuple | None = None  # sampled fragments: indices into `step`, in order
 
@@ -101,17 +94,17 @@ class GateOp:
             raise ValueError(f"unknown op kind {self.kind!r}")
 
 
-def fragment_op(step, steps, targets, control=None, polarity=1, picks=None):
+def fragment_op(step, steps, polarity=None, picks=None):
     """`steps` repetitions of a one-step schedule of (bare axis, angle) and
-    (word, None) items, optionally controlled. With `picks`, one random draw:
-    step[picks[0]], step[picks[1]], ... applied once, never memoized. A
-    hand-built item list becomes a RotationTable of width len(targets)."""
+    (word, None) items on the whole live register, controlled by the ancilla
+    when `polarity` is 0 or 1. With `picks`, one random draw: step[picks[0]],
+    step[picks[1]], ... applied once, never memoized. A hand-built item list
+    becomes a RotationTable as wide as its items."""
     if not isinstance(step, RotationTable):
-        step = RotationTable(len(targets), step)
+        items = tuple(step)
+        step = RotationTable(items[0][0].n if items else 0, items)
     return GateOp(
         "fragment",
-        targets=tuple(targets),
-        control=control,
         polarity=polarity,
         step=step,
         steps=int(steps),
@@ -129,12 +122,9 @@ class CircuitProgram:
     def __post_init__(self):
         self.validate()
 
-    def slot_base(self, slot):
-        return self.n_system + sum(self.env_widths[:slot])
-
     def validate(self):
-        n_ids = self.n_system + sum(self.env_widths)
         active = set()
+        live = self.n_system  # the live register's width
         for op in self.ops:
             if op.kind == "prepare":
                 if op.slot in active:
@@ -142,10 +132,12 @@ class CircuitProgram:
                 if not 0 <= op.slot < len(self.env_widths):
                     raise ValueError(f"unknown slot {op.slot}")
                 active.add(op.slot)
+                live += self.env_widths[op.slot]
             elif op.kind == "trace":
                 if op.slot not in active:
                     raise ValueError(f"slot {op.slot} traced while inactive")
                 active.discard(op.slot)
+                live -= self.env_widths[op.slot]
             elif op.kind == "swap":
                 a, b = op.slots
                 if a == b or a not in active or b not in active:
@@ -153,23 +145,8 @@ class CircuitProgram:
                 if self.env_widths[a] != self.env_widths[b]:
                     raise ValueError("swap needs equal slot widths")
             else:  # fragment
-                ids = set(op.targets)
-                if ANCILLA in ids:
-                    raise ValueError("the ancilla can only be a control")
-                if op.control is not None:
-                    ids.add(op.control)
-                for v in ids:
-                    if v == ANCILLA:
-                        if not self.ancilla:
-                            raise ValueError("op touches a missing ancilla")
-                    elif not 0 <= v < n_ids:
-                        raise ValueError(f"virtual qubit {v} out of range")
-                    elif v >= self.n_system:
-                        slot = self._slot_of(v)
-                        if slot not in active:
-                            raise ValueError(f"op touches inactive slot {slot}")
-                if op.control not in (None, ANCILLA):
-                    raise ValueError("a fragment can be controlled only by the ancilla")
+                if op.polarity is not None and (not self.ancilla or op.polarity not in (0, 1)):
+                    raise ValueError("a polarity is 0 or 1 and needs the ancilla")
                 if op.steps < 1 or not op.step:
                     raise ValueError("fragment needs a non-empty step and steps >= 1")
                 if op.picks is not None:
@@ -177,18 +154,10 @@ class CircuitProgram:
                         raise ValueError("a sampled fragment is one draw: steps must be 1")
                     if not op.picks or min(op.picks) < 0 or max(op.picks) >= len(op.step):
                         raise ValueError("a sampled fragment needs picks in range(len(step))")
-                if op.step.n != len(op.targets):  # entries checked as they entered
-                    raise ValueError("axis width != target count")
+                if op.step.n != live:  # entries checked as they entered
+                    raise ValueError(f"fragment width {op.step.n} != live register width {live}")
         if active:
             raise ValueError(f"slots never traced: {sorted(active)}")
-
-    def _slot_of(self, vid):
-        off = vid - self.n_system
-        for s, w in enumerate(self.env_widths):
-            if off < w:
-                return s
-            off -= w
-        raise ValueError(f"virtual qubit {vid} beyond declared slots")
 
 
 ANCILLA_BLOCKS = ((0, 0), (1, 1), (1, 0))  # what a shot readout of the joined state needs
@@ -198,25 +167,26 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     """Run the program; return the final system state, or for an ancilla
     program a dict of the final blocks rho_ab of the ancilla (+) system state.
 
-    env_preparers maps slot id to a zero-argument callable producing that
-    slot's fresh state; required whenever the program prepares slots.
+    env_preparers maps each prepare's key (its `prep`, else its slot) to a
+    zero-argument callable producing that slot's fresh state; required
+    whenever the program prepares slots.
 
     An ancilla program never holds the ancilla: it evolves the d x d blocks
     rho_ab (a, b the ancilla values) listed in `blocks`, default
-    ANCILLA_BLOCKS, from |+><+| (x) rho, whose blocks are all rho/2. An op
-    controlled by the ancilla with polarity p acts on the row side of rho_ab
-    when a == p and on the column side when b == p; every other op acts on
-    both sides of every block, and prepare and trace act on each block.
-    rho_10 alone gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10].
+    ANCILLA_BLOCKS, from |+><+| (x) rho, whose blocks are all rho/2. A
+    fragment with polarity p acts on the row side of rho_ab when a == p and
+    on the column side when b == p; an uncontrolled one acts on both sides
+    of every block, and prepare and trace act on each block. rho_10 alone
+    gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10].
 
-    A collision window (prepare on an empty environment, fragments on the
-    system and that slot in physical order, its trace) runs as a Kraus map
-    on each block and never builds the joint state; every other op runs on
-    the joint register. Both raise the same errors: a preparer of the wrong
-    width is a ValueError, a joint register past the dense limit a
-    DenseLimitError. A window also refuses an env state with an eigenvalue
-    below -1e-12 (NumericalError), as the exact map does. The program runs
-    as a Skeleton with no open op.
+    A collision window (prepare on an empty environment, fragments, its
+    trace) runs as a Kraus map on each block and never builds the joint
+    state; every other op runs on the joint register, where each fragment's
+    unitary is the whole live register's. Both raise the same errors: a
+    preparer of the wrong width is a ValueError, a joint register past the
+    dense limit a DenseLimitError. A window also refuses an env state with
+    an eigenvalue below -1e-12 (NumericalError), as the exact map does. The
+    program runs as a Skeleton with no open op.
     """
     return Skeleton(program, (), env_preparers).run((), rho_system, blocks)
 
@@ -238,16 +208,13 @@ def _registers(program, rho_system, blocks):
 def _window_end(program, start):
     """Index of the trace that closes a Kraus window opened by the prepare at
     `start` on an empty environment, or None: the window's ops must be
-    fragments on the system and that slot, in physical order, then the
-    slot's trace."""
-    slot = program.ops[start].slot
-    base = program.slot_base(slot)
-    joint = tuple(range(program.n_system)) + tuple(range(base, base + program.env_widths[slot]))
+    fragments, each on the system and that slot (the live register), then
+    the slot's trace."""
     for end in range(start + 1, len(program.ops)):
-        op = program.ops[end]
-        if op.kind == "trace":  # the slot is the only one active, so it is this slot's
+        kind = program.ops[end].kind
+        if kind == "trace":  # the slot is the only one active, so it is this slot's
             return end
-        if op.kind != "fragment" or op.targets != joint:
+        if kind != "fragment":
             return None
     return None
 
@@ -268,7 +235,7 @@ def _run_window(start, frags, draw, n_system, regs):
             out = start
             for frag in frags:
                 op = frag[0]
-                if op.control is None or op.polarity == v:
+                if op.polarity is None or op.polarity == v:
                     out = _unitary(frag, draw, out)
             products[v] = out.reshape(shape)
         return products[v]
@@ -283,7 +250,7 @@ def _run_window(start, frags, draw, n_system, regs):
 
 
 def _unitary(frag, draw, start=None):
-    """Dense unitary on its targets of a fragment given as (op, unitary,
+    """Dense unitary on the live register of a fragment given as (op, unitary,
     draw position): the unitary of a closed product-formula fragment, or a
     sampled one built from its picks, the op's own or the draw's at that
     position. With a d x c `start`, the unitary times start, a sampled one
@@ -312,9 +279,9 @@ class Skeleton:
     takes them. Before its first run a skeleton works out once what no run
     changes: its Kraus windows, each prepare's fresh state and each
     window's start I (x) E (one preparer call and one eigh per prep key),
-    each closed fragment's unitary, and the physical qubits of every other
-    op (fixed, since a swap never changes which slots are active). A run
-    reads only its draw and does the arithmetic.
+    each closed fragment's unitary, and the physical qubits of every trace
+    and swap (fixed, since a swap never changes which slots are active). A
+    run reads only its draw and does the arithmetic.
     """
 
     def __init__(self, template, draws, env_preparers=None):
@@ -369,20 +336,20 @@ class Skeleton:
                     for reg in regs.values():
                         states.apply_swap(reg, qubits_a, qubits_b)
             else:  # fragment
-                _, qubits, frag = step
+                frag = step[1]
                 op, u = frag[0], _unitary(frag, draw)
                 for key, reg in regs.items():
                     row, col = (None, None) if key is None else key
-                    left = u if op.control is None or row == op.polarity else None
-                    right = u if op.control is None or col == op.polarity else None
+                    left = u if op.polarity is None or row == op.polarity else None
+                    right = u if op.polarity is None or col == op.polarity else None
                     if left is not None or right is not None:
-                        states.apply_sides(reg, left, right, qubits)
+                        states.apply_sides(reg, left, right)
         return regs if t.ancilla else regs[None]
 
     def _compile(self):
         """A run's steps in op order: ("window", I (x) E, frags) per Kraus
         window, else ("prepare", fresh state), ("trace", qubits), ("swap",
-        qubits, qubits, pos) or ("fragment", qubits, frag). A frag is (op,
+        qubits, qubits, pos) or ("fragment", frag). A frag is (op,
         its unitary if closed and product formula, pos), and pos is the
         op's draw position, None when closed."""
         t = self.template
@@ -408,12 +375,6 @@ class Skeleton:
             base = n + sum(t.env_widths[s] for s in active[: active.index(slot)])
             return list(range(base, base + t.env_widths[slot]))
 
-        def located(vid):
-            if vid < n:
-                return vid
-            slot = t._slot_of(vid)
-            return qubits(slot)[vid - t.slot_base(slot)]
-
         steps = []
         i = 0
         while i < len(ops):
@@ -437,7 +398,7 @@ class Skeleton:
                 a, b = op.slots
                 steps.append(("swap", qubits(a), qubits(b), position.get(i)))
             else:  # fragment
-                steps.append(("fragment", [located(v) for v in op.targets], frag(i)))
+                steps.append(("fragment", frag(i)))
             i += 1
         return tuple(steps)
 
@@ -493,9 +454,9 @@ class _Tally:
         for index, _ in skeleton.draws:
             op = template.ops[index]
             if op.kind == "fragment":
-                key = (id(op.step), op.control is not None)
+                key = (id(op.step), op.polarity is not None)
                 if key not in pools:
-                    pools[key] = _Pool(op.step, op.control is not None)
+                    pools[key] = _Pool(op.step, key[1])
                 self.sinks.append(pools[key])
             else:
                 self.sinks.append(SWAP_CNOTS_PER_QUBIT * template.env_widths[op.slots[0]])
@@ -586,9 +547,9 @@ def _ops_cost(ops, env_widths):
     for op in ops:
         if op.kind == "fragment":
             if op.picks is None:
-                c, r, p = _entry_costs(op.step, op.control is not None).sum(axis=0).tolist()
+                c, r, p = _entry_costs(op.step, op.polarity is not None).sum(axis=0).tolist()
             else:
-                c, r, p = _picked_cost(op.step, op.picks, op.control is not None)
+                c, r, p = _picked_cost(op.step, op.picks, op.polarity is not None)
             cnot += op.steps * c
             rot += op.steps * r
             paulis += op.steps * p

@@ -229,8 +229,11 @@ def build_config(mapping):
     cfg.t = _as_float("dynamics.t", get("dynamics.t", 1.0))
     cfg.eps = _as_float("dynamics.eps", get("dynamics.eps", 0.01))
     cfg.delta = _as_float("dynamics.delta", get("dynamics.delta", 0.05))
-    nu_raw = get("dynamics.nu", "auto")
-    cfg.nu = 0 if str(nu_raw).strip().lower() == "auto" else _as_int(nu_raw)
+    nu_raw = str(get("dynamics.nu", "auto")).strip()
+    if nu_raw.lower() != "auto":  # cfg.nu stays 0, the auto sentinel
+        cfg.nu = _as_int(nu_raw)
+        if cfg.nu < 1:
+            raise ValueError(f"dynamics.nu must be auto or an integer >= 1, got {nu_raw}")
     cfg.backend = str(get("dynamics.backend", "trotter1")).strip()
     backends_raw = str(get("dynamics.backends", "")).strip()
     cfg.backends = (
@@ -268,6 +271,9 @@ def build_config(mapping):
         ("model.env_omega", cfg.env_omega),
         ("dynamics.dt", cfg.dt),
         ("dynamics.q", cfg.overrides.get("q", 0)),
+        ("execution.seed", cfg.seed),
+        ("execution.t_override", cfg.t_override),
+        ("execution.dense_limit", cfg.dense_limit),
     ):
         if value < 0.0:
             raise ValueError(f"{key} must be >= 0, got {value}")
@@ -281,8 +287,6 @@ def build_config(mapping):
         raise ValueError("dynamics.measurement must be analytic or shot")
     if not 0.0 <= cfg.p <= 1.0:
         raise ValueError(f"dynamics.p must be in [0, 1], got {cfg.p}")
-    if cfg.t_override < 0:
-        raise ValueError(f"execution.t_override must be >= 0, got {cfg.t_override}")
     for key, value in (
         ("dynamics.grid", cfg.grid),
         ("execution.workers", cfg.workers),
@@ -682,6 +686,8 @@ def _build_parser():
 
 def _apply_flag_overrides(cfg, args):
     if args.seed is not None:
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         cfg.seed = args.seed
         cfg.raw["execution.seed"] = str(args.seed)
     if args.workers is not None:

@@ -39,7 +39,6 @@ import numpy as np
 
 from . import _kernels, hamsim
 from .circuits import (
-    ANCILLA,
     PREP_CNOTS,
     SWAP_CNOTS_PER_QUBIT,
     CircuitProgram,
@@ -371,12 +370,6 @@ def markov_plan(spec, backend, budget):
 # ------------------------------------------------------- program emission
 
 
-def _collision_targets(spec, j, slot_base):
-    n = spec.n
-    w = spec.collisions[j].env_width
-    return tuple(range(n)) + tuple(range(slot_base, slot_base + w))
-
-
 def _qdrift_picks(nh, beta, dt, length, rng):
     return hamsim.qdrift_rotations(nh, beta, dt, length, rng).picks
 
@@ -419,16 +412,13 @@ def _collision_parts(spec, plan):
     return parts
 
 
-def _emit(ops, draws, parts, targets):
-    """Append one collision's fragments on `targets`, and the draws of its
-    sampled ones."""
+def _emit(ops, draws, parts):
+    """Append one collision's fragments, each on the system and the one env
+    slot live at it, and the draws of its sampled ones."""
     for step, steps, polarity, draw in parts:
         if draw is not None:
             draws.append((len(ops), draw))
-        if polarity is None:
-            ops.append(fragment_op(step, steps, targets))
-        else:
-            ops.append(fragment_op(step, steps, targets, control=ANCILLA, polarity=polarity))
+        ops.append(fragment_op(step, steps, polarity))
 
 
 def markov_skeleton(spec, plan):
@@ -446,9 +436,8 @@ def markov_skeleton(spec, plan):
     ops, draws = [], []
     for j, u in enumerate(spec.unique_index):
         slot = slot_of_width[spec.collisions[j].env_width]
-        base = spec.n + sum(widths[:slot])
         ops.append(GateOp("prepare", slot=slot, prep=spec.prep_index[j]))
-        _emit(ops, draws, parts[u], _collision_targets(spec, j, base))
+        _emit(ops, draws, parts[u])
         ops.append(GateOp("trace", slot=slot))
     template = CircuitProgram(
         n_system=spec.n, ancilla=plan.ancilla, env_widths=tuple(widths), ops=tuple(ops)
@@ -488,8 +477,7 @@ def nonmarkov_skeleton(nmspec, plan):
     draws = []
     for j in range(1, spec.K + 1):
         active = 0 if j % 2 == 1 else 1
-        targets = _collision_targets(spec, j - 1, spec.n + active * w)
-        _emit(ops, draws, parts[spec.unique_index[j - 1]], targets)
+        _emit(ops, draws, parts[spec.unique_index[j - 1]])
         if j < spec.K:
             other = 1 - active
             ops.append(GateOp("prepare", slot=other, prep=spec.prep_index[j]))

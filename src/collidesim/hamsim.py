@@ -21,13 +21,13 @@ within eps_prime of the exact exponential, and keeps the count it finds on
 the normalized sum, so later plans on the same sum do not search again.
 
 Every schedule is a RotationTable, walked in order (a Trotter step) or by a
-draw's picks, and rotations_dense is the one builder of its dense unitary on
-the collision's own qubits. Most rotations cost it two numpy passes: it
-carries their cosines in a scalar factor and adds -i tan(angle) times the
-flipped rows. A sampled fragment inside a collision is built only on the
-columns its environment's state can feed, U (I x E) with E the state's
-eigen-columns sqrt(p_b) e_b, by starting the product from I x E instead of
-the identity (circuits).
+draw's picks, and rotations_dense is the one builder of its dense unitary
+on the collision's live register, the system and its environment. Most
+rotations cost it two numpy passes: it carries their cosines in a scalar
+factor and adds -i tan(angle) times the flipped rows. A sampled fragment
+inside a collision is built only on the columns its environment's state can
+feed, U (I x E) with E the state's eigen-columns sqrt(p_b) e_b, by starting
+the product from I x E instead of the identity (circuits).
 
 A sampled draw is a Draw: picks, an index tuple into its collision's
 RotationTable. The qDRIFT table holds one rotation per term; the LCU table

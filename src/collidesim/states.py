@@ -9,20 +9,20 @@ invariants, positivity is left to the tests.
 A collision on a freshly prepared env register runs as a Kraus map on the
 system: env_columns takes the env state's eigen-columns sqrt(p_b) e_b (one
 eigh, which a circuits.Skeleton and the exact map make once per env
-preparer), kraus_stacked and kraus_adjoints stack the
-operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and apply_kraus
-applies sum_k L_k rho R_k† as two matmuls; the exact maps and program
-execution share these. Any other fragment runs as a whole dense
-unitary through apply_sides, on both sides of a register or on one side of
-an ancilla block rho_ab (any state function here acts on such a block, whose
-trace and Hermiticity are not those of a state), between tensor_append and
-partial_trace; join_blocks assembles the ancilla (+) system state from
-rho_00, rho_11 and rho_10. The row tables here also build the unitaries
-one-sided in hamsim.rotations_dense. Single gates (register swaps, and the
-Pauli words and rotations of apply_pauli and apply_pauli_rotation, which no
-circuit op emits) are translated into the monomial / two-sparse form the
-kernels consume; those translations are memoized. Born draws read a
-cumulative table (collidesim._draws).
+preparer), kraus_stacked and kraus_adjoints stack the operators
+K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and apply_kraus applies
+sum_k L_k rho R_k† as two matmuls; the exact maps and program execution
+share these. Any other fragment acts on the whole joint register as one
+dense unitary through apply_sides, L rho R† on both sides of a register
+or on one side of an ancilla block rho_ab (any state function here acts
+on such a block, whose trace and Hermiticity are not those of a state),
+between tensor_append and partial_trace; join_blocks assembles the
+ancilla (+) system state from rho_00, rho_11 and rho_10. The row tables
+here also build the unitaries one-sided in hamsim.rotations_dense. Single
+gates (register swaps, and the Pauli words and rotations of apply_pauli
+and apply_pauli_rotation, which no circuit op emits) are translated into
+the monomial / two-sparse form the kernels consume; those translations are
+memoized. Born draws read a cumulative table (collidesim._draws).
 """
 
 import struct
@@ -242,42 +242,23 @@ def apply_pauli_rotation(state, axis, angle, targets, control=None, polarity=1):
     return state
 
 
-def apply_sides(state, left, right, targets):
-    """state -> L state R† for dense L and R on the listed qubits, in any
-    order; a side given as None is the identity.
+def apply_sides(state, left, right):
+    """state -> L state R† for dense L and R on the whole register; a side
+    given as None is the identity.
 
     Conjugation is L = R; one side alone evolves an off-diagonal block of an
-    ancilla (+) system state under an ancilla-controlled unitary. targets[0]
-    is the unitaries' most significant qubit. The whole register in order is
-    a plain L rho R†; otherwise the targets are moved to the front of a
-    qubit-axis view, the unitaries act there, and the axes move back.
+    ancilla (+) system state under an ancilla-controlled unitary.
     """
-    n = state.n
-    targets = tuple(targets)
-    k = len(targets)
+    dim = state.data.shape[0]
     for u in (left, right):
-        if u is not None and u.shape != (1 << k, 1 << k):
-            raise ValueError(f"unitary shape {u.shape} does not fit {k} targets")
-    if len(set(targets)) != k or any(not 0 <= q < n for q in targets):
-        raise ValueError(f"targets {targets} are not distinct qubits of the register")
-    if targets == tuple(range(n)):
-        data = state.data
-        if left is not None:
-            data = left @ data
-        if right is not None:
-            data = data @ right.conj().T
-        state.data = data
-        return state
-    order = targets + tuple(q for q in range(n) if q not in targets)
-    axes = order + tuple(n + q for q in order)
-    dk, dr = 1 << k, 1 << (n - k)
-    view = state.data.reshape((2,) * (2 * n)).transpose(axes).reshape(dk, dr, dk, dr)
+        if u is not None and u.shape != (dim, dim):
+            raise ValueError(f"unitary shape {u.shape} does not fit a {state.n}-qubit register")
+    data = state.data
     if left is not None:
-        view = np.tensordot(left, view, axes=(1, 0))  # (a, i, c, j) = L rho
+        data = left @ data
     if right is not None:
-        view = np.tensordot(view, right.conj(), axes=(2, 1)).transpose(0, 1, 3, 2)  # ... R†
-    back = view.reshape((2,) * (2 * n)).transpose(np.argsort(axes))
-    state.data = np.ascontiguousarray(back.reshape(1 << n, 1 << n))
+        data = data @ right.conj().T
+    state.data = data
     return state
 
 

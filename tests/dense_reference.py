@@ -2,10 +2,11 @@
 
 execute_register runs a program on one matrix holding the whole register:
 the ancilla (when the program declares one) on the most significant qubit,
-the system next, and active env slots below in order of preparation. Every
-gate is a full-register matrix built with np.kron; a controlled gate is the
-block-diagonal |p><p| (x) U + |1-p><1-p| (x) I on [control] + targets, a
-trace is a partial trace and a swap a product of two-qubit swaps.
+the system next, and active env slots below in order of preparation. A
+fragment's product U is the live register's (everything but the ancilla),
+made a full-register matrix with np.kron: I (x) U with an ancilla, or the
+block-diagonal |p><p| (x) U + |1-p><1-p| (x) I when controlled at polarity
+p. A trace is a partial trace and a swap a product of two-qubit swaps.
 
 count_items prices a program by walking each fragment's items
 (fragment_items: `step` repeated `steps` times, or a sampled fragment's
@@ -34,7 +35,7 @@ import numpy as np
 
 import collidesim
 from collidesim import PauliString, PauliSum, circuits, estimator, exact_nonmarkov, states, trace_distance
-from collidesim.circuits import ANCILLA, PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
+from collidesim.circuits import PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
 from collidesim.hamsim import _FOLD_BELOW
 from collidesim.states import _axis_action_rowform
 
@@ -88,22 +89,10 @@ def execute_register(program, rho_system, env_preparers=None):
     n = head + program.n_system
     active = []
 
-    def phys(vid):
-        if vid == ANCILLA:
-            return 0
-        if vid < program.n_system:
-            return head + vid
-        slot = program._slot_of(vid)
-        base = head + program.n_system
-        for s in active:
-            if s == slot:
-                break
-            base += program.env_widths[s]
-        return base + vid - program.slot_base(slot)
-
     def slot_qubits(slot):
-        base = program.slot_base(slot)
-        return [phys(v) for v in range(base, base + program.env_widths[slot])]
+        below = active[: active.index(slot)]
+        base = head + program.n_system + sum(program.env_widths[s] for s in below)
+        return list(range(base, base + program.env_widths[slot]))
 
     for op in program.ops:
         if op.kind == "prepare":
@@ -122,15 +111,11 @@ def execute_register(program, rho_system, env_preparers=None):
             g = np.eye(1 << n)
             for qa, qb in zip(slot_qubits(op.slots[0]), slot_qubits(op.slots[1])):
                 g = embed(_SWAP, (qa, qb), n) @ g
-        else:  # fragment
-            u = np.eye(1 << len(op.targets))
+        else:  # fragment, on the whole live register
+            u = np.eye(1 << (n - head))
             for axis, angle in fragment_items(op):
                 u = gate_dense(axis, angle) @ u
-            qubits = [phys(v) for v in op.targets]
-            if op.control is not None:
-                u = controlled(u, op.polarity)
-                qubits = [phys(op.control)] + qubits
-            g = embed(u, qubits, n)
+            g = np.kron(np.eye(1 << head), u) if op.polarity is None else controlled(u, op.polarity)
         rho = g @ rho @ g.conj().T
     return rho
 
@@ -160,7 +145,7 @@ def count_items(program):
         elif op.kind == "swap":
             cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
         elif op.kind == "fragment":
-            c, r, p = price_items(fragment_items(op), op.control is not None)
+            c, r, p = price_items(fragment_items(op), op.polarity is not None)
             cnot, rot, paulis = cnot + c, rot + r, paulis + p
     return cnot, rot, paulis, cnot + rot, preps
 
@@ -204,29 +189,29 @@ def rotations_by_item(items, n):
 
 
 def describe(program):
-    """The program as text: a header line, then one line per op."""
-
-    def q(v):
-        return "anc" if v == ANCILLA else str(v)
-
+    """The program as text: a header line, then one line per op; a fragment
+    names the live register it acts on, the system and the active slots."""
     lines = [
         f"program system={program.n_system} ancilla={int(program.ancilla)} "
         f"slots={list(program.env_widths)}"
     ]
+    active = []
     for op in program.ops:
         if op.kind == "fragment":
             items = ", ".join(
                 axis.label() if angle is None else f"{axis.label()} {angle!r}"
                 for axis, angle in (op.step if op.picks is None else fragment_items(op))
             )
-            head = "fragment"
-            if op.control is not None:
-                head = f"cfragment({q(op.control)}={op.polarity})"
-            lines.append(f"{head} {op.steps} x [{items}] on [{','.join(map(q, op.targets))}]")
+            head = "fragment" if op.polarity is None else f"cfragment(anc={op.polarity})"
+            lines.append(f"{head} {op.steps} x [{items}] on system+{active}")
         elif op.kind == "swap":
             lines.append(f"swap slots {op.slots[0]}<->{op.slots[1]}")
         else:
             lines.append(f"{op.kind} slot {op.slot}")
+            if op.kind == "prepare":
+                active.append(op.slot)
+            else:
+                active.remove(op.slot)
     return "\n".join(lines)
 
 

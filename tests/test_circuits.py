@@ -9,7 +9,6 @@ import pytest
 from scipy.linalg import expm
 
 from collidesim import (
-    ANCILLA,
     Budget,
     CircuitProgram,
     Collision,
@@ -50,8 +49,8 @@ def _rand_rho(rng, n):
 
 def test_op_constructors_pick_kinds():
     x = PauliString.from_label("X")
-    assert fragment_op([(x, 0.3)], 1, (0,)).kind == "fragment"
-    assert fragment_op([(x, None)], 1, (0,), control=ANCILLA).kind == "fragment"
+    assert fragment_op([(x, 0.3)], 1).kind == "fragment"
+    assert fragment_op([(x, None)], 1, polarity=1).kind == "fragment"
     for kind in ("hadamard", "rotation"):
         with pytest.raises(ValueError):
             GateOp(kind)
@@ -68,7 +67,7 @@ def test_execute_one_collision_matches_dense():
         env_widths=(1,),
         ops=(
             GateOp("prepare", slot=0),
-            fragment_op([(xx, theta)], 1, (0, 1)),
+            fragment_op([(xx, theta)], 1),
             GateOp("trace", slot=0),
         ),
     )
@@ -92,7 +91,7 @@ def test_execute_remaps_after_out_of_order_trace():
             GateOp("prepare", slot=0),
             GateOp("prepare", slot=1),
             GateOp("trace", slot=0),
-            fragment_op([(xx, theta)], 1, (0, 2)),  # vid 2 = slot 1
+            fragment_op([(xx, theta)], 1),  # the system and slot 1
             GateOp("trace", slot=1),
         ),
     )
@@ -111,7 +110,7 @@ def test_execute_ancilla_controls():
     prog = CircuitProgram(
         1,
         ancilla=True,
-        ops=(fragment_op([(PauliString.from_label("X"), None)], 1, (0,), control=ANCILLA),),
+        ops=(fragment_op([(PauliString.from_label("X"), None)], 1, polarity=1),),
     )
     blocks = execute(prog, rho)
     assert set(blocks) == {(0, 0), (1, 1), (1, 0)}
@@ -136,11 +135,11 @@ def test_execute_swap_moves_env_state():
     # prepare |1> and |0> envs, swap them, then flip the system iff slot 1
     # holds |1>: the flip must fire. The CNOT from slot 1 to the system is
     # e^{i pi/4 (I - Z_c)(I - X_t)} = e^{-i pi/4 Z_c} e^{-i pi/4 X_t} e^{i pi/4 X_t Z_c}
-    # up to a global phase.
+    # up to a global phase, padded with an identity on slot 0.
     cnot = [
-        (PauliString.from_label("IZ"), math.pi / 4),
-        (PauliString.from_label("XI"), math.pi / 4),
-        (PauliString.from_label("XZ"), -math.pi / 4),
+        (PauliString.from_label("IIZ"), math.pi / 4),
+        (PauliString.from_label("XII"), math.pi / 4),
+        (PauliString.from_label("XIZ"), -math.pi / 4),
     ]
     rho = DensityMatrix.basis(1, 0)
     preps = {0: _prep(np.diag([0.0, 1.0])), 1: _prep(np.diag([1.0, 0.0]))}
@@ -152,7 +151,7 @@ def test_execute_swap_moves_env_state():
                 GateOp("prepare", slot=0),
                 GateOp("prepare", slot=1),
                 *([GateOp("swap", slots=(0, 1))] if swap else []),
-                fragment_op(cnot, 1, (0, 2)),  # vid 2 = slot 1
+                fragment_op(cnot, 1),  # system, slot 0, slot 1
                 GateOp("trace", slot=0),
                 GateOp("trace", slot=1),
             ),
@@ -164,8 +163,9 @@ def test_execute_swap_moves_env_state():
 
 def test_validate_rejects_bad_programs():
     x = PauliString.from_label("X")
+    xx = PauliString.from_label("XX")
     with pytest.raises(ValueError):  # touches a slot never prepared
-        CircuitProgram(1, env_widths=(1,), ops=(fragment_op([(x, None)], 1, (1,)),))
+        CircuitProgram(1, env_widths=(1,), ops=(fragment_op([(xx, None)], 1),))
     with pytest.raises(ValueError):  # double prepare
         CircuitProgram(
             1,
@@ -175,21 +175,17 @@ def test_validate_rejects_bad_programs():
     with pytest.raises(ValueError):  # never traced
         CircuitProgram(1, env_widths=(1,), ops=(GateOp("prepare", slot=0),))
     with pytest.raises(ValueError):  # ancilla op without ancilla
-        CircuitProgram(1, ops=(fragment_op([(x, None)], 1, (0,), control=ANCILLA),))
-    with pytest.raises(ValueError):  # the ancilla is a control, never a target
-        CircuitProgram(1, ancilla=True, ops=(fragment_op([(x, None)], 1, (ANCILLA,)),))
-    with pytest.raises(ValueError):  # only the ancilla controls a fragment
+        CircuitProgram(1, ops=(fragment_op([(x, None)], 1, polarity=1),))
+    with pytest.raises(ValueError):  # a polarity is an ancilla value
+        CircuitProgram(1, ancilla=True, ops=(fragment_op([(x, None)], 1, polarity=2),))
+    with pytest.raises(ValueError):  # fragment narrower than the live register
         CircuitProgram(
             1,
             env_widths=(1,),
-            ops=(
-                GateOp("prepare", slot=0),
-                fragment_op([(x, 0.1)], 1, (0,), control=1),
-                GateOp("trace", slot=0),
-            ),
+            ops=(GateOp("prepare", slot=0), fragment_op([(x, 0.1)], 1), GateOp("trace", slot=0)),
         )
-    with pytest.raises(ValueError):  # axis width != targets
-        CircuitProgram(1, ops=(fragment_op([(PauliString.from_label("XX"), None)], 1, (0,)),))
+    with pytest.raises(ValueError):  # fragment wider than the live register
+        CircuitProgram(1, ops=(fragment_op([(xx, None)], 1),))
     with pytest.raises(ValueError):  # swap width mismatch
         CircuitProgram(
             1,
@@ -211,23 +207,22 @@ def test_describe_is_stable():
         env_widths=(1,),
         ops=(
             GateOp("prepare", slot=0),
-            fragment_op(
-                [(PauliString.from_label("XZ"), 0.25)], 1, (0, 2), control=ANCILLA, polarity=0
-            ),
+            fragment_op([(PauliString.from_label("XIZ"), 0.25)], 1, polarity=0),
             GateOp("trace", slot=0),
         ),
     )
     assert describe(prog).splitlines() == [
         "program system=2 ancilla=1 slots=[1]",
         "prepare slot 0",
-        "cfragment(anc=0) 1 x [+XZ 0.25] on [0,2]",
+        "cfragment(anc=0) 1 x [+XIZ 0.25] on system+[0]",
         "trace slot 0",
     ]
 
 
 def test_count_resources_frozen_costs():
-    z3 = PauliString.from_label("ZZZ")
-    xx = PauliString.from_label("XX")
+    # the words are padded with identities to the live register, which cost nothing
+    z3 = PauliString.from_label("ZZZIIII")
+    xx = PauliString.from_label("IIIXXII")
     prog = CircuitProgram(
         3,
         ancilla=True,
@@ -235,12 +230,12 @@ def test_count_resources_frozen_costs():
         ops=(
             GateOp("prepare", slot=0),  # 2 cnots, 1 prep
             GateOp("prepare", slot=1),  # 2 cnots, 1 prep
-            fragment_op([(z3, 0.1)], 1, (0, 1, 2)),  # weight 3: 4 cnots, 1 rot
-            fragment_op([(xx, 0.2)], 1, (3, 4), control=ANCILLA),  # 2(w-1)+2 = 4 cnots, 2 rots
+            fragment_op([(z3, 0.1)], 1),  # weight 3: 4 cnots, 1 rot
+            fragment_op([(xx, 0.2)], 1, polarity=1),  # 2(w-1)+2 = 4 cnots, 2 rots
             # phase kick: 1 rot
-            fragment_op([(PauliString(1, 0, 0), 0.3)], 1, (0,), control=ANCILLA),
-            fragment_op([(xx, None)], 1, (0, 1)),  # 1 pauli, 0 cnots
-            fragment_op([(xx, None)], 1, (0, 1), control=ANCILLA),  # 1 pauli, 2 cnots
+            fragment_op([(PauliString(7, 0, 0), 0.3)], 1, polarity=1),
+            fragment_op([(xx, None)], 1),  # 1 pauli, 0 cnots
+            fragment_op([(xx, None)], 1, polarity=1),  # 1 pauli, 2 cnots
             GateOp("swap", slots=(0, 1)),  # 3 per qubit * width 2 = 6 cnots
             GateOp("trace", slot=0),
             GateOp("trace", slot=1),
@@ -268,61 +263,30 @@ def test_resource_report_addition():
     )
 
 
-def _slots_program(gates):
-    """Two system qubits and two one-qubit slots, both active around the gates."""
-    return CircuitProgram(
-        2,
-        env_widths=(1, 1),
-        ops=(
-            GateOp("prepare", slot=0),
-            GateOp("prepare", slot=1),
-            *gates,
-            GateOp("trace", slot=0),
-            GateOp("trace", slot=1),
-        ),
-    )
-
-
-def test_fragment_on_permuted_targets_matches_rotations():
-    rng = np.random.default_rng(41)
-    rho = _rand_rho(rng, 2)
-    step = (
-        (PauliString.from_label("XYZ"), 0.11),
-        (PauliString.from_label("ZIX"), -0.07),
-        (PauliString.from_label("IYY"), 0.05),
-    )
-    targets = (3, 0, 2)  # slot 1, system 0, slot 0: out of order, skipping system 1
-    frag = _slots_program((fragment_op(step, 3, targets),))
-    preps = {0: _prep(np.diag([0.3, 0.7])), 1: _prep(_rand_rho(rng, 1).data)}
-    got = execute(frag, rho, preps)
-    np.testing.assert_allclose(got.data, execute_register(frag, rho, preps), atol=1e-10)
-    assert count_resources(frag).as_tuple() == count_items(frag)
-
-
 def test_fragment_op_is_small_and_validated():
     xx = PauliString.from_label("XX")
-    op = fragment_op([(xx, 0.25), (PauliString.from_label("ZI"), -0.5)], 2, (0, 1))
+    op = fragment_op([(xx, 0.25), (PauliString.from_label("ZI"), -0.5)], 2)
     assert op.kind == "fragment" and op.step[0] == (xx, 0.25) and op.steps == 2
     assert type(op.step) is RotationTable and op.step.n == 2
     # a copy holds an equal table of its own
     copy = pickle.loads(pickle.dumps(op))
     assert copy.step is not op.step and (copy.step.n, copy.step.items) == (op.step.n, op.step.items)
-    assert replace(copy, step=op.step) == op and hash(op) == hash(fragment_op(op.step, 2, (0, 1)))
+    assert replace(copy, step=op.step) == op and hash(op) == hash(fragment_op(op.step, 2))
     prog = CircuitProgram(
         1, env_widths=(1,), ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0))
     )
-    assert describe(prog).splitlines()[2] == "fragment 2 x [+XX 0.25, +ZI -0.5] on [0,1]"
+    assert describe(prog).splitlines()[2] == "fragment 2 x [+XX 0.25, +ZI -0.5] on system+[0]"
     # 2 steps x (XX: 2 cnots + 1 rot, ZI: 0 cnots + 1 rot), plus the preparation
     assert count_resources(prog).as_tuple() == (2 + 2 * 2, 2 * 2, 0, 6 + 4, 1)
     # an item is checked as it enters the fragment's table
     with pytest.raises(ValueError):
-        fragment_op([(PauliString.from_label("X"), 0.1)], 1, (0, 1))  # axis width
+        fragment_op([(xx, 0.1), (PauliString.from_label("X"), 0.1)], 1)  # axis width
     with pytest.raises(ValueError):
-        fragment_op([(PauliString.from_label("-XX"), 0.1)], 1, (0, 1))  # phased axis
+        fragment_op([(PauliString.from_label("-XX"), 0.1)], 1)  # phased axis
     for bad in (
-        fragment_op(RotationTable(1, [(PauliString.from_label("X"), 0.1)]), 1, (0, 1)),  # table width
-        fragment_op([(xx, 0.1)], 0, (0, 1)),  # no repetitions
-        fragment_op([], 1, (0, 1)),  # empty step
+        fragment_op(RotationTable(1, [(PauliString.from_label("X"), 0.1)]), 1),  # table width
+        fragment_op([(xx, 0.1)], 0),  # no repetitions
+        fragment_op([], 1),  # empty step
     ):
         with pytest.raises(ValueError):
             CircuitProgram(
@@ -333,16 +297,17 @@ def test_fragment_op_is_small_and_validated():
 @pytest.mark.parametrize("polarity", [0, 1])
 def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     rng = np.random.default_rng(43)
+    # whole-register words on (system 0, system 1, slot 0, slot 1) that leave
+    # system 1 alone
     step = (
-        (PauliString.from_label("XYZ"), 0.31),
-        (PauliString.from_label("-iZXY"), None),  # phased word
-        (PauliString.from_label("ZIZ"), -0.2),  # diagonal axis
-        (PauliString.from_label("-IZI"), None),  # phased diagonal word
-        (PauliString.from_label("YYX"), 0.17),
+        (PauliString.from_label("YIZX"), 0.31),
+        (PauliString.from_label("-iXIYZ"), None),  # phased word
+        (PauliString.from_label("IIZZ"), -0.2),  # diagonal axis
+        (PauliString.from_label("-ZIII"), None),  # phased diagonal word
+        (PauliString.from_label("YIXY"), 0.17),
     )
-    targets = (3, 0, 2)
     picks = range(len(step))
-    frag = fragment_op(step, 1, targets, control=ANCILLA, polarity=polarity, picks=picks)
+    frag = fragment_op(step, 1, polarity, picks=picks)
 
     def program(gates):
         return CircuitProgram(
@@ -369,17 +334,18 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     np.testing.assert_allclose(alone.data, want[4:, :4], atol=1e-12)
     assert count_resources(prog).as_tuple() == count_items(prog)
     assert describe(prog).splitlines()[3] == (
-        f"cfragment(anc={polarity}) 1 x [+XYZ 0.31, -iZXY, +ZIZ -0.2, -IZI, +YYX 0.17] on [3,0,2]"
+        f"cfragment(anc={polarity}) 1 x [+YIZX 0.31, -iXIYZ, +IIZZ -0.2, -ZIII, +YIXY 0.17]"
+        " on system+[0, 1]"
     )
     with pytest.raises(ValueError):  # a sampled fragment is one draw
-        program((fragment_op(step, 2, targets, control=ANCILLA, picks=picks),))
+        program((fragment_op(step, 2, 1, picks=picks),))
 
 
-def _table_program(step, picks, control=None):
-    op = fragment_op(step, 1, (0, 1), control=control, picks=picks)
+def _table_program(step, picks, polarity=None):
+    op = fragment_op(step, 1, polarity, picks=picks)
     return CircuitProgram(
         1,
-        ancilla=control is not None,
+        ancilla=polarity is not None,
         env_widths=(1,),
         ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0)),
     )
@@ -393,15 +359,15 @@ def test_picked_fragments_price_each_entry_by_its_pick_count():
         (PauliString.from_label("II"), 0.2),  # identity rotation: a phase kick when controlled
         (PauliString.from_label("-iZX"), None),  # phased word
     ])
-    for control in (None, ANCILLA):
+    for polarity in (None, 1):
         for size in (1, 7, 500):
             picks = tuple(int(v) for v in rng.integers(0, len(table), size=size))
-            prog = _table_program(table, picks, control)
+            prog = _table_program(table, picks, polarity)
             assert count_resources(prog).as_tuple() == count_items(prog)
     # the table keeps one row of prices per entry and control flag, extended as it grows
     assert set(table.costs) == {False, True}
     table.append((PauliString.from_label("YY"), 0.4))
-    prog = _table_program(table, (4, 4, 0), ANCILLA)
+    prog = _table_program(table, (4, 4, 0), 1)
     assert count_resources(prog).as_tuple() == count_items(prog)
 
 
@@ -412,10 +378,10 @@ def test_validate_checks_the_pick_range():
         with pytest.raises(ValueError):
             _table_program(table, bad)
     narrow = RotationTable(1, [(PauliString.from_label("X"), 0.3)])
-    with pytest.raises(ValueError):  # a table as wide as the targets
+    with pytest.raises(ValueError):  # a table as wide as the live register
         _table_program(narrow, (0,))
     with pytest.raises(ValueError):  # a draw is applied once
-        CircuitProgram(1, ops=(fragment_op(narrow, 2, (0,), picks=(0,)),))
+        CircuitProgram(1, ops=(fragment_op(narrow, 2, picks=(0,)),))
 
 
 # --------------------------------------------------------- Kraus windows
@@ -472,12 +438,12 @@ def test_a_hand_built_window_with_two_fragments_per_side_takes_the_kraus_path(mo
     preps = {0: _prep(_rand_rho(rng, 1).data)}  # full rank: two Kraus columns
     rho = _rand_rho(rng, 1)
     for ancilla in (False, True):
-        control = ANCILLA if ancilla else None
+        on, off = (1, 0) if ancilla else (None, None)
         window = (
-            fragment_op(table, 1, (0, 1), control=control, polarity=1, picks=(0, 2, 1, 0)),
-            fragment_op(step, 3, (0, 1)),
-            fragment_op(table, 1, (0, 1), control=control, polarity=1, picks=(1, 1, 2)),
-            fragment_op(step, 2, (0, 1), control=control, polarity=0),
+            fragment_op(table, 1, on, picks=(0, 2, 1, 0)),
+            fragment_op(step, 3),
+            fragment_op(table, 1, on, picks=(1, 1, 2)),
+            fragment_op(step, 2, off),
         )
         prog = CircuitProgram(
             1,
@@ -505,21 +471,15 @@ def test_non_markov_and_out_of_order_programs_take_the_generic_path(monkeypatch)
             GateOp("prepare", slot=0),
             GateOp("prepare", slot=1),
             GateOp("trace", slot=0),
-            fragment_op([(xx, 0.6)], 1, (0, 2)),
+            fragment_op([(xx, 0.6)], 1),
             GateOp("trace", slot=1),
         ),
-    )
-    permuted = CircuitProgram(  # env first: not the window's physical order
-        1,
-        env_widths=(1,),
-        ops=(GateOp("prepare", slot=0), fragment_op([(xx, 0.6)], 1, (1, 0)), GateOp("trace", slot=0)),
     )
     env = _prep(np.diag([0.25, 0.75]))
     one = _rand_rho(np.random.default_rng(89), 1)
     for prog, state, preps in (
         (nonmarkov, rho, spec.env_preparers()),
         (out_of_order, one, {0: env, 1: env}),
-        (permuted, one, {0: env}),
     ):
         calls = generic_path_calls(monkeypatch)
         _assert_matches_register(prog, state, preps)

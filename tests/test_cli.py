@@ -85,6 +85,10 @@ def test_build_config_defaults_and_overrides():
         {"execution.compilations": "0"},
         {"execution.seed": "inf"},
         {"dynamics.nu": "1e400"},
+        {"dynamics.nu": "0"},
+        {"dynamics.nu": "-2"},
+        {"execution.seed": "-1"},
+        {"execution.dense_limit": "-1"},
         {"model.gamma": "nan"},
         {"model.J": "nan"},
         {"model.h": "-inf"},
@@ -126,6 +130,10 @@ def test_build_config_defaults_and_overrides():
         "no-compilations",
         "infinite-seed",
         "overflowing-nu",
+        "nu-zero",
+        "nu-negative",
+        "negative-seed",
+        "negative-dense-limit",
         "nan-gamma",
         "nan-J",
         "infinite-h",
@@ -535,6 +543,34 @@ def test_grid_below_one_is_a_config_error(tmp_path, capsys, grid):
     assert cli.main(["oracle", "--config", cfg]) == 1
     assert f"dynamics.grid must be >= 1, got {grid}" in capsys.readouterr().err
     assert not (tmp_path / "oracle.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("dynamics.nu = 0\n", "dynamics.nu must be auto or an integer >= 1, got 0"),
+        ("execution.seed = -1\n", "execution.seed must be >= 0, got -1"),
+        ("execution.dense_limit = -1\n", "execution.dense_limit must be >= 0, got -1"),
+    ],
+    ids=["nu-zero", "negative-seed", "negative-dense-limit"],
+)
+def test_bad_execution_keys_are_refused_at_load(tmp_path, capsys, monkeypatch, extra, message):
+    # refused before any work (suggest_nu included) starts, naming the key
+    monkeypatch.setattr(cli, "suggest_nu", lambda *a, **k: pytest.fail("suggest_nu ran"))
+    monkeypatch.delenv("COLLIDESIM_DENSE_LIMIT", raising=False)
+    cfg = tmp_path / "qdrift.cfg"
+    cfg.write_text(f"model.m = 2\ndynamics.backend = qdrift\noutput.dir = {tmp_path}\n" + extra)
+    assert cli.main(["run", "--config", str(cfg)]) == 1
+    assert message in capsys.readouterr().err
+    assert "COLLIDESIM_DENSE_LIMIT" not in os.environ
+    assert not (tmp_path / "run.csv").exists()
+
+
+def test_negative_seed_flag_is_a_config_error(tmp_path, capsys):
+    cfg = _bench_cfg(tmp_path)
+    assert cli.main(["run", "--config", cfg, "--seed", "-1"]) == 1
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "run.csv").exists()
 
 
 def test_workers_below_one_is_a_config_error(tmp_path, capsys):

@@ -9,7 +9,6 @@ import pytest
 from scipy.linalg import expm
 
 from collidesim import (
-    ANCILLA,
     Backend,
     Budget,
     Collision,
@@ -317,7 +316,7 @@ def test_qdrift_program_seed_determinism():
     plan = markov_plan(spec, backend, budget)
     frags = [op for op in a.ops if op.kind == "fragment"]
     assert [len(op.picks) for op in frags] == list(plan.per_collision)
-    assert all(op.picks is not None and op.steps == 1 and op.control is None for op in frags)
+    assert all(op.picks is not None and op.steps == 1 and op.polarity is None for op in frags)
 
 
 def test_salcu_program_is_controlled_pair_protocol():
@@ -327,8 +326,8 @@ def test_salcu_program_is_controlled_pair_protocol():
     )
     assert prog.ancilla
     frags = [op for op in prog.ops if op.kind not in ("prepare", "trace")]
-    assert all(op.kind == "fragment" and op.control == ANCILLA for op in frags)
-    assert {op.polarity for op in frags} == {0, 1}
+    assert all(op.kind == "fragment" for op in frags)
+    assert [op.polarity for op in frags] == [1, 0] * spec.K  # X controlled, then Y anti-controlled
     assert any(angle is not None for op in frags for _, angle in fragment_items(op))
 
 

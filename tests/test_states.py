@@ -212,43 +212,29 @@ def test_save_load_round_trip(tmp_path):
         load_state(path)
 
 
-def _embedded(u, targets, n):
-    """Dense oracle: U on the listed qubits (targets[0] its top bit), identity elsewhere."""
-    dim = 1 << n
-    rest = [q for q in range(n) if q not in targets]
-
-    def bits(i, qubits):
-        return [(i >> (n - 1 - q)) & 1 for q in qubits]
-
-    def local(i):
-        return int("".join(map(str, bits(i, targets))), 2)
-
-    full = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        for j in range(dim):
-            if bits(i, rest) == bits(j, rest):
-                full[i, j] = u[local(i), local(j)]
-    return full
-
-
-@pytest.mark.parametrize("targets", [(0, 1, 2, 3), (2, 0, 3), (3,), (1, 3)])
-def test_apply_unitary_matches_dense(targets):
+def test_apply_unitary_matches_dense():
     rng = np.random.default_rng(83)
     rho = _rand_rho(rng, 4)
-    k = len(targets)
-    a = rng.normal(size=(1 << k, 1 << k)) + 1j * rng.normal(size=(1 << k, 1 << k))
+    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
     u, _ = np.linalg.qr(a)
-    full = _embedded(u, targets, 4)
-    want = full @ rho.data @ full.conj().T
-    got = apply_sides(rho.copy(), u, u, targets)  # a unitary is both sides
+    want = u @ rho.data @ u.conj().T
+    got = apply_sides(rho.copy(), u, u)  # a unitary is both sides
     np.testing.assert_allclose(got.data, want, atol=1e-12)
+    # one side alone, as an ancilla-controlled fragment moves a block
+    np.testing.assert_allclose(apply_sides(rho.copy(), u, None).data, u @ rho.data, atol=1e-12)
+    np.testing.assert_allclose(
+        apply_sides(rho.copy(), None, u).data, rho.data @ u.conj().T, atol=1e-12
+    )
 
 
 def test_apply_unitary_rejects_bad_targets():
+    # a unitary acts on the whole register, never on some of its qubits
     rho = DensityMatrix.basis(2, 0)
-    for bad in ((0, 0), (0, 2), (0,)):  # repeated, outside the register, wrong width
+    for bad in (np.eye(2), np.eye(8), np.eye(4)[:, :2]):
         with pytest.raises(ValueError):
-            apply_sides(rho.copy(), np.eye(4), np.eye(4), bad)
+            apply_sides(rho.copy(), bad, bad)
+        with pytest.raises(ValueError):
+            apply_sides(rho.copy(), None, bad)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 32])
