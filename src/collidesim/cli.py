@@ -3,7 +3,9 @@
 Config format: flat `section.key = value` lines (# comments), or a JSON file
 with the same dotted keys (nested objects are flattened). Model section picks
 the damped-chain benchmark (m, J, h, gamma, omega) or a custom collision
-problem from Pauli-sum text files. All outputs are RFC-4180 CSV with floats
+problem from Pauli-sum text files. Each key is one row of `_SCHEMA` (its
+parse, default, bound and scope), and CLI flags and swept values are read
+through the same rows. All outputs are RFC-4180 CSV with floats
 printed at 17 significant digits, so a fixed (config, seed) pair reproduces
 byte-identical files.
 
@@ -17,7 +19,8 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -38,60 +41,9 @@ from .oracles import Liouvillian, lindblad_evolve
 from .pauli import PauliSum
 from .states import DensityMatrix, Observable, expectation, load_state
 
-_KNOWN_KEYS = {
-    "model.kind",
-    "model.m",
-    "model.J",
-    "model.h",
-    "model.gamma",
-    "model.omega",
-    "model.system_file",
-    "model.env_file",
-    "model.interaction_file",
-    "model.env_width",
-    "model.env_omega",
-    "model.observable_file",
-    "model.rho0_file",
-    "dynamics.t",
-    "dynamics.eps",
-    "dynamics.delta",
-    "dynamics.nu",
-    "dynamics.backend",
-    "dynamics.backends",
-    "dynamics.measurement",
-    "dynamics.nonmarkov",
-    "dynamics.p",
-    "dynamics.collisions",
-    "dynamics.dt",
-    "dynamics.grid",
-    "dynamics.steps",
-    "dynamics.length",
-    "dynamics.r",
-    "dynamics.q",
-    "dynamics.c_r",
-    "execution.seed",
-    "execution.workers",
-    "execution.t_override",
-    "execution.dense_limit",
-    "execution.compilations",
-    "output.dir",
-    "output.samples",
-}
-
 # Keys that change how a run executes, never what it computes: left out of
 # config_hash so the CSVs stay byte-identical across them.
 _EXECUTION_ONLY_KEYS = ("execution.workers",)
-
-_BENCH_KEYS = ("model.m", "model.J", "model.h", "model.gamma", "model.omega")
-_CUSTOM_KEYS = (
-    "model.system_file",
-    "model.env_file",
-    "model.interaction_file",
-    "model.env_width",
-    "model.env_omega",
-    "dynamics.collisions",
-    "dynamics.dt",
-)
 
 
 def parse_config_text(text):
@@ -132,68 +84,157 @@ def load_config_mapping(path):
     return parse_config_text(text)
 
 
-def _as_bool(raw):
-    if isinstance(raw, bool):
-        return raw
-    text = str(raw).strip().lower()
+# ------------------------------------------------------------ config schema
+#
+# A parser takes a key's value as given (text, or a JSON scalar) and returns
+# it parsed, or raises ValueError with a phrase that build_config prefixes
+# with the key's name.
+
+
+def _text(raw):
+    return str(raw).strip()
+
+
+def _one_of(*choices):
+    def parse(raw):
+        text = _text(raw)
+        if text not in choices:
+            raise ValueError(f"must be {' or '.join(choices)}, got {text!r}")
+        return text
+
+    return parse
+
+
+def _flag(raw):
+    text = _text(raw).lower()
     if text in ("1", "true", "yes", "on"):
         return True
     if text in ("0", "false", "no", "off"):
         return False
-    raise ValueError(f"not a boolean: {raw!r}")
+    raise ValueError(f"must be true or false, got {raw!r}")
 
 
-def _as_float(key, raw, allow_inf=False):
-    v = float(raw)
+def _real(raw, allow_inf=False):
+    try:
+        v = float(raw)
+    except (TypeError, ValueError):
+        v = math.nan
     if math.isnan(v) or (math.isinf(v) and not allow_inf):
         kind = "a number or inf" if allow_inf else "a finite number"
-        raise ValueError(f"{key} must be {kind}, got {raw!r}")
+        raise ValueError(f"must be {kind}, got {raw!r}")
     return v
 
 
-def _as_int(raw):
-    v = float(raw)
-    if not math.isfinite(v) or v != int(v):
-        raise ValueError(f"expected an integer, got {raw!r}")
+def _real_or_inf(raw):
+    return _real(raw, allow_inf=True)
+
+
+def _integer(raw):
+    """Integer text (or a JSON integer) exactly. A float spelling such as 2.0
+    or 1e3 is taken only up to 2**53, below which every integer is a float."""
+    try:
+        return int(repr(raw) if isinstance(raw, float) else raw)
+    except (TypeError, ValueError):
+        pass
+    try:
+        v = float(raw)
+    except (TypeError, ValueError):
+        v = math.nan
+    if not (math.isfinite(v) and v == int(v) and abs(v) <= 2**53):
+        raise ValueError(f"must be an integer (a float spelling at most 2**53), got {raw!r}")
     return int(v)
 
 
-@dataclass
-class ExperimentConfig:
-    kind: str = "benchmark"
-    m: int = 4
-    J: float = 1.0
-    h: float = 0.1
-    gamma: float = 1.0
-    omega: float = math.inf
-    system_file: str = ""
-    env_file: str = ""
-    interaction_file: str = ""
-    env_width: int = 1
-    env_omega: float = math.inf
-    observable_file: str = ""
-    rho0_file: str = ""
-    t: float = 1.0
-    eps: float = 0.01
-    delta: float = 0.05
-    nu: int = 0  # 0 = auto
-    backend: str = "trotter1"
-    backends: tuple = ()
-    measurement: str = "analytic"
-    nonmarkov: bool = False
-    p: float = 0.0
-    collisions: int = 1
-    dt: float = 0.0  # 0 = t / collisions
-    grid: int = 1
-    overrides: dict = field(default_factory=dict)
-    seed: int = 0
-    workers: int = 1
-    t_override: int = 0  # 0 = no override
-    dense_limit: int = 0  # 0 = leave the default
-    compilations: int = 32
-    out_dir: str = "."
-    samples: bool = False
-    raw: dict = field(default_factory=dict)
+def _cycles(raw):
+    """dynamics.nu: auto (0, resolved by suggest_nu) or a cycle count >= 1."""
+    text = _text(raw)
+    if text.lower() == "auto":
+        return 0
+    try:
+        nu = _integer(text)
+    except ValueError:
+        nu = 0
+    if nu < 1:
+        raise ValueError(f"must be auto or an integer >= 1, got {text}")
+    return nu
+
+
+def _backend(raw):
+    label = _text(raw)
+    try:
+        parse_backend(label)
+    except ValueError as exc:
+        raise ValueError(f"must be a backend label, got {label!r}: {exc}") from None
+    return label
+
+
+def _backends(raw):
+    """Comma-separated labels; empty text is no list (the default applies)."""
+    text = _text(raw)
+    return tuple(_backend(s) for s in text.split(",") if s.strip()) if text else None
+
+
+# A bound is (predicate, phrase); a value it refuses reads "<key> must be
+# <phrase>, got <value>".
+_AT_LEAST_0 = (lambda v: v >= 0, ">= 0")
+_AT_LEAST_1 = (lambda v: v >= 1, ">= 1")
+_POSITIVE = (lambda v: v > 0, "> 0")
+_OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
+_UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
+_EVEN = (lambda v: v >= 0 and v % 2 == 0, "a nonnegative even integer")
+
+_BENCH, _CUSTOM = "benchmark", "custom"
+
+# One row per config key: (key, field, parse, default, bound, scope). `field`
+# names the ExperimentConfig attribute; None marks a backend override, kept
+# in cfg.overrides under the key's last part and only when given. A default
+# is taken as it stands; a bound checks a given value. A key with a scope is
+# refused under the other model.kind. README.md's config reference mirrors
+# these rows.
+_SCHEMA = (
+    ("model.kind", "kind", _one_of(_BENCH, _CUSTOM), _BENCH, None, None),
+    ("model.m", "m", _integer, 4, _AT_LEAST_1, _BENCH),
+    ("model.J", "J", _real, 1.0, None, _BENCH),
+    ("model.h", "h", _real, 0.1, None, _BENCH),
+    ("model.gamma", "gamma", _real, 1.0, _AT_LEAST_0, _BENCH),
+    ("model.omega", "omega", _real_or_inf, math.inf, _AT_LEAST_0, _BENCH),
+    ("model.system_file", "system_file", _text, "", None, _CUSTOM),
+    ("model.env_file", "env_file", _text, "", None, _CUSTOM),
+    ("model.interaction_file", "interaction_file", _text, "", None, _CUSTOM),
+    ("model.env_width", "env_width", _integer, 1, _AT_LEAST_1, _CUSTOM),
+    ("model.env_omega", "env_omega", _real_or_inf, math.inf, _AT_LEAST_0, _CUSTOM),
+    ("model.observable_file", "observable_file", _text, "", None, None),
+    ("model.rho0_file", "rho0_file", _text, "", None, None),
+    ("dynamics.t", "t", _real, 1.0, _POSITIVE, None),
+    ("dynamics.eps", "eps", _real, 0.01, _OPEN_UNIT, None),
+    ("dynamics.delta", "delta", _real, 0.05, _OPEN_UNIT, None),
+    ("dynamics.nu", "nu", _cycles, 0, None, None),
+    ("dynamics.backend", "backend", _backend, "trotter1", None, None),
+    ("dynamics.backends", "backends", _backends, None, None, None),  # None: (backend,)
+    ("dynamics.measurement", "measurement", _one_of("analytic", "shot"), "analytic", None, None),
+    ("dynamics.nonmarkov", "nonmarkov", _flag, False, None, None),
+    ("dynamics.p", "p", _real, 0.0, _UNIT, None),
+    ("dynamics.collisions", "collisions", _integer, 1, _AT_LEAST_1, _CUSTOM),
+    ("dynamics.dt", "dt", _real, 0.0, _AT_LEAST_0, _CUSTOM),  # 0: t / collisions
+    ("dynamics.grid", "grid", _integer, 1, _AT_LEAST_1, None),
+    ("dynamics.steps", None, _integer, None, _AT_LEAST_1, None),
+    ("dynamics.length", None, _integer, None, _AT_LEAST_1, None),
+    ("dynamics.r", None, _integer, None, _AT_LEAST_1, None),
+    ("dynamics.q", None, _integer, None, _EVEN, None),
+    ("dynamics.c_r", None, _real, None, _POSITIVE, None),
+    ("execution.seed", "seed", _integer, 0, _AT_LEAST_0, None),
+    ("execution.workers", "workers", _integer, 1, _AT_LEAST_1, None),
+    ("execution.t_override", "t_override", _integer, 0, _AT_LEAST_0, None),  # 0: none
+    ("execution.dense_limit", "dense_limit", _integer, 0, _AT_LEAST_0, None),  # 0: default
+    ("execution.compilations", "compilations", _integer, 32, _AT_LEAST_1, None),
+    ("output.dir", "out_dir", _text, ".", None, None),
+    ("output.samples", "samples", _flag, False, None, None),
+)
+
+
+class ExperimentConfig(SimpleNamespace):
+    """A loaded config: one attribute per _SCHEMA field, `overrides` (the
+    backend overrides given) and `raw` (the mapping as given)."""
 
     def config_hash(self):
         keys = sorted(k for k in self.raw if k not in _EXECUTION_ONLY_KEYS)
@@ -201,105 +242,37 @@ class ExperimentConfig:
         return hashlib.sha256(lines.encode()).hexdigest()[:12]
 
 
-def build_config(mapping):
-    unknown = sorted(set(mapping) - _KNOWN_KEYS)
+def build_config(mapping, names=None):
+    """Parse and check a flat `key -> value` mapping, row by row of _SCHEMA,
+    then apply the rules that join keys. `names` maps a key to the name its
+    errors give instead, such as the CLI flag that set it."""
+    names = names or {}
+    unknown = sorted(set(mapping) - {row[0] for row in _SCHEMA})
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    cfg = ExperimentConfig(raw=dict(mapping))
-    get = mapping.get
-    cfg.kind = str(get("model.kind", "benchmark")).strip()
-    if cfg.kind not in ("benchmark", "custom"):
-        raise ValueError(f"model.kind must be benchmark or custom, got {cfg.kind!r}")
-    if cfg.kind == "benchmark" and any(k in mapping for k in _CUSTOM_KEYS):
-        raise ValueError("custom model keys present with model.kind = benchmark")
-    if cfg.kind == "custom" and any(k in mapping for k in _BENCH_KEYS):
-        raise ValueError("benchmark model keys present with model.kind = custom")
-    cfg.m = _as_int(get("model.m", 4))
-    cfg.J = _as_float("model.J", get("model.J", 1.0))
-    cfg.h = _as_float("model.h", get("model.h", 0.1))
-    cfg.gamma = _as_float("model.gamma", get("model.gamma", 1.0))
-    cfg.omega = _as_float("model.omega", get("model.omega", math.inf), allow_inf=True)
-    cfg.system_file = str(get("model.system_file", "")).strip()
-    cfg.env_file = str(get("model.env_file", "")).strip()
-    cfg.interaction_file = str(get("model.interaction_file", "")).strip()
-    cfg.env_width = _as_int(get("model.env_width", 1))
-    cfg.env_omega = _as_float("model.env_omega", get("model.env_omega", math.inf), allow_inf=True)
-    cfg.observable_file = str(get("model.observable_file", "")).strip()
-    cfg.rho0_file = str(get("model.rho0_file", "")).strip()
-    cfg.t = _as_float("dynamics.t", get("dynamics.t", 1.0))
-    cfg.eps = _as_float("dynamics.eps", get("dynamics.eps", 0.01))
-    cfg.delta = _as_float("dynamics.delta", get("dynamics.delta", 0.05))
-    nu_raw = str(get("dynamics.nu", "auto")).strip()
-    if nu_raw.lower() != "auto":  # cfg.nu stays 0, the auto sentinel
-        cfg.nu = _as_int(nu_raw)
-        if cfg.nu < 1:
-            raise ValueError(f"dynamics.nu must be auto or an integer >= 1, got {nu_raw}")
-    cfg.backend = str(get("dynamics.backend", "trotter1")).strip()
-    backends_raw = str(get("dynamics.backends", "")).strip()
-    cfg.backends = (
-        tuple(s.strip() for s in backends_raw.split(",") if s.strip())
-        if backends_raw
-        else (cfg.backend,)
-    )
-    cfg.measurement = str(get("dynamics.measurement", "analytic")).strip()
-    cfg.nonmarkov = _as_bool(get("dynamics.nonmarkov", False))
-    cfg.p = _as_float("dynamics.p", get("dynamics.p", 0.0))
-    cfg.collisions = _as_int(get("dynamics.collisions", 1))
-    cfg.dt = _as_float("dynamics.dt", get("dynamics.dt", 0.0))
-    cfg.grid = _as_int(get("dynamics.grid", 1))
-    for key, name in (
-        ("dynamics.steps", "steps"),
-        ("dynamics.length", "length"),
-        ("dynamics.r", "r"),
-        ("dynamics.q", "q"),
-    ):
-        if key in mapping:
-            cfg.overrides[name] = _as_int(mapping[key])
-    if "dynamics.c_r" in mapping:
-        cfg.overrides["c_r"] = _as_float("dynamics.c_r", mapping["dynamics.c_r"])
-    cfg.seed = _as_int(get("execution.seed", 0))
-    cfg.workers = _as_int(get("execution.workers", 1))
-    cfg.t_override = _as_int(get("execution.t_override", 0))
-    cfg.dense_limit = _as_int(get("execution.dense_limit", 0))
-    cfg.compilations = _as_int(get("execution.compilations", 32))
-    cfg.out_dir = str(get("output.dir", ".")).strip()
-    cfg.samples = _as_bool(get("output.samples", False))
+    cfg = ExperimentConfig(overrides={}, raw=dict(mapping))
+    for key, field, parse, default, bound, scope in _SCHEMA:
+        if key not in mapping:
+            if field:
+                setattr(cfg, field, default)
+            continue
+        if scope and scope != cfg.kind:
+            raise ValueError(f"{scope} model keys present with model.kind = {cfg.kind}: {key}")
+        name = names.get(key, key)
+        try:
+            value = parse(mapping[key])
+        except ValueError as exc:
+            raise ValueError(f"{name} {exc}") from None
+        if bound and not bound[0](value):
+            raise ValueError(f"{name} must be {bound[1]}, got {value}")
+        if field:
+            setattr(cfg, field, value)
+        else:
+            cfg.overrides[key.split(".")[1]] = value
 
-    for key, value in (
-        ("model.gamma", cfg.gamma),
-        ("model.omega", cfg.omega),
-        ("model.env_omega", cfg.env_omega),
-        ("dynamics.dt", cfg.dt),
-        ("dynamics.q", cfg.overrides.get("q", 0)),
-        ("execution.seed", cfg.seed),
-        ("execution.t_override", cfg.t_override),
-        ("execution.dense_limit", cfg.dense_limit),
-    ):
-        if value < 0.0:
-            raise ValueError(f"{key} must be >= 0, got {value}")
-    if not cfg.t > 0.0:
-        raise ValueError(f"dynamics.t must be > 0, got {cfg.t}")
-    if not 0.0 < cfg.eps < 1.0:
-        raise ValueError(f"dynamics.eps must be in (0, 1), got {cfg.eps}")
-    if not 0.0 < cfg.delta < 1.0:
-        raise ValueError(f"dynamics.delta must be in (0, 1), got {cfg.delta}")
-    if cfg.measurement not in ("analytic", "shot"):
-        raise ValueError("dynamics.measurement must be analytic or shot")
-    if not 0.0 <= cfg.p <= 1.0:
-        raise ValueError(f"dynamics.p must be in [0, 1], got {cfg.p}")
-    for key, value in (
-        ("dynamics.grid", cfg.grid),
-        ("execution.workers", cfg.workers),
-        ("execution.compilations", cfg.compilations),
-        ("dynamics.steps", cfg.overrides.get("steps", 1)),
-        ("dynamics.length", cfg.overrides.get("length", 1)),
-        ("dynamics.r", cfg.overrides.get("r", 1)),
-    ):
-        if value < 1:
-            raise ValueError(f"{key} must be >= 1, got {value}")
-    if cfg.overrides.get("c_r", 1.0) <= 0.0:
-        raise ValueError(f"dynamics.c_r must be > 0, got {cfg.overrides['c_r']}")
-    if cfg.kind == "custom":
+    if cfg.backends is None:
+        cfg.backends = (cfg.backend,)
+    if cfg.kind == _CUSTOM:
         for name, path in (
             ("model.system_file", cfg.system_file),
             ("model.env_file", cfg.env_file),
@@ -312,18 +285,9 @@ def build_config(mapping):
                 raise ValueError(f"{name}: no such file {path!r}")
         if cfg.nu:
             raise ValueError("dynamics.nu applies to the benchmark model only")
-        if cfg.collisions < 1:
-            raise ValueError("dynamics.collisions must be >= 1")
     if cfg.rho0_file and not os.path.exists(cfg.rho0_file):
         raise ValueError(f"model.rho0_file: no such file {cfg.rho0_file!r}")
-    parse_backend(cfg.backend)
-    for label in cfg.backends:
-        parse_backend(label)
     return cfg
-
-
-def load_config(path):
-    return build_config(load_config_mapping(path))
 
 
 # -------------------------------------------------------------- CSV output
@@ -379,21 +343,18 @@ def _load_rho0(cfg, n):
     return DensityMatrix.basis(n, 0)
 
 
-def build_problem(cfg, eps=None, t=None, nu=None, p=None):
+def build_problem(cfg):
     """Assemble (spec, observable, initial state) for one run, resolving nu."""
-    eps = cfg.eps if eps is None else eps
-    t = cfg.t if t is None else t
-    p = cfg.p if p is None else p
     if cfg.kind == "benchmark":
         model = amp_damp_model(cfg.m, cfg.J, cfg.h, cfg.gamma, cfg.omega)
         obs = _load_observable(cfg, cfg.m)
         rho0 = _load_rho0(cfg, cfg.m)
         trace = ()
-        nu_used = nu if nu is not None else cfg.nu
+        nu_used = cfg.nu
         if not nu_used:
-            nu_used, rows = suggest_nu(model, t, obs, rho0, eps)
+            nu_used, rows = suggest_nu(model, cfg.t, obs, rho0, cfg.eps)
             trace = tuple(rows)
-        spec = lindblad_collision_spec(model, t, nu_used)
+        spec = lindblad_collision_spec(model, cfg.t, nu_used)
     else:
         with open(cfg.system_file, "r", encoding="utf-8") as fh:
             system_h = PauliSum.from_text(fh.read())
@@ -402,7 +363,7 @@ def build_problem(cfg, eps=None, t=None, nu=None, p=None):
             env_h = PauliSum.from_text(fh.read(), n=cfg.env_width)
         with open(cfg.interaction_file, "r", encoding="utf-8") as fh:
             inter = PauliSum.from_text(fh.read(), n=n + cfg.env_width)
-        dt = cfg.dt if cfg.dt > 0 else t / cfg.collisions
+        dt = cfg.dt if cfg.dt > 0 else cfg.t / cfg.collisions
         col = Collision(cfg.env_width, env_h, inter, ThermalPrep(cfg.env_omega, cfg.env_width))
         spec = CollisionSpec(n, system_h, (col,) * cfg.collisions, dt)
         obs = _load_observable(cfg, n)
@@ -411,7 +372,7 @@ def build_problem(cfg, eps=None, t=None, nu=None, p=None):
         nu_used = 0
         trace = ()
     if cfg.nonmarkov:
-        spec = NonMarkovSpec(spec, p)
+        spec = NonMarkovSpec(spec, cfg.p)
     return Problem(spec, obs, rho0, model, nu_used, trace)
 
 
@@ -426,14 +387,14 @@ def _write_nu_trace(out_dir, cfg, problem):
     )
 
 
-def _estimate(cfg, problem, backend_label, eps=None, keep_samples=False):
+def _estimate(cfg, problem, backend_label, keep_samples=False):
     backend = parse_backend(backend_label, **cfg.overrides)
     return estimate(
         problem.spec,
         problem.rho0,
         problem.obs,
         backend,
-        cfg.eps if eps is None else eps,
+        cfg.eps,
         delta=cfg.delta,
         seed=cfg.seed,
         measurement=cfg.measurement,
@@ -557,19 +518,16 @@ _SWEEP_AXES = ("eps", "t", "nu", "p")
 
 
 def cmd_sweep(cfg, out_dir, axis, values):
-    if axis not in _SWEEP_AXES:
-        raise ValueError(f"sweep axis must be one of {_SWEEP_AXES}, got {axis!r}")
+    """One estimate row per (value, backend); `values` are texts, each read
+    as the config's dynamics.<axis> key."""
     if not values:
-        raise ValueError("sweep needs at least one value")
-    if axis == "nu" and cfg.kind != "benchmark":
-        raise ValueError("nu sweeps apply to the benchmark model only")
-    if axis == "nu" and min(_as_int(v) for v in values) < 1:
-        raise ValueError("nu sweep values must be integers >= 1")
+        raise ValueError("--values needs at least one value")
     if axis == "p" and not cfg.nonmarkov:
         raise ValueError("p sweeps need dynamics.nonmarkov = true")
-    if axis != "nu":
-        for value in values:  # a swept value obeys the config file's rules
-            build_config({**cfg.raw, f"dynamics.{axis}": value})
+    key = f"dynamics.{axis}"
+    points = [getattr(build_config({**cfg.raw, key: text}), axis) for text in values]
+    if axis == "nu" and 0 in points:  # auto is a search, not a point
+        raise ValueError(f"{key} sweep values must be integers >= 1, not auto")
     h = cfg.config_hash()
     oracle_cache = {}
 
@@ -579,35 +537,24 @@ def cmd_sweep(cfg, out_dir, axis, values):
         if not oracle_cache:
             # no swept axis changes the model or rho0: one pass through the
             # sorted times gives every oracle value
-            times = sorted({float(v) for v in values}) if axis == "t" else [t]
+            times = sorted(set(points)) if axis == "t" else [t]
             liou = Liouvillian(problem.model)
             for now, state in _evolve_through(liou, problem.rho0, times):
                 oracle_cache[now] = expectation(state, problem.obs)
         return oracle_cache[t]
 
     rows = []
-    for value in values:
-        kw = {}
-        eps = cfg.eps
-        if axis == "eps":
-            eps = float(value)
-            kw["eps"] = eps
-        elif axis == "t":
-            kw["t"] = float(value)
-        elif axis == "nu":
-            kw["nu"] = int(value)
-        else:
-            kw["p"] = float(value)
-        problem = build_problem(cfg, **kw)
-        t_here = kw.get("t", cfg.t)
-        oracle = oracle_at(problem, t_here)
+    for point in points:
+        swept = ExperimentConfig(**{**vars(cfg), axis: point})
+        problem = build_problem(swept)
+        oracle = oracle_at(problem, swept.t)
         for label in cfg.backends:
-            rep = _estimate(cfg, problem, label, eps=eps)
+            rep = _estimate(swept, problem, label)
             err = None if oracle is None else abs(rep.mu - oracle)
             rows.append(
                 (
                     axis,
-                    float(value),
+                    float(point),
                     rep.backend,
                     rep.mu,
                     rep.stderr,
@@ -684,24 +631,29 @@ def _build_parser():
     return parser
 
 
-def _apply_flag_overrides(cfg, args):
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ValueError(f"--seed must be >= 0, got {args.seed}")
-        cfg.seed = args.seed
-        cfg.raw["execution.seed"] = str(args.seed)
-    if args.workers is not None:
-        if args.workers < 1:
-            raise ValueError(f"--workers must be >= 1, got {args.workers}")
-        cfg.workers = args.workers
-        cfg.raw["execution.workers"] = str(args.workers)
+_FLAG_KEYS = (
+    ("seed", "execution.seed"),
+    ("workers", "execution.workers"),
+    ("backend", "dynamics.backend"),
+)
+
+
+def _flagged_config(args):
+    """The config file with the --seed, --workers and --backend values written
+    over their keys, built as one mapping: an error in a flag names the flag."""
+    mapping = load_config_mapping(args.config)
+    names = {}
+    for flag, key in _FLAG_KEYS:
+        value = getattr(args, flag)
+        if value is not None:
+            mapping[key] = str(value)
+            names[key] = f"--{flag}"
+    cfg = build_config(mapping, names)
     if args.backend is not None:
-        parse_backend(args.backend)
-        cfg.backend = args.backend
-        cfg.backends = (args.backend,)
-        cfg.raw["dynamics.backend"] = args.backend
+        cfg.backends = (cfg.backend,)  # the flag runs its backend alone
     if args.out is not None:
         cfg.out_dir = args.out
+    return cfg
 
 
 def main(argv=None):
@@ -710,8 +662,7 @@ def main(argv=None):
         if args.command == "validate":
             names = [s.strip() for s in args.only.split(",")] if args.only else None
             return cmd_validate(names)
-        cfg = load_config(args.config)
-        _apply_flag_overrides(cfg, args)
+        cfg = _flagged_config(args)
         if cfg.dense_limit:
             os.environ["COLLIDESIM_DENSE_LIMIT"] = str(cfg.dense_limit)
         out_dir = cfg.out_dir
@@ -723,7 +674,7 @@ def main(argv=None):
         if args.command == "resources":
             return cmd_resources(cfg, out_dir)
         if args.command == "sweep":
-            values = [float(s) for s in args.values.split(",") if s.strip()]
+            values = [s.strip() for s in args.values.split(",") if s.strip()]
             return cmd_sweep(cfg, out_dir, args.axis, values)
         raise ValueError(f"unknown command {args.command!r}")
     except DenseLimitError as exc:

@@ -67,102 +67,125 @@ def test_build_config_defaults_and_overrides():
     assert cfg.omega == math.inf
 
 
-@pytest.mark.parametrize(
-    "mapping",
-    [
-        {"model.flavor": "x"},
-        {"dynamics.eps": "0"},
-        {"dynamics.delta": "1"},
-        {"dynamics.p": "1.5"},
-        {"dynamics.measurement": "weak"},
-        {"dynamics.backend": "suzuki"},
-        {"model.kind": "custom"},  # missing the required files
-        {"model.kind": "custom", "model.J": "1.0"},
-        {"model.kind": "benchmark", "model.env_width": "2"},
-        {"model.m": "2.5"},
-        {"execution.t_override": "-3"},
-        {"dynamics.N": "40"},
-        {"execution.compilations": "0"},
-        {"execution.seed": "inf"},
-        {"dynamics.nu": "1e400"},
-        {"dynamics.nu": "0"},
-        {"dynamics.nu": "-2"},
-        {"execution.seed": "-1"},
-        {"execution.dense_limit": "-1"},
-        {"model.gamma": "nan"},
-        {"model.J": "nan"},
-        {"model.h": "-inf"},
-        {"model.omega": "nan"},
-        {"dynamics.t": "nan"},
-        {"dynamics.t": "inf"},
-        {"dynamics.t": "0"},
-        {"model.kind": "custom", "dynamics.dt": "nan"},
-        {"dynamics.c_r": "inf"},
-        {"model.gamma": "-1"},
-        {"model.omega": "-1"},
-        {"model.kind": "custom", "model.env_omega": "-1"},
-        {"dynamics.length": "-2"},
-        {"dynamics.steps": "0", "dynamics.length": "0", "dynamics.r": "0"},
-        {"dynamics.steps": "0"},
-        {"dynamics.length": "0"},
-        {"dynamics.r": "0"},
-        {"dynamics.steps": "-3", "dynamics.backend": "qdrift"},
-        {"dynamics.c_r": "0"},
-        {"dynamics.c_r": "-1.5"},
-        {"dynamics.q": "-2"},
-        {"model.kind": "custom", "dynamics.dt": "-0.1"},
-        {"dynamics.dt": "0.3"},
-        {"dynamics.collisions": "7"},
-    ],
-    ids=[
-        "unknown-key",
-        "eps-range",
-        "delta-range",
-        "p-range",
-        "measurement",
-        "backend",
-        "custom-missing-files",
-        "mixed-custom",
-        "mixed-benchmark",
-        "non-integer",
-        "negative-t-override",
-        "length-alias",
-        "no-compilations",
-        "infinite-seed",
-        "overflowing-nu",
-        "nu-zero",
-        "nu-negative",
-        "negative-seed",
-        "negative-dense-limit",
-        "nan-gamma",
-        "nan-J",
-        "infinite-h",
-        "nan-omega",
-        "nan-t",
-        "infinite-t",
-        "zero-t",
-        "nan-dt",
-        "infinite-c_r",
-        "negative-gamma",
-        "negative-omega",
-        "negative-env_omega",
-        "negative-length",
+_HERE = os.path.abspath(__file__)
+# a custom model whose four files exist (this file stands in for each)
+_CUSTOM = {
+    "model.kind": "custom",
+    "model.system_file": _HERE,
+    "model.env_file": _HERE,
+    "model.interaction_file": _HERE,
+    "model.observable_file": _HERE,
+}
+
+# (id, mapping, the key its error must name)
+_REJECTS = [
+    ("unknown-key", {"model.flavor": "x"}, "model.flavor"),
+    ("eps-range", {"dynamics.eps": "0"}, "dynamics.eps"),
+    ("delta-range", {"dynamics.delta": "1"}, "dynamics.delta"),
+    ("p-range", {"dynamics.p": "1.5"}, "dynamics.p"),
+    ("measurement", {"dynamics.measurement": "weak"}, "dynamics.measurement"),
+    ("backend", {"dynamics.backend": "suzuki"}, "dynamics.backend"),
+    ("custom-missing-files", {"model.kind": "custom"}, "model.system_file"),
+    ("mixed-custom", {"model.kind": "custom", "model.J": "1.0"}, "model.J"),
+    ("mixed-benchmark", {"model.kind": "benchmark", "model.env_width": "2"}, "model.env_width"),
+    ("non-integer", {"model.m": "2.5"}, "model.m"),
+    ("negative-t-override", {"execution.t_override": "-3"}, "execution.t_override"),
+    ("length-alias", {"dynamics.N": "40"}, "dynamics.N"),
+    ("no-compilations", {"execution.compilations": "0"}, "execution.compilations"),
+    ("infinite-seed", {"execution.seed": "inf"}, "execution.seed"),
+    ("overflowing-nu", {"dynamics.nu": "1e400"}, "dynamics.nu"),
+    ("nu-zero", {"dynamics.nu": "0"}, "dynamics.nu"),
+    ("nu-negative", {"dynamics.nu": "-2"}, "dynamics.nu"),
+    ("negative-seed", {"execution.seed": "-1"}, "execution.seed"),
+    ("negative-dense-limit", {"execution.dense_limit": "-1"}, "execution.dense_limit"),
+    ("nan-gamma", {"model.gamma": "nan"}, "model.gamma"),
+    ("nan-J", {"model.J": "nan"}, "model.J"),
+    ("infinite-h", {"model.h": "-inf"}, "model.h"),
+    ("nan-omega", {"model.omega": "nan"}, "model.omega"),
+    ("nan-t", {"dynamics.t": "nan"}, "dynamics.t"),
+    ("infinite-t", {"dynamics.t": "inf"}, "dynamics.t"),
+    ("zero-t", {"dynamics.t": "0"}, "dynamics.t"),
+    ("nan-dt", {"model.kind": "custom", "dynamics.dt": "nan"}, "dynamics.dt"),
+    ("infinite-c_r", {"dynamics.c_r": "inf"}, "dynamics.c_r"),
+    ("negative-gamma", {"model.gamma": "-1"}, "model.gamma"),
+    ("negative-omega", {"model.omega": "-1"}, "model.omega"),
+    ("negative-env_omega", {"model.kind": "custom", "model.env_omega": "-1"}, "model.env_omega"),
+    ("negative-length", {"dynamics.length": "-2"}, "dynamics.length"),
+    (
         "zero-overrides",
-        "zero-steps",
-        "zero-length",
-        "zero-r",
+        {"dynamics.steps": "0", "dynamics.length": "0", "dynamics.r": "0"},
+        "dynamics.steps",
+    ),
+    ("zero-steps", {"dynamics.steps": "0"}, "dynamics.steps"),
+    ("zero-length", {"dynamics.length": "0"}, "dynamics.length"),
+    ("zero-r", {"dynamics.r": "0"}, "dynamics.r"),
+    (
         "negative-steps-for-qdrift",
-        "zero-c_r",
-        "negative-c_r",
-        "negative-q",
-        "negative-dt",
-        "benchmark-dt",
-        "benchmark-collisions",
-    ],
-)
-def test_build_config_rejects(mapping):
-    with pytest.raises(ValueError):
+        {"dynamics.steps": "-3", "dynamics.backend": "qdrift"},
+        "dynamics.steps",
+    ),
+    ("zero-c_r", {"dynamics.c_r": "0"}, "dynamics.c_r"),
+    ("negative-c_r", {"dynamics.c_r": "-1.5"}, "dynamics.c_r"),
+    ("negative-q", {"dynamics.q": "-2"}, "dynamics.q"),
+    ("negative-dt", {"model.kind": "custom", "dynamics.dt": "-0.1"}, "dynamics.dt"),
+    ("benchmark-dt", {"dynamics.dt": "0.3"}, "dynamics.dt"),
+    ("benchmark-collisions", {"dynamics.collisions": "7"}, "dynamics.collisions"),
+    ("kind", {"model.kind": "chain"}, "model.kind"),
+    ("zero-m", {"model.m": "0"}, "model.m"),
+    ("negative-m", {"model.m": "-2"}, "model.m"),
+    ("benchmark-system_file", {"model.system_file": _HERE}, "model.system_file"),
+    ("missing-env_file", {**_CUSTOM, "model.env_file": "missing.txt"}, "model.env_file"),
+    (
+        "missing-interaction_file",
+        {**_CUSTOM, "model.interaction_file": "missing.txt"},
+        "model.interaction_file",
+    ),
+    ("zero-env_width", {**_CUSTOM, "model.env_width": "0"}, "model.env_width"),
+    (
+        "missing-observable_file",
+        {**_CUSTOM, "model.observable_file": "missing.txt"},
+        "model.observable_file",
+    ),
+    ("missing-rho0_file", {"model.rho0_file": "missing.bin"}, "model.rho0_file"),
+    ("nan-delta", {"dynamics.delta": "nan"}, "dynamics.delta"),
+    ("nu-text", {"dynamics.nu": "abc"}, "dynamics.nu"),
+    ("custom-nu", {**_CUSTOM, "dynamics.nu": "4"}, "dynamics.nu"),
+    ("backend-k-text", {"dynamics.backend": "trotter2k:x"}, "dynamics.backend"),
+    ("backend-k-zero", {"dynamics.backend": "trotter2k:0"}, "dynamics.backend"),
+    ("backends", {"dynamics.backends": "trotter1,trotter2k:0"}, "dynamics.backends"),
+    ("nonmarkov", {"dynamics.nonmarkov": "maybe"}, "dynamics.nonmarkov"),
+    ("zero-collisions", {**_CUSTOM, "dynamics.collisions": "0"}, "dynamics.collisions"),
+    ("zero-grid", {"dynamics.grid": "0"}, "dynamics.grid"),
+    ("odd-q", {"dynamics.q": "3"}, "dynamics.q"),
+    ("inexact-seed", {"execution.seed": "1e30"}, "execution.seed"),
+    ("non-integer-workers", {"execution.workers": "2.5"}, "execution.workers"),
+    ("samples", {"output.samples": "2"}, "output.samples"),
+]
+
+
+@pytest.mark.parametrize("mapping, key", [pytest.param(m, k, id=i) for i, m, k in _REJECTS])
+def test_build_config_rejects(mapping, key):
+    with pytest.raises(ValueError, match=re.escape(key)):
         cli.build_config(mapping)
+
+
+def test_every_config_key_has_a_rejecting_input():
+    # output.dir alone takes any text: it names a directory made at run time
+    keys = {row[0] for row in cli._SCHEMA} - {"output.dir"}
+    assert keys <= {key for _, _, key in _REJECTS}
+    assert cli.build_config(_CUSTOM).kind == "custom"  # the custom base loads
+
+
+def test_integer_keys_load_exactly():
+    # integer text is read as an integer, not through a float; a float
+    # spelling is taken where it is exact, and refused above 2**53
+    for text in ("9007199254740993", "12345678901234567891"):
+        assert cli.build_config({"execution.seed": text}).seed == int(text)
+    assert cli.build_config({"execution.seed": "2.0"}).seed == 2
+    assert cli.build_config({"execution.seed": "1e3"}).seed == 1000
+    assert cli.build_config({"execution.seed": str(2**53) + ".0"}).seed == 2**53
+    with pytest.raises(ValueError, match="execution.seed"):
+        cli.build_config({"execution.seed": "1e30"})
 
 
 def test_build_config_checks_dt_range_before_custom_files():
@@ -177,7 +200,7 @@ def test_benchmark_model_refuses_the_custom_collision_keys(tmp_path):
     # collisions would otherwise be accepted and ignored
     for extra in ("dynamics.dt = 0.3\n", "dynamics.collisions = 7\n"):
         with pytest.raises(ValueError, match="custom model keys present"):
-            cli.load_config(_bench_cfg(tmp_path, extra))
+            cli.build_config(cli.load_config_mapping(_bench_cfg(tmp_path, extra)))
         assert cli.main(["resources", "--config", _bench_cfg(tmp_path, extra)]) == 1
 
 
@@ -204,7 +227,7 @@ def test_build_config_takes_inf_only_for_env_omegas(tmp_path):
 def test_json_config_flattens(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"model": {"m": 3}, "dynamics": {"eps": 0.2}}))
-    cfg = cli.load_config(str(path))
+    cfg = cli.build_config(cli.load_config_mapping(str(path)))
     assert cfg.m == 3 and cfg.eps == 0.2
 
 
@@ -381,7 +404,7 @@ def test_resources_price_the_plan_estimate_runs(tmp_path, measurement):
     cfg_path = _bench_cfg(tmp_path, extra)
     assert cli.main(["resources", "--config", cfg_path]) == 0
     rows = _read_csv(tmp_path / "resources.csv")[1:]
-    cfg = cli.load_config(cfg_path)
+    cfg = cli.build_config(cli.load_config_mapping(cfg_path))
     problem = cli.build_problem(cfg)
     for row, label in zip(rows, ("trotter1", "qdrift", "salcu")):
         backend = parse_backend(label)
@@ -401,12 +424,26 @@ def test_resources_price_the_plan_estimate_runs(tmp_path, measurement):
         assert [float(v) for v in row[5:10]] == [float(v) for v in want.as_tuple()]
 
 
+def _readme():
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
+        return fh.read()
+
+
+def test_readme_config_reference_matches_the_schema():
+    # one table row per schema row, in order, with the row's bound and scope
+    table = re.findall(r"^\| `([\w.]+)` \|(.*)\|$", _readme(), flags=re.M)
+    assert [key for key, _ in table] == [row[0] for row in cli._SCHEMA]
+    for (key, cells), row in zip(table, cli._SCHEMA):
+        _, bound, scope, _ = (c.strip() for c in cells.split("|")[1:])
+        assert scope == (row[5] or "any"), key
+        if row[4]:
+            assert bound == row[4][1], key
+
+
 def test_readme_config_resources_rows(tmp_path):
     # the README's experiment.cfg at dynamics.nu = 2: every backend's expected
     # gate counts, pinned digit for digit (config_hash left out)
-    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
-        readme = fh.read()
-    block = re.search(r"```\n(# experiment\.cfg.*?)```", readme, flags=re.S).group(1)
+    block = re.search(r"```\n(# experiment\.cfg.*?)```", _readme(), flags=re.S).group(1)
     mapping = {**cli.parse_config_text(block), "dynamics.nu": "2"}
     path = tmp_path / "readme.cfg"
     path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()))
@@ -493,6 +530,23 @@ def test_sweep_axis_validation(tmp_path, capsys):
         assert cli.main(argv + ["--backend", "trotter1"]) == 1, (axis, values)
         assert "config error" in capsys.readouterr().err
     assert not (tmp_path / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (["run", "--backend", "trotter2k:0"], "--backend"),
+        (["run", "--backend", "trotter2k:x"], "--backend"),
+        (["sweep", "--axis", "eps", "--values", "abc"], "dynamics.eps"),
+        (["sweep", "--axis", "nu", "--values", "2,abc"], "dynamics.nu"),
+        (["sweep", "--axis", "nu", "--values", "auto"], "dynamics.nu"),
+    ],
+    ids=["backend-k-zero", "backend-k-text", "eps-text", "nu-text", "nu-auto"],
+)
+def test_flags_and_sweep_values_name_their_key(tmp_path, capsys, argv, name):
+    assert cli.main(argv + ["--config", _bench_cfg(tmp_path)]) == 1
+    assert f"config error: {name} " in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
 
 
 def test_validate_only_runs_named_criterion(capsys):
