@@ -19,7 +19,6 @@ from .circuits import (
 )
 from .collisions import (
     Backend,
-    Budget,
     Collision,
     CollisionPlan,
     CollisionSpec,
@@ -92,7 +91,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Backend",
-    "Budget",
     "CircuitProgram",
     "Collision",
     "CollisionPlan",

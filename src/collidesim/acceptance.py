@@ -19,7 +19,6 @@ import numpy as np
 
 from . import hamsim
 from .collisions import (
-    Budget,
     Collision,
     CollisionSpec,
     NonMarkovSpec,
@@ -30,7 +29,7 @@ from .collisions import (
     parse_backend,
     suggest_nu,
 )
-from .estimator import estimate, hoeffding_T
+from .estimator import estimate, hoeffding_T, resolve_plan
 from .models import amp_damp_model, magnetization
 from .oracles import lindblad_evolve, spectral_norm, trace_distance, unitary_exact
 from .pauli import PauliString, PauliSum, normalize
@@ -327,10 +326,11 @@ def resource_trend():
         # flatten every slope
         nu = int(np.ceil(len(model.jumps) / eps))
         spec = lindblad_collision_spec(model, 1.0, nu)
-        budget = Budget(eps, obs.norm)
         for label in _TREND_TARGETS:
             backend = parse_backend(label, step_strategy="worst_case")
-            rep = expected_resources(spec, backend, budget, seed=3)
+            # priced under the plan an analytic estimate runs
+            _, plan = resolve_plan(spec, backend, eps, "analytic", obs.norm)
+            rep = expected_resources(spec, plan, seed=3)
             cnots[label].append(rep.cnot_count)
     slopes = {
         label: _loglog_slope([1.0 / e for e in eps_grid], counts)

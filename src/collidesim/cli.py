@@ -182,6 +182,7 @@ _POSITIVE = (lambda v: v > 0, "> 0")
 _OPEN_UNIT = (lambda v: 0 < v < 1, "in (0, 1)")
 _UNIT = (lambda v: 0 <= v <= 1, "in [0, 1]")
 _EVEN = (lambda v: v >= 0 and v % 2 == 0, "a nonnegative even integer")
+_NONEMPTY = (bool, "nonempty")
 
 _BENCH, _CUSTOM = "benchmark", "custom"
 
@@ -227,7 +228,7 @@ _SCHEMA = (
     ("execution.t_override", "t_override", _integer, 0, _AT_LEAST_0, None),  # 0: none
     ("execution.dense_limit", "dense_limit", _integer, 0, _AT_LEAST_0, None),  # 0: default
     ("execution.compilations", "compilations", _integer, 32, _AT_LEAST_1, None),
-    ("output.dir", "out_dir", _text, ".", None, None),
+    ("output.dir", "out_dir", _text, ".", _NONEMPTY, None),
     ("output.samples", "samples", _flag, False, None, None),
 )
 
@@ -264,7 +265,7 @@ def build_config(mapping, names=None):
         except ValueError as exc:
             raise ValueError(f"{name} {exc}") from None
         if bound and not bound[0](value):
-            raise ValueError(f"{name} must be {bound[1]}, got {value}")
+            raise ValueError(f"{name} must be {bound[1]}, got {value!r}")
         if field:
             setattr(cfg, field, value)
         else:
@@ -273,20 +274,15 @@ def build_config(mapping, names=None):
     if cfg.backends is None:
         cfg.backends = (cfg.backend,)
     if cfg.kind == _CUSTOM:
-        for name, path in (
-            ("model.system_file", cfg.system_file),
-            ("model.env_file", cfg.env_file),
-            ("model.interaction_file", cfg.interaction_file),
-            ("model.observable_file", cfg.observable_file),
-        ):
-            if not path:
-                raise ValueError(f"{name} is required for a custom model")
-            if not os.path.exists(path):
-                raise ValueError(f"{name}: no such file {path!r}")
+        for name in ("system_file", "env_file", "interaction_file", "observable_file"):
+            if not getattr(cfg, name):
+                raise ValueError(f"model.{name} is required for a custom model")
         if cfg.nu:
             raise ValueError("dynamics.nu applies to the benchmark model only")
-    if cfg.rho0_file and not os.path.exists(cfg.rho0_file):
-        raise ValueError(f"model.rho0_file: no such file {cfg.rho0_file!r}")
+    for name in ("system_file", "env_file", "interaction_file", "observable_file", "rho0_file"):
+        path = getattr(cfg, name)
+        if path and not os.path.exists(path):
+            raise ValueError(f"model.{name}: no such file {path!r}")
     return cfg
 
 
@@ -474,9 +470,7 @@ def cmd_resources(cfg, out_dir):
         )
         if plan is None:
             raise ValueError(f"backend {backend.label()!r} has no gate costs")
-        rep = expected_resources(
-            problem.spec, backend, None, seed=cfg.seed, lcu_samples=cfg.compilations, plan=plan
-        )
+        rep = expected_resources(problem.spec, plan, seed=cfg.seed, lcu_samples=cfg.compilations)
         rows.append(
             (
                 backend.label(),

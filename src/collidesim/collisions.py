@@ -12,10 +12,13 @@ is rho -> sum_ab K_ab rho K_ab† with K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>
 so the exact state never carries an env register; the eigen-columns, the
 stacking and the two-matmul step are states' Kraus helpers, which
 circuits.execute runs every Markov collision of a program through as well.
-Programs replace each U_j with a compiled approximation at a per-collision
-precision eps' = eps/(3 K normO) (deterministic product formulas, triangle
-inequality over K collisions) or eps' = eps/(6 K normO) for the sampled-LCU
-backend, whose Hadamard-test protocol pays the factor 2.
+Programs replace each U_j with a compiled approximation at the per-collision
+precision eps' = eps_c/(3 K normO) (triangle inequality over K collisions),
+where eps_c is the part of the target bias the circuits may spend. One rule,
+estimator.resolve_plan, sets it: a statistical estimate (shot readout, or a
+randomized program: qdrift, salcu, a partial swap with 0 < p < 1) spends
+eps_c = eps/2 and leaves the other half to Hoeffding's T; any other estimate
+runs once and spends eps_c = eps.
 
 Lindblad discretization: an (m, nu) spec has K = m*nu collisions of duration
 dt = t/nu, cycling through the m jump couplings scaled by lambda = sqrt(nu/t)
@@ -260,23 +263,13 @@ def exact_nonmarkov(nmspec, rho_system, trajectory=False):
 # ----------------------------------------------------------- budget / plan
 
 
-def required_precision(k_collisions, norm_o, eps, mode="generic"):
-    """Per-collision unitary precision for a total observable bias eps."""
+def required_precision(k_collisions, norm_o, eps):
+    """Per-collision unitary precision for a circuit bias eps."""
     if k_collisions < 1:
         raise ValueError("need at least one collision")
     if norm_o <= 0 or eps <= 0:
         raise ValueError("norm_o and eps must be > 0")
-    if mode == "generic":
-        return eps / (3.0 * k_collisions * norm_o)
-    if mode == "salcu":
-        return eps / (6.0 * k_collisions * norm_o)
-    raise ValueError(f"unknown mode {mode!r}")
-
-
-@dataclass(frozen=True)
-class Budget:
-    eps: float
-    norm_o: float
+    return eps / (3.0 * k_collisions * norm_o)
 
 
 @dataclass(frozen=True)
@@ -306,9 +299,12 @@ def parse_backend(text, **overrides):
     if text == "trotter1":
         base = Backend(kind="trotter", order=1)
     elif text.startswith("trotter2k:"):
-        k = int(text.split(":", 1)[1])
+        try:
+            k = int(text.split(":", 1)[1])
+        except ValueError:
+            k = 0
         if k < 1:
-            raise ValueError("trotter2k needs k >= 1")
+            raise ValueError(f"backend {text!r}: trotter2k:<k> needs an integer k >= 1")
         base = Backend(kind="trotter", order=2 * k)
     elif text in ("qdrift", "salcu", "exact"):
         base = Backend(kind=text)
@@ -324,17 +320,20 @@ class CollisionPlan:
     backend: Backend
     eps_prime: float
     ancilla: bool
-    per_collision: tuple  # steps | length | LcuParams | None, one per collision
+    per_collision: tuple  # steps | length | LcuParams, one per collision
     zeta: float
 
 
-def markov_plan(spec, backend, budget):
-    """Resolve steps/lengths/LCU parameters once; sampling happens per run."""
+def markov_plan(spec, backend, eps, norm_o):
+    """Resolve steps/lengths/LCU parameters once for a circuit bias eps;
+    sampling happens per run. The exact backend runs no program, so it has
+    no plan."""
     k_total = spec.K
     if k_total == 0:
         raise ValueError("empty collision spec")
-    mode = "salcu" if backend.kind == "salcu" else "generic"
-    eps_prime = required_precision(k_total, budget.norm_o, budget.eps, mode)
+    if backend.kind == "exact":
+        raise ValueError("the exact backend evolves densely; it has no plan")
+    eps_prime = required_precision(k_total, norm_o, eps)
     cache = {}
     per = []
     for j in range(k_total):
@@ -356,8 +355,6 @@ def markov_plan(spec, backend, budget):
                     r_override=backend.r or None,
                     q_override=None if backend.q < 0 else backend.q,
                 )
-            elif backend.kind == "exact":
-                cache[u] = None
             else:
                 raise ValueError(f"unknown backend kind {backend.kind!r}")
         per.append(cache[u])
@@ -389,8 +386,6 @@ def _collision_parts(spec, plan):
     X (polarity 1) then the anti-controlled Y (polarity 0), each drawn on
     its own. A draw maps a run's generator to the fragment's picks."""
     backend = plan.backend
-    if backend.kind == "exact":
-        raise ValueError("the exact backend evolves densely; no program exists")
     parts = {}
     for j, u in enumerate(spec.unique_index):
         if u in parts:
@@ -403,12 +398,10 @@ def _collision_parts(spec, plan):
         elif backend.kind == "qdrift":
             table = hamsim.qdrift_table(nh, beta, spec.dt, param)
             parts[u] = ((table, 1, None, partial(_qdrift_picks, nh, beta, spec.dt, param)),)
-        elif backend.kind == "salcu":
+        else:  # salcu
             table = hamsim.lcu_table(nh, param)
             draw = partial(_lcu_picks, nh, param)
             parts[u] = ((table, 1, 1, draw), (table, 1, 0, draw))
-        else:
-            raise ValueError(f"no collision gates for backend {backend.kind!r}")
     return parts
 
 
@@ -445,8 +438,8 @@ def markov_skeleton(spec, plan):
     return Skeleton(template, draws, spec.env_preparers())
 
 
-def markov_program(spec, backend, budget=None, rng=None, plan=None):
-    """Emit the full K-collision program: markov_skeleton plus one draw.
+def markov_program(spec, plan, rng=None):
+    """Emit the full K-collision program of a plan: markov_skeleton plus one draw.
 
     Every collision is one fragment op (two for salcu). Randomized backends
     (qdrift, salcu) consume rng and emit sampled fragments; call again for a
@@ -454,8 +447,6 @@ def markov_program(spec, backend, budget=None, rng=None, plan=None):
     collision, the controlled draw X (ancilla = 1) and the anti-controlled
     independent draw Y (ancilla = 0).
     """
-    if plan is None:
-        plan = markov_plan(spec, backend, budget)
     skeleton = markov_skeleton(spec, plan)
     return skeleton.fill(skeleton.draw(rng))
 
@@ -491,11 +482,9 @@ def nonmarkov_skeleton(nmspec, plan):
     return Skeleton(template, draws, spec.env_preparers())
 
 
-def nonmarkov_program(nmspec, backend, budget=None, rng=None, plan=None):
-    """Two-register program: nonmarkov_skeleton plus one draw, so the swap
-    op is present or absent per sample."""
-    if plan is None:
-        plan = markov_plan(nmspec.base, backend, budget)
+def nonmarkov_program(nmspec, plan, rng=None):
+    """Two-register program of a plan for the base spec: nonmarkov_skeleton
+    plus one draw, so the swap op is present or absent per sample."""
     skeleton = nonmarkov_skeleton(nmspec, plan)
     return skeleton.fill(skeleton.draw(rng))
 
@@ -558,8 +547,9 @@ def suggest_nu(model, t, obs, rho0, eps, cap=1 << 20):
 # -------------------------------------------------------- expected resources
 
 
-def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None):
-    """Expected per-coherent-run ResourceReport without materializing K programs.
+def expected_resources(spec, plan, seed=0, lcu_samples=32):
+    """Expected per-coherent-run ResourceReport of a plan's programs without
+    materializing K programs.
 
     Gates are priced as count_resources prices them. Deterministic backends
     count exactly; qdrift uses the analytic term-weight expectation (an
@@ -575,11 +565,7 @@ def expected_resources(spec, backend, budget, seed=0, lcu_samples=32, plan=None)
         width = spec.base.collisions[0].env_width
         swap_cnots = spec.p * (spec.base.K - 1) * SWAP_CNOTS_PER_QUBIT * width
         spec = spec.base
-    if plan is None:
-        plan = markov_plan(spec, backend, budget)
     backend = plan.backend
-    if backend.kind == "exact":
-        raise ValueError("the exact backend has no gate costs")
     rng = np.random.default_rng(seed)
     cnot = rot = paulis = 0.0
     per_unique = {}

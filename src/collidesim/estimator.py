@@ -19,11 +19,12 @@ mean over runs is Tr[O Mtilde_K[rho]]/zeta^2; the estimate is
 mu = (zeta^2 / T) sum_k mu_k. Product-formula backends measure O directly
 (zeta = 1).
 
-Budget split: the statistical half is covered by T = hoeffding_T(normO, eps,
-delta, zeta) = ceil(8 normO^2 ln(2/delta) zeta^4 / eps^2), which pins the
-confidence half-width to eps/2; the approximation half goes to the
-per-collision precision. A deterministic backend measured analytically has no
-statistical error, so it runs once with the full eps on the approximation.
+Budget split (resolve_plan, the one place a plan is sized): a statistical
+estimate, one with shot readout or a randomized program, covers half of eps
+with T = hoeffding_T(normO, eps, delta, zeta) = ceil(8 normO^2 ln(2/delta)
+zeta^4 / eps^2) runs, which pins the confidence half-width to eps/2, and
+spends the other half on the per-collision precision. Any other estimate has
+no statistical error, so it runs once with the full eps on the circuits.
 
 Runs are seeded independently as SeedSequence((root_seed, run_index)), making
 results identical for any worker count; aggregation sums in run-index order.
@@ -40,7 +41,6 @@ import numpy as np
 from ._seeding import BLOCK, first_doubles
 from .circuits import ResourceReport, count_resources, execute
 from .collisions import (
-    Budget,
     NonMarkovSpec,
     exact_k_collision,
     exact_nonmarkov,
@@ -161,34 +161,37 @@ def _run_rng(seed, index):
 
 def _program_is_random(spec, backend):
     """True when per-run programs differ: sampling compilers, or a partial
-    swap drawn with probability p strictly inside (0, 1)."""
+    swap drawn with probability p strictly inside (0, 1). The exact backend
+    runs no program."""
+    if backend.kind == "exact":
+        return False
     if not backend.deterministic:
         return True
     return isinstance(spec, NonMarkovSpec) and 0.0 < spec.p < 1.0
 
 
+def _is_statistical(spec, backend, measurement):
+    """True when the estimate has statistical error: shot readout, or a
+    randomized program."""
+    return measurement == "shot" or _program_is_random(spec, backend)
+
+
 def resolve_plan(spec, backend, eps, measurement, norm_o):
-    """Resolve (base spec, plan-or-None) as estimate does: the plan takes the
-    full eps when nothing is statistical, or when salcu's eps' sets the
-    statistical half aside; otherwise eps/2."""
+    """(base spec, plan) as estimate runs it; the plan is None for the exact
+    backend, which runs no program. The one budget rule: a statistical
+    estimate spends eps/2 on its circuits, the other half going to
+    Hoeffding's T; any other estimate runs once and spends all of eps."""
     base = spec.base if isinstance(spec, NonMarkovSpec) else spec
     if backend.kind == "exact":
         return base, None
-    # salcu's eps' = eps/(6 K normO) already sets the statistical half aside
-    if backend.kind == "salcu" or (
-        not _program_is_random(spec, backend) and measurement == "analytic"
-    ):
-        budget = Budget(eps, norm_o)
-    else:
-        # randomized circuit or shot noise: half the budget is statistical
-        budget = Budget(eps / 2.0, norm_o)
-    return base, markov_plan(base, backend, budget)
+    circuit_eps = eps / 2.0 if _is_statistical(spec, backend, measurement) else eps
+    return base, markov_plan(base, backend, circuit_eps, norm_o)
 
 
 def _build_program(spec, base, plan, rng):
     if isinstance(spec, NonMarkovSpec):
-        return nonmarkov_program(spec, None, rng=rng, plan=plan)
-    return markov_program(base, None, rng=rng, plan=plan)
+        return nonmarkov_program(spec, plan, rng)
+    return markov_program(base, plan, rng)
 
 
 def _skeleton(spec, base, plan):
@@ -294,12 +297,12 @@ def estimate(
         backend = parse_backend(backend)
     base, plan = resolve_plan(spec, backend, eps, measurement, obs.norm)
     zeta = 1.0 if plan is None else plan.zeta
-    fixed_program = backend.kind != "exact" and not _program_is_random(spec, backend)
-    run_independent = backend.kind == "exact" or fixed_program
-    if run_independent and measurement == "analytic":
-        t_runs = 1
-    else:
+    run_independent = not _program_is_random(spec, backend)
+    fixed_program = run_independent and plan is not None
+    if _is_statistical(spec, backend, measurement):
         t_runs = hoeffding_T(obs.norm, eps, delta, zeta)
+    else:
+        t_runs = 1
     under_sampled = False
     if t_override is not None:
         under_sampled = t_override < t_runs

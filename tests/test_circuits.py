@@ -9,7 +9,6 @@ import pytest
 from scipy.linalg import expm
 
 from collidesim import (
-    Budget,
     CircuitProgram,
     Collision,
     CollisionSpec,
@@ -23,6 +22,7 @@ from collidesim import (
     count_resources,
     execute,
     fragment_op,
+    markov_plan,
     markov_program,
     nonmarkov_program,
     parse_backend,
@@ -417,11 +417,16 @@ def _assert_matches_register(prog, rho, preps):
 
 
 @pytest.mark.parametrize("env", sorted(_WINDOW_ENVS))
-@pytest.mark.parametrize("backend", ["qdrift", "salcu", "trotter1", "trotter2k:1"])
-def test_kraus_windows_match_the_dense_register(backend, env, monkeypatch):
+@pytest.mark.parametrize(
+    "backend, eps",
+    [("qdrift", 0.2), ("salcu", 0.1), ("trotter1", 0.2), ("trotter2k:1", 0.2)],
+    ids=["qdrift", "salcu", "trotter1", "trotter2k:1"],
+)
+def test_kraus_windows_match_the_dense_register(backend, eps, env, monkeypatch):
     spec = _window_spec(_WINDOW_ENVS[env])
     rho = _rand_rho(np.random.default_rng(81), spec.n)
-    prog = markov_program(spec, parse_backend(backend), Budget(0.2, 1.0), np.random.default_rng(83))
+    plan = markov_plan(spec, parse_backend(backend), eps, 1.0)
+    prog = markov_program(spec, plan, np.random.default_rng(83))
     calls = generic_path_calls(monkeypatch)
     _assert_matches_register(prog, rho, spec.env_preparers())
     assert not calls  # every collision ran as a Kraus map
@@ -459,9 +464,8 @@ def test_a_hand_built_window_with_two_fragments_per_side_takes_the_kraus_path(mo
 def test_non_markov_and_out_of_order_programs_take_the_generic_path(monkeypatch):
     spec = _window_spec(_WINDOW_ENVS["thermal"])
     rho = _rand_rho(np.random.default_rng(87), spec.n)
-    nonmarkov = nonmarkov_program(
-        NonMarkovSpec(spec, 1.0), parse_backend("trotter1"), Budget(0.2, 1.0), np.random.default_rng(88)
-    )
+    plan = markov_plan(spec, parse_backend("trotter1"), 0.2, 1.0)
+    nonmarkov = nonmarkov_program(NonMarkovSpec(spec, 1.0), plan, np.random.default_rng(88))
     assert any(op.kind == "swap" for op in nonmarkov.ops)
     xx = PauliString.from_label("XX")
     out_of_order = CircuitProgram(  # slot 1 collides after slot 0 was traced
@@ -489,8 +493,9 @@ def test_non_markov_and_out_of_order_programs_take_the_generic_path(monkeypatch)
 def test_kraus_windows_keep_the_executor_guards(monkeypatch):
     spec = _window_spec(_WINDOW_ENVS["pure"])
     rho = _rand_rho(np.random.default_rng(91), spec.n)
-    for backend in ("qdrift", "salcu"):
-        prog = markov_program(spec, parse_backend(backend), Budget(0.2, 1.0), np.random.default_rng(93))
+    for backend, eps in (("qdrift", 0.2), ("salcu", 0.1)):
+        plan = markov_plan(spec, parse_backend(backend), eps, 1.0)
+        prog = markov_program(spec, plan, np.random.default_rng(93))
         with pytest.raises(ValueError, match="slot 0 preparer has wrong width"):
             execute(prog, rho, {u: ThermalPrep(math.inf, width=2) for u in range(len(spec.unique))})
         monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "2")  # the joint register has 3 qubits

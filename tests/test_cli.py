@@ -147,6 +147,12 @@ _REJECTS = [
         "model.observable_file",
     ),
     ("missing-rho0_file", {"model.rho0_file": "missing.bin"}, "model.rho0_file"),
+    (
+        "benchmark-missing-observable_file",
+        {"model.observable_file": "missing.txt"},
+        "model.observable_file",
+    ),
+    ("empty-output-dir", {"output.dir": ""}, "output.dir"),
     ("nan-delta", {"dynamics.delta": "nan"}, "dynamics.delta"),
     ("nu-text", {"dynamics.nu": "abc"}, "dynamics.nu"),
     ("custom-nu", {**_CUSTOM, "dynamics.nu": "4"}, "dynamics.nu"),
@@ -170,8 +176,7 @@ def test_build_config_rejects(mapping, key):
 
 
 def test_every_config_key_has_a_rejecting_input():
-    # output.dir alone takes any text: it names a directory made at run time
-    keys = {row[0] for row in cli._SCHEMA} - {"output.dir"}
+    keys = {row[0] for row in cli._SCHEMA}
     assert keys <= {key for _, _, key in _REJECTS}
     assert cli.build_config(_CUSTOM).kind == "custom"  # the custom base loads
 
@@ -409,17 +414,15 @@ def test_resources_price_the_plan_estimate_runs(tmp_path, measurement):
     for row, label in zip(rows, ("trotter1", "qdrift", "salcu")):
         backend = parse_backend(label)
         spec, plan = resolve_plan(problem.spec, backend, cfg.eps, measurement, problem.obs.norm)
-        # the plan an estimate runs: qdrift, and any program read by shots, at eps/2
+        # the plan an estimate runs: a randomized program (qdrift, salcu), and
+        # any program read by shots, at eps/2
         ran = estimate(problem.spec, problem.rho0, problem.obs, backend, cfg.eps,
                        measurement=measurement, t_override=1)
-        halved = label == "qdrift" or (label == "trotter1" and measurement == "shot")
-        mode = "salcu" if label == "salcu" else "generic"
+        halved = label != "trotter1" or measurement == "shot"
         assert ran.eps_prime == plan.eps_prime == required_precision(
-            spec.K, problem.obs.norm, cfg.eps / 2 if halved else cfg.eps, mode
+            spec.K, problem.obs.norm, cfg.eps / 2 if halved else cfg.eps
         )
-        want = expected_resources(
-            spec, backend, None, seed=cfg.seed, lcu_samples=cfg.compilations, plan=plan
-        )
+        want = expected_resources(spec, plan, seed=cfg.seed, lcu_samples=cfg.compilations)
         assert row[0] == label
         assert [float(v) for v in row[5:10]] == [float(v) for v in want.as_tuple()]
 

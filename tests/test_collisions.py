@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from collidesim import (
     Backend,
-    Budget,
     Collision,
     CollisionSpec,
     DensityMatrix,
@@ -242,11 +241,10 @@ def test_exact_nonmarkov_matches_register_swap_reference():
 
 def test_required_precision_frozen():
     assert required_precision(4, 2.0, 0.12) == pytest.approx(0.005)
-    assert required_precision(4, 2.0, 0.12, mode="salcu") == pytest.approx(0.0025)
+    # half the budget over 3 K normO is eps/(6 K normO), bit for bit
+    assert required_precision(4, 2.0, 0.12 / 2.0) == 0.12 / (6.0 * 4 * 2.0)
     with pytest.raises(ValueError):
         required_precision(0, 1.0, 0.1)
-    with pytest.raises(ValueError):
-        required_precision(1, 1.0, 0.1, mode="heuristic")
 
 
 def test_parse_backend():
@@ -262,22 +260,23 @@ def test_parse_backend():
         parse_backend("suzuki")
     with pytest.raises(ValueError):
         parse_backend("trotter2k:0")
+    with pytest.raises(ValueError, match=r"'trotter2k:x'.*integer k >= 1"):
+        parse_backend("trotter2k:x")
 
 
 def test_markov_plan_caching_and_zeta():
     model = amp_damp_model(2, J=0.8, h=0.2, gamma=0.9)
     spec = lindblad_collision_spec(model, 1.0, 3)  # K = 6, two unique collisions
-    budget = Budget(0.05, 1.0)
-    plan = markov_plan(spec, parse_backend("trotter1"), budget)
+    plan = markov_plan(spec, parse_backend("trotter1"), 0.05, 1.0)
     assert plan.eps_prime == pytest.approx(required_precision(6, 1.0, 0.05))
     assert len(plan.per_collision) == 6
     assert plan.per_collision[0] == plan.per_collision[2] == plan.per_collision[4]
     assert plan.zeta == 1.0
     assert not plan.ancilla
 
-    lcu = markov_plan(spec, parse_backend("salcu"), budget)
+    lcu = markov_plan(spec, parse_backend("salcu"), 0.025, 1.0)
     assert lcu.ancilla
-    assert lcu.eps_prime == pytest.approx(required_precision(6, 1.0, 0.05, mode="salcu"))
+    assert lcu.eps_prime == pytest.approx(required_precision(6, 1.0, 0.025))
     want_zeta = float(np.prod([p.alpha_total for p in lcu.per_collision]))
     assert lcu.zeta == pytest.approx(want_zeta)
     assert lcu.zeta >= 1.0
@@ -287,7 +286,7 @@ def test_markov_program_structure_and_accuracy():
     spec = _two_collision_spec()
     rng = np.random.default_rng(63)
     rho = _rand_rho(rng, 1)
-    prog = markov_program(spec, parse_backend("trotter1"), Budget(1e-4, 1.0))
+    prog = markov_program(spec, markov_plan(spec, parse_backend("trotter1"), 1e-4, 1.0))
     kinds = [op.kind for op in prog.ops]
     assert kinds.count("prepare") == 2
     assert kinds.count("trace") == 2
@@ -297,7 +296,8 @@ def test_markov_program_structure_and_accuracy():
     assert preps == [0, 1] and list(spec.env_preparers()) == [0, 1]
     shared = replace(spec.collisions[1], env_prep=spec.collisions[0].env_prep)
     one_prep = CollisionSpec(1, spec.system_h, (spec.collisions[0], shared), spec.dt)
-    shared_prog = markov_program(one_prep, parse_backend("trotter1"), Budget(1e-4, 1.0))
+    shared_plan = markov_plan(one_prep, parse_backend("trotter1"), 1e-4, 1.0)
+    shared_prog = markov_program(one_prep, shared_plan)
     assert [op.prep for op in shared_prog.ops if op.kind == "prepare"] == [0, 0]
     assert list(one_prep.env_preparers()) == [0]
     got = execute(prog, rho, spec.env_preparers())
@@ -306,14 +306,12 @@ def test_markov_program_structure_and_accuracy():
 
 def test_qdrift_program_seed_determinism():
     spec = _two_collision_spec()
-    backend = parse_backend("qdrift")
-    budget = Budget(0.05, 1.0)
-    a = markov_program(spec, backend, budget, rng=np.random.default_rng(5))
-    b = markov_program(spec, backend, budget, rng=np.random.default_rng(5))
-    c = markov_program(spec, backend, budget, rng=np.random.default_rng(6))
+    plan = markov_plan(spec, parse_backend("qdrift"), 0.05, 1.0)
+    a = markov_program(spec, plan, np.random.default_rng(5))
+    b = markov_program(spec, plan, np.random.default_rng(5))
+    c = markov_program(spec, plan, np.random.default_rng(6))
     assert a.ops == b.ops
     assert a.ops != c.ops
-    plan = markov_plan(spec, backend, budget)
     frags = [op for op in a.ops if op.kind == "fragment"]
     assert [len(op.picks) for op in frags] == list(plan.per_collision)
     assert all(op.picks is not None and op.steps == 1 and op.polarity is None for op in frags)
@@ -321,9 +319,8 @@ def test_qdrift_program_seed_determinism():
 
 def test_salcu_program_is_controlled_pair_protocol():
     spec = _two_collision_spec()
-    prog = markov_program(
-        spec, parse_backend("salcu"), Budget(0.05, 1.0), rng=np.random.default_rng(7)
-    )
+    plan = markov_plan(spec, parse_backend("salcu"), 0.025, 1.0)
+    prog = markov_program(spec, plan, np.random.default_rng(7))
     assert prog.ancilla
     frags = [op for op in prog.ops if op.kind not in ("prepare", "trace")]
     assert all(op.kind == "fragment" for op in frags)
@@ -333,15 +330,15 @@ def test_salcu_program_is_controlled_pair_protocol():
 
 def test_expected_resources_match_counted_programs():
     spec = _two_collision_spec()
-    budget = Budget(0.02, 1.0)
-    trotter = parse_backend("trotter1")
-    want = count_resources(markov_program(spec, trotter, budget))
-    got = expected_resources(spec, trotter, budget)
+    plan = markov_plan(spec, parse_backend("trotter1"), 0.02, 1.0)
+    want = count_resources(markov_program(spec, plan))
+    got = expected_resources(spec, plan)
     assert got.as_tuple() == want.as_tuple()
 
     qdrift = parse_backend("qdrift")
-    counted = count_resources(markov_program(spec, qdrift, budget, rng=np.random.default_rng(9)))
-    expected = expected_resources(spec, qdrift, budget)
+    plan = markov_plan(spec, qdrift, 0.02, 1.0)
+    counted = count_resources(markov_program(spec, plan, np.random.default_rng(9)))
+    expected = expected_resources(spec, plan)
     assert expected.rotation_count == counted.rotation_count
     assert expected.env_preps == counted.env_preps
 
@@ -349,29 +346,28 @@ def test_expected_resources_match_counted_programs():
     col = spec.collisions[0]
     id_spec = CollisionSpec(1, pauli_sum([(0.3, "I"), (0.4, "Z")]), (col, col), 0.2)
     for label in ("trotter1", "trotter2k:1"):
-        backend = parse_backend(label)
-        want = count_resources(markov_program(id_spec, backend, budget))
-        assert expected_resources(id_spec, backend, budget).as_tuple() == want.as_tuple()
-    plan = markov_plan(id_spec, qdrift, budget)
+        plan = markov_plan(id_spec, parse_backend(label), 0.02, 1.0)
+        want = count_resources(markov_program(id_spec, plan))
+        assert expected_resources(id_spec, plan).as_tuple() == want.as_tuple()
+    plan = markov_plan(id_spec, qdrift, 0.02, 1.0)
     nh, _ = id_spec.joint(0)
     p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
     assert p_identity > 0
     closed = sum(length * (1.0 - p_identity) for length in plan.per_collision)
-    got = expected_resources(id_spec, qdrift, budget, plan=plan)
+    got = expected_resources(id_spec, plan)
     assert got.rotation_count == pytest.approx(closed, rel=1e-15)
 
-    with pytest.raises(ValueError):
-        expected_resources(spec, parse_backend("exact"), budget)
-    with pytest.raises(ValueError):
-        markov_program(spec, parse_backend("exact"), budget)
+    # the exact backend runs no program, so it has no plan to build or price
+    with pytest.raises(ValueError, match="exact backend"):
+        markov_plan(spec, parse_backend("exact"), 0.02, 1.0)
 
 
 def test_expected_salcu_resources_price_the_expanded_draws():
     # longer collisions in two segments each, so the draws carry words
     base = _two_collision_spec()
     spec = CollisionSpec(base.n, base.system_h, base.collisions, 0.6)
-    plan = markov_plan(spec, parse_backend("salcu", r=2), Budget(0.02, 1.0))
-    got = expected_resources(spec, None, None, seed=4, lcu_samples=6, plan=plan)
+    plan = markov_plan(spec, parse_backend("salcu", r=2), 0.01, 1.0)
+    got = expected_resources(spec, plan, seed=4, lcu_samples=6)
     # the same draws, each priced by walking its items one by one
     rng = np.random.default_rng(4)
     cnot = rot = paulis = 0.0
@@ -393,8 +389,9 @@ def test_expected_salcu_resources_price_the_expanded_draws():
 def test_expected_resources_need_an_lcu_sample(samples):
     # no sample would price the salcu collisions as 0/0
     spec = lindblad_collision_spec(amp_damp_model(m=2, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
+    plan = markov_plan(spec, parse_backend("salcu"), 5e-3, 1.0)
     with pytest.raises(ValueError, match="lcu_samples must be >= 1"):
-        expected_resources(spec, parse_backend("salcu"), Budget(1e-2, 1.0), lcu_samples=samples)
+        expected_resources(spec, plan, lcu_samples=samples)
 
 
 def test_lindblad_collision_spec_scaling():
@@ -448,13 +445,10 @@ def test_memory_witness_sees_backflow():
 
 def test_nonmarkov_program_swaps_follow_p():
     spec = _two_collision_spec()
-    budget = Budget(0.05, 1.0)
-    backend = parse_backend("trotter1")
+    plan = markov_plan(spec, parse_backend("trotter1"), 0.05, 1.0)
 
     def swap_count(p, seed):
-        prog = nonmarkov_program(
-            NonMarkovSpec(spec, p), backend, budget, rng=np.random.default_rng(seed)
-        )
+        prog = nonmarkov_program(NonMarkovSpec(spec, p), plan, np.random.default_rng(seed))
         return sum(1 for op in prog.ops if op.kind == "swap")
 
     assert swap_count(0.0, 1) == 0
@@ -468,9 +462,8 @@ def test_nonmarkov_program_matches_exact_at_p_one():
     spec = _two_collision_spec()
     rho = _rand_rho(rng, 1)
     nmspec = NonMarkovSpec(spec, 1.0)
-    prog = nonmarkov_program(
-        nmspec, parse_backend("trotter1"), Budget(1e-4, 1.0), rng=np.random.default_rng(0)
-    )
+    plan = markov_plan(spec, parse_backend("trotter1"), 1e-4, 1.0)
+    prog = nonmarkov_program(nmspec, plan, np.random.default_rng(0))
     got = execute(prog, rho, spec.env_preparers())
     assert trace_distance(got, exact_nonmarkov(nmspec, rho)) < 1e-4
 
@@ -528,13 +521,11 @@ def test_fragments_match_expanded_rotations(nonmarkov):
     rng = np.random.default_rng(71)
     spec = _two_collision_spec()
     rho = _rand_rho(rng, 1)
-    budget = Budget(1e-3, 1.0)
     if nonmarkov:
-        prog = nonmarkov_program(
-            NonMarkovSpec(spec, 0.5), parse_backend("trotter1"), budget, rng=np.random.default_rng(4)
-        )
+        plan = markov_plan(spec, parse_backend("trotter1"), 1e-3, 1.0)
+        prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), plan, np.random.default_rng(4))
     else:
-        prog = markov_program(spec, parse_backend("trotter2k:1"), budget)
+        prog = markov_program(spec, markov_plan(spec, parse_backend("trotter2k:1"), 1e-3, 1.0))
     kinds = [op.kind for op in prog.ops]
     assert kinds.count("fragment") == spec.K
     assert count_resources(prog).as_tuple() == count_items(prog)
@@ -544,25 +535,25 @@ def test_fragments_match_expanded_rotations(nonmarkov):
 
 
 @pytest.mark.parametrize(
-    "backend, nonmarkov",
-    [("qdrift", False), ("salcu", False), ("qdrift", True)],
+    "backend, nonmarkov, eps",
+    [("qdrift", False, 0.02), ("salcu", False, 0.01), ("qdrift", True, 0.02)],
     ids=["qdrift", "salcu", "nonmarkov-qdrift"],
 )
-def test_sampled_fragments_match_gate_by_gate(backend, nonmarkov):
+def test_sampled_fragments_match_gate_by_gate(backend, nonmarkov, eps):
     rng = np.random.default_rng(73)
     base = _two_collision_spec()
     # longer collisions in two segments each, so LCU draws carry phased words
     spec = CollisionSpec(base.n, base.system_h, base.collisions, 0.6)
     rho = _rand_rho(rng, 1)
-    budget = Budget(0.02, 1.0)
     selector = parse_backend(backend, r=2) if backend == "salcu" else parse_backend(backend)
+    plan = markov_plan(spec, selector, eps, 1.0)
     words = 0
     for seed in range(3):
         draw = np.random.default_rng(seed)
         if nonmarkov:
-            prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), selector, budget, rng=draw)
+            prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), plan, draw)
         else:
-            prog = markov_program(spec, selector, budget, rng=draw)
+            prog = markov_program(spec, plan, draw)
         frags = [op for op in prog.ops if op.kind == "fragment"]
         per_collision = 2 if backend == "salcu" else 1
         assert len(frags) == per_collision * spec.K and all(op.picks for op in frags)
@@ -589,17 +580,19 @@ def _rng_choice_draws(monkeypatch):
     )
 
 
-@pytest.mark.parametrize("backend", ["qdrift", "salcu"])
-def test_sampled_programs_match_rng_choice_draws(backend, monkeypatch):
+@pytest.mark.parametrize(
+    "backend, eps", [("qdrift", 0.05), ("salcu", 0.025)], ids=["qdrift", "salcu"]
+)
+def test_sampled_programs_match_rng_choice_draws(backend, eps, monkeypatch):
     spec = _two_collision_spec()
     spec = CollisionSpec(spec.n, spec.system_h, spec.collisions, 0.6)  # multi-segment draws
-    plan = markov_plan(spec, parse_backend(backend), Budget(0.05, 1.0))
+    plan = markov_plan(spec, parse_backend(backend), eps, 1.0)
 
     def programs():
         out = []
         for seed in range(300):
             rng = np.random.default_rng(np.random.SeedSequence((9, seed)))
-            out.append((markov_program(spec, None, rng=rng, plan=plan).ops, rng.random()))
+            out.append((markov_program(spec, plan, rng).ops, rng.random()))
         return out
 
     got = programs()
@@ -610,41 +603,40 @@ def test_sampled_programs_match_rng_choice_draws(backend, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "backend, nonmarkov",
+    "backend, nonmarkov, eps",
     [
-        ("qdrift", False),
-        ("salcu", False),
-        ("qdrift", True),
-        ("trotter1", False),
-        ("trotter2k:1", True),
+        ("qdrift", False, 0.02),
+        ("salcu", False, 0.01),
+        ("qdrift", True, 0.02),
+        ("trotter1", False, 0.02),
+        ("trotter2k:1", True, 0.02),
     ],
     ids=["qdrift", "salcu", "nonmarkov-qdrift", "trotter1", "nonmarkov-trotter2k"],
 )
-def test_counts_match_an_item_walk(backend, nonmarkov):
+def test_counts_match_an_item_walk(backend, nonmarkov, eps):
     base = _two_collision_spec()
     spec = CollisionSpec(base.n, base.system_h, base.collisions, 0.6)
     selector = parse_backend(backend, r=2) if backend == "salcu" else parse_backend(backend)
+    plan = markov_plan(spec, selector, eps, 1.0)
     for seed in range(4):
         rng = np.random.default_rng(seed)
         if nonmarkov:
-            prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), selector, Budget(0.02, 1.0), rng=rng)
+            prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), plan, rng)
         else:
-            prog = markov_program(spec, selector, Budget(0.02, 1.0), rng=rng)
+            prog = markov_program(spec, plan, rng)
         assert count_resources(prog).as_tuple() == count_items(prog)
 
 
 def test_expected_resources_price_the_partial_swaps():
     spec = lindblad_collision_spec(amp_damp_model(m=2, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
     backend = parse_backend("trotter2k:1")
-    plan = markov_plan(spec, backend, Budget(1e-2, 1.0))
+    plan = markov_plan(spec, backend, 1e-2, 1.0)
     reports = {}
     for p in (0.0, 0.5, 1.0):
-        reports[p] = expected_resources(NonMarkovSpec(spec, p), backend, None, plan=plan)
+        reports[p] = expected_resources(NonMarkovSpec(spec, p), plan)
     # at p = 0 and p = 1 every program has the same swaps
     for p in (0.0, 1.0):
-        prog = nonmarkov_program(
-            NonMarkovSpec(spec, p), None, rng=np.random.default_rng(3), plan=plan
-        )
+        prog = nonmarkov_program(NonMarkovSpec(spec, p), plan, np.random.default_rng(3))
         assert reports[p].as_tuple() == count_resources(prog).as_tuple()
     mean = [(a + b) / 2 for a, b in zip(reports[0.0].as_tuple(), reports[1.0].as_tuple())]
     assert list(reports[0.5].as_tuple()) == mean
@@ -653,15 +645,19 @@ def test_expected_resources_price_the_partial_swaps():
 
 def test_quickstart_counts_and_expected_resources_stay_pinned():
     spec = lindblad_collision_spec(amp_damp_model(m=4, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
-    budget = Budget(1e-2, 1.0)
+    # label -> (the circuit eps its plan spends, the pinned counts)
     pinned = {
-        "trotter1": (122_896.0, 122_880.0, 0.0, 245_776.0, 8),
-        "trotter2k:1": (3_856.0, 3_840.0, 0.0, 7_696.0, 8),
-        "qdrift": (135663.00124312122, 102_296.0, 0.0, 237959.00124312122, 8),
-        "salcu": (1196.875, 704.0, 1.4375, 1900.875, 8),
+        "trotter1": (1e-2, (122_896.0, 122_880.0, 0.0, 245_776.0, 8)),
+        "trotter2k:1": (1e-2, (3_856.0, 3_840.0, 0.0, 7_696.0, 8)),
+        "qdrift": (1e-2, (135663.00124312122, 102_296.0, 0.0, 237959.00124312122, 8)),
+        "salcu": (5e-3, (1196.875, 704.0, 1.4375, 1900.875, 8)),
     }
-    for label, want in pinned.items():
-        assert expected_resources(spec, parse_backend(label), budget).as_tuple() == want
+    plans = {
+        label: markov_plan(spec, parse_backend(label), eps, 1.0)
+        for label, (eps, _) in pinned.items()
+    }
+    for label, (_, want) in pinned.items():
+        assert expected_resources(spec, plans[label]).as_tuple() == want
     for label in ("trotter1", "trotter2k:1"):
-        prog = markov_program(spec, parse_backend(label), budget)
-        assert count_resources(prog).cnot_count == count_items(prog)[0] == pinned[label][0]
+        prog = markov_program(spec, plans[label])
+        assert count_resources(prog).cnot_count == count_items(prog)[0] == pinned[label][1][0]

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from collidesim import (
-    Budget,
     Collision,
     CollisionSpec,
     DensityMatrix,
@@ -171,7 +170,7 @@ def test_salcu_estimate_is_unbiased_and_bounded():
                    keep_samples=True)
     assert rep.zeta > 1.0
     assert rep.eps_prime == pytest.approx(
-        required_precision(spec.K, OBS.norm, eps, mode="salcu")
+        required_precision(spec.K, OBS.norm, eps / 2.0)
     )
     assert rep.t_runs == hoeffding_T(OBS.norm, eps, 0.3, rep.zeta)
     assert len(rep.samples) == rep.t_runs
@@ -194,6 +193,29 @@ def test_nonmarkov_partial_swap_randomizes_deterministic_backends():
     assert mid.under_sampled  # the true requirement is hoeffding-sized
     assert mid.eps_prime == pytest.approx(required_precision(spec.K, OBS.norm, 0.1))
     assert mid.stderr > 0.0
+
+
+@pytest.mark.parametrize("p_swap", [None, 0.0, 0.5, 1.0], ids=["markov", "p0", "p0.5", "p1"])
+@pytest.mark.parametrize("measurement", ["analytic", "shot"])
+@pytest.mark.parametrize("backend", ["trotter1", "trotter2k:1", "qdrift", "salcu", "exact"])
+def test_one_budget_rule(backend, measurement, p_swap):
+    # statistical: shot readout, or a randomized program (a sampling
+    # compiler, or a partial swap with 0 < p < 1); exact runs no program
+    base = _spec()
+    spec = base if p_swap is None else NonMarkovSpec(base, p_swap)
+    eps, delta = 0.5, 0.5
+    rep = estimate(spec, RHO0, OBS, backend, eps, delta, seed=1, measurement=measurement)
+    randomized = backend in ("qdrift", "salcu") or (backend != "exact" and p_swap == 0.5)
+    statistical = measurement == "shot" or randomized
+    _, plan = resolve_plan(spec, parse_backend(backend), eps, measurement, OBS.norm)
+    if backend == "exact":
+        assert plan is None and rep.eps_prime == 0.0
+    else:
+        want = required_precision(base.K, OBS.norm, eps / 2.0 if statistical else eps)
+        assert rep.eps_prime == plan.eps_prime == want
+    assert (rep.t_runs == 1) == (not statistical)
+    if statistical:
+        assert rep.t_runs == hoeffding_T(OBS.norm, eps, delta, rep.zeta)
 
 
 def test_report_row_matches_field_list():
@@ -222,9 +244,9 @@ def test_fixed_program_shots_match_a_per_run_loop(workers):
     rep = estimate(spec, rho0, obs, "trotter1", eps, delta, seed=seed, measurement="shot",
                    workers=workers, keep_samples=True)
     # reference: rebuild and re-execute the program on every run
-    plan = markov_plan(spec, parse_backend("trotter1"), Budget(eps / 2.0, obs.norm))
+    _, plan = resolve_plan(spec, parse_backend("trotter1"), eps, "shot", obs.norm)
     mus = np.array([
-        run_once(Skeleton(markov_program(spec, None, plan=plan), (), spec.env_preparers()), (),
+        run_once(Skeleton(markov_program(spec, plan), (), spec.env_preparers()), (),
                  rho0, obs, "shot", np.random.default_rng(np.random.SeedSequence((seed, k))))
         for k in range(rep.t_runs)
     ])
@@ -272,13 +294,12 @@ def test_randomized_estimate_matches_expanded_programs(backend, workers):
     rep = estimate(spec, RHO0, OBS, backend, eps, delta, seed=seed, t_override=runs,
                    workers=workers, keep_samples=True)
     # reference: every run's program on the dense register, priced item by item
-    budget = Budget(eps if backend == "salcu" else eps / 2.0, OBS.norm)
-    plan = markov_plan(spec, parse_backend(backend), budget)
+    _, plan = resolve_plan(spec, parse_backend(backend), eps, "analytic", OBS.norm)
     measured = measured_observable(OBS, plan.ancilla)
     mus, totals = [], ResourceReport()
     for k in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
-        program = markov_program(spec, None, rng=rng, plan=plan)
+        program = markov_program(spec, plan, rng)
         mus.append(rep.zeta**2 * _register_readout(program, measured, "analytic", rng))
         totals = totals + ResourceReport(*count_items(program))
     np.testing.assert_allclose(rep.samples, mus, rtol=0, atol=1e-10)
@@ -305,15 +326,15 @@ def test_salcu_runs_match_the_dense_ancilla_register(p_swap, measurement, worker
     eps, delta, seed, runs = 0.2, 0.2, 17, 24
     rep = estimate(spec, RHO0, OBS, "salcu", eps, delta, seed=seed, measurement=measurement,
                    t_override=runs, workers=workers, keep_samples=True)
-    plan = markov_plan(base, parse_backend("salcu"), Budget(eps, OBS.norm))
+    _, plan = resolve_plan(spec, parse_backend("salcu"), eps, measurement, OBS.norm)
     measured = measured_observable(OBS, True)
     want, swaps = [], 0
     for k in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         if p_swap is None:
-            program = markov_program(base, None, rng=rng, plan=plan)
+            program = markov_program(base, plan, rng)
         else:
-            program = nonmarkov_program(spec, None, rng=rng, plan=plan)
+            program = nonmarkov_program(spec, plan, rng)
         swaps += sum(op.kind == "swap" for op in program.ops)
         want.append(rep.zeta**2 * _register_readout(program, measured, measurement, rng))
     if p_swap is not None:
@@ -361,9 +382,9 @@ def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measu
     for k in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         if p_swap is None:
-            program = markov_program(base, None, rng=rng, plan=plan)
+            program = markov_program(base, plan, rng)
         else:
-            program = nonmarkov_program(spec, None, rng=rng, plan=plan)
+            program = nonmarkov_program(spec, plan, rng)
         mu = run_once(Skeleton(program, (), base.env_preparers()), (), RHO0, measured, measurement, rng)
         want.append(rep.zeta**2 * mu)
         totals = totals + count_resources(program)
@@ -436,8 +457,10 @@ def _check_one_call_per_preparer(base, collisions, calls, want):
             assert calls == want, (backend, measurement, runs)
     rng = np.random.default_rng(5)
     for program in (
-        markov_program(spec, parse_backend("salcu"), Budget(0.2, 1.0), rng),
-        nonmarkov_program(NonMarkovSpec(spec, 1.0), parse_backend("trotter1"), Budget(0.2, 1.0), rng),
+        markov_program(spec, markov_plan(spec, parse_backend("salcu"), 0.1, 1.0), rng),
+        nonmarkov_program(
+            NonMarkovSpec(spec, 1.0), markov_plan(spec, parse_backend("trotter1"), 0.2, 1.0), rng
+        ),
     ):
         calls.clear()
         execute(program, RHO0, spec.env_preparers())

@@ -1,7 +1,9 @@
 """The package surface: every exported name is bound, star-importable, and
-called, and the package imports numpy and the standard library alone."""
+called, every name the benchmark binds resolves, and the package imports
+numpy and the standard library alone."""
 
 import ast
+import importlib
 import io
 import os
 import re
@@ -133,6 +135,34 @@ def test_every_exported_name_has_a_caller():
 
 def test_every_public_function_and_method_has_a_caller():
     assert _uncalled(d for d in _definitions() if d.is_function and not d.name.startswith("_")) == []
+
+
+def _perfbench_tuple(module, name):
+    """The literal tuple a perfbench module assigns to `name` (the literal
+    left operand where the value is `literal + ...`), read without importing."""
+    for node in ast.parse(_read(os.path.join(_PERFBENCH, module))).body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if isinstance(node, ast.Assign) and name in targets:
+            value = node.value.left if isinstance(node.value, ast.BinOp) else node.value
+            return ast.literal_eval(value)
+    raise AssertionError(f"perfbench/{module} assigns no {name}")
+
+
+def test_every_name_the_benchmark_binds_resolves():
+    # perfbench/tracer.py wraps each SPANS attribute, kernel_sweep.py times
+    # each KERNELS kernel, and every benchmark run records active_kernels
+    missing = []
+    for module, attr, _ in _perfbench_tuple("tracer.py", "SPANS"):
+        obj = importlib.import_module(module)
+        for part in attr.split("."):
+            obj = getattr(obj, part, None)
+        if not callable(obj):
+            missing.append(f"{module}:{attr}")
+    for kernel in _perfbench_tuple("kernel_sweep.py", "KERNELS"):
+        if not callable(getattr(collidesim._kernels, kernel, None)):
+            missing.append(f"collidesim._kernels:{kernel}")
+    assert missing == []
+    assert isinstance(collidesim.active_kernels, str) and collidesim.active_kernels
 
 
 def _imported_modules(text):
