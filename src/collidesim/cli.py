@@ -633,8 +633,9 @@ _FLAG_KEYS = (
 
 
 def _flagged_config(args):
-    """The config file with the --seed, --workers and --backend values written
-    over their keys, built as one mapping: an error in a flag names the flag."""
+    """The config file with the --seed, --workers, --backend and --out values
+    written over their keys, built as one mapping: an error in a flag names
+    the flag."""
     mapping = load_config_mapping(args.config)
     names = {}
     for flag, key in _FLAG_KEYS:
@@ -642,11 +643,14 @@ def _flagged_config(args):
         if value is not None:
             mapping[key] = str(value)
             names[key] = f"--{flag}"
+    raw = dict(mapping)
+    if args.out is not None:  # where the CSVs go, not what they hold: not in raw or config_hash
+        mapping["output.dir"] = args.out
+        names["output.dir"] = "--out"
     cfg = build_config(mapping, names)
+    cfg.raw = raw
     if args.backend is not None:
         cfg.backends = (cfg.backend,)  # the flag runs its backend alone
-    if args.out is not None:
-        cfg.out_dir = args.out
     return cfg
 
 

@@ -5,13 +5,17 @@ collision j evolves system+env under the joint Hamiltonian
 
     H_j = H_S + H_Ej + H_Ij = sum_i h_ij P_ij   (h_ij > 0, signs in the words)
 
-for duration dt, i.e. U_j = e^{-i beta_j dt Hbar_j} with Hbar_j = H_j/beta_j
-and beta_j the total weight. The exact map composes Tr_E[U_j(. x rho_Ej)U_j†]
-as Kraus maps on the system: with rho_Ej = sum_b p_b |e_b><e_b|, collision j
-is rho -> sum_ab K_ab rho K_ab† with K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>),
-so the exact state never carries an env register; the eigen-columns, the
-stacking and the two-matmul step are states' Kraus helpers, which
-circuits.execute runs every Markov collision of a program through as well.
+for duration dt, i.e. U_j = e^{-i tau_j Hbar_j} with Hbar_j = H_j/beta_j,
+beta_j the total weight and tau_j = beta_j dt. CollisionSpec.joint(j)
+returns (Hbar_j, tau_j), the one target every hamsim compiler takes, and
+plans, programs, exact maps and prices walk the distinct collisions once,
+each at its first index (CollisionSpec.first_use). The exact map composes
+Tr_E[U_j(. x rho_Ej)U_j†] as Kraus maps on the system: with rho_Ej = sum_b
+p_b |e_b><e_b|, collision j is rho -> sum_ab K_ab rho K_ab† with
+K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>), so the exact state never
+carries an env register; the eigen-columns, the stacking and the two-matmul
+step are states' Kraus helpers, which circuits.execute runs every Markov
+collision of a program through as well.
 Programs replace each U_j with a compiled approximation at the per-collision
 precision eps' = eps_c/(3 K normO) (triangle inequality over K collisions),
 where eps_c is the part of the target bias the circuits may spend. One rule,
@@ -81,9 +85,13 @@ class Collision:
 class CollisionSpec:
     """System + dt + K collision records, with per-collision derived data cached.
 
-    Repeated Collision instances (the Lindblad cycle reuses m of them) share
-    their normalized joint Hamiltonian and dense unitary, and collisions with
-    one env preparer (all m of the cycle) share its key, state and eigh.
+    Repeated Collision instances (the Lindblad cycle reuses m of them) are
+    one distinct collision: `unique` holds them in order of first use,
+    `unique_index[j]` names collision j's, and `first_use[u]` is the first
+    index of distinct collision u. They share their joint target and dense
+    unitary, and collisions with one env preparer (all m of the cycle) share
+    its key, state and eigh. Derived data is kept in one cache, which a
+    pickled spec carries empty.
     """
 
     def __init__(self, n, system_h, collisions, dt):
@@ -99,42 +107,38 @@ class CollisionSpec:
         self.system_h = system_h
         self.collisions = collisions
         self.dt = float(dt)
-        self.unique, self.unique_index = _distinct(collisions)
-        self._preparers, self.prep_index = _distinct([c.env_prep for c in collisions])
-        self._joint = {}
-        self._dense_u = {}
-        self._kraus = {}
-        self._env = {}
-        self._env_cols = {}
+        self.unique, self.unique_index, self.first_use = _distinct(collisions)
+        self._preparers, self.prep_index, _ = _distinct([c.env_prep for c in collisions])
+        self._cache = {}
 
     def __getstate__(self):
-        caches = ("_joint", "_dense_u", "_kraus", "_env", "_env_cols")
-        return {**self.__dict__, **{name: {} for name in caches}}
+        return {**self.__dict__, "_cache": {}}
 
     @property
     def K(self):
         return len(self.collisions)
 
     def joint(self, j):
-        """(normalized joint Hamiltonian, beta_j) for collision j."""
+        """(nh, tau) for collision j: nh = normalize(H_j), the normalized joint
+        Hamiltonian Hbar_j, and tau = nh.beta * dt, so U_j = e^{-i tau Hbar_j}."""
         u = self.unique_index[j]
-        if u not in self._joint:
+        if ("joint", u) not in self._cache:
             c = self.unique[u]
             total = self.n + c.env_width
             h = self.system_h.embed(total, 0) + c.env_h.embed(total, self.n) + c.interaction_h
             nh = normalize(h)
-            self._joint[u] = (nh, nh.beta)
-        return self._joint[u]
+            self._cache["joint", u] = (nh, nh.beta * self.dt)
+        return self._cache["joint", u]
 
     def dense_unitary(self, j):
         """Exact e^{-i dt H_j} on the joint register, cached per distinct collision."""
         from .oracles import unitary_exact
 
         u = self.unique_index[j]
-        if u not in self._dense_u:
-            nh, beta = self.joint(j)
-            self._dense_u[u] = unitary_exact(nh.h, beta * self.dt)
-        return self._dense_u[u]
+        if ("unitary", u) not in self._cache:
+            nh, tau = self.joint(j)
+            self._cache["unitary", u] = unitary_exact(nh.h, tau)
+        return self._cache["unitary", u]
 
     def kraus(self, j):
         """(stacked, adjoints) Kraus operators of collision j, cached per
@@ -146,16 +150,16 @@ class CollisionSpec:
         reads them (states.kraus_stacked and kraus_adjoints).
         """
         u = self.unique_index[j]
-        if u not in self._kraus:
+        if ("kraus", u) not in self._cache:
             d, de = 1 << self.n, 1 << self.unique[u].env_width
             k = self.prep_index[j]  # one eigh per distinct preparer
-            if k not in self._env_cols:
-                self._env_cols[k] = env_columns(self.env_state(j).data)
-            vecs = self._env_cols[k]
+            if ("env_cols", k) not in self._cache:
+                self._cache["env_cols", k] = env_columns(self.env_state(j).data)
+            vecs = self._cache["env_cols", k]
             # ops[s, a, s', b] = sum_e U[(s, a), (s', e)] vecs[e, b]
             ops = self.dense_unitary(j).reshape(d, de, d, de) @ vecs
-            self._kraus[u] = (kraus_stacked(ops), kraus_adjoints(ops))
-        return self._kraus[u]
+            self._cache["kraus", u] = (kraus_stacked(ops), kraus_adjoints(ops))
+        return self._cache["kraus", u]
 
     def env_preparers(self):
         """Each distinct preparer by its key, as prep_index names them."""
@@ -164,20 +168,21 @@ class CollisionSpec:
     def env_state(self, j):
         """Collision j's env state, prepared once per distinct preparer; read-only."""
         k = self.prep_index[j]
-        if k not in self._env:
+        if ("env", k) not in self._cache:
             state = self._preparers[k]()
             state.data.setflags(write=False)
-            self._env[k] = state
-        return self._env[k]
+            self._cache["env", k] = state
+        return self._cache["env", k]
 
 
 def _distinct(objects):
     """(the distinct objects by identity, in order of first use; each
-    object's index among them)."""
-    first = {}
-    for obj in objects:
-        first.setdefault(id(obj), (len(first), obj))
-    return tuple(obj for _, obj in first.values()), tuple(first[id(obj)][0] for obj in objects)
+    object's index among them; each distinct object's first index)."""
+    first = {}  # id -> (index among the distinct, first index)
+    for j, obj in enumerate(objects):
+        first.setdefault(id(obj), (len(first), j))
+    firsts = tuple(j for _, j in first.values())
+    return tuple(objects[j] for j in firsts), tuple(first[id(obj)][0] for obj in objects), firsts
 
 
 @dataclass(frozen=True)
@@ -230,11 +235,10 @@ def exact_nonmarkov(nmspec, rho_system, trajectory=False):
     if k_total == 0:
         return (rho_system.copy(), []) if trajectory else rho_system.copy()
     de = 1 << spec.collisions[0].env_width
-    per_unique = {}  # distinct collision -> (U, U†, its preparer's env state)
-    for j, u in enumerate(spec.unique_index):
-        if u not in per_unique:
-            unitary = spec.dense_unitary(j)
-            per_unique[u] = (unitary, unitary.conj().T, spec.env_state(j).data)
+    per_unique = []  # per distinct collision: (U, U†, its preparer's env state)
+    for j in spec.first_use:
+        unitary = spec.dense_unitary(j)
+        per_unique.append((unitary, unitary.conj().T, spec.env_state(j).data))
     steps = [per_unique[u] for u in spec.unique_index]
     data = _kernels.kron(rho_system.data, steps[0][2])
     marginals = []
@@ -276,12 +280,20 @@ def required_precision(k_collisions, norm_o, eps):
 class Backend:
     kind: str  # trotter | qdrift | salcu | exact
     order: int = 1  # trotter product-formula order (1 or 2k)
-    steps: int = 0  # 0 = choose automatically
-    length: int = 0
-    r: int = 0
-    q: int = -1  # -1 = choose automatically (q = 0 is meaningful)
+    steps: int | None = None  # None = choose automatically, as for length, r and q
+    length: int | None = None
+    r: int | None = None
+    q: int | None = None
     c_r: float = 1.0
     step_strategy: str = "empirical"
+
+    def __post_init__(self):
+        for name in ("steps", "length", "r"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"backend {name} must be >= 1, got {value!r}")
+        if self.q is not None and (self.q < 0 or self.q % 2):
+            raise ValueError(f"backend q must be a nonnegative even integer, got {self.q!r}")
 
     def label(self):
         if self.kind == "trotter":
@@ -334,41 +346,36 @@ def markov_plan(spec, backend, eps, norm_o):
     if backend.kind == "exact":
         raise ValueError("the exact backend evolves densely; it has no plan")
     eps_prime = required_precision(k_total, norm_o, eps)
-    cache = {}
-    per = []
-    for j in range(k_total):
-        u = spec.unique_index[j]
-        if u not in cache:
-            nh, beta = spec.joint(j)
-            if backend.kind == "trotter":
-                cache[u] = backend.steps or hamsim.choose_trotter_steps(
-                    nh, beta, spec.dt, backend.order, eps_prime, backend.step_strategy
-                )
-            elif backend.kind == "qdrift":
-                cache[u] = backend.length or hamsim.choose_qdrift_length(beta, spec.dt, eps_prime)
-            elif backend.kind == "salcu":
-                cache[u] = hamsim.choose_lcu_params(
-                    beta * spec.dt,
-                    k_total,
-                    eps_prime,
-                    c_r=backend.c_r,
-                    r_override=backend.r or None,
-                    q_override=None if backend.q < 0 else backend.q,
-                )
-            else:
-                raise ValueError(f"unknown backend kind {backend.kind!r}")
-        per.append(cache[u])
+    per_unique = [
+        _compile_param(backend, *spec.joint(j), k_total, eps_prime) for j in spec.first_use
+    ]
+    per = [per_unique[u] for u in spec.unique_index]
     zeta = 1.0
     if backend.kind == "salcu":
         zeta = float(np.prod([params.alpha_total for params in per]))
     return CollisionPlan(backend, eps_prime, backend.kind == "salcu", tuple(per), zeta)
 
 
+def _compile_param(backend, nh, tau, k_total, eps_prime):
+    """The steps, length or LcuParams of one collision's target (nh, tau)."""
+    if backend.kind == "trotter":
+        return backend.steps or hamsim.choose_trotter_steps(
+            nh, tau, backend.order, eps_prime, backend.step_strategy
+        )
+    if backend.kind == "qdrift":
+        return backend.length or hamsim.choose_qdrift_length(tau, eps_prime)
+    if backend.kind == "salcu":
+        return hamsim.choose_lcu_params(
+            tau, k_total, eps_prime, c_r=backend.c_r, r_override=backend.r, q_override=backend.q
+        )
+    raise ValueError(f"unknown backend kind {backend.kind!r}")
+
+
 # ------------------------------------------------------- program emission
 
 
-def _qdrift_picks(nh, beta, dt, length, rng):
-    return hamsim.qdrift_rotations(nh, beta, dt, length, rng).picks
+def _qdrift_picks(nh, tau, length, rng):
+    return hamsim.qdrift_rotations(nh, tau, length, rng).picks
 
 
 def _lcu_picks(nh, params, rng):
@@ -385,24 +392,18 @@ def _collision_parts(spec, plan):
     table and its draw, or the sampled-LCU pair on one table, the controlled
     X (polarity 1) then the anti-controlled Y (polarity 0), each drawn on
     its own. A draw maps a run's generator to the fragment's picks."""
-    backend = plan.backend
-    parts = {}
-    for j, u in enumerate(spec.unique_index):
-        if u in parts:
-            continue
-        nh, beta = spec.joint(j)
-        param = plan.per_collision[j]
-        if backend.kind == "trotter":
-            step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
-            parts[u] = ((step, param, None, None),)
-        elif backend.kind == "qdrift":
-            table = hamsim.qdrift_table(nh, beta, spec.dt, param)
-            parts[u] = ((table, 1, None, partial(_qdrift_picks, nh, beta, spec.dt, param)),)
-        else:  # salcu
-            table = hamsim.lcu_table(nh, param)
-            draw = partial(_lcu_picks, nh, param)
-            parts[u] = ((table, 1, 1, draw), (table, 1, 0, draw))
-    return parts
+    return [_fragments(plan.backend, *spec.joint(j), plan.per_collision[j]) for j in spec.first_use]
+
+
+def _fragments(backend, nh, tau, param):
+    if backend.kind == "trotter":
+        return ((hamsim.trotter_step(nh, tau, param, backend.order), param, None, None),)
+    if backend.kind == "qdrift":
+        table = hamsim.qdrift_table(nh, tau, param)
+        return ((table, 1, None, partial(_qdrift_picks, nh, tau, param)),)
+    table = hamsim.lcu_table(nh, param)  # salcu
+    draw = partial(_lcu_picks, nh, param)
+    return ((table, 1, 1, draw), (table, 1, 0, draw))
 
 
 def _emit(ops, draws, parts):
@@ -456,10 +457,10 @@ def nonmarkov_skeleton(nmspec, plan):
     slot 0, even collisions slot 1, with the fragments of markov_skeleton.
 
     After each non-final collision the fresh env lands in the other slot and
-    the just-collided slot is swapped with it, a swap kept with probability
-    p per run (and absent at p = 0), then traced. A run draws each
-    collision's fragments, then its swap. It holds the base spec's env
-    preparers.
+    the just-collided slot is swapped with it, then traced. The swap is an
+    open op kept with probability p per run when 0 < p < 1, a closed op at
+    p = 1 and absent at p = 0. A run draws each collision's fragments, then
+    its swap. It holds the base spec's env preparers.
     """
     spec, p = nmspec.base, nmspec.p
     parts = _collision_parts(spec, plan)
@@ -472,8 +473,9 @@ def nonmarkov_skeleton(nmspec, plan):
         if j < spec.K:
             other = 1 - active
             ops.append(GateOp("prepare", slot=other, prep=spec.prep_index[j]))
-            if p > 0:
+            if 0 < p < 1:
                 draws.append((len(ops), partial(_swap_kept, p)))
+            if p > 0:
                 ops.append(GateOp("swap", slots=(active, other)))
         ops.append(GateOp("trace", slot=active))
     template = CircuitProgram(
@@ -568,30 +570,29 @@ def expected_resources(spec, plan, seed=0, lcu_samples=32):
     backend = plan.backend
     rng = np.random.default_rng(seed)
     cnot = rot = paulis = 0.0
-    per_unique = {}
-    for j in range(spec.K):
-        u = spec.unique_index[j]
-        if u not in per_unique:
-            nh, beta = spec.joint(j)
-            param = plan.per_collision[j]
-            if backend.kind == "trotter":
-                step = hamsim.trotter_step(nh, beta, spec.dt, param, backend.order)
-                costs = _entry_costs(step, False).sum(axis=0).tolist()
-                per_unique[u] = tuple(float(param * v) for v in costs)
-            elif backend.kind == "qdrift":
-                costs = np.array([_item_cost((p, 1.0), False)[0] for _, p in nh.h.terms])
-                p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
-                per_unique[u] = (
-                    param * float((nh.probs * costs).sum()),
-                    param * (1.0 - float(p_identity)),
-                    0.0,
-                )
-            else:
-                acc = np.zeros(3)
-                for _ in range(2 * lcu_samples):  # the X and Y draw of each sample
-                    draw = hamsim.lcu_sample(nh, param, rng)
-                    acc += _picked_cost(draw.table, draw.picks, True)
-                per_unique[u] = tuple(acc / lcu_samples)
+    per_unique = []
+    for j in spec.first_use:
+        nh, tau = spec.joint(j)
+        param = plan.per_collision[j]
+        if backend.kind == "trotter":
+            step = hamsim.trotter_step(nh, tau, param, backend.order)
+            costs = _entry_costs(step, False).sum(axis=0).tolist()
+            per_unique.append(tuple(float(param * v) for v in costs))
+        elif backend.kind == "qdrift":
+            costs = np.array([_item_cost((p, 1.0), False)[0] for _, p in nh.h.terms])
+            p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
+            per_unique.append((
+                param * float((nh.probs * costs).sum()),
+                param * (1.0 - float(p_identity)),
+                0.0,
+            ))
+        else:
+            acc = np.zeros(3)
+            for _ in range(2 * lcu_samples):  # the X and Y draw of each sample
+                draw = hamsim.lcu_sample(nh, param, rng)
+                acc += _picked_cost(draw.table, draw.picks, True)
+            per_unique.append(tuple(acc / lcu_samples))
+    for u in spec.unique_index:
         dc, dr, dp = per_unique[u]
         cnot += dc
         rot += dr

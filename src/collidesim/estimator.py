@@ -31,7 +31,9 @@ results identical for any worker count; aggregation sums in run-index order.
 A shot run of a fixed program reads only the first double of its generator,
 so those runs take their doubles from one array pass over the run indices
 (_seeding.first_doubles) and their shots from one searchsorted per block;
-each such estimate first checks run 0 against numpy's generator.
+each such estimate first checks run 0 against numpy's generator. Only the
+runs of a randomized program go to worker processes: a run-independent
+estimate reads its one outcome in process whatever the worker count.
 """
 
 import math
@@ -188,10 +190,11 @@ def resolve_plan(spec, backend, eps, measurement, norm_o):
     return base, markov_plan(base, backend, circuit_eps, norm_o)
 
 
-def _build_program(spec, base, plan, rng):
+def _build_program(spec, base, plan):
+    """The fixed program of a plan whose program does not depend on the run."""
     if isinstance(spec, NonMarkovSpec):
-        return nonmarkov_program(spec, plan, rng)
-    return markov_program(base, plan, rng)
+        return nonmarkov_program(spec, plan)
+    return markov_program(base, plan)
 
 
 def _skeleton(spec, base, plan):
@@ -209,34 +212,29 @@ def _fixed_final_state(spec, base, rho0, fixed):
     return exact_k_collision(base, rho0)
 
 
-def _fixed_outcome(final, measured, measurement):
-    """What every run measures on a run-independent final state: the
-    conditional mean, or the Born distribution its shot is drawn from."""
+def _fixed_runs(final, measured, measurement, seed, t_runs):
+    """The t_runs values measured on a run-independent final state: its
+    conditional mean, or per run a shot from its Born distribution, drawn
+    with the first double of the run's generator, taken for a block of runs
+    at a time from first_doubles."""
     if measurement == "analytic":
-        return expectation(final, measured)
-    return born_distribution(final, measured)
+        return np.full(t_runs, expectation(final, measured))
+    vals, _, cdf = born_distribution(final, measured)
+    _check_first_doubles(seed)
+    mus = np.empty(t_runs)
+    for lo in range(0, t_runs, BLOCK):
+        hi = min(lo + BLOCK, t_runs)
+        mus[lo:hi] = vals[cdf.searchsorted(first_doubles(seed, lo, hi), side="right")]
+    return mus
 
 
-def _run_block(skeleton, rho0, measured, measurement, seed, start, stop, outcome):
-    """Sequential runs start..stop-1; the parallel path ships this off.
-
-    With a fixed outcome given, each run only reads it: a shot run draws its
-    eigenvalue with the first double of its generator, taken for a block of
-    runs at a time from first_doubles. Otherwise each run draws the
-    skeleton's open ops with its own generator and runs that draw, and the
-    block's gate costs come from its pooled draws.
+def _run_block(skeleton, rho0, measured, measurement, seed, start, stop):
+    """Sequential runs start..stop-1 of a randomized program; the parallel
+    path ships this off. Each run draws the skeleton's open ops with its own
+    generator and runs that draw, and the block's gate costs come from its
+    pooled draws.
     """
     mus = np.empty(stop - start)
-    if outcome is not None:
-        if measurement == "analytic":
-            mus.fill(outcome)
-            return mus, ResourceReport()
-        vals, _, cdf = outcome
-        for lo in range(start, stop, BLOCK):
-            hi = min(lo + BLOCK, stop)
-            picks = cdf.searchsorted(first_doubles(seed, lo, hi), side="right")
-            mus[lo - start : hi - start] = vals[picks]
-        return mus, ResourceReport()
     tally = skeleton.tally()
     for pos, k in enumerate(range(start, stop)):
         rng = _run_rng(seed, k)
@@ -286,8 +284,8 @@ def estimate(
 
     spec is a CollisionSpec or NonMarkovSpec; backend a selector string or
     Backend. t_override (>= 1) forces the run count (downward overrides are
-    flagged in the report). workers > 1 distributes runs; results are
-    identical to the serial order for any worker count.
+    flagged in the report). workers > 1 distributes the runs of a randomized
+    program; results are identical to the serial order for any worker count.
     """
     if measurement not in ("analytic", "shot"):
         raise ValueError(f"unknown measurement mode {measurement!r}")
@@ -298,7 +296,6 @@ def estimate(
     base, plan = resolve_plan(spec, backend, eps, measurement, obs.norm)
     zeta = 1.0 if plan is None else plan.zeta
     run_independent = not _program_is_random(spec, backend)
-    fixed_program = run_independent and plan is not None
     if _is_statistical(spec, backend, measurement):
         t_runs = hoeffding_T(obs.norm, eps, delta, zeta)
     else:
@@ -310,44 +307,33 @@ def estimate(
     ancilla = plan.ancilla if plan is not None else False
     measured = measured_observable(obs, ancilla)
     measured.eig()  # prime the cache once, before any fork
-    fixed = _build_program(spec, base, plan, _run_rng(seed, 0)) if fixed_program else None
-    skeleton = None if run_independent else _skeleton(spec, base, plan)
-    # computed here, in the parent, so workers only read it
-    outcome = None
-    if run_independent:
-        final = _fixed_final_state(spec, base, rho0, fixed)
-        outcome = _fixed_outcome(final, measured, measurement)
-        if measurement == "shot":
-            _check_first_doubles(seed)
-    if workers > 1 and t_runs > 1:
-        from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
-
-        bounds = np.linspace(0, t_runs, min(workers * 4, t_runs) + 1).astype(int).tolist()
-        args = [
-            (skeleton, rho0, measured, measurement, seed, lo, hi, outcome)
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_block_worker, args))
-        mus = np.concatenate([r[0] for r in results])
-        totals = ResourceReport()
-        for r in results:
-            totals = totals + r[1]
+    if run_independent:  # every run only reads one final state: no worker is started
+        fixed = None if plan is None else _build_program(spec, base, plan)
+        mus = _fixed_runs(_fixed_final_state(spec, base, rho0, fixed), measured, measurement,
+                          seed, t_runs)
+        res_mean = ResourceReport() if fixed is None else count_resources(fixed)
     else:
-        mus, totals = _run_block(
-            skeleton, rho0, measured, measurement, seed, 0, t_runs, outcome
-        )
+        skeleton = _skeleton(spec, base, plan)
+        if workers > 1 and t_runs > 1:
+            from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
+
+            bounds = np.linspace(0, t_runs, min(workers * 4, t_runs) + 1).astype(int).tolist()
+            args = [
+                (skeleton, rho0, measured, measurement, seed, lo, hi)
+                for lo, hi in zip(bounds, bounds[1:])
+            ]
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                results = list(pool.map(_block_worker, args))
+            mus = np.concatenate([r[0] for r in results])
+            totals = ResourceReport()
+            for r in results:
+                totals = totals + r[1]
+        else:
+            mus, totals = _run_block(skeleton, rho0, measured, measurement, seed, 0, t_runs)
+        res_mean = ResourceReport(*(v / t_runs for v in totals.as_tuple()))
     scaled = zeta**2 * mus
     mu = float(scaled.sum() / t_runs)
     stderr = float(scaled.std(ddof=1) / math.sqrt(t_runs)) if t_runs > 1 else 0.0
-    if backend.kind == "exact":
-        res_mean = ResourceReport()
-    elif fixed is not None:
-        res_mean = count_resources(fixed)
-    else:
-        res_mean = ResourceReport(
-            *(v / t_runs for v in totals.as_tuple())
-        )
     return EstimateReport(
         mu=mu,
         stderr=stderr,

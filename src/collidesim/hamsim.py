@@ -1,24 +1,26 @@
-"""Compilers for one collision unitary e^{-i beta dt Hbar}.
+"""Compilers for one collision unitary e^{-i tau Hbar}.
 
-All routes consume a NormalizedPauliSum Hbar = sum_l p_l P_l (p_l > 0,
-sum = 1, each P_l a signed Pauli word) plus the scale beta and duration dt.
-Rotation emission folds a word's -1 sign into the angle so every rotation
-axis is a bare (+1 phase) word.
+All routes consume one target: a NormalizedPauliSum Hbar = sum_l p_l P_l
+(p_l > 0, sum = 1, each P_l a signed Pauli word) and the angle tau >= 0
+(a collision's tau is beta dt, its total weight times its duration; see
+collisions.CollisionSpec.joint). Rotation emission folds a word's -1 sign
+into the angle so every rotation axis is a bare (+1 phase) word.
 
 Routes:
 
-  trotter order 1      steps repetitions of prod_l e^{-i (beta dt/steps) p_l P_l}
+  trotter order 1      steps repetitions of prod_l e^{-i (tau/steps) p_l P_l}
   trotter order 2k     Suzuki recursion, step schedule length 2*5^(k-1)*L
-  qdrift               N gates e^{-i (beta dt/N) P_l}, l ~ p i.i.d.
+  qdrift               N gates e^{-i (tau/N) P_l}, l ~ p i.i.d.
   sampled LCU          r segments, each a Hadamard-test-ready product
                        (-i)^k P_l1 ... P_lk e^{-i phi_k P_m} drawn so that the
                        mean over draws is Utilde / alpha_total, with Utilde the
                        degree-(q+1) Taylor truncation of a segment, powered r.
 
-Step/length/order choosers implement the matching worst-case formulas; the
-empirical strategy instead doubles the step count until the dense product is
-within eps_prime of the exact exponential, and keeps the count it finds on
-the normalized sum, so later plans on the same sum do not search again.
+Step/length/order choosers implement the matching worst-case formulas, each
+a function of tau alone; the empirical strategy instead doubles the step
+count until the dense product is within eps_prime of the exact exponential,
+and keeps the count it finds on the normalized sum, so later plans on the
+same sum do not search again.
 
 Every schedule is a RotationTable, walked in order (a Trotter step) or by a
 draw's picks, and rotations_dense is the one builder of its dense unitary
@@ -276,12 +278,13 @@ def _suzuki_fractions(k, n_terms):
     return tuple(outer * 2 + middle + outer * 2)
 
 
-def trotter_step(nh, beta, dt, steps, order=1):
-    """One step of the product formula: a RotationTable of (bare axis,
-    angle) in application order; the full formula applies it `steps` times."""
+def trotter_step(nh, tau, steps, order=1):
+    """One step of the product formula for e^{-i tau Hbar}: a RotationTable
+    of (bare axis, angle) in application order; the full formula applies it
+    `steps` times."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
-    lam = beta * dt / steps
+    lam = tau / steps
     if order == 1:
         schedule = tuple((l, 1.0) for l in range(len(nh)))
     elif order >= 2 and order % 2 == 0:
@@ -312,18 +315,17 @@ def _step_power(n, items, steps):
     return u
 
 
-def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy):
-    """Step count for a target dense error eps_prime.
+def choose_trotter_steps(nh, tau, order, eps_prime, strategy):
+    """Step count for e^{-i tau Hbar} at a target dense error eps_prime.
 
-    worst_case: ceil(c * (beta dt)^(1+1/p) * (1/eps')^(1/p)) with p = order and
+    worst_case: ceil(c * tau^(1+1/p) * (1/eps')^(1/p)) with p = order and
     documented constants c = 0.5 for order 1 (first-order commutator bound for
     a unit-weight sum), c = 1.0 otherwise. empirical: smallest power of two
     whose dense product is within eps_prime of the exact exponential, kept
-    on nh per (beta, dt, order, eps_prime).
+    on nh per (tau, order, eps_prime).
     """
     if eps_prime <= 0:
         raise ValueError("eps_prime must be > 0")
-    tau = beta * dt
     if tau == 0:
         return 1
     if strategy == "worst_case":
@@ -331,19 +333,19 @@ def choose_trotter_steps(nh, beta, dt, order, eps_prime, strategy):
         return max(1, math.ceil(c * tau ** (1.0 + 1.0 / order) * (1.0 / eps_prime) ** (1.0 / order)))
     if strategy != "empirical":
         raise ValueError(f"unknown strategy {strategy!r}")
-    key = ("empirical_steps", beta, dt, order, eps_prime)
-    return _derived(nh, key, lambda: _empirical_steps(nh, beta, dt, order, eps_prime))
+    key = ("empirical_steps", tau, order, eps_prime)
+    return _derived(nh, key, lambda: _empirical_steps(nh, tau, order, eps_prime))
 
 
-def _empirical_steps(nh, beta, dt, order, eps_prime):
+def _empirical_steps(nh, tau, order, eps_prime):
     """Smallest power of two whose dense product is within eps_prime of the
     exact exponential, up to _EMPIRICAL_STEP_CAP."""
     from .oracles import spectral_norm, unitary_exact
 
-    target = unitary_exact(nh.h, beta * dt)
+    target = unitary_exact(nh.h, tau)
     steps = 1
     while steps <= _EMPIRICAL_STEP_CAP:
-        product = step_unitary(trotter_step(nh, beta, dt, steps, order), steps)
+        product = step_unitary(trotter_step(nh, tau, steps, order), steps)
         if spectral_norm(target - product) <= eps_prime:
             return steps
         steps *= 2
@@ -353,11 +355,11 @@ def _empirical_steps(nh, beta, dt, order, eps_prime):
 # ----------------------------------------------------------------- qDRIFT
 
 
-def choose_qdrift_length(beta, dt, eps_prime):
-    """N = ceil(2 (beta dt)^2 / eps_prime), at least 1."""
+def choose_qdrift_length(tau, eps_prime):
+    """N = ceil(2 tau^2 / eps_prime), at least 1."""
     if eps_prime <= 0:
         raise ValueError("eps_prime must be > 0")
-    return max(1, math.ceil(2.0 * (beta * dt) ** 2 / eps_prime))
+    return max(1, math.ceil(2.0 * tau**2 / eps_prime))
 
 
 def _signed_axes(nh):
@@ -365,12 +367,12 @@ def _signed_axes(nh):
     return _derived(nh, "axes", lambda: tuple((p.bare(), _term_sign(p)) for _, p in nh.h.terms))
 
 
-def qdrift_table(nh, beta, dt, length):
+def qdrift_table(nh, tau, length):
     """The table qdrift_rotations draws from: per term l, the rotation (bare
-    axis of term l, its sign times beta dt/N)."""
+    axis of term l, its sign times tau/N)."""
     if length < 1:
         raise ValueError("length must be >= 1")
-    base = beta * dt / length
+    base = tau / length
 
     def make():
         return RotationTable(nh.n, ((axis, base * sign) for axis, sign in _signed_axes(nh)))
@@ -378,9 +380,9 @@ def qdrift_table(nh, beta, dt, length):
     return _derived(nh, ("qdrift", base), make)
 
 
-def qdrift_rotations(nh, beta, dt, length, rng):
+def qdrift_rotations(nh, tau, length, rng):
     """length draws l ~ p into qdrift_table."""
-    table = qdrift_table(nh, beta, dt, length)
+    table = qdrift_table(nh, tau, length)
     picks = np.atleast_1d(nh.sample_term(rng, size=length))
     return Draw(table, tuple(picks.tolist()))
 

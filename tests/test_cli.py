@@ -543,8 +543,9 @@ def test_sweep_axis_validation(tmp_path, capsys):
         (["sweep", "--axis", "eps", "--values", "abc"], "dynamics.eps"),
         (["sweep", "--axis", "nu", "--values", "2,abc"], "dynamics.nu"),
         (["sweep", "--axis", "nu", "--values", "auto"], "dynamics.nu"),
+        (["resources", "--out", ""], "--out"),
     ],
-    ids=["backend-k-zero", "backend-k-text", "eps-text", "nu-text", "nu-auto"],
+    ids=["backend-k-zero", "backend-k-text", "eps-text", "nu-text", "nu-auto", "out-empty"],
 )
 def test_flags_and_sweep_values_name_their_key(tmp_path, capsys, argv, name):
     assert cli.main(argv + ["--config", _bench_cfg(tmp_path)]) == 1

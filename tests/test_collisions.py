@@ -102,14 +102,15 @@ def test_spec_validation():
 
 def test_joint_hamiltonian_and_dense_unitary():
     spec = _two_collision_spec()
-    nh, beta = spec.joint(0)
+    nh, tau = spec.joint(0)
+    assert tau == nh.beta * spec.dt
     want_h = (
         0.4 * np.kron(np.diag([1.0, -1.0]), np.eye(2))
         + 0.3 * np.kron(np.eye(2), np.array([[0, 1], [1, 0]]))
         + pauli_sum([(0.5, "XX"), (0.2, "-ZY")]).to_dense()
     )
-    np.testing.assert_allclose(beta * nh.h.to_dense(), want_h, atol=1e-13)
-    assert beta == pytest.approx(0.4 + 0.3 + 0.5 + 0.2)
+    np.testing.assert_allclose(nh.beta * nh.h.to_dense(), want_h, atol=1e-13)
+    assert nh.beta == pytest.approx(0.4 + 0.3 + 0.5 + 0.2)
     np.testing.assert_allclose(
         spec.dense_unitary(0), expm(-1j * 0.2 * want_h), atol=1e-12
     )
@@ -256,6 +257,17 @@ def test_parse_backend():
     assert not parse_backend("qdrift").deterministic
     assert parse_backend("trotter2k:1").label() == "trotter2k:1"
     assert parse_backend("trotter1", steps=7).steps == 7
+    assert parse_backend("salcu", q=0).q == 0  # q = 0 is an order; None chooses one
+    assert parse_backend("salcu").q is None and parse_backend("trotter1").steps is None
+    for field, value, bound in (
+        ("steps", 0, ">= 1"),
+        ("length", 0, ">= 1"),
+        ("r", -1, ">= 1"),
+        ("q", -2, "a nonnegative even integer"),
+        ("q", 3, "a nonnegative even integer"),
+    ):
+        with pytest.raises(ValueError, match=f"backend {field} must be {bound}, got {value}"):
+            parse_backend("salcu", **{field: value})
     with pytest.raises(ValueError):
         parse_backend("suzuki")
     with pytest.raises(ValueError):
@@ -267,6 +279,7 @@ def test_parse_backend():
 def test_markov_plan_caching_and_zeta():
     model = amp_damp_model(2, J=0.8, h=0.2, gamma=0.9)
     spec = lindblad_collision_spec(model, 1.0, 3)  # K = 6, two unique collisions
+    assert spec.unique_index == (0, 1) * 3 and spec.first_use == (0, 1)
     plan = markov_plan(spec, parse_backend("trotter1"), 0.05, 1.0)
     assert plan.eps_prime == pytest.approx(required_precision(6, 1.0, 0.05))
     assert len(plan.per_collision) == 6
@@ -463,7 +476,7 @@ def test_nonmarkov_program_matches_exact_at_p_one():
     rho = _rand_rho(rng, 1)
     nmspec = NonMarkovSpec(spec, 1.0)
     plan = markov_plan(spec, parse_backend("trotter1"), 1e-4, 1.0)
-    prog = nonmarkov_program(nmspec, plan, np.random.default_rng(0))
+    prog = nonmarkov_program(nmspec, plan)  # every swap is certain: nothing to draw
     got = execute(prog, rho, spec.env_preparers())
     assert trace_distance(got, exact_nonmarkov(nmspec, rho)) < 1e-4
 
@@ -473,6 +486,7 @@ def test_spec_survives_pickling():
     rho = DensityMatrix.plus()
     spec.dense_unitary(0)  # populate the cache that pickling must drop
     again = pickle.loads(pickle.dumps(spec))
+    assert spec._cache and again._cache == {}
     assert trace_distance(exact_k_collision(again, rho), exact_k_collision(spec, rho)) < 1e-13
 
 

@@ -36,6 +36,7 @@ from collidesim import (
 from collidesim.acceptance import _random_collision
 from collidesim.errors import NumericalError
 from collidesim.circuits import Skeleton, count_resources
+from collidesim.collisions import nonmarkov_skeleton
 from collidesim.estimator import measured_observable, resolve_plan, run_once
 from dense_reference import (
     count_items,
@@ -161,6 +162,22 @@ def test_worker_count_does_not_change_the_estimate():
     assert parallel.mu == serial.mu
     assert parallel.stderr == serial.stderr
     assert parallel.resources_mean.as_tuple() == serial.resources_mean.as_tuple()
+
+
+def test_run_independent_estimates_start_no_worker(monkeypatch):
+    # every run of a fixed program or of the exact map only reads one outcome
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a run-independent estimate started worker processes")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    spec = _spec()
+    for backend in ("trotter1", "exact"):
+        kw = dict(eps=0.2, delta=0.2, seed=5, measurement="shot")
+        serial = estimate(spec, RHO0, OBS, backend, **kw)
+        parallel = estimate(spec, RHO0, OBS, backend, workers=2, **kw)
+        assert parallel.t_runs > 1 and repr(parallel) == repr(serial)
 
 
 def test_salcu_estimate_is_unbiased_and_bounded():
@@ -363,6 +380,8 @@ SKELETON_CASES = [
     ("salcu", None, "shot"),
     ("qdrift", 0.5, "analytic"),
     ("trotter2k:1", 0.5, "analytic"),
+    ("qdrift", 1.0, "analytic"),
+    ("salcu", 1.0, "shot"),
 ]
 
 
@@ -390,6 +409,10 @@ def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measu
         totals = totals + count_resources(program)
     assert rep.samples == tuple(want)
     assert rep.resources_mean == ResourceReport(*(v / runs for v in totals.as_tuple()))
+    if p_swap == 1.0:  # a certain swap is closed: a run draws only its fragments
+        skeleton = nonmarkov_skeleton(spec, plan)
+        assert skeleton.draws and all(skeleton.template.ops[i].kind == "fragment"
+                                      for i, _ in skeleton.draws)
 
 
 def test_randomized_estimates_check_and_price_no_program_per_run(monkeypatch):
