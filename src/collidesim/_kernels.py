@@ -3,12 +3,12 @@
 ``ACTIVE`` names the set for reports; ``python3 perfbench/kernel_sweep.py``
 times each kernel by matrix dimension.
 
-Collisions do not go through the conjugation kernels: a Markov collision
-runs as a Kraus map on the system (states.apply_kraus), any other fragment
-as one dense U rho U†, or one side of it on an ancilla block, in
-states.apply_sides. The two sparse conjugations serve register
-swaps and the single Pauli words and rotations of states.apply_pauli and
-states.apply_pauli_rotation, whose unitaries are at most 2-sparse per row:
+Collisions do not go through the conjugation kernels: every run, Markov or
+not, is a sequence of Kraus maps on the system (states.apply_kraus). The
+two sparse conjugations serve the register swaps of states.apply_swap and
+the single Pauli words and rotations of states.apply_pauli and
+states.apply_pauli_rotation, which no program runs; their unitaries are at
+most 2-sparse per row:
 
     monomial:   U|c> = amps[c] |perm[c]>            (Pauli words, controlled
                 Pauli words, swaps, phases)

@@ -2,9 +2,9 @@
 
 A program owns one system register, an optional single control ancilla, and
 a set of environment slots that are prepared fresh, collided with, and traced
-away (possibly several times per slot). The live register at an op is the
-system first, then the slots active there in order of preparation, so a
-freshly prepared slot always lands on the least significant qubits.
+away (possibly several times per slot). At most two slots are live at
+once, and a fragment acts while at most one is, so its live register is
+the system, then that slot on the least significant qubits.
 
 One rule is the program grammar: a fragment's table acts on the whole live
 register. Its `step` is a hamsim.RotationTable of items, rotations (bare
@@ -23,24 +23,28 @@ rho_ab of the ancilla (+) system state (a, b the ancilla values), and a
 controlled fragment multiplies a block on the side(s) whose ancilla value
 matches its polarity.
 
-Execution. execute runs a program as a Skeleton (below) with no open op.
-A Markov collision is a Kraus map on the system, so every window of the op
-sequence that is one runs as such: a `prepare` while no env slot is active,
-then fragments, then the slot's `trace`. Every markov_program is made of
-such windows. With the env state's eigen-columns E = [sqrt(p_b) e_b], the
-window's fragments that act on one side of a block are applied to
-I (x) E (states.kraus_start), giving V = U (I x E), whose d_s x d_s blocks
-are the Kraus operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block
-then becomes sum_k L_k rho R_k† through states.apply_kraus, the exact maps'
-kernel. A sampled fragment is built by hamsim.rotations_dense on the
-d_s * rank(E) columns of I (x) E alone, a product-formula one is its step
-unitary (hamsim.step_unitary) times I (x) E. Any other op sequence (two live
-slots, swaps) runs on the joint register: a prepare appends the env
-(states.tensor_append), a fragment's unitary conjugates every block through
-states.apply_sides or, when controlled, multiplies each block on its
-matching side(s), and a trace removes the slot (states.partial_trace). A
-sampled fragment is built once for its run and never memoized, but its
-table keeps each entry's action across the draws of an estimate.
+Execution. execute runs a program as a Skeleton (below) with no open op,
+and every run is a sequence of Kraus windows on the system plus one env.
+A window opens at a `prepare` while no env slot is live and collects the
+fragments that follow. With the env state's eigen-columns
+E = [sqrt(p_b) e_b], the window's fragments that act on one side of a
+block are applied to I (x) E (states.kraus_start), giving V = U (I x E),
+whose d_s x d_s blocks are the Kraus operators
+K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block then becomes
+sum_k L_k rho R_k† through states.apply_kraus, the exact maps' kernel. A
+sampled fragment is built by hamsim.rotations_dense on the d_s * rank(E)
+columns of V alone, a product-formula one is its step unitary
+(hamsim.step_unitary) times V. Between collisions on two slots a and b
+sits a cut or a carry. A cut, `prepare b; trace a`, traces the collided
+env: the open window is applied and the next starts from I (x) E of b's
+fresh state. A carry, `prepare b; swap(a, b); trace a`, hands the collided
+env on to b: V is kept and the next collision's fragments multiply it.
+An open swap is a cut or a carry by the run's draw. Fragments while no
+slot is live form a one-operator window from the identity. validate
+accepts exactly these shapes, so a program that validates is one that
+executes. A sampled fragment is built once for its run and never
+memoized, but its table keeps each entry's action across the draws of an
+estimate.
 
 Skeletons. A randomized estimate runs one program shape many times, so it
 builds a Skeleton once: the program with its sampled fragments' picks and
@@ -123,28 +127,39 @@ class CircuitProgram:
         self.validate()
 
     def validate(self):
-        active = set()
-        live = self.n_system  # the live register's width
-        for op in self.ops:
+        """Accept exactly the programs Skeleton.run executes. At most two env
+        slots are live: the one the open window collides and a fresh one
+        prepared after it. A fragment acts while at most one slot is live,
+        and a swap sits only in `prepare b; swap(a, b); trace a`, with a the
+        older slot."""
+        live = []  # active slots in order of preparation
+        width = self.n_system  # the live register's width
+        ops = self.ops
+        for i, op in enumerate(ops):
             if op.kind == "prepare":
-                if op.slot in active:
-                    raise ValueError(f"slot {op.slot} prepared while active")
                 if not 0 <= op.slot < len(self.env_widths):
                     raise ValueError(f"unknown slot {op.slot}")
-                active.add(op.slot)
-                live += self.env_widths[op.slot]
+                if op.slot in live:
+                    raise ValueError(f"slot {op.slot} prepared while active")
+                if len(live) == 2:
+                    raise ValueError(f"slot {op.slot} prepared while slots {live} are live")
+                live.append(op.slot)
+                width += self.env_widths[op.slot]
             elif op.kind == "trace":
-                if op.slot not in active:
+                if op.slot not in live:
                     raise ValueError(f"slot {op.slot} traced while inactive")
-                active.discard(op.slot)
-                live -= self.env_widths[op.slot]
+                live.remove(op.slot)
+                width -= self.env_widths[op.slot]
             elif op.kind == "swap":
                 a, b = op.slots
-                if a == b or a not in active or b not in active:
-                    raise ValueError(f"swap needs two distinct active slots, got {op.slots}")
+                around = [(o.kind, o.slot) for o in ops[max(i - 1, 0) : i + 2]]
+                if live != [a, b] or around != [("prepare", b), ("swap", None), ("trace", a)]:
+                    raise ValueError(f"swap {op.slots} outside prepare b; swap(a, b); trace a")
                 if self.env_widths[a] != self.env_widths[b]:
                     raise ValueError("swap needs equal slot widths")
             else:  # fragment
+                if len(live) == 2:
+                    raise ValueError(f"fragment while slots {live} are live")
                 if op.polarity is not None and (not self.ancilla or op.polarity not in (0, 1)):
                     raise ValueError("a polarity is 0 or 1 and needs the ancilla")
                 if op.steps < 1 or not op.step:
@@ -154,10 +169,10 @@ class CircuitProgram:
                         raise ValueError("a sampled fragment is one draw: steps must be 1")
                     if not op.picks or min(op.picks) < 0 or max(op.picks) >= len(op.step):
                         raise ValueError("a sampled fragment needs picks in range(len(step))")
-                if op.step.n != live:  # entries checked as they entered
-                    raise ValueError(f"fragment width {op.step.n} != live register width {live}")
-        if active:
-            raise ValueError(f"slots never traced: {sorted(active)}")
+                if op.step.n != width:  # entries checked as they entered
+                    raise ValueError(f"fragment width {op.step.n} != live register width {width}")
+        if live:
+            raise ValueError(f"slots never traced: {sorted(live)}")
 
 
 ANCILLA_BLOCKS = ((0, 0), (1, 1), (1, 0))  # what a shot readout of the joined state needs
@@ -179,13 +194,11 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     of every block, and prepare and trace act on each block. rho_10 alone
     gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10].
 
-    A collision window (prepare on an empty environment, fragments, its
-    trace) runs as a Kraus map on each block and never builds the joint
-    state; every other op runs on the joint register, where each fragment's
-    unitary is the whole live register's. Both raise the same errors: a
-    preparer of the wrong width is a ValueError, a joint register past the
-    dense limit a DenseLimitError. A window also refuses an env state with
-    an eigenvalue below -1e-12 (NumericalError), as the exact map does. The
+    Every run is a sequence of Kraus windows on each block (see the module
+    docstring) and never builds a joint register of two env slots. A
+    preparer of the wrong width is a ValueError, a system and env register
+    past the dense limit a DenseLimitError, and an env state with an
+    eigenvalue below -1e-12 a NumericalError, as in the exact map. The
     program runs as a Skeleton with no open op.
     """
     return Skeleton(program, (), env_preparers).run((), rho_system, blocks)
@@ -205,25 +218,12 @@ def _registers(program, rho_system, blocks):
     return {None: rho_system.copy()}
 
 
-def _window_end(program, start):
-    """Index of the trace that closes a Kraus window opened by the prepare at
-    `start` on an empty environment, or None: the window's ops must be
-    fragments, each on the system and that slot (the live register), then
-    the slot's trace."""
-    for end in range(start + 1, len(program.ops)):
-        kind = program.ops[end].kind
-        if kind == "trace":  # the slot is the only one active, so it is this slot's
-            return end
-        if kind != "fragment":
-            return None
-    return None
-
-
 def _run_window(start, frags, draw, n_system, regs):
     """Run one Kraus window, its fragments given as (op, unitary, draw
     position), on every block. The window's fragments that act on ancilla
-    value v (all of them without an ancilla), applied to `start` = I (x) E,
-    give V_v = U_v (I x E), whose d_s x d_s blocks are the Kraus operators
+    value v (all of them without an ancilla), applied to `start` = I (x) E
+    (the identity while no env is live), give V_v = U_v (I x E), whose
+    d_s x d_s blocks are the Kraus operators
     of that side; block rho_ab becomes sum_k L_k rho_ab R_k† with L_k from
     V_a and R_k from V_b."""
     ds = 1 << n_system
@@ -249,17 +249,16 @@ def _run_window(start, frags, draw, n_system, regs):
         reg.data = states.apply_kraus(reg.data, stacked[row], adjoints[col])
 
 
-def _unitary(frag, draw, start=None):
-    """Dense unitary on the live register of a fragment given as (op, unitary,
-    draw position): the unitary of a closed product-formula fragment, or a
-    sampled one built from its picks, the op's own or the draw's at that
-    position. With a d x c `start`, the unitary times start, a sampled one
-    built on those columns alone."""
+def _unitary(frag, draw, start):
+    """The dense unitary on the live register of a fragment given as (op,
+    unitary, draw position), times the d x c `start`: the unitary of a closed
+    product-formula fragment, or a sampled one built on those columns alone
+    from its picks, the op's own or the draw's at that position."""
     op, u, pos = frag
     if u is None:
         picks = op.picks if pos is None else draw[pos]
         return rotations_dense(op.step, picks, start)
-    return u if start is None else u @ start
+    return u @ start
 
 
 class Skeleton:
@@ -277,18 +276,19 @@ class Skeleton:
 
     `env_preparers` maps each prepare's key to its preparer, as execute
     takes them. Before its first run a skeleton works out once what no run
-    changes: its Kraus windows, each prepare's fresh state and each
-    window's start I (x) E (one preparer call and one eigh per prep key),
-    each closed fragment's unitary, and the physical qubits of every trace
-    and swap (fixed, since a swap never changes which slots are active). A
-    run reads only its draw and does the arithmetic.
+    changes: its windows, split at every cut and open swap, each prepare's
+    fresh state and window start I (x) E (one preparer call and one eigh
+    per prep key), and each closed fragment's unitary; a closed swap's
+    carry joins two windows there. A run reads only its draw, where a kept
+    swap carries the open window on and a dropped one cuts it, and does
+    the arithmetic.
     """
 
     def __init__(self, template, draws, env_preparers=None):
         self.template = template
         self.draws = tuple(draws)
         self.env_preparers = env_preparers
-        self._steps = None  # worked out at the first run
+        self._windows = None  # worked out at the first run
 
     @property
     def ancilla(self):
@@ -318,89 +318,70 @@ class Skeleton:
         """The final state of one draw, as execute(self.fill(draw), ...) gives it."""
         t = self.template
         regs = _registers(t, rho_system, blocks)
-        if self._steps is None:
-            self._steps = self._compile()
-        for step in self._steps:
-            kind = step[0]
-            if kind == "window":
-                _run_window(step[1], step[2], draw, t.n_system, regs)
-            elif kind == "prepare":
-                for reg in regs.values():
-                    states.tensor_append(reg, step[1])
-            elif kind == "trace":
-                for reg in regs.values():
-                    states.partial_trace(reg, step[1])
-            elif kind == "swap":
-                _, qubits_a, qubits_b, pos = step
-                if pos is None or draw[pos]:
-                    for reg in regs.values():
-                        states.apply_swap(reg, qubits_a, qubits_b)
-            else:  # fragment
-                frag = step[1]
-                op, u = frag[0], _unitary(frag, draw)
-                for key, reg in regs.items():
-                    row, col = (None, None) if key is None else key
-                    left = u if op.polarity is None or row == op.polarity else None
-                    right = u if op.polarity is None or col == op.polarity else None
-                    if left is not None or right is not None:
-                        states.apply_sides(reg, left, right)
+        if self._windows is None:
+            self._windows = self._compile()
+        start, frags = None, ()
+        for next_start, pos, next_frags in self._windows:
+            if pos is not None and draw[pos]:  # a kept swap carries the env on
+                frags += next_frags
+                continue
+            if frags:
+                _run_window(start, frags, draw, t.n_system, regs)
+            start, frags = next_start, next_frags
+        if frags:
+            _run_window(start, frags, draw, t.n_system, regs)
         return regs if t.ancilla else regs[None]
 
     def _compile(self):
-        """A run's steps in op order: ("window", I (x) E, frags) per Kraus
-        window, else ("prepare", fresh state), ("trace", qubits), ("swap",
-        qubits, qubits, pos) or ("fragment", frag). A frag is (op,
-        its unitary if closed and product formula, pos), and pos is the
-        op's draw position, None when closed."""
+        """A run's windows in op order, each (start, pos, frags): the start
+        I (x) E of the env it collides, or the identity while no slot is
+        live; the draw position of the open swap that carries the previous
+        window's env into it instead, else None; and its fragments, each
+        (op, its unitary if closed and product formula, pos), pos the op's
+        draw position, None when closed. A closed swap's carry joins its
+        fragments to the previous window here."""
         t = self.template
         ops, n = t.ops, t.n_system
         position = {index: pos for pos, (index, _) in enumerate(self.draws)}
-        fresh, starts = {}, {}  # per prep key: the fresh state, a window's I (x) E
-        active = []  # slot ids in preparation order
+        fresh, starts = {}, {}  # per prep key: the fresh state, its I (x) E
+        bare = np.eye(1 << n, dtype=np.complex128)  # the start while no slot is live
+        bare.setflags(write=False)
+        windows = [(bare, None, [])]
+        live = []  # (slot, prep key) of each active slot, in order of preparation
 
-        def prepared(op):
-            key = op.slot if op.prep is None else op.prep
-            if key not in fresh:
-                fresh[key] = self.env_preparers[key]()
-            if fresh[key].n != t.env_widths[op.slot]:
-                raise ValueError(f"slot {op.slot} preparer has wrong width")
-            return key
+        def cut(start, pos=None):
+            if pos is None and not windows[-1][2]:  # an empty window opens nothing
+                windows[-1] = (start, None, [])
+            else:
+                windows.append((start, pos, []))
 
-        def frag(i):
-            op = ops[i]
-            closed = op.picks is None and i not in position
-            return op, step_unitary(op.step, op.steps) if closed else None, position.get(i)
-
-        def qubits(slot):
-            base = n + sum(t.env_widths[s] for s in active[: active.index(slot)])
-            return list(range(base, base + t.env_widths[slot]))
-
-        steps = []
-        i = 0
-        while i < len(ops):
-            op = ops[i]
-            end = None if active or op.kind != "prepare" else _window_end(t, i)
-            if end is not None:
-                key = prepared(op)
+        for i, op in enumerate(ops):
+            if op.kind == "fragment":
+                closed = op.picks is None and i not in position
+                unitary = step_unitary(op.step, op.steps) if closed else None
+                windows[-1][2].append((op, unitary, position.get(i)))
+            elif op.kind == "prepare":
+                key = op.slot if op.prep is None else op.prep
+                if key not in fresh:
+                    fresh[key] = self.env_preparers[key]()
+                if fresh[key].n != t.env_widths[op.slot]:
+                    raise ValueError(f"slot {op.slot} preparer has wrong width")
                 if key not in starts:
                     check_dense(n + fresh[key].n)
                     starts[key] = states.kraus_start(n, fresh[key].data)
-                steps.append(("window", starts[key], tuple(frag(f) for f in range(i + 1, end))))
-                i = end + 1
-                continue
-            if op.kind == "prepare":
-                steps.append(("prepare", fresh[prepared(op)]))
-                active.append(op.slot)
-            elif op.kind == "trace":
-                steps.append(("trace", qubits(op.slot)))
-                active.remove(op.slot)
-            elif op.kind == "swap":
-                a, b = op.slots
-                steps.append(("swap", qubits(a), qubits(b), position.get(i)))
-            else:  # fragment
-                steps.append(("fragment", frag(i)))
-            i += 1
-        return tuple(steps)
+                if not live:
+                    cut(starts[key])
+                live.append((op.slot, key))
+            elif op.kind == "trace":  # a swap is read at the trace that follows it
+                older = live[0][0] == op.slot
+                live = [entry for entry in live if entry[0] != op.slot]
+                if not live:
+                    cut(bare)
+                elif older and ops[i - 1].kind != "swap":  # the collided env goes: a cut
+                    cut(starts[live[0][1]])
+                elif older and i - 1 in position:  # an open swap: a cut or a carry
+                    cut(starts[live[0][1]], position[i - 1])
+        return tuple((start, pos, tuple(frags)) for start, pos, frags in windows)
 
     def tally(self):
         return _Tally(self)

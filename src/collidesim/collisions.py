@@ -14,8 +14,8 @@ Tr_E[U_j(. x rho_Ej)U_j†] as Kraus maps on the system: with rho_Ej = sum_b
 p_b |e_b><e_b|, collision j is rho -> sum_ab K_ab rho K_ab† with
 K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>), so the exact state never
 carries an env register; the eigen-columns, the stacking and the two-matmul
-step are states' Kraus helpers, which circuits.execute runs every Markov
-collision of a program through as well.
+step are states' Kraus helpers, which every program run goes through as
+well, Markov or not.
 Programs replace each U_j with a compiled approximation at the per-collision
 precision eps' = eps_c/(3 K normO) (triangle inequality over K collisions),
 where eps_c is the part of the target bias the circuits may spend. One rule,
@@ -35,7 +35,11 @@ Odd j collides the first register, even j the second; the last collision has
 no swap. The exact map needs only one env: appending sigma_{j+1}, mixing with
 the swap and tracing the collided env gives Tr_Ea[(1-p) rho x sigma_{j+1} +
 p S(rho x sigma_{j+1})S†] = (1-p) Tr_E[rho] x sigma_{j+1} + p rho, since the
-swap hands the collided env to the surviving register.
+swap hands the collided env to the surviving register. A program keeps
+both registers and the swap op, so it is priced as the circuit on n + 2w
+qubits, but it runs on the system and one env: a kept swap carries the
+collided env into the next collision, and a dropped one cuts the Kraus
+window there (circuits).
 """
 
 import math
@@ -374,14 +378,6 @@ def _compile_param(backend, nh, tau, k_total, eps_prime):
 # ------------------------------------------------------- program emission
 
 
-def _qdrift_picks(nh, tau, length, rng):
-    return hamsim.qdrift_rotations(nh, tau, length, rng).picks
-
-
-def _lcu_picks(nh, params, rng):
-    return hamsim.lcu_sample(nh, params, rng).picks
-
-
 def _swap_kept(p, rng):
     return bool(rng.random() < p)
 
@@ -391,7 +387,8 @@ def _collision_parts(spec, plan):
     draw): the product-formula step (polarity None, no draw), the qDRIFT
     table and its draw, or the sampled-LCU pair on one table, the controlled
     X (polarity 1) then the anti-controlled Y (polarity 0), each drawn on
-    its own. A draw maps a run's generator to the fragment's picks."""
+    its own. A draw maps a run's generator to the fragment's picks, with
+    its collision's table (and salcu's segment-order table) bound once."""
     return [_fragments(plan.backend, *spec.joint(j), plan.per_collision[j]) for j in spec.first_use]
 
 
@@ -400,9 +397,9 @@ def _fragments(backend, nh, tau, param):
         return ((hamsim.trotter_step(nh, tau, param, backend.order), param, None, None),)
     if backend.kind == "qdrift":
         table = hamsim.qdrift_table(nh, tau, param)
-        return ((table, 1, None, partial(_qdrift_picks, nh, tau, param)),)
+        return ((table, 1, None, partial(hamsim.qdrift_picks, nh, param)),)
     table = hamsim.lcu_table(nh, param)  # salcu
-    draw = partial(_lcu_picks, nh, param)
+    draw = partial(hamsim.lcu_picks, nh, table, hamsim._k_cdf(param.weights), param.r)
     return ((table, 1, 1, draw), (table, 1, 0, draw))
 
 
@@ -457,10 +454,11 @@ def nonmarkov_skeleton(nmspec, plan):
     slot 0, even collisions slot 1, with the fragments of markov_skeleton.
 
     After each non-final collision the fresh env lands in the other slot and
-    the just-collided slot is swapped with it, then traced. The swap is an
-    open op kept with probability p per run when 0 < p < 1, a closed op at
-    p = 1 and absent at p = 0. A run draws each collision's fragments, then
-    its swap. It holds the base spec's env preparers.
+    the just-collided slot is swapped with it, then traced: a carry when the
+    swap is kept, a cut without it. The swap is an open op kept with
+    probability p per run when 0 < p < 1, a closed op at p = 1 and absent at
+    p = 0. A run draws each collision's fragments, then its swap. It holds
+    the base spec's env preparers.
     """
     spec, p = nmspec.base, nmspec.p
     parts = _collision_parts(spec, plan)

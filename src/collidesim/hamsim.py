@@ -37,7 +37,8 @@ holds the rotation of every (segment order, term) pair, then each word as
 it is first drawn. Tables are kept on the normalized sum (its `derived`
 dict), per compiler parameters, for as long as the sum lives, so all draws
 of an estimate share them; qdrift_table and lcu_table name a table before
-any draw, as a program skeleton needs. rotations_dense keeps each entry's
+any draw, as a program skeleton needs, and qdrift_picks and lcu_picks draw
+its picks with no table lookup per draw. rotations_dense keeps each entry's
 dense action on a table walked by picks. A table's kept actions write one
 buffer, so a table is used by one thread at a time; estimates run in
 parallel as processes.
@@ -339,14 +340,18 @@ def choose_trotter_steps(nh, tau, order, eps_prime, strategy):
 
 def _empirical_steps(nh, tau, order, eps_prime):
     """Smallest power of two whose dense product is within eps_prime of the
-    exact exponential, up to _EMPIRICAL_STEP_CAP."""
+    exact exponential, up to _EMPIRICAL_STEP_CAP. The largest column norm
+    of the difference is a lower bound on its spectral norm, so a count it
+    puts above eps_prime (1 + 1e-12), past rounding, is rejected without an
+    SVD; the spectral norm decides the rest."""
     from .oracles import spectral_norm, unitary_exact
 
     target = unitary_exact(nh.h, tau)
     steps = 1
     while steps <= _EMPIRICAL_STEP_CAP:
-        product = step_unitary(trotter_step(nh, tau, steps, order), steps)
-        if spectral_norm(target - product) <= eps_prime:
+        diff = target - step_unitary(trotter_step(nh, tau, steps, order), steps)
+        column = float(np.linalg.norm(diff, axis=0).max())
+        if column <= eps_prime * (1.0 + 1e-12) and spectral_norm(diff) <= eps_prime:
             return steps
         steps *= 2
     raise NumericalError(f"no step count up to {_EMPIRICAL_STEP_CAP} reaches {eps_prime}")
@@ -382,9 +387,13 @@ def qdrift_table(nh, tau, length):
 
 def qdrift_rotations(nh, tau, length, rng):
     """length draws l ~ p into qdrift_table."""
-    table = qdrift_table(nh, tau, length)
-    picks = np.atleast_1d(nh.sample_term(rng, size=length))
-    return Draw(table, tuple(picks.tolist()))
+    return Draw(qdrift_table(nh, tau, length), qdrift_picks(nh, length, rng))
+
+
+def qdrift_picks(nh, length, rng):
+    """The picks of one qDRIFT draw: length term indices l ~ p, which index
+    qdrift_table(nh, tau, length) for every tau."""
+    return tuple(np.atleast_1d(nh.sample_term(rng, size=length)).tolist())
 
 
 # ------------------------------------------------------------- sampled LCU
@@ -515,8 +524,15 @@ def lcu_sample(nh, params, rng):
     Utilde the factor lcu_enumerate_dense enumerates. Its picks hold, per
     segment, the rotation's entry and then the word's, unless the word is +I."""
     table = lcu_table(nh, params)
-    ks = 2 * draw_index(_k_cdf(params.weights), rng, params.r)
-    n_draws = int(ks.sum()) + params.r
+    return Draw(table, lcu_picks(nh, table, _k_cdf(params.weights), params.r, rng))
+
+
+def lcu_picks(nh, table, k_cdf, r, rng):
+    """The picks of one lcu_sample draw of r segments into its lcu_table,
+    the segment orders drawn from k_cdf, the _k_cdf of the weights; a
+    sampler that binds the table and k_cdf looks neither up per draw."""
+    ks = 2 * draw_index(k_cdf, rng, r)
+    n_draws = int(ks.sum()) + r
     drawn = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)).tolist())
     terms = nh.h.terms
     picks = []
@@ -545,7 +561,7 @@ def lcu_sample(nh, params, rng):
             if entry is None:
                 entry = table.words[key] = table.append((_word(nh.n, *key), None))
             picks.append(entry)
-    return Draw(table, tuple(picks))
+    return tuple(picks)
 
 
 @lru_cache(maxsize=4096)

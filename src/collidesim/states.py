@@ -6,23 +6,24 @@ their original relative order. Gate application mutates the state in place
 (the wrapped array is replaced); trace and Hermiticity are construction
 invariants, positivity is left to the tests.
 
-A collision on a freshly prepared env register runs as a Kraus map on the
-system: env_columns takes the env state's eigen-columns sqrt(p_b) e_b (one
-eigh, which a circuits.Skeleton and the exact map make once per env
-preparer), kraus_stacked and kraus_adjoints stack the operators
-K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and apply_kraus applies
-sum_k L_k rho R_k† as two matmuls; the exact maps and program execution
-share these. Any other fragment acts on the whole joint register as one
-dense unitary through apply_sides, L rho R† on both sides of a register
-or on one side of an ancilla block rho_ab (any state function here acts
-on such a block, whose trace and Hermiticity are not those of a state),
-between tensor_append and partial_trace; join_blocks assembles the
-ancilla (+) system state from rho_00, rho_11 and rho_10. The row tables
-here also build the unitaries one-sided in hamsim.rotations_dense. Single
-gates (register swaps, and the Pauli words and rotations of apply_pauli
-and apply_pauli_rotation, which no circuit op emits) are translated into
-the monomial / two-sparse form the kernels consume; those translations are
-memoized. Born draws read a cumulative table (collidesim._draws).
+The Markov exact map and every program run apply their collisions as Kraus
+maps on the system: env_columns takes the env state's eigen-columns
+sqrt(p_b) e_b (one eigh, which a circuits.Skeleton and the exact map make
+once per env preparer), kraus_stacked and kraus_adjoints stack the
+operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and apply_kraus applies
+sum_k L_k rho R_k† as two matmuls. A program runs as such windows on the
+system plus one env, so no run holds a joint register. With the sides of an
+ancilla-controlled window apply_kraus also moves a block rho_ab (any state
+function here acts on such a block, whose trace and Hermiticity are not
+those of a state), and join_blocks assembles the ancilla (+) system state
+from rho_00, rho_11 and rho_10. The row tables here also build the
+unitaries one-sided in hamsim.rotations_dense. tensor_append builds product
+states (models), and with partial_trace and the single gates (register
+swaps, and the Pauli words and rotations of apply_pauli and
+apply_pauli_rotation) it acts on a joint register that no program holds.
+Single gates are translated into the monomial / two-sparse form the kernels
+consume; those translations are memoized. Born draws read a cumulative
+table (collidesim._draws).
 """
 
 import struct
@@ -239,26 +240,6 @@ def apply_pauli_rotation(state, axis, angle, targets, control=None, polarity=1):
     state.data = _kernels.two_sparse_conj(
         state.data, _xor_index(n, g.x), np.ascontiguousarray(diag), np.ascontiguousarray(off)
     )
-    return state
-
-
-def apply_sides(state, left, right):
-    """state -> L state R† for dense L and R on the whole register; a side
-    given as None is the identity.
-
-    Conjugation is L = R; one side alone evolves an off-diagonal block of an
-    ancilla (+) system state under an ancilla-controlled unitary.
-    """
-    dim = state.data.shape[0]
-    for u in (left, right):
-        if u is not None and u.shape != (dim, dim):
-            raise ValueError(f"unitary shape {u.shape} does not fit a {state.n}-qubit register")
-    data = state.data
-    if left is not None:
-        data = left @ data
-    if right is not None:
-        data = data @ right.conj().T
-    state.data = data
     return state
 
 

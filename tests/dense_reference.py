@@ -16,14 +16,13 @@ rotations_by_item is the bit-for-bit reference of hamsim.rotations_dense.
 
 segments reads a sampled-LCU draw back as its Segments; sampled_dense and
 lcu_expected_dense are the dense forms of one such draw and of the Taylor
-factor its draws average to, and pauli_mul is the
-exact word product that lcu_sample's words are checked against;
-generic_path_calls counts the joint-register steps execute takes outside
-its Kraus windows, and per_run_program_calls the program checks and
-pricings that a skeleton's runs make once per estimate, not per run;
-memory_witness is the trace-distance revival that certifies non-Markovian
-backflow. jump_dense is a jump operator's 2^n x 2^n matrix. pauli_sum and
-write_state build test inputs.
+factor its draws average to, and pauli_mul is the exact word product that
+lcu_sample's words are checked against; generic_path_calls counts
+joint-register steps, which no run takes, and per_run_program_calls the
+program checks and pricings that a skeleton's runs make once per estimate,
+not per run; memory_witness is the trace-distance revival that certifies
+non-Markovian backflow. jump_dense is a jump operator's 2^n x 2^n matrix.
+pauli_sum and write_state build test inputs.
 """
 
 import math
@@ -317,9 +316,10 @@ def write_state(state, path):
 
 def generic_path_calls(monkeypatch):
     """Counter of the calls to states.tensor_append, partial_trace and
-    apply_sides, the joint-register steps of execute's generic path."""
+    apply_swap, the joint-register steps that execution never takes: every
+    run is Kraus windows on the system plus one env."""
     calls = Counter()
-    for name in ("tensor_append", "partial_trace", "apply_sides"):
+    for name in ("tensor_append", "partial_trace", "apply_swap"):
         real = getattr(states, name)
 
         def counted(*args, _name=name, _real=real, **kwargs):

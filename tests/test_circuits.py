@@ -28,6 +28,7 @@ from collidesim import (
     parse_backend,
 )
 from collidesim.acceptance import _random_collision
+from collidesim.collisions import nonmarkov_skeleton
 from collidesim.hamsim import RotationTable
 from collidesim.states import join_blocks
 from dense_reference import count_items, describe, execute_register, generic_path_calls, pauli_sum
@@ -132,14 +133,15 @@ def test_execute_ancilla_controls():
 
 
 def test_execute_swap_moves_env_state():
-    # prepare |1> and |0> envs, swap them, then flip the system iff slot 1
-    # holds |1>: the flip must fire. The CNOT from slot 1 to the system is
-    # e^{i pi/4 (I - Z_c)(I - X_t)} = e^{-i pi/4 Z_c} e^{-i pi/4 X_t} e^{i pi/4 X_t Z_c}
-    # up to a global phase, padded with an identity on slot 0.
+    # prepare |1> in slot 0 and |0> in slot 1, then trace slot 0, with or
+    # without swapping first, and flip the system iff slot 1 holds |1>: the
+    # swap carries |1> into slot 1 and the flip fires. The CNOT from slot 1 to
+    # the system is e^{i pi/4 (I - Z_c)(I - X_t)}
+    # = e^{-i pi/4 Z_c} e^{-i pi/4 X_t} e^{i pi/4 X_t Z_c} up to a global phase.
     cnot = [
-        (PauliString.from_label("IIZ"), math.pi / 4),
-        (PauliString.from_label("XII"), math.pi / 4),
-        (PauliString.from_label("XIZ"), -math.pi / 4),
+        (PauliString.from_label("IZ"), math.pi / 4),
+        (PauliString.from_label("XI"), math.pi / 4),
+        (PauliString.from_label("XZ"), -math.pi / 4),
     ]
     rho = DensityMatrix.basis(1, 0)
     preps = {0: _prep(np.diag([0.0, 1.0])), 1: _prep(np.diag([1.0, 0.0]))}
@@ -151,8 +153,8 @@ def test_execute_swap_moves_env_state():
                 GateOp("prepare", slot=0),
                 GateOp("prepare", slot=1),
                 *([GateOp("swap", slots=(0, 1))] if swap else []),
-                fragment_op(cnot, 1),  # system, slot 0, slot 1
                 GateOp("trace", slot=0),
+                fragment_op(cnot, 1),  # the system and slot 1
                 GateOp("trace", slot=1),
             ),
         )
@@ -186,7 +188,7 @@ def test_validate_rejects_bad_programs():
         )
     with pytest.raises(ValueError):  # fragment wider than the live register
         CircuitProgram(1, ops=(fragment_op([(xx, None)], 1),))
-    with pytest.raises(ValueError):  # swap width mismatch
+    with pytest.raises(ValueError, match="swap needs equal slot widths"):
         CircuitProgram(
             1,
             env_widths=(1, 2),
@@ -221,21 +223,21 @@ def test_describe_is_stable():
 
 def test_count_resources_frozen_costs():
     # the words are padded with identities to the live register, which cost nothing
-    z3 = PauliString.from_label("ZZZIIII")
-    xx = PauliString.from_label("IIIXXII")
+    z3 = PauliString.from_label("ZZZII")
+    xx = PauliString.from_label("IIIXX")
     prog = CircuitProgram(
         3,
         ancilla=True,
         env_widths=(2, 2),
         ops=(
             GateOp("prepare", slot=0),  # 2 cnots, 1 prep
-            GateOp("prepare", slot=1),  # 2 cnots, 1 prep
             fragment_op([(z3, 0.1)], 1),  # weight 3: 4 cnots, 1 rot
             fragment_op([(xx, 0.2)], 1, polarity=1),  # 2(w-1)+2 = 4 cnots, 2 rots
             # phase kick: 1 rot
-            fragment_op([(PauliString(7, 0, 0), 0.3)], 1, polarity=1),
+            fragment_op([(PauliString(5, 0, 0), 0.3)], 1, polarity=1),
             fragment_op([(xx, None)], 1),  # 1 pauli, 0 cnots
             fragment_op([(xx, None)], 1, polarity=1),  # 1 pauli, 2 cnots
+            GateOp("prepare", slot=1),  # 2 cnots, 1 prep
             GateOp("swap", slots=(0, 1)),  # 3 per qubit * width 2 = 6 cnots
             GateOp("trace", slot=0),
             GateOp("trace", slot=1),
@@ -297,8 +299,8 @@ def test_fragment_op_is_small_and_validated():
 @pytest.mark.parametrize("polarity", [0, 1])
 def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     rng = np.random.default_rng(43)
-    # whole-register words on (system 0, system 1, slot 0, slot 1) that leave
-    # system 1 alone
+    # whole-register words on (system 0, system 1, slot 0 of two qubits) that
+    # leave system 1 alone
     step = (
         (PauliString.from_label("YIZX"), 0.31),
         (PauliString.from_label("-iXIYZ"), None),  # phased word
@@ -313,19 +315,13 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
         return CircuitProgram(
             2,
             ancilla=True,
-            env_widths=(1, 1),
-            ops=(
-                GateOp("prepare", slot=0),
-                GateOp("prepare", slot=1),
-                *gates,
-                GateOp("trace", slot=0),
-                GateOp("trace", slot=1),
-            ),
+            env_widths=(2,),
+            ops=(GateOp("prepare", slot=0), *gates, GateOp("trace", slot=0)),
         )
 
     prog = program((frag,))
     rho = _rand_rho(rng, 2)
-    preps = {0: _prep(np.diag([0.3, 0.7])), 1: _prep(_rand_rho(rng, 1).data)}
+    preps = {0: _prep(np.kron(np.diag([0.3, 0.7]), _rand_rho(rng, 1).data))}
     want = execute_register(prog, rho, preps)
     got = join_blocks(execute(prog, rho, preps))
     np.testing.assert_allclose(got.data, want, atol=1e-10)
@@ -333,9 +329,9 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     alone = execute(prog, rho, preps, blocks=((1, 0),))[1, 0]
     np.testing.assert_allclose(alone.data, want[4:, :4], atol=1e-12)
     assert count_resources(prog).as_tuple() == count_items(prog)
-    assert describe(prog).splitlines()[3] == (
+    assert describe(prog).splitlines()[2] == (
         f"cfragment(anc={polarity}) 1 x [+YIZX 0.31, -iXIYZ, +IIZZ -0.2, -ZIII, +YIXY 0.17]"
-        " on system+[0, 1]"
+        " on system+[0]"
     )
     with pytest.raises(ValueError):  # a sampled fragment is one draw
         program((fragment_op(step, 2, 1, picks=picks),))
@@ -394,14 +390,14 @@ _WINDOW_ENVS = {
 }
 
 
-def _window_spec(prep):
+def _window_spec(prep, k=3):
     col = Collision(
         1,
         pauli_sum([(0.5, "Z")]),
         pauli_sum([(0.6, "YIY"), (0.3, "XZX"), (0.2, "-ZIZ")]),
         prep,
     )
-    return CollisionSpec(2, pauli_sum([(0.4, "ZI"), (0.3, "XX")]), (col, col, col), 0.3)
+    return CollisionSpec(2, pauli_sum([(0.4, "ZI"), (0.3, "XX")]), (col,) * k, 0.3)
 
 
 def _assert_matches_register(prog, rho, preps):
@@ -461,14 +457,14 @@ def test_a_hand_built_window_with_two_fragments_per_side_takes_the_kraus_path(mo
         assert not calls
 
 
-def test_non_markov_and_out_of_order_programs_take_the_generic_path(monkeypatch):
+def test_non_markov_and_out_of_order_programs_run_as_kraus_windows(monkeypatch):
     spec = _window_spec(_WINDOW_ENVS["thermal"])
     rho = _rand_rho(np.random.default_rng(87), spec.n)
     plan = markov_plan(spec, parse_backend("trotter1"), 0.2, 1.0)
     nonmarkov = nonmarkov_program(NonMarkovSpec(spec, 1.0), plan, np.random.default_rng(88))
     assert any(op.kind == "swap" for op in nonmarkov.ops)
     xx = PauliString.from_label("XX")
-    out_of_order = CircuitProgram(  # slot 1 collides after slot 0 was traced
+    out_of_order = CircuitProgram(  # slot 1 collides after slot 0 was traced: a cut
         1,
         env_widths=(1, 1),
         ops=(
@@ -487,7 +483,93 @@ def test_non_markov_and_out_of_order_programs_take_the_generic_path(monkeypatch)
     ):
         calls = generic_path_calls(monkeypatch)
         _assert_matches_register(prog, state, preps)
-        assert calls["tensor_append"] and calls["partial_trace"] and calls["apply_sides"]
+        assert not calls
+
+
+_PATTERNS = {"all kept": (1, 1, 1, 1), "none kept": (0, 0, 0, 0), "alternating": (1, 0, 1, 0)}
+
+
+@pytest.mark.parametrize("pattern", sorted(_PATTERNS))
+@pytest.mark.parametrize(
+    "backend, eps", [("trotter1", 0.2), ("qdrift", 0.2), ("salcu", 0.1)],
+    ids=["trotter1", "qdrift", "salcu"],
+)
+def test_forced_swap_patterns_match_the_dense_register(backend, eps, pattern, monkeypatch):
+    # K = 5 collisions on a rank-2 thermal env, each of the 4 open swaps kept
+    # (a carry) or dropped (a cut) as the pattern says
+    spec = _window_spec(_WINDOW_ENVS["thermal"], k=5)
+    rho = _rand_rho(np.random.default_rng(95), spec.n)
+    plan = markov_plan(spec, parse_backend(backend), eps, 1.0)
+    skeleton = nonmarkov_skeleton(NonMarkovSpec(spec, 0.5), plan)
+    swaps = iter(_PATTERNS[pattern])
+    draw = tuple(
+        bool(next(swaps)) if skeleton.template.ops[index].kind == "swap" else value
+        for (index, _), value in zip(skeleton.draws, skeleton.draw(np.random.default_rng(97)))
+    )
+    prog = skeleton.fill(draw)
+    assert sum(op.kind == "swap" for op in prog.ops) == sum(_PATTERNS[pattern])
+    calls = generic_path_calls(monkeypatch)
+    _assert_matches_register(prog, rho, spec.env_preparers())
+    assert not calls
+    # the open swaps, read from the draw, run as the filled program's closed ones
+    for blocks in ((None, ((1, 0),)) if prog.ancilla else (None,)):
+        got = skeleton.run(draw, rho, blocks)
+        want = execute(prog, rho, spec.env_preparers(), blocks)
+        if not prog.ancilla:
+            got, want = {None: got}, {None: want}
+        assert got.keys() == want.keys()
+        assert all(np.array_equal(got[key].data, want[key].data) for key in want)
+
+
+_XX, _XXX = PauliString.from_label("XX"), PauliString.from_label("XXX")
+_REFUSED = {
+    "two collided live slots": (
+        (GateOp("prepare", slot=0), fragment_op([(_XX, 0.1)], 1), GateOp("prepare", slot=1),
+         fragment_op([(_XXX, 0.1)], 1), GateOp("trace", slot=0), GateOp("trace", slot=1)),
+        r"fragment while slots \[0, 1\] are live",
+    ),
+    "fragment while two slots are live": (
+        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), fragment_op([(_XXX, 0.1)], 1),
+         GateOp("trace", slot=1), GateOp("trace", slot=0)),
+        r"fragment while slots \[0, 1\] are live",
+    ),
+    "third live slot": (
+        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("prepare", slot=2),
+         GateOp("trace", slot=0), GateOp("trace", slot=1), GateOp("trace", slot=2)),
+        r"slot 2 prepared while slots \[0, 1\] are live",
+    ),
+    "swap then the fresh slot traced": (
+        (GateOp("prepare", slot=0), fragment_op([(_XX, 0.1)], 1), GateOp("prepare", slot=1),
+         GateOp("swap", slots=(0, 1)), GateOp("trace", slot=1), GateOp("trace", slot=0)),
+        r"swap \(0, 1\) outside prepare b; swap\(a, b\); trace a",
+    ),
+    "swap named fresh slot first": (
+        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(1, 0)),
+         GateOp("trace", slot=0), GateOp("trace", slot=1)),
+        r"swap \(1, 0\) outside prepare b; swap\(a, b\); trace a",
+    ),
+    "two swaps": (
+        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(0, 1)),
+         GateOp("swap", slots=(0, 1)), GateOp("trace", slot=0), GateOp("trace", slot=1)),
+        r"swap \(0, 1\) outside prepare b; swap\(a, b\); trace a",
+    ),
+    "swap of an unknown slot": (
+        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(0, 5)),
+         GateOp("trace", slot=0), GateOp("trace", slot=1)),
+        r"swap \(0, 5\) outside prepare b; swap\(a, b\); trace a",
+    ),
+    "swap at the end": (
+        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(0, 1))),
+        r"swap \(0, 1\) outside prepare b; swap\(a, b\); trace a",
+    ),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_REFUSED))
+def test_validate_refuses_what_no_window_runs(shape):
+    ops, message = _REFUSED[shape]
+    with pytest.raises(ValueError, match=message):
+        CircuitProgram(1, env_widths=(1, 1, 1), ops=ops)
 
 
 def test_kraus_windows_keep_the_executor_guards(monkeypatch):

@@ -364,14 +364,18 @@ def test_salcu_runs_match_the_dense_ancilla_register(p_swap, measurement, worker
 
 
 def test_markov_estimates_never_touch_the_joint_register(monkeypatch):
-    # a tripwire: the Kraus windows must not fall back to the generic path
+    # a tripwire: every run, Markov or not, is Kraus windows on the system
+    # plus one env, with no joint-register step
     calls = generic_path_calls(monkeypatch)
     spec = _spec()
     for backend, runs in (("qdrift", 3), ("salcu", 3), ("trotter1", None)):
         estimate(spec, RHO0, OBS, backend, 0.2, 0.2, seed=3, t_override=runs)
+    for p in (0.0, 0.5, 1.0):
+        for backend, runs in (("trotter1", 4), ("qdrift", 3), ("salcu", 3)):
+            for measurement in ("analytic", "shot"):
+                estimate(NonMarkovSpec(spec, p), RHO0, OBS, backend, 0.2, 0.2, seed=3,
+                         measurement=measurement, t_override=runs)
     assert not calls
-    estimate(NonMarkovSpec(spec, 0.5), RHO0, OBS, "trotter1", 0.2, 0.2, seed=3, t_override=4)
-    assert calls["tensor_append"] and calls["partial_trace"] and calls["apply_sides"]
 
 
 SKELETON_CASES = [

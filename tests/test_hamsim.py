@@ -153,6 +153,39 @@ def test_choose_trotter_steps_empirical_is_certified():
             assert _trotter_error(H2, tau, steps // 2, order) > 1e-4
 
 
+def _svd_every_time_steps(nh, tau, order, eps_prime):
+    """The empirical step count with a spectral norm taken at every doubling."""
+    target = unitary_exact(nh.h, tau)
+    steps = 1
+    while spectral_norm(target - step_unitary(trotter_step(nh, tau, steps, order), steps)) > eps_prime:
+        steps *= 2
+    return steps
+
+
+def test_the_empirical_step_search_rejects_by_column_norm_and_chooses_as_svd_does(monkeypatch):
+    import collidesim.oracles as oracles
+
+    rng = np.random.default_rng(101)
+    svds = []
+    real_norm = oracles.spectral_norm
+    monkeypatch.setattr(oracles, "spectral_norm", lambda a: svds.append(1) or real_norm(a))
+    doublings = 0
+    for n in (1, 2, 3, 5):
+        labels = {"".join(rng.choice(list("IXYZ"), size=n)) for _ in range(5)} - {"I" * n}
+        h = pauli_sum([(float(rng.uniform(-1.0, 1.0)), label) for label in sorted(labels)])
+        tau = float(rng.uniform(0.3, 1.5))
+        for order in (1, 2, 4):
+            for eps_prime in (1e-1, 1e-3, 1e-5, 1e-7):
+                if order == 1 and eps_prime < 1e-5:
+                    continue  # a million steps; the other orders cover the small targets
+                nh = normalize(h)
+                want = _svd_every_time_steps(nh, tau, order, eps_prime)
+                doublings += want.bit_length()
+                assert choose_trotter_steps(nh, tau, order, eps_prime, "empirical") == want
+    # the column norm rejects most counts: far fewer SVDs than doublings searched
+    assert len(svds) < doublings // 2
+
+
 def test_qdrift_length_frozen():
     assert choose_qdrift_length(1.0, 0.01) == 200
     assert choose_qdrift_length(0.3, 1e-3) == 180

@@ -20,7 +20,6 @@ from collidesim import (
     partial_trace,
     tensor_append,
 )
-from collidesim.states import apply_sides
 from dense_reference import write_state
 
 
@@ -210,31 +209,6 @@ def test_save_load_round_trip(tmp_path):
     path.write_bytes(path.read_bytes()[:-8])
     with pytest.raises(ValueError):
         load_state(path)
-
-
-def test_apply_unitary_matches_dense():
-    rng = np.random.default_rng(83)
-    rho = _rand_rho(rng, 4)
-    a = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    u, _ = np.linalg.qr(a)
-    want = u @ rho.data @ u.conj().T
-    got = apply_sides(rho.copy(), u, u)  # a unitary is both sides
-    np.testing.assert_allclose(got.data, want, atol=1e-12)
-    # one side alone, as an ancilla-controlled fragment moves a block
-    np.testing.assert_allclose(apply_sides(rho.copy(), u, None).data, u @ rho.data, atol=1e-12)
-    np.testing.assert_allclose(
-        apply_sides(rho.copy(), None, u).data, rho.data @ u.conj().T, atol=1e-12
-    )
-
-
-def test_apply_unitary_rejects_bad_targets():
-    # a unitary acts on the whole register, never on some of its qubits
-    rho = DensityMatrix.basis(2, 0)
-    for bad in (np.eye(2), np.eye(8), np.eye(4)[:, :2]):
-        with pytest.raises(ValueError):
-            apply_sides(rho.copy(), bad, bad)
-        with pytest.raises(ValueError):
-            apply_sides(rho.copy(), None, bad)
 
 
 @pytest.mark.parametrize("dim", [2, 8, 32])
