@@ -23,10 +23,12 @@ rho_ab of the ancilla (+) system state (a, b the ancilla values), and a
 controlled fragment multiplies a block on the side(s) whose ancilla value
 matches its polarity.
 
-Execution. execute runs a program as a Skeleton (below) with no open op,
-and every run is a sequence of Kraus windows on the system plus one env.
-A window opens at a `prepare` while no env slot is live and collects the
-fragments that follow. With the env state's eigen-columns
+Execution. CircuitProgram.validate is the one walk of this grammar: it
+checks a program and records its Kraus windows, each (the index of the
+prepare whose env it collides, None while no slot is live; of the swap that
+carries the previous window's env into it, None at a cut; of its
+fragments). A window opens at a `prepare` while no env slot is live and
+collects the fragments that follow. With the env state's eigen-columns
 E = [sqrt(p_b) e_b], the window's fragments that act on one side of a
 block are applied to I (x) E (states.kraus_start), giving V = U (I x E),
 whose d_s x d_s blocks are the Kraus operators
@@ -39,19 +41,17 @@ sits a cut or a carry. A cut, `prepare b; trace a`, traces the collided
 env: the open window is applied and the next starts from I (x) E of b's
 fresh state. A carry, `prepare b; swap(a, b); trace a`, hands the collided
 env on to b: V is kept and the next collision's fragments multiply it.
-An open swap is a cut or a carry by the run's draw. Fragments while no
-slot is live form a one-operator window from the identity. validate
-accepts exactly these shapes, so a program that validates is one that
-executes. A sampled fragment is built once for its run and never
-memoized, but its table keeps each entry's action across the draws of an
-estimate.
+Fragments while no slot is live form a one-operator window from the
+identity. A program that validates is one that executes.
 
-Skeletons. A randomized estimate runs one program shape many times, so it
-builds a Skeleton once: the program with its sampled fragments' picks and
-its partial swaps left open, validated once, with one draw function per
-open op and the env preparers bound. It works out what no run changes
-before its first run, and a run draws the open ops in op order with its own
-generator and runs that draw with no program of its own, Markov or not.
+Skeletons. Every run, of execute or of an estimate, is a Skeleton's: the
+template program with its sampled fragments' picks and its partial swaps
+left open, one draw function per open op, and the env preparers bound. It
+reads the template's windows and binds once what no run changes, and a
+run draws the open ops in op order with its own generator and runs that
+draw with no program of its own: an open swap is a cut or a carry by the
+draw. A sampled fragment is built once for its run and never memoized,
+but its table keeps each entry's action across the draws of an estimate.
 
 CNOT accounting: a fragment costs `steps` times the sum of its items; a
 sampled one prices each table entry once and weights it by its pick count,
@@ -66,7 +66,7 @@ depth_proxy is cnot_count + rotation_count: sequential layers, no
 parallelism credit.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -122,19 +122,22 @@ class CircuitProgram:
     ancilla: bool = False
     env_widths: tuple = ()
     ops: tuple = ()
+    windows: tuple = field(init=False, repr=False, compare=False)  # validate's record
 
     def __post_init__(self):
-        self.validate()
+        object.__setattr__(self, "windows", self.validate())
 
     def validate(self):
-        """Accept exactly the programs Skeleton.run executes. At most two env
-        slots are live: the one the open window collides and a fresh one
-        prepared after it. A fragment acts while at most one slot is live,
-        and a swap sits only in `prepare b; swap(a, b); trace a`, with a the
-        older slot."""
-        live = []  # active slots in order of preparation
+        """Accept exactly the programs Skeleton.run executes and return their
+        Kraus windows in op order (module docstring). At most two env slots
+        are live: the one the open window collides and a fresh one prepared
+        after it. A fragment acts while at most one slot is live, and a swap
+        sits only in `prepare b; swap(a, b); trace a`, with a the older
+        slot. An empty window is dropped unless a carry follows it."""
+        live = {}  # active slot -> its prepare's index, in order of preparation
         width = self.n_system  # the live register's width
         ops = self.ops
+        windows = [(None, None, [])]
         for i, op in enumerate(ops):
             if op.kind == "prepare":
                 if not 0 <= op.slot < len(self.env_widths):
@@ -142,24 +145,32 @@ class CircuitProgram:
                 if op.slot in live:
                     raise ValueError(f"slot {op.slot} prepared while active")
                 if len(live) == 2:
-                    raise ValueError(f"slot {op.slot} prepared while slots {live} are live")
-                live.append(op.slot)
+                    raise ValueError(f"slot {op.slot} prepared while slots {list(live)} are live")
+                if not live:
+                    windows.append((i, None, []))
+                live[op.slot] = i
                 width += self.env_widths[op.slot]
             elif op.kind == "trace":
                 if op.slot not in live:
                     raise ValueError(f"slot {op.slot} traced while inactive")
-                live.remove(op.slot)
+                older = op.slot == next(iter(live))
+                del live[op.slot]
                 width -= self.env_widths[op.slot]
+                if not live:
+                    windows.append((None, None, []))
+                elif older:  # the collided env goes, or a swap handed it on
+                    [fresh] = live.values()
+                    windows.append((fresh, i - 1 if ops[i - 1].kind == "swap" else None, []))
             elif op.kind == "swap":
                 a, b = op.slots
                 around = [(o.kind, o.slot) for o in ops[max(i - 1, 0) : i + 2]]
-                if live != [a, b] or around != [("prepare", b), ("swap", None), ("trace", a)]:
+                if list(live) != [a, b] or around != [("prepare", b), ("swap", None), ("trace", a)]:
                     raise ValueError(f"swap {op.slots} outside prepare b; swap(a, b); trace a")
                 if self.env_widths[a] != self.env_widths[b]:
                     raise ValueError("swap needs equal slot widths")
             else:  # fragment
                 if len(live) == 2:
-                    raise ValueError(f"fragment while slots {live} are live")
+                    raise ValueError(f"fragment while slots {list(live)} are live")
                 if op.polarity is not None and (not self.ancilla or op.polarity not in (0, 1)):
                     raise ValueError("a polarity is 0 or 1 and needs the ancilla")
                 if op.steps < 1 or not op.step:
@@ -171,8 +182,12 @@ class CircuitProgram:
                         raise ValueError("a sampled fragment needs picks in range(len(step))")
                 if op.step.n != width:  # entries checked as they entered
                     raise ValueError(f"fragment width {op.step.n} != live register width {width}")
+                windows[-1][2].append(i)
         if live:
             raise ValueError(f"slots never traced: {sorted(live)}")
+        carried = [swap is not None for _, swap, _ in windows[1:]] + [False]
+        return tuple((prepare, swap, tuple(frags))
+                     for (prepare, swap, frags), kept in zip(windows, carried) if frags or kept)
 
 
 ANCILLA_BLOCKS = ((0, 0), (1, 1), (1, 0))  # what a shot readout of the joined state needs
@@ -194,12 +209,10 @@ def execute(program, rho_system, env_preparers=None, blocks=None):
     of every block, and prepare and trace act on each block. rho_10 alone
     gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10].
 
-    Every run is a sequence of Kraus windows on each block (see the module
-    docstring) and never builds a joint register of two env slots. A
-    preparer of the wrong width is a ValueError, a system and env register
-    past the dense limit a DenseLimitError, and an env state with an
-    eigenvalue below -1e-12 a NumericalError, as in the exact map. The
-    program runs as a Skeleton with no open op.
+    The program runs as a Skeleton with no open op, its windows on each
+    block. A preparer of the wrong width is a ValueError, a system and env
+    register past the dense limit a DenseLimitError, and an env state with
+    an eigenvalue below -1e-12 a NumericalError, as in the exact map.
     """
     return Skeleton(program, (), env_preparers).run((), rho_system, blocks)
 
@@ -275,13 +288,12 @@ class Skeleton:
     fill(draw) is that program. tally() prices runs from pooled pick counts.
 
     `env_preparers` maps each prepare's key to its preparer, as execute
-    takes them. Before its first run a skeleton works out once what no run
-    changes: its windows, split at every cut and open swap, each prepare's
-    fresh state and window start I (x) E (one preparer call and one eigh
-    per prep key), and each closed fragment's unitary; a closed swap's
-    carry joins two windows there. A run reads only its draw, where a kept
-    swap carries the open window on and a dropped one cuts it, and does
-    the arithmetic.
+    takes them. Before its first run a skeleton binds to the template's
+    windows what no run changes: each window's start I (x) E (one preparer
+    call and one eigh per prep key), each closed fragment's unitary, the
+    draw positions, and a closed swap's carry, which joins two windows. A
+    run reads only its draw, where a kept open swap carries the open window
+    on and a dropped one cuts it, and does the arithmetic.
     """
 
     def __init__(self, template, draws, env_preparers=None):
@@ -338,29 +350,20 @@ class Skeleton:
         live; the draw position of the open swap that carries the previous
         window's env into it instead, else None; and its fragments, each
         (op, its unitary if closed and product formula, pos), pos the op's
-        draw position, None when closed. A closed swap's carry joins its
-        fragments to the previous window here."""
+        draw position, None when closed. They are the template's windows
+        (CircuitProgram.validate), with a closed swap's carry joining a
+        window's fragments to the one before it."""
         t = self.template
         ops, n = t.ops, t.n_system
         position = {index: pos for pos, (index, _) in enumerate(self.draws)}
         fresh, starts = {}, {}  # per prep key: the fresh state, its I (x) E
         bare = np.eye(1 << n, dtype=np.complex128)  # the start while no slot is live
         bare.setflags(write=False)
-        windows = [(bare, None, [])]
-        live = []  # (slot, prep key) of each active slot, in order of preparation
-
-        def cut(start, pos=None):
-            if pos is None and not windows[-1][2]:  # an empty window opens nothing
-                windows[-1] = (start, None, [])
-            else:
-                windows.append((start, pos, []))
-
-        for i, op in enumerate(ops):
-            if op.kind == "fragment":
-                closed = op.picks is None and i not in position
-                unitary = step_unitary(op.step, op.steps) if closed else None
-                windows[-1][2].append((op, unitary, position.get(i)))
-            elif op.kind == "prepare":
+        windows = []
+        for prepare, swap, indices in t.windows:
+            start = bare
+            if prepare is not None:
+                op = ops[prepare]
                 key = op.slot if op.prep is None else op.prep
                 if key not in fresh:
                     fresh[key] = self.env_preparers[key]()
@@ -369,18 +372,16 @@ class Skeleton:
                 if key not in starts:
                     check_dense(n + fresh[key].n)
                     starts[key] = states.kraus_start(n, fresh[key].data)
-                if not live:
-                    cut(starts[key])
-                live.append((op.slot, key))
-            elif op.kind == "trace":  # a swap is read at the trace that follows it
-                older = live[0][0] == op.slot
-                live = [entry for entry in live if entry[0] != op.slot]
-                if not live:
-                    cut(bare)
-                elif older and ops[i - 1].kind != "swap":  # the collided env goes: a cut
-                    cut(starts[live[0][1]])
-                elif older and i - 1 in position:  # an open swap: a cut or a carry
-                    cut(starts[live[0][1]], position[i - 1])
+                start = starts[key]
+            frags = []
+            for i in indices:
+                op = ops[i]
+                closed = op.picks is None and i not in position
+                frags.append((op, step_unitary(op.step, op.steps) if closed else None, position.get(i)))
+            if swap is not None and swap not in position:  # a closed swap's carry
+                windows[-1][2].extend(frags)
+            else:
+                windows.append((start, position.get(swap), frags))
         return tuple((start, pos, tuple(frags)) for start, pos, frags in windows)
 
     def tally(self):

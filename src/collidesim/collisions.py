@@ -211,14 +211,15 @@ def exact_k_collision(spec, rho_system):
     """Compose the K exact collisions as Kraus maps on the system; returns
     the final system state.
 
-    Each collision is states.apply_kraus with the collision's stacked
-    operators and adjoints: two matmuls.
+    Each collision is states.apply_kraus with its distinct collision's
+    stacked operators and adjoints: two matmuls.
     """
     if spec.K == 0:
         return rho_system.copy()
+    per_unique = [spec.kraus(j) for j in spec.first_use]
     data = rho_system.data
-    for j in range(spec.K):
-        data = apply_kraus(data, *spec.kraus(j))
+    for u in spec.unique_index:
+        data = apply_kraus(data, *per_unique[u])
     return DensityMatrix(data, check=False)
 
 

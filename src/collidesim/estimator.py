@@ -1,23 +1,23 @@
 """Monte-Carlo estimation of Tr[O M_K[rho]].
 
-Protocol: an estimate builds its collision program once as a skeleton
-(circuits.Skeleton), with the random parts left open and the env preparers
+Protocol: an estimate builds its collision program once, as one skeleton
+(circuits.Skeleton) with the random parts left open and the env preparers
 bound; each run, Markov or not, draws the open parts with its own RNG, runs
 that draw on a fresh copy of the input state with no program of its own,
 and measures. A run's gate costs come from its draw: the block's picks are
 pooled per table and priced once, which sums to count_resources over the
 runs' programs. When the final state does not depend on the run (the exact
-backend, or a fixed program), it is computed and measured once per
-estimate: its conditional mean, or the Born distribution from which each
-run draws its shot with its own RNG. With the sampled-LCU backend the
-program carries the control ancilla and the measured operator is
-sigma^x (x) O. The ancilla is never held as a register: a run evolves the
-system-sized blocks rho_ab of the ancilla (+) system state, and the
-conditional expectation reads 2 Re Tr[O rho_10] from the one block rho_10
-(a shot draws from the state joined from rho_00, rho_11 and rho_10). Its
-mean over runs is Tr[O Mtilde_K[rho]]/zeta^2; the estimate is
-mu = (zeta^2 / T) sum_k mu_k. Product-formula backends measure O directly
-(zeta = 1).
+backend, or a fixed program: the skeleton's one run, priced by its tally
+of that empty draw), it is computed and measured once per estimate: its
+conditional mean, or the Born distribution from which each run draws its
+shot with its own RNG. With the sampled-LCU backend the program carries
+the control ancilla and the measured operator is sigma^x (x) O. The
+ancilla is never held as a register: a run evolves the system-sized blocks
+rho_ab of the ancilla (+) system state, and the conditional expectation
+reads 2 Re Tr[O rho_10] from the one block rho_10 (a shot draws from the
+state joined from rho_00, rho_11 and rho_10). Its mean over runs is
+Tr[O Mtilde_K[rho]]/zeta^2; the estimate is mu = (zeta^2 / T) sum_k mu_k.
+Product-formula backends measure O directly (zeta = 1).
 
 Budget split (resolve_plan, the one place a plan is sized): a statistical
 estimate, one with shot readout or a randomized program, covers half of eps
@@ -41,15 +41,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._seeding import BLOCK, first_doubles
-from .circuits import ResourceReport, count_resources, execute
+from .circuits import ResourceReport
 from .collisions import (
     NonMarkovSpec,
     exact_k_collision,
     exact_nonmarkov,
     markov_plan,
-    markov_program,
     markov_skeleton,
-    nonmarkov_program,
     nonmarkov_skeleton,
     parse_backend,
 )
@@ -190,23 +188,13 @@ def resolve_plan(spec, backend, eps, measurement, norm_o):
     return base, markov_plan(base, backend, circuit_eps, norm_o)
 
 
-def _build_program(spec, base, plan):
-    """The fixed program of a plan whose program does not depend on the run."""
-    if isinstance(spec, NonMarkovSpec):
-        return nonmarkov_program(spec, plan)
-    return markov_program(base, plan)
-
-
 def _skeleton(spec, base, plan):
     if isinstance(spec, NonMarkovSpec):
         return nonmarkov_skeleton(spec, plan)
     return markov_skeleton(base, plan)
 
 
-def _fixed_final_state(spec, base, rho0, fixed):
-    """The run-independent final state: the exact map, or the fixed program's output."""
-    if fixed is not None:
-        return execute(fixed, rho0, base.env_preparers())
+def _exact_final_state(spec, base, rho0):
     if isinstance(spec, NonMarkovSpec):
         return exact_nonmarkov(spec, rho0)
     return exact_k_collision(base, rho0)
@@ -286,11 +274,20 @@ def estimate(
     Backend. t_override (>= 1) forces the run count (downward overrides are
     flagged in the report). workers > 1 distributes the runs of a randomized
     program; results are identical to the serial order for any worker count.
+    An argument out of its bound is refused up front, by name, as
+    cli.build_config refuses its key.
     """
     if measurement not in ("analytic", "shot"):
         raise ValueError(f"unknown measurement mode {measurement!r}")
-    if t_override is not None and t_override < 1:
-        raise ValueError(f"t_override must be >= 1, got {t_override}")
+    for name, value, ok, bound in (
+        ("eps", eps, eps > 0, "> 0"),
+        ("delta", delta, 0 < delta < 1, "in (0, 1)"),
+        ("seed", seed, seed >= 0, ">= 0"),
+        ("workers", workers, workers >= 1, ">= 1"),
+        ("t_override", t_override, t_override is None or t_override >= 1, ">= 1"),
+    ):
+        if not ok:
+            raise ValueError(f"{name} must be {bound}, got {value!r}")
     if isinstance(backend, str):
         backend = parse_backend(backend)
     base, plan = resolve_plan(spec, backend, eps, measurement, obs.norm)
@@ -304,16 +301,18 @@ def estimate(
     if t_override is not None:
         under_sampled = t_override < t_runs
         t_runs = int(t_override)
-    ancilla = plan.ancilla if plan is not None else False
-    measured = measured_observable(obs, ancilla)
+    skeleton = None if plan is None else _skeleton(spec, base, plan)
+    measured = measured_observable(obs, skeleton is not None and skeleton.ancilla)
     measured.eig()  # prime the cache once, before any fork
     if run_independent:  # every run only reads one final state: no worker is started
-        fixed = None if plan is None else _build_program(spec, base, plan)
-        mus = _fixed_runs(_fixed_final_state(spec, base, rho0, fixed), measured, measurement,
-                          seed, t_runs)
-        res_mean = ResourceReport() if fixed is None else count_resources(fixed)
+        if skeleton is None:
+            final, res_mean = _exact_final_state(spec, base, rho0), ResourceReport()
+        else:  # a fixed program: the skeleton's one run, priced by its tally of that draw
+            tally = skeleton.tally()
+            tally.add(())
+            final, res_mean = skeleton.run((), rho0), tally.report()
+        mus = _fixed_runs(final, measured, measurement, seed, t_runs)
     else:
-        skeleton = _skeleton(spec, base, plan)
         if workers > 1 and t_runs > 1:
             from concurrent.futures import ProcessPoolExecutor  # serial runs never load it
 

@@ -11,19 +11,17 @@ maps on the system: env_columns takes the env state's eigen-columns
 sqrt(p_b) e_b (one eigh, which a circuits.Skeleton and the exact map make
 once per env preparer), kraus_stacked and kraus_adjoints stack the
 operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>), and apply_kraus applies
-sum_k L_k rho R_k† as two matmuls. A program runs as such windows on the
-system plus one env, so no run holds a joint register. With the sides of an
-ancilla-controlled window apply_kraus also moves a block rho_ab (any state
-function here acts on such a block, whose trace and Hermiticity are not
-those of a state), and join_blocks assembles the ancilla (+) system state
-from rho_00, rho_11 and rho_10. The row tables here also build the
+sum_k L_k rho R_k† as two matmuls with no copy between them. With the sides
+of an ancilla-controlled window apply_kraus also moves a block rho_ab (any
+state function here acts on such a block, whose trace and Hermiticity are
+not those of a state), and join_blocks assembles the ancilla (+) system
+state from rho_00, rho_11 and rho_10. The row tables here also build the
 unitaries one-sided in hamsim.rotations_dense. tensor_append builds product
-states (models), and with partial_trace and the single gates (register
-swaps, and the Pauli words and rotations of apply_pauli and
-apply_pauli_rotation) it acts on a joint register that no program holds.
-Single gates are translated into the monomial / two-sparse form the kernels
-consume; those translations are memoized. Born draws read a cumulative
-table (collidesim._draws).
+states (models); partial_trace and the single gates (apply_swap, and the
+Pauli words and rotations of apply_pauli and apply_pauli_rotation, each
+translated into the memoized monomial / two-sparse form the kernels
+consume) act on a joint register that no run holds. Born draws read a
+cumulative table (collidesim._draws).
 """
 
 import struct
@@ -332,26 +330,26 @@ def kraus_start(n_system, sigma):
 
 def kraus_stacked(ops):
     """The Kraus operators K_ab = ops[:, a, :, b] of ops[s, a, s', b] stacked
-    as one (k d, d) column, k = de * nb, for apply_kraus's left side."""
+    as one (d k, d) column, row s of every K_k in turn (k = de * nb), for
+    apply_kraus's left side."""
     d = ops.shape[0]
-    return np.ascontiguousarray(ops.transpose(1, 3, 0, 2)).reshape(-1, d)
+    return np.ascontiguousarray(ops.transpose(0, 1, 3, 2)).reshape(-1, d)
 
 
 def kraus_adjoints(ops):
-    """The adjoints K_ab† of the same operators, stacked in the same order,
-    for apply_kraus's right side."""
+    """The adjoints K_ab† of the same operators, stacked in the same order of
+    k, for apply_kraus's right side."""
     d = ops.shape[0]
     return np.ascontiguousarray(ops.conj().transpose(1, 3, 2, 0)).reshape(-1, d)
 
 
 def apply_kraus(data, stacked, adjoints):
     """sum_k L_k data R_k† from the stacked L_k and the stacked adjoints R_k†:
-    two matmuls, the stacked L_k data, then hstack(L_k data) times the
-    stacked R_k†. With L = R it is the channel sum_k K_k rho K_k†; with the
-    ancilla-controlled sides of a block rho_ab it evolves the block."""
-    d = data.shape[0]
-    applied = (stacked @ data).reshape(-1, d, d).transpose(1, 0, 2).reshape(d, -1)
-    return applied @ adjoints
+    two matmuls, the stacked L_k data, read with no copy as hstack(L_k data),
+    then that times the stacked R_k†. With L = R it is the channel
+    sum_k K_k rho K_k†; with the ancilla-controlled sides of a block rho_ab
+    it evolves the block."""
+    return (stacked @ data).reshape(data.shape[0], -1) @ adjoints
 
 
 def expectation(state, obs):

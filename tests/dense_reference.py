@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 import collidesim
-from collidesim import PauliString, PauliSum, circuits, estimator, exact_nonmarkov, states, trace_distance
+from collidesim import PauliString, PauliSum, circuits, exact_nonmarkov, states, trace_distance
 from collidesim.circuits import PREP_CNOTS, SWAP_CNOTS_PER_QUBIT
 from collidesim.hamsim import _FOLD_BELOW
 from collidesim.states import _axis_action_rowform
@@ -347,6 +347,6 @@ def per_run_program_calls(monkeypatch):
         return real_count(program)
 
     monkeypatch.setattr(circuits.CircuitProgram, "validate", validate)
-    for module in (collidesim, circuits, estimator):
+    for module in (collidesim, circuits):
         monkeypatch.setattr(module, "count_resources", count_resources)
     return calls

@@ -28,6 +28,7 @@ from collidesim import (
     parse_backend,
 )
 from collidesim.acceptance import _random_collision
+from collidesim.circuits import Skeleton
 from collidesim.collisions import nonmarkov_skeleton
 from collidesim.hamsim import RotationTable
 from collidesim.states import join_blocks
@@ -586,3 +587,73 @@ def test_kraus_windows_keep_the_executor_guards(monkeypatch):
         monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "3")
         execute(prog, rho, spec.env_preparers())
         monkeypatch.delenv("COLLIDESIM_DENSE_LIMIT")
+
+
+def _xx(theta):
+    return fragment_op([(_XX, theta)], 1)
+
+
+_P0, _P1 = GateOp("prepare", slot=0), GateOp("prepare", slot=1)
+_T0, _T1 = GateOp("trace", slot=0), GateOp("trace", slot=1)
+_X1 = PauliString.from_label("X")
+_SWAP01, _SWAP10 = GateOp("swap", slots=(0, 1)), GateOp("swap", slots=(1, 0))
+# (ops, their windows: (prepare index or None, carrying swap index or None, fragment indices))
+_WINDOWS = {
+    "cut": (
+        (_P0, _xx(0.3), _P1, _T0, _xx(0.4), _T1),
+        ((0, None, (1,)), (2, None, (4,))),
+    ),
+    "one slot, collided twice": (
+        (_P0, _xx(0.3), _T0, _P0, _xx(0.4), _T0),
+        ((0, None, (1,)), (3, None, (4,))),
+    ),
+    "carry": (
+        (_P0, _xx(0.3), _P1, _SWAP01, _T0, _xx(0.4), _T1),
+        ((0, None, (1,)), (2, 3, (5,))),
+    ),
+    "an empty window that a carry follows": (
+        (_P0, _xx(0.3), _P1, _T0, _P0, _SWAP10, _T1, _xx(0.4), _T0),
+        ((0, None, (1,)), (2, None, ()), (4, 5, (7,))),
+    ),
+    "fragments before any prepare and after the last trace": (
+        (fragment_op([(_X1, 0.2)], 1), _P0, _xx(0.3), _T0, fragment_op([(_X1, 0.5)], 2)),
+        ((None, None, (0,)), (1, None, (2,)), (None, None, (4,))),
+    ),
+    "out-of-order trace": (
+        (_P0, _P1, _T0, _xx(0.4), _T1),
+        ((1, None, (3,)),),
+    ),
+    "the fresh slot traced first": (
+        (_P0, _xx(0.3), _P1, _T1, _xx(0.4), _T0),
+        ((0, None, (1, 4)),),
+    ),
+    "no fragment": ((_P0, _T0), ()),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_WINDOWS))
+def test_validate_records_the_kraus_windows(shape):
+    ops, windows = _WINDOWS[shape]
+    prog = CircuitProgram(1, env_widths=(1, 1), ops=ops)
+    assert prog.windows == windows
+    # the windows are what a run executes
+    preps = {0: _prep(np.diag([0.25, 0.75])), 1: _prep(np.array([[0.5, 0.3j], [-0.3j, 0.5]]))}
+    _assert_matches_register(prog, _rand_rho(np.random.default_rng(99), 1), preps)
+
+
+def test_an_open_swap_is_read_from_the_draw_and_a_closed_one_joins_its_windows():
+    ops, windows = _WINDOWS["carry"]
+    prog = CircuitProgram(1, env_widths=(1, 1), ops=ops)
+    preps = {0: _prep(np.diag([0.25, 0.75])), 1: _prep(np.diag([0.6, 0.4]))}
+    rho = _rand_rho(np.random.default_rng(101), 1)
+    closed = Skeleton(prog, (), preps)
+    closed.run((), rho)
+    assert [(pos, [op for op, _, _ in frags]) for _, pos, frags in closed._windows] == [
+        (None, [ops[1], ops[5]])
+    ]
+    open_swap = Skeleton(prog, ((3, None),), preps)
+    for kept in (True, False):
+        got = open_swap.run((kept,), rho)
+        want = execute_register(open_swap.fill((kept,)), rho, preps)
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
+    assert [pos for _, pos, _ in open_swap._windows] == [None, 0]

@@ -670,10 +670,34 @@ def test_oracle_and_sweep_load_no_scipy(tmp_path):
     assert all(row[rows[0].index("oracle")] for row in rows[1:])
 
 
-def test_run_csv_is_independent_of_workers(tmp_path):
-    cfg = _bench_cfg(tmp_path, "dynamics.measurement = shot\nexecution.t_override = 40\n")
-    out = tmp_path / "run.csv"
-    assert cli.main(["run", "--config", cfg, "--workers", "1"]) == 0
-    serial = out.read_bytes()
-    assert cli.main(["run", "--config", cfg, "--workers", "2"]) == 0
-    assert out.read_bytes() == serial
+# (argv after the command's --config, the CSV it writes, extra config lines):
+# randomized programs, whose runs go to the worker pool
+_PARALLEL_RUNS = {
+    "qdrift": (["run", "--backend", "qdrift"], "run.csv", ""),
+    "salcu": (["run", "--backend", "salcu"], "run.csv", ""),
+    "nonmarkov-p0.5": (["run"], "run.csv", "dynamics.nonmarkov = true\ndynamics.p = 0.5\n"),
+    "sweep": (["sweep", "--axis", "eps", "--values", "0.1,0.05", "--backend", "qdrift"],
+              "sweep.csv", ""),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_PARALLEL_RUNS))
+def test_run_csv_is_independent_of_workers(tmp_path, monkeypatch, case):
+    import concurrent.futures
+
+    pools = []
+
+    class CountedPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(kwargs["max_workers"])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", CountedPool)
+    (command, *flags), name, extra = _PARALLEL_RUNS[case]
+    cfg = _bench_cfg(tmp_path, extra + "execution.t_override = 6\n")
+    csvs = []
+    for workers in ("1", "2"):
+        assert cli.main([command, "--config", cfg, *flags, "--workers", workers]) == 0
+        csvs.append((tmp_path / name).read_bytes())
+    assert csvs[0] == csvs[1]
+    assert pools and set(pools) == {2}  # --workers 2 ran every estimate on the pool

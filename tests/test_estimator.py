@@ -144,6 +144,29 @@ def test_t_override_below_one_is_rejected():
         estimate(_spec(), RHO0, OBS, "qdrift", eps=0.2, delta=0.2, seed=2, t_override=0)
 
 
+REFUSED_ARGUMENTS = [
+    (dict(eps=-1.0), r"eps must be > 0, got -1\.0"),
+    (dict(eps=0.0), r"eps must be > 0, got 0\.0"),
+    (dict(delta=5.0), r"delta must be in \(0, 1\), got 5\.0"),
+    (dict(delta=0.0), r"delta must be in \(0, 1\), got 0\.0"),
+    (dict(workers=0), r"workers must be >= 1, got 0"),
+    (dict(workers=-4), r"workers must be >= 1, got -4"),
+    (dict(seed=-3), r"seed must be >= 0, got -3"),
+]
+
+
+@pytest.mark.parametrize("backend", ["trotter1", "trotter2k:1", "qdrift", "salcu", "exact"])
+@pytest.mark.parametrize("bad, message", REFUSED_ARGUMENTS,
+                         ids=[f"{k}={v}" for bad, _ in REFUSED_ARGUMENTS for k, v in bad.items()])
+def test_an_argument_out_of_its_config_bound_is_refused_by_name(backend, bad, message):
+    # the bounds cli.build_config puts on dynamics.eps (> 0), dynamics.delta,
+    # execution.workers and execution.seed hold for every backend, whether or
+    # not the estimate would have read the value
+    kw = {"eps": 0.2, "delta": 0.2, "seed": 2, "t_override": 4, **bad}
+    with pytest.raises(ValueError, match=message):
+        estimate(_spec(), RHO0, OBS, backend, **kw)
+
+
 def test_qdrift_seed_determinism():
     spec = _spec()
     kw = dict(eps=0.2, delta=0.2, seed=7, t_override=40)
@@ -438,6 +461,32 @@ def test_randomized_estimates_check_and_price_no_program_per_run(monkeypatch):
             estimate(target, RHO0, OBS, backend, 0.2, 0.2, seed=3, measurement=measurement,
                      t_override=runs)
             assert calls == {"validate": 1}, (backend, measurement, runs)
+
+
+def test_a_fixed_estimate_runs_the_one_skeleton_it_builds(monkeypatch):
+    # a tripwire: a fixed program's final state is one run of the estimate's
+    # skeleton and its price that skeleton's tally, so the program is checked
+    # once and no second skeleton is built, nor any program priced
+    calls = per_run_program_calls(monkeypatch)
+    real_init = Skeleton.__init__
+
+    def init(self, *args, **kwargs):
+        calls["Skeleton"] += 1
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Skeleton, "__init__", init)
+    spec = _spec()
+    for target, backend, measurement in (
+        (spec, "trotter1", "analytic"),
+        (spec, "trotter1", "shot"),
+        (NonMarkovSpec(spec, 0.0), "trotter2k:1", "analytic"),
+        (NonMarkovSpec(spec, 1.0), "trotter2k:1", "analytic"),
+    ):
+        calls.clear()
+        rep = estimate(target, RHO0, OBS, backend, 0.2, 0.2, seed=3, measurement=measurement,
+                       t_override=5)
+        assert calls == {"validate": 1, "Skeleton": 1}, (backend, measurement, target)
+        assert rep.resources_mean.cnot_count > 0
 
 
 class _CountedPrep:
