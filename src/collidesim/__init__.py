@@ -11,11 +11,11 @@ from ._kernels import ACTIVE as active_kernels
 from ._limits import DENSE_QUBIT_DEFAULT, check_dense, dense_qubit_limit
 from .circuits import (
     CircuitProgram,
-    GateOp,
+    Fragment,
     ResourceReport,
+    Window,
     count_resources,
     execute,
-    fragment_op,
 )
 from .collisions import (
     Backend,
@@ -99,7 +99,7 @@ __all__ = [
     "DenseLimitError",
     "DensityMatrix",
     "EstimateReport",
-    "GateOp",
+    "Fragment",
     "JumpOp",
     "LcuParams",
     "LindbladModel",
@@ -112,6 +112,7 @@ __all__ = [
     "PauliSum",
     "ResourceReport",
     "ThermalPrep",
+    "Window",
     "active_kernels",
     "amp_damp_jump",
     "amp_damp_model",
@@ -134,7 +135,6 @@ __all__ = [
     "expectation",
     "expected_resources",
     "field_hamiltonian",
-    "fragment_op",
     "hoeffding_T",
     "lcu_enumerate_dense",
     "lcu_sample",

@@ -1,57 +1,55 @@
 """Collision-circuit intermediate representation, executor, and gate costs.
 
-A program owns one system register, an optional single control ancilla, and
-a set of environment slots that are prepared fresh, collided with, and traced
-away (possibly several times per slot). At most two slots are live at
-once, and a fragment acts while at most one is, so its live register is
-the system, then that slot on the least significant qubits.
+A program is one system register, an optional single control ancilla, and
+its Kraus windows (Window), one per collision, in order. A window prepares
+a fresh environment of `width` qubits with the preparer its `prep` key
+names, applies its fragments to the live register (the system, then the
+env it collides on the least significant qubits) and traces one env out.
+Its `carry` says which env it collides. At a cut (False) it is its own
+fresh env, the previous window's having been traced. At a carry (True) the
+fresh env is swapped with the previous window's collided one and traced in
+its place, so the fragments act on the carried env. At most two envs of one
+width are so live beside the system and the ancilla: the paper's circuit
+on n + 2w qubits.
 
-One rule is the program grammar: a fragment's table acts on the whole live
+One rule is the fragment grammar: a fragment's table acts on the whole live
 register. Its `step` is a hamsim.RotationTable of items, rotations (bare
 axis, angle) and Pauli words (word, None) with their phase, as wide as the
 live register. A product-formula fragment applies its table in order,
 `steps` times. A sampled fragment (one qDRIFT or LCU draw) adds `picks`, the
 indices of the drawn items in order, applied once. A fragment with a
 `polarity` in {0, 1} is controlled by the ancilla and acts only where the
-ancilla reads that value; `polarity` None is uncontrolled. Besides fragments
-a program holds only the `prepare`, `trace` and `swap` ops of its env slots,
-so the circuit IR has four op kinds. A table checks its entries as they
-enter it, and validation its width and the picks.
+ancilla reads that value; `polarity` None is uncontrolled. A table checks
+its entries as they enter it, and CircuitProgram.validate each window: its
+fragments' width, polarity, steps and picks, and that a carry follows a
+window of its own width.
 
 The ancilla is not a register: execute evolves the system-sized blocks
 rho_ab of the ancilla (+) system state (a, b the ancilla values), and a
 controlled fragment multiplies a block on the side(s) whose ancilla value
 matches its polarity.
 
-Execution. CircuitProgram.validate is the one walk of this grammar: it
-checks a program and records its Kraus windows, each (the index of the
-prepare whose env it collides, None while no slot is live; of the swap that
-carries the previous window's env into it, None at a cut; of its
-fragments). A window opens at a `prepare` while no env slot is live and
-collects the fragments that follow. With the env state's eigen-columns
-E = [sqrt(p_b) e_b], the window's fragments that act on one side of a
-block are applied to I (x) E (states.kraus_start), giving V = U (I x E),
-whose d_s x d_s blocks are the Kraus operators
-K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block then becomes
-sum_k L_k rho R_k† through states.apply_kraus, the exact maps' kernel. A
-sampled fragment is built by hamsim.rotations_dense on the d_s * rank(E)
-columns of V alone, a product-formula one is its step unitary
-(hamsim.step_unitary) times V. Between collisions on two slots a and b
-sits a cut or a carry. A cut, `prepare b; trace a`, traces the collided
-env: the open window is applied and the next starts from I (x) E of b's
-fresh state. A carry, `prepare b; swap(a, b); trace a`, hands the collided
-env on to b: V is kept and the next collision's fragments multiply it.
-Fragments while no slot is live form a one-operator window from the
-identity. A program that validates is one that executes.
+Execution. With the env state's eigen-columns E = [sqrt(p_b) e_b], a
+window's fragments that act on one side of a block are applied to I (x) E
+(states.kraus_start), giving V = U (I x E), whose d_s x d_s blocks are the
+Kraus operators K_ab = (I x <a|) U (I x sqrt(p_b) |e_b>); a block then
+becomes sum_k L_k rho R_k† through states.apply_kraus, the exact maps'
+kernel. A sampled fragment is built by hamsim.rotations_dense on the
+d_s * rank(E) columns of V alone, a product-formula one is its step
+unitary (hamsim.step_unitary) times V. A cut applies the open product and
+starts the next from I (x) E of its window's fresh state; a carry keeps V,
+and the next window's fragments multiply it. A program that validates is
+one that executes.
 
 Skeletons. Every run, of execute or of an estimate, is a Skeleton's: the
-template program with its sampled fragments' picks and its partial swaps
-left open, one draw function per open op, and the env preparers bound. It
-reads the template's windows and binds once what no run changes, and a
-run draws the open ops in op order with its own generator and runs that
-draw with no program of its own: an open swap is a cut or a carry by the
-draw. A sampled fragment is built once for its run and never memoized,
-but its table keeps each entry's action across the draws of an estimate.
+template program with its sampled fragments' picks and its partial swaps'
+carries left open, one draw function per open part, and the env preparers
+bound. It binds once what no run changes, and a run draws the open parts in
+window order (a window's carry, then its fragments) with its own generator
+and runs that draw with no program of its own: an open carry is kept or
+cut by the draw. A sampled fragment is built once for its run and never
+memoized, but its table keeps each entry's action across the draws of an
+estimate.
 
 CNOT accounting: a fragment costs `steps` times the sum of its items; a
 sampled one prices each table entry once and weights it by its pick count,
@@ -60,13 +58,13 @@ priced once per block of runs. A
 weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the usual parity
 staircase, its controlled version adds 2 (controlled-Rz = 2 CNOTs + 2 Rz),
 a controlled weight-w Pauli word costs w, a controlled phase costs 0, a
-register swap costs SWAP_CNOTS_PER_QUBIT = 3 per qubit pair, and an env
-preparation costs a flat PREP_CNOTS = 2 (thermal qubit purification).
-depth_proxy is cnot_count + rotation_count: sequential layers, no
-parallelism credit.
+window's env preparation costs a flat PREP_CNOTS = 2 (thermal qubit
+purification), and a carry's register swap SWAP_CNOTS_PER_QUBIT = 3 per
+qubit pair. depth_proxy is cnot_count + rotation_count: sequential layers,
+no parallelism credit.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -77,139 +75,99 @@ from .hamsim import RotationTable, rotations_dense, step_unitary
 PREP_CNOTS = 2  # one env preparation
 SWAP_CNOTS_PER_QUBIT = 3  # one qubit pair of a register swap
 
-_KINDS = ("fragment", "swap", "prepare", "trace")
-
 
 @dataclass(frozen=True)
-class GateOp:
-    kind: str
-    polarity: int | None = None  # fragment ops: the ancilla value it acts at;
-    # None for an uncontrolled fragment
-    slot: int | None = None
-    slots: tuple | None = None
-    prep: int | None = None  # preparer key for prepare ops (defaults to slot)
-    step: RotationTable | None = None  # fragment ops: the items applied in order
-    # on the whole live register, or the table a sampled fragment picks from
-    steps: int = 1  # fragment ops: repetitions of the step
+class Fragment:
+    """`steps` repetitions of a one-step schedule `step` of (bare axis,
+    angle) and (word, None) items on the whole live register, controlled by
+    the ancilla when `polarity` is 0 or 1 (None: uncontrolled). With
+    `picks`, one random draw: step[picks[0]], step[picks[1]], ... applied
+    once, never memoized. A hand-built item list becomes a RotationTable as
+    wide as its items."""
+
+    step: RotationTable
+    steps: int = 1
+    polarity: int | None = None
     picks: tuple | None = None  # sampled fragments: indices into `step`, in order
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise ValueError(f"unknown op kind {self.kind!r}")
+        if not isinstance(self.step, RotationTable):
+            items = tuple(self.step)
+            object.__setattr__(self, "step", RotationTable(items[0][0].n if items else 0, items))
+        object.__setattr__(self, "steps", int(self.steps))
+        if self.picks is not None:
+            object.__setattr__(self, "picks", tuple(self.picks))
 
 
-def fragment_op(step, steps, polarity=None, picks=None):
-    """`steps` repetitions of a one-step schedule of (bare axis, angle) and
-    (word, None) items on the whole live register, controlled by the ancilla
-    when `polarity` is 0 or 1. With `picks`, one random draw: step[picks[0]],
-    step[picks[1]], ... applied once, never memoized. A hand-built item list
-    becomes a RotationTable as wide as its items."""
-    if not isinstance(step, RotationTable):
-        items = tuple(step)
-        step = RotationTable(items[0][0].n if items else 0, items)
-    return GateOp(
-        "fragment",
-        polarity=polarity,
-        step=step,
-        steps=int(steps),
-        picks=None if picks is None else tuple(picks),
-    )
+@dataclass(frozen=True)
+class Window:
+    """One collision: a fresh env of `width` qubits from the preparer keyed
+    `prep`, and the fragments, in order, on the system and the env it
+    collides; that env is the previous window's, swapped in rather than
+    traced, when `carry` is True. In a skeleton's template, a carry that the
+    draws name is open: each run's draw keeps it or cuts it."""
+
+    prep: int
+    width: int
+    fragments: tuple = ()
+    carry: bool = False
 
 
 @dataclass(frozen=True)
 class CircuitProgram:
     n_system: int
     ancilla: bool = False
-    env_widths: tuple = ()
-    ops: tuple = ()
-    windows: tuple = field(init=False, repr=False, compare=False)  # validate's record
+    ops: tuple = ()  # its Windows, one per collision, in order
 
     def __post_init__(self):
-        object.__setattr__(self, "windows", self.validate())
+        self.validate()
 
     def validate(self):
-        """Accept exactly the programs Skeleton.run executes and return their
-        Kraus windows in op order (module docstring). At most two env slots
-        are live: the one the open window collides and a fresh one prepared
-        after it. A fragment acts while at most one slot is live, and a swap
-        sits only in `prepare b; swap(a, b); trace a`, with a the older
-        slot. An empty window is dropped unless a carry follows it."""
-        live = {}  # active slot -> its prepare's index, in order of preparation
-        width = self.n_system  # the live register's width
-        ops = self.ops
-        windows = [(None, None, [])]
-        for i, op in enumerate(ops):
-            if op.kind == "prepare":
-                if not 0 <= op.slot < len(self.env_widths):
-                    raise ValueError(f"unknown slot {op.slot}")
-                if op.slot in live:
-                    raise ValueError(f"slot {op.slot} prepared while active")
-                if len(live) == 2:
-                    raise ValueError(f"slot {op.slot} prepared while slots {list(live)} are live")
-                if not live:
-                    windows.append((i, None, []))
-                live[op.slot] = i
-                width += self.env_widths[op.slot]
-            elif op.kind == "trace":
-                if op.slot not in live:
-                    raise ValueError(f"slot {op.slot} traced while inactive")
-                older = op.slot == next(iter(live))
-                del live[op.slot]
-                width -= self.env_widths[op.slot]
-                if not live:
-                    windows.append((None, None, []))
-                elif older:  # the collided env goes, or a swap handed it on
-                    [fresh] = live.values()
-                    windows.append((fresh, i - 1 if ops[i - 1].kind == "swap" else None, []))
-            elif op.kind == "swap":
-                a, b = op.slots
-                around = [(o.kind, o.slot) for o in ops[max(i - 1, 0) : i + 2]]
-                if list(live) != [a, b] or around != [("prepare", b), ("swap", None), ("trace", a)]:
-                    raise ValueError(f"swap {op.slots} outside prepare b; swap(a, b); trace a")
-                if self.env_widths[a] != self.env_widths[b]:
-                    raise ValueError("swap needs equal slot widths")
-            else:  # fragment
-                if len(live) == 2:
-                    raise ValueError(f"fragment while slots {list(live)} are live")
-                if op.polarity is not None and (not self.ancilla or op.polarity not in (0, 1)):
+        """Accept exactly the programs Skeleton.run executes. Per window:
+        each fragment is as wide as the system and the window's env, has a
+        polarity only with the ancilla, a non-empty step, steps >= 1, and a
+        sampled one picks in range; a carry follows a window of its width."""
+        previous = None
+        for window in self.ops:
+            if window.carry and (previous is None or previous.width != window.width):
+                raise ValueError("a carry needs a previous window of its env width")
+            width = self.n_system + window.width
+            for frag in window.fragments:
+                if frag.polarity is not None and (not self.ancilla or frag.polarity not in (0, 1)):
                     raise ValueError("a polarity is 0 or 1 and needs the ancilla")
-                if op.steps < 1 or not op.step:
+                if frag.steps < 1 or not frag.step:
                     raise ValueError("fragment needs a non-empty step and steps >= 1")
-                if op.picks is not None:
-                    if op.steps != 1:
+                if frag.picks is not None:
+                    if frag.steps != 1:
                         raise ValueError("a sampled fragment is one draw: steps must be 1")
-                    if not op.picks or min(op.picks) < 0 or max(op.picks) >= len(op.step):
+                    if not frag.picks or min(frag.picks) < 0 or max(frag.picks) >= len(frag.step):
                         raise ValueError("a sampled fragment needs picks in range(len(step))")
-                if op.step.n != width:  # entries checked as they entered
-                    raise ValueError(f"fragment width {op.step.n} != live register width {width}")
-                windows[-1][2].append(i)
-        if live:
-            raise ValueError(f"slots never traced: {sorted(live)}")
-        carried = [swap is not None for _, swap, _ in windows[1:]] + [False]
-        return tuple((prepare, swap, tuple(frags))
-                     for (prepare, swap, frags), kept in zip(windows, carried) if frags or kept)
+                if frag.step.n != width:  # entries checked as they entered
+                    raise ValueError(f"fragment width {frag.step.n} != live register width {width}")
+            previous = window
 
 
 ANCILLA_BLOCKS = ((0, 0), (1, 1), (1, 0))  # what a shot readout of the joined state needs
+_BLOCK_KEYS = ((0, 0), (0, 1), (1, 0), (1, 1))
 
 
 def execute(program, rho_system, env_preparers=None, blocks=None):
     """Run the program; return the final system state, or for an ancilla
     program a dict of the final blocks rho_ab of the ancilla (+) system state.
 
-    env_preparers maps each prepare's key (its `prep`, else its slot) to a
-    zero-argument callable producing that slot's fresh state; required
-    whenever the program prepares slots.
+    env_preparers maps each window's `prep` key to a zero-argument callable
+    producing that env's fresh state; a key it lacks is a ValueError.
 
     An ancilla program never holds the ancilla: it evolves the d x d blocks
     rho_ab (a, b the ancilla values) listed in `blocks`, default
     ANCILLA_BLOCKS, from |+><+| (x) rho, whose blocks are all rho/2. A
     fragment with polarity p acts on the row side of rho_ab when a == p and
     on the column side when b == p; an uncontrolled one acts on both sides
-    of every block, and prepare and trace act on each block. rho_10 alone
-    gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10].
+    of every block, and each window's env acts on each block. rho_10 alone
+    gives Tr[(sigma^x (x) O) rho] = 2 Re Tr[O rho_10]; a block key other
+    than such an (a, b) is a ValueError.
 
-    The program runs as a Skeleton with no open op, its windows on each
+    The program runs as a Skeleton with no open part, its windows on each
     block. A preparer of the wrong width is a ValueError, a system and env
     register past the dense limit a DenseLimitError, and an env state with
     an eigenvalue below -1e-12 a NumericalError, as in the exact map.
@@ -224,6 +182,9 @@ def _registers(program, rho_system, blocks):
         raise ValueError("system state width mismatch")
     if program.ancilla:
         keys = ANCILLA_BLOCKS if blocks is None else tuple(blocks)
+        for key in keys:
+            if key not in _BLOCK_KEYS:
+                raise ValueError(f"block {key!r} is not an (a, b) pair of ancilla values 0 and 1")
         half = states.DensityMatrix(0.5 * rho_system.data, check=False)
         return {key: half.copy() for key in keys}
     if blocks is not None:
@@ -232,13 +193,12 @@ def _registers(program, rho_system, blocks):
 
 
 def _run_window(start, frags, draw, n_system, regs):
-    """Run one Kraus window, its fragments given as (op, unitary, draw
-    position), on every block. The window's fragments that act on ancilla
-    value v (all of them without an ancilla), applied to `start` = I (x) E
-    (the identity while no env is live), give V_v = U_v (I x E), whose
-    d_s x d_s blocks are the Kraus operators
-    of that side; block rho_ab becomes sum_k L_k rho_ab R_k† with L_k from
-    V_a and R_k from V_b."""
+    """Run one Kraus window, its fragments given as (fragment, unitary,
+    draw position), on every block. The window's fragments that act on
+    ancilla value v (all of them without an ancilla), applied to
+    `start` = I (x) E, give V_v = U_v (I x E), whose d_s x d_s blocks are
+    the Kraus operators of that side; block rho_ab becomes
+    sum_k L_k rho_ab R_k† with L_k from V_a and R_k from V_b."""
     ds = 1 << n_system
     shape = (ds, start.shape[0] // ds, ds, start.shape[1] // ds)
     products, stacked, adjoints = {}, {}, {}
@@ -263,10 +223,11 @@ def _run_window(start, frags, draw, n_system, regs):
 
 
 def _unitary(frag, draw, start):
-    """The dense unitary on the live register of a fragment given as (op,
-    unitary, draw position), times the d x c `start`: the unitary of a closed
-    product-formula fragment, or a sampled one built on those columns alone
-    from its picks, the op's own or the draw's at that position."""
+    """The dense unitary on the live register of a fragment given as
+    (fragment, unitary, draw position), times the d x c `start`: the unitary
+    of a closed product-formula fragment, or a sampled one built on those
+    columns alone from its picks, the fragment's own or the draw's at that
+    position."""
     op, u, pos = frag
     if u is None:
         picks = op.picks if pos is None else draw[pos]
@@ -278,22 +239,24 @@ class Skeleton:
     """A program with its draws left open, built and validated once and run
     once per draw.
 
-    `template` is a CircuitProgram holding every op. The ops that `draws`
-    names are open: a sampled fragment there has no picks of its own (its
-    step is the RotationTable they index) and a swap there is kept or
-    dropped per run. `draws` pairs each open op's index, in op order, with
-    a function of the run's generator giving that fragment's picks or
-    whether that swap is kept; draw() calls them in that order, so a run
-    consumes its generator as emitting the program op by op would, and
+    `template` is a CircuitProgram holding every window. The parts that
+    `draws` names are open: a sampled fragment there has no picks of its own
+    (its step is the RotationTable they index) and a carry there is kept or
+    cut per run. `draws` pairs each open part's address, (window index,
+    fragment index), or (window index, None) for its carry, with a function
+    of the run's generator giving that fragment's picks or whether that
+    carry is kept. They come in window order, a window's carry before its
+    fragments, and draw() calls them in that order, so a run consumes its
+    generator as emitting the program collision by collision would, and
     fill(draw) is that program. tally() prices runs from pooled pick counts.
 
-    `env_preparers` maps each prepare's key to its preparer, as execute
-    takes them. Before its first run a skeleton binds to the template's
-    windows what no run changes: each window's start I (x) E (one preparer
-    call and one eigh per prep key), each closed fragment's unitary, the
-    draw positions, and a closed swap's carry, which joins two windows. A
-    run reads only its draw, where a kept open swap carries the open window
-    on and a dropped one cuts it, and does the arithmetic.
+    `env_preparers` maps each window's `prep` key to its preparer, as
+    execute takes them. Before its first run a skeleton binds what no run
+    changes: each window's start I (x) E (one preparer call and one eigh per
+    prep key), each closed fragment's unitary, the draw positions, and a
+    closed carry, which joins two windows. A run reads only its draw, where
+    a kept open carry carries the open window on and a cut one closes it,
+    and does the arithmetic.
     """
 
     def __init__(self, template, draws, env_preparers=None):
@@ -307,24 +270,24 @@ class Skeleton:
         return self.template.ancilla
 
     def draw(self, rng):
-        """One value per open op, in op order: picks, or whether a swap is kept."""
+        """One value per open part, in window order: picks, or whether a carry is kept."""
         return tuple(make(rng) for _, make in self.draws)
 
     def fill(self, draw):
-        """The program of one draw; a template with no open op is its own."""
+        """The program of one draw; a template with no open part is its own."""
         if not self.draws:
             return self.template
-        ops = list(self.template.ops)
-        for (index, _), value in zip(self.draws, draw):
-            op = ops[index]
-            if op.kind == "fragment":
-                ops[index] = replace(op, picks=tuple(value))
-            elif not value:
-                ops[index] = None
+        windows = list(self.template.ops)
+        for ((w, k), _), value in zip(self.draws, draw):
+            window = windows[w]
+            if k is None:
+                windows[w] = replace(window, carry=bool(value))
+            else:
+                frags = list(window.fragments)
+                frags[k] = replace(frags[k], picks=value)
+                windows[w] = replace(window, fragments=tuple(frags))
         t = self.template
-        return CircuitProgram(
-            t.n_system, t.ancilla, t.env_widths, tuple(op for op in ops if op is not None)
-        )
+        return CircuitProgram(t.n_system, t.ancilla, tuple(windows))
 
     def run(self, draw, rho_system, blocks=None):
         """The final state of one draw, as execute(self.fill(draw), ...) gives it."""
@@ -334,7 +297,7 @@ class Skeleton:
             self._windows = self._compile()
         start, frags = None, ()
         for next_start, pos, next_frags in self._windows:
-            if pos is not None and draw[pos]:  # a kept swap carries the env on
+            if pos is not None and draw[pos]:  # a kept carry takes the env on
                 frags += next_frags
                 continue
             if frags:
@@ -345,43 +308,39 @@ class Skeleton:
         return regs if t.ancilla else regs[None]
 
     def _compile(self):
-        """A run's windows in op order, each (start, pos, frags): the start
-        I (x) E of the env it collides, or the identity while no slot is
-        live; the draw position of the open swap that carries the previous
-        window's env into it instead, else None; and its fragments, each
-        (op, its unitary if closed and product formula, pos), pos the op's
-        draw position, None when closed. They are the template's windows
-        (CircuitProgram.validate), with a closed swap's carry joining a
-        window's fragments to the one before it."""
+        """A run's windows in order, each (start, pos, frags): the start
+        I (x) E of the window's fresh env; the draw position of its open
+        carry, else None; and its fragments, each (fragment, its unitary if
+        closed and product formula, pos), pos the fragment's draw position,
+        None when closed. A closed carry joins a window's fragments to the
+        one before it."""
         t = self.template
-        ops, n = t.ops, t.n_system
-        position = {index: pos for pos, (index, _) in enumerate(self.draws)}
+        n = t.n_system
+        position = {address: pos for pos, (address, _) in enumerate(self.draws)}
+        preparers = self.env_preparers or {}
         fresh, starts = {}, {}  # per prep key: the fresh state, its I (x) E
-        bare = np.eye(1 << n, dtype=np.complex128)  # the start while no slot is live
-        bare.setflags(write=False)
         windows = []
-        for prepare, swap, indices in t.windows:
-            start = bare
-            if prepare is not None:
-                op = ops[prepare]
-                key = op.slot if op.prep is None else op.prep
-                if key not in fresh:
-                    fresh[key] = self.env_preparers[key]()
-                if fresh[key].n != t.env_widths[op.slot]:
-                    raise ValueError(f"slot {op.slot} preparer has wrong width")
-                if key not in starts:
-                    check_dense(n + fresh[key].n)
-                    starts[key] = states.kraus_start(n, fresh[key].data)
-                start = starts[key]
+        for w, window in enumerate(t.ops):
+            key = window.prep
+            if key not in fresh:
+                if key not in preparers:
+                    raise ValueError(f"no env preparer for key {key!r}")
+                fresh[key] = preparers[key]()
+            if fresh[key].n != window.width:
+                raise ValueError(f"env preparer {key!r} has wrong width")
+            if key not in starts:
+                check_dense(n + fresh[key].n)
+                starts[key] = states.kraus_start(n, fresh[key].data)
             frags = []
-            for i in indices:
-                op = ops[i]
-                closed = op.picks is None and i not in position
-                frags.append((op, step_unitary(op.step, op.steps) if closed else None, position.get(i)))
-            if swap is not None and swap not in position:  # a closed swap's carry
+            for k, frag in enumerate(window.fragments):
+                pos = position.get((w, k))
+                closed = frag.picks is None and pos is None
+                frags.append((frag, step_unitary(frag.step, frag.steps) if closed else None, pos))
+            pos = position.get((w, None))
+            if window.carry and pos is None:  # a closed carry
                 windows[-1][2].extend(frags)
             else:
-                windows.append((start, position.get(swap), frags))
+                windows.append((starts[key], pos, frags))
         return tuple((start, pos, tuple(frags)) for start, pos, frags in windows)
 
     def tally(self):
@@ -419,29 +378,28 @@ class _Pool:
 
 
 class _Tally:
-    """Summed gate costs of a skeleton's runs: its closed ops priced once and
-    counted per run, each table's picks pooled and priced per entry, and
-    each kept swap at its slot width. The sums are integers, so they equal
-    the sum of count_resources over the filled programs."""
+    """Summed gate costs of a skeleton's runs: its closed parts priced once
+    and counted per run, each table's picks pooled and priced per entry, and
+    each kept open carry at its env width. The sums are integers, so they
+    equal the sum of count_resources over the filled programs."""
 
     def __init__(self, skeleton):
         template = skeleton.template
-        open_ops = {index for index, _ in skeleton.draws}
-        closed = [op for i, op in enumerate(template.ops) if i not in open_ops]
-        self.fixed = _ops_cost(closed, template.env_widths)
+        self.fixed = _windows_cost(template.ops, {address for address, _ in skeleton.draws})
         self.runs = 0
         self.swap_cnots = 0
         pools = {}
-        self.sinks = []  # per open op: its pool, or the CNOTs of the swap
-        for index, _ in skeleton.draws:
-            op = template.ops[index]
-            if op.kind == "fragment":
-                key = (id(op.step), op.polarity is not None)
-                if key not in pools:
-                    pools[key] = _Pool(op.step, key[1])
-                self.sinks.append(pools[key])
-            else:
-                self.sinks.append(SWAP_CNOTS_PER_QUBIT * template.env_widths[op.slots[0]])
+        self.sinks = []  # per open part: its pool, or the CNOTs of the carry's swap
+        for (w, k), _ in skeleton.draws:
+            window = template.ops[w]
+            if k is None:
+                self.sinks.append(SWAP_CNOTS_PER_QUBIT * window.width)
+                continue
+            frag = window.fragments[k]
+            key = (id(frag.step), frag.polarity is not None)
+            if key not in pools:
+                pools[key] = _Pool(frag.step, key[1])
+            self.sinks.append(pools[key])
         self.pools = tuple(pools.values())
 
     def add(self, draw):
@@ -519,25 +477,26 @@ def _picked_cost(table, picks, controlled):
 def count_resources(program):
     """Gate costs of the program; a fragment costs its step's items `steps`
     times, a sampled one its picked items."""
-    cnot, rot, paulis, preps = _ops_cost(program.ops, program.env_widths)
+    cnot, rot, paulis, preps = _windows_cost(program.ops)
     return ResourceReport(cnot, rot, paulis, cnot + rot, preps)
 
 
-def _ops_cost(ops, env_widths):
-    """(cnots, rotations, Pauli gates, env preparations) of a list of ops."""
-    cnot = rot = paulis = preps = 0
-    for op in ops:
-        if op.kind == "fragment":
-            if op.picks is None:
-                c, r, p = _entry_costs(op.step, op.polarity is not None).sum(axis=0).tolist()
+def _windows_cost(windows, open_parts=()):
+    """(cnots, rotations, Pauli gates, env preparations) of a program's
+    windows, leaving out the open parts named by their address: one
+    preparation per window, a swap per carry, and each fragment's items."""
+    cnot = rot = paulis = 0
+    for w, window in enumerate(windows):
+        if window.carry and (w, None) not in open_parts:
+            cnot += SWAP_CNOTS_PER_QUBIT * window.width
+        for k, frag in enumerate(window.fragments):
+            if (w, k) in open_parts:
+                continue
+            if frag.picks is None:
+                c, r, p = _entry_costs(frag.step, frag.polarity is not None).sum(axis=0).tolist()
             else:
-                c, r, p = _picked_cost(op.step, op.picks, op.polarity is not None)
-            cnot += op.steps * c
-            rot += op.steps * r
-            paulis += op.steps * p
-        elif op.kind == "swap":
-            cnot += SWAP_CNOTS_PER_QUBIT * env_widths[op.slots[0]]
-        elif op.kind == "prepare":
-            cnot += PREP_CNOTS
-            preps += 1
-    return cnot, rot, paulis, preps
+                c, r, p = _picked_cost(frag.step, frag.picks, frag.polarity is not None)
+            cnot += frag.steps * c
+            rot += frag.steps * r
+            paulis += frag.steps * p
+    return cnot + PREP_CNOTS * len(windows), rot, paulis, len(windows)

@@ -31,15 +31,15 @@ dt = t/nu, cycling through the m jump couplings scaled by lambda = sqrt(nu/t)
 Non-Markovian extension: two alternating env registers; after collision j the
 just-collided register is partially swapped (probability p) with the freshly
 prepared one before being traced, so the next environment inherits memory.
-Odd j collides the first register, even j the second; the last collision has
-no swap. The exact map needs only one env: appending sigma_{j+1}, mixing with
-the swap and tracing the collided env gives Tr_Ea[(1-p) rho x sigma_{j+1} +
-p S(rho x sigma_{j+1})S†] = (1-p) Tr_E[rho] x sigma_{j+1} + p rho, since the
-swap hands the collided env to the surviving register. A program keeps
-both registers and the swap op, so it is priced as the circuit on n + 2w
-qubits, but it runs on the system and one env: a kept swap carries the
-collided env into the next collision, and a dropped one cuts the Kraus
-window there (circuits).
+The last collision has no swap. The exact map needs only one env: appending
+sigma_{j+1}, mixing with the swap and tracing the collided env gives
+Tr_Ea[(1-p) rho x sigma_{j+1} + p S(rho x sigma_{j+1})S†] = (1-p) Tr_E[rho]
+x sigma_{j+1} + p rho, since the swap hands the collided env to the
+surviving register. A program is one Kraus window per collision
+(circuits.Window), Markov or not: each window after the first carries the
+collided env on where the swap is kept and cuts it where the swap is
+dropped. It is priced as the circuit on n + 2w qubits, a preparation per
+collision and a swap per carry, but it runs on the system and one env.
 """
 
 import math
@@ -53,13 +53,13 @@ from .circuits import (
     PREP_CNOTS,
     SWAP_CNOTS_PER_QUBIT,
     CircuitProgram,
-    GateOp,
+    Fragment,
     ResourceReport,
     Skeleton,
+    Window,
     _entry_costs,
     _item_cost,
     _picked_cost,
-    fragment_op,
 )
 from .errors import NumericalError
 from .pauli import PauliString, PauliSum, normalize
@@ -404,88 +404,54 @@ def _fragments(backend, nh, tau, param):
     return ((table, 1, 1, draw), (table, 1, 0, draw))
 
 
-def _emit(ops, draws, parts):
-    """Append one collision's fragments, each on the system and the one env
-    slot live at it, and the draws of its sampled ones."""
-    for step, steps, polarity, draw in parts:
-        if draw is not None:
-            draws.append((len(ops), draw))
-        ops.append(fragment_op(step, steps, polarity))
-
-
-def markov_skeleton(spec, plan):
-    """The K-collision program (prepare, collide, trace per collision) as a
-    circuits.Skeleton: every collision is one fragment (two for salcu), and
-    a randomized backend's fragments are open, drawn per run collision by
-    collision (salcu: X, then Y). Built and validated once per plan."""
+def markov_skeleton(spec, plan, p=0.0):
+    """The K-collision program as a circuits.Skeleton: one window per
+    collision (prepare, collide, trace), every collision one fragment (two
+    for salcu), and a randomized backend's fragments open, drawn per run
+    collision by collision (salcu: X, then Y). With a partial-swap
+    probability p > 0 (nonmarkov_skeleton), each collision after the first
+    carries the previous collision's env, kept per run with probability p
+    when 0 < p < 1 and drawn before that collision's fragments. Built and
+    validated once per plan; it holds the spec's env preparers."""
     parts = _collision_parts(spec, plan)
-    widths = []
-    slot_of_width = {}
-    for c in spec.collisions:
-        if c.env_width not in slot_of_width:
-            slot_of_width[c.env_width] = len(widths)
-            widths.append(c.env_width)
-    ops, draws = [], []
+    windows, draws = [], []
     for j, u in enumerate(spec.unique_index):
-        slot = slot_of_width[spec.collisions[j].env_width]
-        ops.append(GateOp("prepare", slot=slot, prep=spec.prep_index[j]))
-        _emit(ops, draws, parts[u])
-        ops.append(GateOp("trace", slot=slot))
-    template = CircuitProgram(
-        n_system=spec.n, ancilla=plan.ancilla, env_widths=tuple(widths), ops=tuple(ops)
-    )
+        if j and 0 < p < 1:
+            draws.append(((j, None), partial(_swap_kept, p)))
+        draws += [((j, k), draw) for k, (*_, draw) in enumerate(parts[u]) if draw is not None]
+        frags = tuple(Fragment(step, steps, polarity) for step, steps, polarity, _ in parts[u])
+        width = spec.collisions[j].env_width
+        windows.append(Window(spec.prep_index[j], width, frags, carry=j > 0 and p > 0))
+    template = CircuitProgram(n_system=spec.n, ancilla=plan.ancilla, ops=tuple(windows))
     return Skeleton(template, draws, spec.env_preparers())
 
 
 def markov_program(spec, plan, rng=None):
     """Emit the full K-collision program of a plan: markov_skeleton plus one draw.
 
-    Every collision is one fragment op (two for salcu). Randomized backends
-    (qdrift, salcu) consume rng and emit sampled fragments; call again for a
-    fresh sample. The salcu backend adds the control ancilla and emits, per
-    collision, the controlled draw X (ancilla = 1) and the anti-controlled
-    independent draw Y (ancilla = 0).
+    Every collision is one window of one fragment (two for salcu).
+    Randomized backends (qdrift, salcu) consume rng and emit sampled
+    fragments; call again for a fresh sample. The salcu backend adds the
+    control ancilla and emits, per collision, the controlled draw X
+    (ancilla = 1) and the anti-controlled independent draw Y (ancilla = 0).
     """
     skeleton = markov_skeleton(spec, plan)
     return skeleton.fill(skeleton.draw(rng))
 
 
 def nonmarkov_skeleton(nmspec, plan):
-    """The two-register program as a circuits.Skeleton: odd collisions hit
-    slot 0, even collisions slot 1, with the fragments of markov_skeleton.
-
-    After each non-final collision the fresh env lands in the other slot and
-    the just-collided slot is swapped with it, then traced: a carry when the
-    swap is kept, a cut without it. The swap is an open op kept with
-    probability p per run when 0 < p < 1, a closed op at p = 1 and absent at
-    p = 0. A run draws each collision's fragments, then its swap. It holds
-    the base spec's env preparers.
-    """
-    spec, p = nmspec.base, nmspec.p
-    parts = _collision_parts(spec, plan)
-    w = spec.collisions[0].env_width
-    ops = [GateOp("prepare", slot=0, prep=spec.prep_index[0])]
-    draws = []
-    for j in range(1, spec.K + 1):
-        active = 0 if j % 2 == 1 else 1
-        _emit(ops, draws, parts[spec.unique_index[j - 1]])
-        if j < spec.K:
-            other = 1 - active
-            ops.append(GateOp("prepare", slot=other, prep=spec.prep_index[j]))
-            if 0 < p < 1:
-                draws.append((len(ops), partial(_swap_kept, p)))
-            if p > 0:
-                ops.append(GateOp("swap", slots=(active, other)))
-        ops.append(GateOp("trace", slot=active))
-    template = CircuitProgram(
-        n_system=spec.n, ancilla=plan.ancilla, env_widths=(w, w), ops=tuple(ops)
-    )
-    return Skeleton(template, draws, spec.env_preparers())
+    """The partial-swap program as a circuits.Skeleton: markov_skeleton's
+    windows for the base spec, each after the first carrying the collided
+    env on (the swap kept) or cut from it (the swap dropped). The carry is
+    open, kept with probability p per run, when 0 < p < 1, closed at p = 1
+    and absent at p = 0. A run draws each collision's carry, then its
+    fragments."""
+    return markov_skeleton(nmspec.base, plan, nmspec.p)
 
 
 def nonmarkov_program(nmspec, plan, rng=None):
-    """Two-register program of a plan for the base spec: nonmarkov_skeleton
-    plus one draw, so the swap op is present or absent per sample."""
+    """Partial-swap program of a plan for the base spec: nonmarkov_skeleton
+    plus one draw, so each window's carry is kept or cut per sample."""
     skeleton = nonmarkov_skeleton(nmspec, plan)
     return skeleton.fill(skeleton.draw(rng))
 

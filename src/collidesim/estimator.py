@@ -1,12 +1,13 @@
 """Monte-Carlo estimation of Tr[O M_K[rho]].
 
 Protocol: an estimate builds its collision program once, as one skeleton
-(circuits.Skeleton) with the random parts left open and the env preparers
-bound; each run, Markov or not, draws the open parts with its own RNG, runs
+(circuits.Skeleton) of one Kraus window per collision, with the random
+parts left open and the env preparers bound; each run, Markov or not, draws the open parts with its own RNG, runs
 that draw on a fresh copy of the input state with no program of its own,
 and measures. A run's gate costs come from its draw: the block's picks are
-pooled per table and priced once, which sums to count_resources over the
-runs' programs. When the final state does not depend on the run (the exact
+pooled per table and priced once, and a kept carry costs its swap, which
+sums to count_resources over the programs that Skeleton.fill makes of the
+runs' draws. When the final state does not depend on the run (the exact
 backend, or a fixed program: the skeleton's one run, priced by its tally
 of that empty draw), it is computed and measured once per estimate: its
 conditional mean, or the Born distribution from which each run draws its
@@ -218,7 +219,7 @@ def _fixed_runs(final, measured, measurement, seed, t_runs):
 
 def _run_block(skeleton, rho0, measured, measurement, seed, start, stop):
     """Sequential runs start..stop-1 of a randomized program; the parallel
-    path ships this off. Each run draws the skeleton's open ops with its own
+    path ships this off. Each run draws the skeleton's open parts with its own
     generator and runs that draw, and the block's gate costs come from its
     pooled draws.
     """

@@ -407,7 +407,10 @@ def load_state(path):
     """Read a state file: a 4-byte little-endian qubit count n, then the
     4^n entries in row-major order, each a little-endian float64 pair (re, im)."""
     with open(path, "rb") as fh:
-        (n,) = struct.unpack("<I", fh.read(4))
+        head = fh.read(4)
+        if len(head) < 4:
+            raise ValueError(f"state file {path} has {len(head)} bytes, shorter than its 4-byte header")
+        (n,) = struct.unpack("<I", head)
         dim = 1 << n
         raw = np.frombuffer(fh.read(), dtype="<f8")
     if raw.size != 2 * dim * dim:

@@ -1,17 +1,24 @@
 """Dense references and test helpers, kept apart from the package.
 
-execute_register runs a program on one matrix holding the whole register:
-the ancilla (when the program declares one) on the most significant qubit,
-the system next, and active env slots below in order of preparation. A
-fragment's product U is the live register's (everything but the ancilla),
-made a full-register matrix with np.kron: I (x) U with an ancilla, or the
-block-diagonal |p><p| (x) U + |1-p><1-p| (x) I when controlled at polarity
-p. A trace is a partial trace and a swap a product of two-qubit swaps.
+execute_register runs a program as the two-slot register circuit of its
+windows, on one matrix holding the whole register: the ancilla (when the
+program declares one) on the most significant qubit, the system next, and
+the live env slots below in order of preparation. The first window
+prepares its env; at a cut the collided env is traced and the window's
+fresh one prepared (`trace a; prepare b`), at a carry the fresh env is
+prepared, swapped with the collided one and traced in its place
+(`prepare b; swap(a, b); trace a`), and the last env is traced at the end,
+so at most n + 2w qubits are live. A fragment's product U is the live
+register's (everything but the ancilla), made a full-register matrix with
+np.kron: I (x) U with an ancilla, or the block-diagonal
+|p><p| (x) U + |1-p><1-p| (x) I when controlled at polarity p. A trace is a
+partial trace and a swap a product of two-qubit swaps.
 
-count_items prices a program by walking each fragment's items
-(fragment_items: `step` repeated `steps` times, or a sampled fragment's
-picks of its table) with the cost rule of the circuits module docstring
-(price_items), and describe prints a program one op per line.
+count_items prices a program by walking its windows, a preparation each
+and a swap per carry, and each fragment's items (fragment_items: `step`
+repeated `steps` times, or a sampled fragment's picks of its table) with
+the cost rule of the circuits module docstring (price_items), and describe
+prints a program one window and one fragment per line.
 rotations_by_item is the bit-for-bit reference of hamsim.rotations_dense.
 
 segments reads a sampled-LCU draw back as its Segments; sampled_dense and
@@ -72,12 +79,12 @@ def partial_trace(rho, qubits, n):
     return np.einsum("atbt->ab", view.reshape(dk, dt, dk, dt))
 
 
-def fragment_items(op):
+def fragment_items(frag):
     """The items a fragment applies, in order: the entries its picks name,
     or its step repeated `steps` times."""
-    if op.picks is not None:
-        return [op.step[i] for i in op.picks]
-    return list(op.step) * op.steps
+    if frag.picks is not None:
+        return [frag.step[i] for i in frag.picks]
+    return list(frag.step) * frag.steps
 
 
 def execute_register(program, rho_system, env_preparers=None):
@@ -86,36 +93,45 @@ def execute_register(program, rho_system, env_preparers=None):
     plus = np.full((2, 2), 0.5)
     rho = np.kron(plus, rho_system.data) if program.ancilla else rho_system.data.copy()
     n = head + program.n_system
-    active = []
+    live = []  # the widths of the live env slots, in order of preparation
 
-    def slot_qubits(slot):
-        below = active[: active.index(slot)]
-        base = head + program.n_system + sum(program.env_widths[s] for s in below)
-        return list(range(base, base + program.env_widths[slot]))
+    def prepare(window):
+        nonlocal rho, n
+        rho = np.kron(rho, env_preparers[window.prep]().data)
+        n += window.width
+        live.append(window.width)
 
-    for op in program.ops:
-        if op.kind == "prepare":
-            key = op.slot if op.prep is None else op.prep
-            rho = np.kron(rho, env_preparers[key]().data)
-            n += program.env_widths[op.slot]
-            active.append(op.slot)
-            continue
-        if op.kind == "trace":
-            qubits = slot_qubits(op.slot)
-            rho = partial_trace(rho, qubits, n)
-            n -= len(qubits)
-            active.remove(op.slot)
-            continue
-        if op.kind == "swap":
-            g = np.eye(1 << n)
-            for qa, qb in zip(slot_qubits(op.slots[0]), slot_qubits(op.slots[1])):
-                g = embed(_SWAP, (qa, qb), n) @ g
-        else:  # fragment, on the whole live register
-            u = np.eye(1 << (n - head))
-            for axis, angle in fragment_items(op):
-                u = gate_dense(axis, angle) @ u
-            g = np.kron(np.eye(1 << head), u) if op.polarity is None else controlled(u, op.polarity)
+    def trace_oldest():
+        nonlocal rho, n
+        base = head + program.n_system
+        rho = partial_trace(rho, list(range(base, base + live[0])), n)
+        n -= live.pop(0)
+
+    def apply(g):
+        nonlocal rho
         rho = g @ rho @ g.conj().T
+
+    for i, window in enumerate(program.ops):
+        if i == 0:
+            prepare(window)
+        elif window.carry:  # prepare b; swap(a, b); trace a
+            prepare(window)
+            base, w = head + program.n_system, window.width
+            g = np.eye(1 << n)
+            for q in range(base, base + w):
+                g = embed(_SWAP, (q, q + w), n) @ g
+            apply(g)
+            trace_oldest()
+        else:  # trace a; prepare b
+            trace_oldest()
+            prepare(window)
+        for frag in window.fragments:  # on the whole live register
+            u = np.eye(1 << (n - head))
+            for axis, angle in fragment_items(frag):
+                u = gate_dense(axis, angle) @ u
+            apply(np.kron(np.eye(1 << head), u) if frag.polarity is None else controlled(u, frag.polarity))
+    if live:
+        trace_oldest()
     return rho
 
 
@@ -136,17 +152,15 @@ def price_items(items, ctl):
 
 def count_items(program):
     """(cnot, rotation, pauli_gate, depth_proxy, env_preps) by an item walk."""
-    cnot = rot = paulis = preps = 0
-    for op in program.ops:
-        if op.kind == "prepare":
-            cnot += PREP_CNOTS
-            preps += 1
-        elif op.kind == "swap":
-            cnot += SWAP_CNOTS_PER_QUBIT * program.env_widths[op.slots[0]]
-        elif op.kind == "fragment":
-            c, r, p = price_items(fragment_items(op), op.polarity is not None)
+    cnot = rot = paulis = 0
+    for window in program.ops:
+        cnot += PREP_CNOTS
+        if window.carry:
+            cnot += SWAP_CNOTS_PER_QUBIT * window.width
+        for frag in window.fragments:
+            c, r, p = price_items(fragment_items(frag), frag.polarity is not None)
             cnot, rot, paulis = cnot + c, rot + r, paulis + p
-    return cnot, rot, paulis, cnot + rot, preps
+    return cnot, rot, paulis, cnot + rot, len(program.ops)
 
 
 def rotations_by_item(items, n):
@@ -188,29 +202,20 @@ def rotations_by_item(items, n):
 
 
 def describe(program):
-    """The program as text: a header line, then one line per op; a fragment
-    names the live register it acts on, the system and the active slots."""
-    lines = [
-        f"program system={program.n_system} ancilla={int(program.ancilla)} "
-        f"slots={list(program.env_widths)}"
-    ]
-    active = []
-    for op in program.ops:
-        if op.kind == "fragment":
+    """The program as text: a header line, then a line per window, its
+    env's preparer key and width and whether it carries the previous env,
+    and an indented line per fragment."""
+    lines = [f"program system={program.n_system} ancilla={int(program.ancilla)}"]
+    for window in program.ops:
+        carry = " carried" if window.carry else ""
+        lines.append(f"window prep={window.prep} width={window.width}{carry}")
+        for frag in window.fragments:
             items = ", ".join(
                 axis.label() if angle is None else f"{axis.label()} {angle!r}"
-                for axis, angle in (op.step if op.picks is None else fragment_items(op))
+                for axis, angle in (frag.step if frag.picks is None else fragment_items(frag))
             )
-            head = "fragment" if op.polarity is None else f"cfragment(anc={op.polarity})"
-            lines.append(f"{head} {op.steps} x [{items}] on system+{active}")
-        elif op.kind == "swap":
-            lines.append(f"swap slots {op.slots[0]}<->{op.slots[1]}")
-        else:
-            lines.append(f"{op.kind} slot {op.slot}")
-            if op.kind == "prepare":
-                active.append(op.slot)
-            else:
-                active.remove(op.slot)
+            head = "fragment" if frag.polarity is None else f"cfragment(anc={frag.polarity})"
+            lines.append(f"  {head} {frag.steps} x [{items}]")
     return "\n".join(lines)
 
 
@@ -333,7 +338,7 @@ def generic_path_calls(monkeypatch):
 def per_run_program_calls(monkeypatch):
     """Counter of the calls to CircuitProgram.validate and count_resources
     (under every name the package binds it to), the per-program work that
-    building and pricing a program costs."""
+    building and pricing a program costs: a walk over all its windows."""
     calls = Counter()
     real_validate = circuits.CircuitProgram.validate
     real_count = circuits.count_resources

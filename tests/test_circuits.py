@@ -1,7 +1,8 @@
-"""Gate IR: execution against dense oracles, validation, resource accounting."""
+"""Window IR: execution against dense oracles, validation, resource accounting."""
 
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -14,14 +15,14 @@ from collidesim import (
     CollisionSpec,
     DenseLimitError,
     DensityMatrix,
-    GateOp,
+    Fragment,
     NonMarkovSpec,
     PauliString,
     ResourceReport,
     ThermalPrep,
+    Window,
     count_resources,
     execute,
-    fragment_op,
     markov_plan,
     markov_program,
     nonmarkov_program,
@@ -49,30 +50,13 @@ def _rand_rho(rng, n):
     return DensityMatrix(rho / np.trace(rho))
 
 
-def test_op_constructors_pick_kinds():
-    x = PauliString.from_label("X")
-    assert fragment_op([(x, 0.3)], 1).kind == "fragment"
-    assert fragment_op([(x, None)], 1, polarity=1).kind == "fragment"
-    for kind in ("hadamard", "rotation"):
-        with pytest.raises(ValueError):
-            GateOp(kind)
-
-
 def test_execute_one_collision_matches_dense():
     rng = np.random.default_rng(31)
     rho = _rand_rho(rng, 1)
     env = np.diag([0.25, 0.75]).astype(np.complex128)
     theta = 0.47
     xx = PauliString.from_label("XX")
-    prog = CircuitProgram(
-        1,
-        env_widths=(1,),
-        ops=(
-            GateOp("prepare", slot=0),
-            fragment_op([(xx, theta)], 1),
-            GateOp("trace", slot=0),
-        ),
-    )
+    prog = CircuitProgram(1, ops=(Window(0, 1, (Fragment([(xx, theta)]),)),))
     got = execute(prog, rho, {0: _prep(env)})
     u = expm(-1j * theta * np.kron(_X, _X))
     joint = u @ np.kron(rho.data, env) @ u.conj().T
@@ -80,41 +64,21 @@ def test_execute_one_collision_matches_dense():
     np.testing.assert_allclose(got.data, want, atol=1e-12)
 
 
-def test_execute_remaps_after_out_of_order_trace():
-    # slot 1 ops must follow the physical compaction after slot 0 is traced
-    rng = np.random.default_rng(33)
-    rho = _rand_rho(rng, 1)
-    theta = 0.6
-    xx = PauliString.from_label("XX")
-    prog = CircuitProgram(
-        1,
-        env_widths=(1, 1),
-        ops=(
-            GateOp("prepare", slot=0),
-            GateOp("prepare", slot=1),
-            GateOp("trace", slot=0),
-            fragment_op([(xx, theta)], 1),  # the system and slot 1
-            GateOp("trace", slot=1),
-        ),
-    )
-    env0 = np.diag([1.0, 0.0])
-    env1 = np.diag([0.25, 0.75]).astype(np.complex128)
-    got = execute(prog, rho, {0: _prep(env0), 1: _prep(env1)})
-    u = expm(-1j * theta * np.kron(_X, _X))
-    joint = u @ np.kron(rho.data, env1) @ u.conj().T
-    want = np.einsum("aibi->ab", joint.reshape(2, 2, 2, 2))
-    np.testing.assert_allclose(got.data, want, atol=1e-12)
+_PURE0 = {0: _prep(np.diag([1.0, 0.0]))}
+
+
+def _controlled_x():
+    """An ancilla program: X on the system where the ancilla reads 1, the
+    env |0> left alone."""
+    frag = Fragment([(PauliString.from_label("XI"), None)], 1, polarity=1)
+    return CircuitProgram(1, ancilla=True, ops=(Window(0, 1, (frag,)),))
 
 
 def test_execute_ancilla_controls():
     rng = np.random.default_rng(35)
     rho = _rand_rho(rng, 1)
-    prog = CircuitProgram(
-        1,
-        ancilla=True,
-        ops=(fragment_op([(PauliString.from_label("X"), None)], 1, polarity=1),),
-    )
-    blocks = execute(prog, rho)
+    prog = _controlled_x()
+    blocks = execute(prog, rho, _PURE0)
     assert set(blocks) == {(0, 0), (1, 1), (1, 0)}
     assert all(b.n == 1 for b in blocks.values())  # no register holds the ancilla
     got = join_blocks(blocks)
@@ -126,39 +90,58 @@ def test_execute_ancilla_controls():
     assert got.n == 2
     np.testing.assert_allclose(got.data, want, atol=1e-13)
     # rho_10 alone evolves as X rho / 2
-    alone = execute(prog, rho, blocks=((1, 0),))
+    alone = execute(prog, rho, _PURE0, blocks=((1, 0),))
     assert set(alone) == {(1, 0)}
     np.testing.assert_allclose(alone[1, 0].data, _X @ rho.data / 2, atol=1e-15)
     with pytest.raises(ValueError):  # blocks need an ancilla
         execute(CircuitProgram(1), rho, blocks=((1, 0),))
 
 
+@pytest.mark.parametrize("key", [(2, 7), (1, 2), (0,), (1, 0, 1)], ids=str)
+def test_execute_refuses_a_block_that_is_no_pair_of_ancilla_values(key):
+    rho = _rand_rho(np.random.default_rng(36), 1)
+    prog = _controlled_x()
+    for run in (lambda: execute(prog, rho, _PURE0, blocks=((1, 0), key)),
+                lambda: Skeleton(prog, (), _PURE0).run((), rho, (key,))):
+        with pytest.raises(ValueError, match=rf"block {re.escape(repr(key))} is not an \(a, b\) pair"):
+            run()
+
+
+def test_execute_refuses_a_program_without_its_preparers():
+    rho = _rand_rho(np.random.default_rng(37), 1)
+    prog = _controlled_x()
+    for run in (lambda: execute(prog, rho), lambda: Skeleton(prog, ()).run((), rho)):
+        with pytest.raises(ValueError, match="no env preparer for key 0"):
+            run()
+
+
+def test_execute_refuses_a_preparer_key_it_lacks():
+    rho = _rand_rho(np.random.default_rng(38), 1)
+    xx = Fragment([(PauliString.from_label("XX"), 0.2)])
+    prog = CircuitProgram(1, ops=(Window(0, 1, (xx,)), Window(3, 1, (xx,))))
+    for preps in ({}, _PURE0, {3: _PURE0[0]}):
+        missing = 3 if 0 in preps else 0
+        for run in (lambda: execute(prog, rho, preps), lambda: Skeleton(prog, (), preps).run((), rho)):
+            with pytest.raises(ValueError, match=f"no env preparer for key {missing}"):
+                run()
+
+
 def test_execute_swap_moves_env_state():
-    # prepare |1> in slot 0 and |0> in slot 1, then trace slot 0, with or
-    # without swapping first, and flip the system iff slot 1 holds |1>: the
-    # swap carries |1> into slot 1 and the flip fires. The CNOT from slot 1 to
-    # the system is e^{i pi/4 (I - Z_c)(I - X_t)}
-    # = e^{-i pi/4 Z_c} e^{-i pi/4 X_t} e^{i pi/4 X_t Z_c} up to a global phase.
-    cnot = [
+    # prepare |1> in the first window and |0> in the second, which either
+    # carries the first env (its swap kept) or collides its own, and flip the
+    # system iff the env it collides holds |1>: the carry hands |1> on and the
+    # flip fires. The CNOT from the env to the system is
+    # e^{i pi/4 (I - Z_c)(I - X_t)} = e^{-i pi/4 Z_c} e^{-i pi/4 X_t} e^{i pi/4 X_t Z_c}
+    # up to a global phase.
+    cnot = Fragment([
         (PauliString.from_label("IZ"), math.pi / 4),
         (PauliString.from_label("XI"), math.pi / 4),
         (PauliString.from_label("XZ"), -math.pi / 4),
-    ]
+    ])
     rho = DensityMatrix.basis(1, 0)
     preps = {0: _prep(np.diag([0.0, 1.0])), 1: _prep(np.diag([1.0, 0.0]))}
-    for swap, flipped in ((True, 1), (False, 0)):
-        prog = CircuitProgram(
-            1,
-            env_widths=(1, 1),
-            ops=(
-                GateOp("prepare", slot=0),
-                GateOp("prepare", slot=1),
-                *([GateOp("swap", slots=(0, 1))] if swap else []),
-                GateOp("trace", slot=0),
-                fragment_op(cnot, 1),  # the system and slot 1
-                GateOp("trace", slot=1),
-            ),
-        )
+    for carry, flipped in ((True, 1), (False, 0)):
+        prog = CircuitProgram(1, ops=(Window(0, 1), Window(1, 1, (cnot,), carry=carry)))
         got = execute(prog, rho, preps)
         np.testing.assert_allclose(got.data, execute_register(prog, rho, preps), atol=1e-12)
         np.testing.assert_allclose(got.data, DensityMatrix.basis(1, flipped).data, atol=1e-12)
@@ -167,58 +150,46 @@ def test_execute_swap_moves_env_state():
 def test_validate_rejects_bad_programs():
     x = PauliString.from_label("X")
     xx = PauliString.from_label("XX")
-    with pytest.raises(ValueError):  # touches a slot never prepared
-        CircuitProgram(1, env_widths=(1,), ops=(fragment_op([(xx, None)], 1),))
-    with pytest.raises(ValueError):  # double prepare
-        CircuitProgram(
-            1,
-            env_widths=(1,),
-            ops=(GateOp("prepare", slot=0), GateOp("prepare", slot=0), GateOp("trace", slot=0)),
-        )
-    with pytest.raises(ValueError):  # never traced
-        CircuitProgram(1, env_widths=(1,), ops=(GateOp("prepare", slot=0),))
     with pytest.raises(ValueError):  # ancilla op without ancilla
-        CircuitProgram(1, ops=(fragment_op([(x, None)], 1, polarity=1),))
+        CircuitProgram(1, ops=(Window(0, 1, (Fragment([(xx, None)], 1, polarity=1),)),))
     with pytest.raises(ValueError):  # a polarity is an ancilla value
-        CircuitProgram(1, ancilla=True, ops=(fragment_op([(x, None)], 1, polarity=2),))
+        CircuitProgram(1, ancilla=True, ops=(Window(0, 1, (Fragment([(xx, None)], 1, polarity=2),)),))
     with pytest.raises(ValueError):  # fragment narrower than the live register
-        CircuitProgram(
-            1,
-            env_widths=(1,),
-            ops=(GateOp("prepare", slot=0), fragment_op([(x, 0.1)], 1), GateOp("trace", slot=0)),
-        )
+        CircuitProgram(1, ops=(Window(0, 1, (Fragment([(x, 0.1)]),)),))
     with pytest.raises(ValueError):  # fragment wider than the live register
-        CircuitProgram(1, ops=(fragment_op([(xx, None)], 1),))
-    with pytest.raises(ValueError, match="swap needs equal slot widths"):
-        CircuitProgram(
-            1,
-            env_widths=(1, 2),
-            ops=(
-                GateOp("prepare", slot=0),
-                GateOp("prepare", slot=1),
-                GateOp("swap", slots=(0, 1)),
-                GateOp("trace", slot=0),
-                GateOp("trace", slot=1),
-            ),
-        )
+        CircuitProgram(1, ops=(Window(0, 1, (Fragment([(PauliString.from_label("XXX"), None)]),)),))
+
+
+_BAD_CARRIES = {
+    "on the first window": (Window(0, 1, carry=True),),
+    "into a wider env": (Window(0, 1), Window(1, 2, carry=True)),
+    "into a narrower env": (Window(0, 2), Window(1, 2), Window(1, 1, carry=True)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_BAD_CARRIES))
+def test_validate_refuses_a_carry_with_no_env_of_its_width(shape):
+    with pytest.raises(ValueError, match="a carry needs a previous window of its env width"):
+        CircuitProgram(1, ops=_BAD_CARRIES[shape])
+    # a carry between envs of one width, after a cut between two widths, runs
+    CircuitProgram(1, ops=(Window(0, 1), Window(1, 2), Window(1, 2, carry=True)))
 
 
 def test_describe_is_stable():
     prog = CircuitProgram(
         2,
         ancilla=True,
-        env_widths=(1,),
         ops=(
-            GateOp("prepare", slot=0),
-            fragment_op([(PauliString.from_label("XIZ"), 0.25)], 1, polarity=0),
-            GateOp("trace", slot=0),
+            Window(0, 1, (Fragment([(PauliString.from_label("XIZ"), 0.25)], 1, polarity=0),)),
+            Window(1, 1, (Fragment([(PauliString.from_label("IYX"), None)]),), carry=True),
         ),
     )
     assert describe(prog).splitlines() == [
-        "program system=2 ancilla=1 slots=[1]",
-        "prepare slot 0",
-        "cfragment(anc=0) 1 x [+XIZ 0.25] on system+[0]",
-        "trace slot 0",
+        "program system=2 ancilla=1",
+        "window prep=0 width=1",
+        "  cfragment(anc=0) 1 x [+XIZ 0.25]",
+        "window prep=1 width=1 carried",
+        "  fragment 1 x [+IYX]",
     ]
 
 
@@ -229,19 +200,16 @@ def test_count_resources_frozen_costs():
     prog = CircuitProgram(
         3,
         ancilla=True,
-        env_widths=(2, 2),
         ops=(
-            GateOp("prepare", slot=0),  # 2 cnots, 1 prep
-            fragment_op([(z3, 0.1)], 1),  # weight 3: 4 cnots, 1 rot
-            fragment_op([(xx, 0.2)], 1, polarity=1),  # 2(w-1)+2 = 4 cnots, 2 rots
-            # phase kick: 1 rot
-            fragment_op([(PauliString(5, 0, 0), 0.3)], 1, polarity=1),
-            fragment_op([(xx, None)], 1),  # 1 pauli, 0 cnots
-            fragment_op([(xx, None)], 1, polarity=1),  # 1 pauli, 2 cnots
-            GateOp("prepare", slot=1),  # 2 cnots, 1 prep
-            GateOp("swap", slots=(0, 1)),  # 3 per qubit * width 2 = 6 cnots
-            GateOp("trace", slot=0),
-            GateOp("trace", slot=1),
+            Window(0, 2, (  # 2 cnots, 1 prep
+                Fragment([(z3, 0.1)]),  # weight 3: 4 cnots, 1 rot
+                Fragment([(xx, 0.2)], 1, polarity=1),  # 2(w-1)+2 = 4 cnots, 2 rots
+                Fragment([(PauliString(5, 0, 0), 0.3)], 1, polarity=1),  # phase kick: 1 rot
+                Fragment([(xx, None)]),  # 1 pauli, 0 cnots
+                Fragment([(xx, None)], 1, polarity=1),  # 1 pauli, 2 cnots
+            )),
+            # 2 cnots, 1 prep; its carry swaps 3 per qubit * width 2 = 6 cnots
+            Window(1, 2, carry=True),
         ),
     )
     rep = count_resources(prog)
@@ -268,39 +236,35 @@ def test_resource_report_addition():
 
 def test_fragment_op_is_small_and_validated():
     xx = PauliString.from_label("XX")
-    op = fragment_op([(xx, 0.25), (PauliString.from_label("ZI"), -0.5)], 2)
-    assert op.kind == "fragment" and op.step[0] == (xx, 0.25) and op.steps == 2
+    op = Fragment([(xx, 0.25), (PauliString.from_label("ZI"), -0.5)], 2)
+    assert op.step[0] == (xx, 0.25) and op.steps == 2 and op.polarity is None and op.picks is None
     assert type(op.step) is RotationTable and op.step.n == 2
     # a copy holds an equal table of its own
     copy = pickle.loads(pickle.dumps(op))
     assert copy.step is not op.step and (copy.step.n, copy.step.items) == (op.step.n, op.step.items)
-    assert replace(copy, step=op.step) == op and hash(op) == hash(fragment_op(op.step, 2))
-    prog = CircuitProgram(
-        1, env_widths=(1,), ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0))
-    )
-    assert describe(prog).splitlines()[2] == "fragment 2 x [+XX 0.25, +ZI -0.5] on system+[0]"
+    assert replace(copy, step=op.step) == op and hash(op) == hash(Fragment(op.step, 2))
+    prog = CircuitProgram(1, ops=(Window(0, 1, (op,)),))
+    assert describe(prog).splitlines()[2] == "  fragment 2 x [+XX 0.25, +ZI -0.5]"
     # 2 steps x (XX: 2 cnots + 1 rot, ZI: 0 cnots + 1 rot), plus the preparation
     assert count_resources(prog).as_tuple() == (2 + 2 * 2, 2 * 2, 0, 6 + 4, 1)
     # an item is checked as it enters the fragment's table
     with pytest.raises(ValueError):
-        fragment_op([(xx, 0.1), (PauliString.from_label("X"), 0.1)], 1)  # axis width
+        Fragment([(xx, 0.1), (PauliString.from_label("X"), 0.1)])  # axis width
     with pytest.raises(ValueError):
-        fragment_op([(PauliString.from_label("-XX"), 0.1)], 1)  # phased axis
+        Fragment([(PauliString.from_label("-XX"), 0.1)])  # phased axis
     for bad in (
-        fragment_op(RotationTable(1, [(PauliString.from_label("X"), 0.1)]), 1),  # table width
-        fragment_op([(xx, 0.1)], 0),  # no repetitions
-        fragment_op([], 1),  # empty step
+        Fragment(RotationTable(1, [(PauliString.from_label("X"), 0.1)])),  # table width
+        Fragment([(xx, 0.1)], 0),  # no repetitions
+        Fragment([]),  # empty step
     ):
         with pytest.raises(ValueError):
-            CircuitProgram(
-                1, env_widths=(1,), ops=(GateOp("prepare", slot=0), bad, GateOp("trace", slot=0))
-            )
+            CircuitProgram(1, ops=(Window(0, 1, (bad,)),))
 
 
 @pytest.mark.parametrize("polarity", [0, 1])
 def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     rng = np.random.default_rng(43)
-    # whole-register words on (system 0, system 1, slot 0 of two qubits) that
+    # whole-register words on (system 0, system 1, the env's two qubits) that
     # leave system 1 alone
     step = (
         (PauliString.from_label("YIZX"), 0.31),
@@ -310,15 +274,10 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
         (PauliString.from_label("YIXY"), 0.17),
     )
     picks = range(len(step))
-    frag = fragment_op(step, 1, polarity, picks=picks)
+    frag = Fragment(step, 1, polarity, picks=picks)
 
     def program(gates):
-        return CircuitProgram(
-            2,
-            ancilla=True,
-            env_widths=(2,),
-            ops=(GateOp("prepare", slot=0), *gates, GateOp("trace", slot=0)),
-        )
+        return CircuitProgram(2, ancilla=True, ops=(Window(0, 2, gates),))
 
     prog = program((frag,))
     rho = _rand_rho(rng, 2)
@@ -331,21 +290,15 @@ def test_controlled_fragment_on_permuted_targets_matches_gates(polarity):
     np.testing.assert_allclose(alone.data, want[4:, :4], atol=1e-12)
     assert count_resources(prog).as_tuple() == count_items(prog)
     assert describe(prog).splitlines()[2] == (
-        f"cfragment(anc={polarity}) 1 x [+YIZX 0.31, -iXIYZ, +IIZZ -0.2, -ZIII, +YIXY 0.17]"
-        " on system+[0]"
+        f"  cfragment(anc={polarity}) 1 x [+YIZX 0.31, -iXIYZ, +IIZZ -0.2, -ZIII, +YIXY 0.17]"
     )
     with pytest.raises(ValueError):  # a sampled fragment is one draw
-        program((fragment_op(step, 2, 1, picks=picks),))
+        program((Fragment(step, 2, 1, picks=picks),))
 
 
-def _table_program(step, picks, polarity=None):
-    op = fragment_op(step, 1, polarity, picks=picks)
-    return CircuitProgram(
-        1,
-        ancilla=polarity is not None,
-        env_widths=(1,),
-        ops=(GateOp("prepare", slot=0), op, GateOp("trace", slot=0)),
-    )
+def _table_program(step, picks, polarity=None, steps=1):
+    frag = Fragment(step, steps, polarity, picks=picks)
+    return CircuitProgram(1, ancilla=polarity is not None, ops=(Window(0, 1, (frag,)),))
 
 
 def test_picked_fragments_price_each_entry_by_its_pick_count():
@@ -378,7 +331,7 @@ def test_validate_checks_the_pick_range():
     with pytest.raises(ValueError):  # a table as wide as the live register
         _table_program(narrow, (0,))
     with pytest.raises(ValueError):  # a draw is applied once
-        CircuitProgram(1, ops=(fragment_op(narrow, 2, picks=(0,)),))
+        _table_program(table, (0,), steps=2)
 
 
 # --------------------------------------------------------- Kraus windows
@@ -441,18 +394,13 @@ def test_a_hand_built_window_with_two_fragments_per_side_takes_the_kraus_path(mo
     rho = _rand_rho(rng, 1)
     for ancilla in (False, True):
         on, off = (1, 0) if ancilla else (None, None)
-        window = (
-            fragment_op(table, 1, on, picks=(0, 2, 1, 0)),
-            fragment_op(step, 3),
-            fragment_op(table, 1, on, picks=(1, 1, 2)),
-            fragment_op(step, 2, off),
-        )
-        prog = CircuitProgram(
-            1,
-            ancilla=ancilla,
-            env_widths=(1,),
-            ops=(GateOp("prepare", slot=0), *window, GateOp("trace", slot=0)) * 2,
-        )
+        window = Window(0, 1, (
+            Fragment(table, 1, on, picks=(0, 2, 1, 0)),
+            Fragment(step, 3),
+            Fragment(table, 1, on, picks=(1, 1, 2)),
+            Fragment(step, 2, off),
+        ))
+        prog = CircuitProgram(1, ancilla=ancilla, ops=(window,) * 2)
         calls = generic_path_calls(monkeypatch)
         _assert_matches_register(prog, rho, preps)
         assert not calls
@@ -463,19 +411,11 @@ def test_non_markov_and_out_of_order_programs_run_as_kraus_windows(monkeypatch):
     rho = _rand_rho(np.random.default_rng(87), spec.n)
     plan = markov_plan(spec, parse_backend("trotter1"), 0.2, 1.0)
     nonmarkov = nonmarkov_program(NonMarkovSpec(spec, 1.0), plan, np.random.default_rng(88))
-    assert any(op.kind == "swap" for op in nonmarkov.ops)
+    assert any(w.carry for w in nonmarkov.ops)
     xx = PauliString.from_label("XX")
-    out_of_order = CircuitProgram(  # slot 1 collides after slot 0 was traced: a cut
-        1,
-        env_widths=(1, 1),
-        ops=(
-            GateOp("prepare", slot=0),
-            GateOp("prepare", slot=1),
-            GateOp("trace", slot=0),
-            fragment_op([(xx, 0.6)], 1),
-            GateOp("trace", slot=1),
-        ),
-    )
+    # the env prepared first is traced uncollided and the second collides:
+    # an empty window, then a cut
+    out_of_order = CircuitProgram(1, ops=(Window(0, 1), Window(1, 1, (Fragment([(xx, 0.6)]),))))
     env = _prep(np.diag([0.25, 0.75]))
     one = _rand_rho(np.random.default_rng(89), 1)
     for prog, state, preps in (
@@ -504,11 +444,11 @@ def test_forced_swap_patterns_match_the_dense_register(backend, eps, pattern, mo
     skeleton = nonmarkov_skeleton(NonMarkovSpec(spec, 0.5), plan)
     swaps = iter(_PATTERNS[pattern])
     draw = tuple(
-        bool(next(swaps)) if skeleton.template.ops[index].kind == "swap" else value
-        for (index, _), value in zip(skeleton.draws, skeleton.draw(np.random.default_rng(97)))
+        bool(next(swaps)) if k is None else value
+        for ((_, k), _), value in zip(skeleton.draws, skeleton.draw(np.random.default_rng(97)))
     )
     prog = skeleton.fill(draw)
-    assert sum(op.kind == "swap" for op in prog.ops) == sum(_PATTERNS[pattern])
+    assert [w.carry for w in prog.ops] == [False] + [bool(v) for v in _PATTERNS[pattern]]
     calls = generic_path_calls(monkeypatch)
     _assert_matches_register(prog, rho, spec.env_preparers())
     assert not calls
@@ -522,64 +462,13 @@ def test_forced_swap_patterns_match_the_dense_register(backend, eps, pattern, mo
         assert all(np.array_equal(got[key].data, want[key].data) for key in want)
 
 
-_XX, _XXX = PauliString.from_label("XX"), PauliString.from_label("XXX")
-_REFUSED = {
-    "two collided live slots": (
-        (GateOp("prepare", slot=0), fragment_op([(_XX, 0.1)], 1), GateOp("prepare", slot=1),
-         fragment_op([(_XXX, 0.1)], 1), GateOp("trace", slot=0), GateOp("trace", slot=1)),
-        r"fragment while slots \[0, 1\] are live",
-    ),
-    "fragment while two slots are live": (
-        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), fragment_op([(_XXX, 0.1)], 1),
-         GateOp("trace", slot=1), GateOp("trace", slot=0)),
-        r"fragment while slots \[0, 1\] are live",
-    ),
-    "third live slot": (
-        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("prepare", slot=2),
-         GateOp("trace", slot=0), GateOp("trace", slot=1), GateOp("trace", slot=2)),
-        r"slot 2 prepared while slots \[0, 1\] are live",
-    ),
-    "swap then the fresh slot traced": (
-        (GateOp("prepare", slot=0), fragment_op([(_XX, 0.1)], 1), GateOp("prepare", slot=1),
-         GateOp("swap", slots=(0, 1)), GateOp("trace", slot=1), GateOp("trace", slot=0)),
-        r"swap \(0, 1\) outside prepare b; swap\(a, b\); trace a",
-    ),
-    "swap named fresh slot first": (
-        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(1, 0)),
-         GateOp("trace", slot=0), GateOp("trace", slot=1)),
-        r"swap \(1, 0\) outside prepare b; swap\(a, b\); trace a",
-    ),
-    "two swaps": (
-        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(0, 1)),
-         GateOp("swap", slots=(0, 1)), GateOp("trace", slot=0), GateOp("trace", slot=1)),
-        r"swap \(0, 1\) outside prepare b; swap\(a, b\); trace a",
-    ),
-    "swap of an unknown slot": (
-        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(0, 5)),
-         GateOp("trace", slot=0), GateOp("trace", slot=1)),
-        r"swap \(0, 5\) outside prepare b; swap\(a, b\); trace a",
-    ),
-    "swap at the end": (
-        (GateOp("prepare", slot=0), GateOp("prepare", slot=1), GateOp("swap", slots=(0, 1))),
-        r"swap \(0, 1\) outside prepare b; swap\(a, b\); trace a",
-    ),
-}
-
-
-@pytest.mark.parametrize("shape", sorted(_REFUSED))
-def test_validate_refuses_what_no_window_runs(shape):
-    ops, message = _REFUSED[shape]
-    with pytest.raises(ValueError, match=message):
-        CircuitProgram(1, env_widths=(1, 1, 1), ops=ops)
-
-
 def test_kraus_windows_keep_the_executor_guards(monkeypatch):
     spec = _window_spec(_WINDOW_ENVS["pure"])
     rho = _rand_rho(np.random.default_rng(91), spec.n)
     for backend, eps in (("qdrift", 0.2), ("salcu", 0.1)):
         plan = markov_plan(spec, parse_backend(backend), eps, 1.0)
         prog = markov_program(spec, plan, np.random.default_rng(93))
-        with pytest.raises(ValueError, match="slot 0 preparer has wrong width"):
+        with pytest.raises(ValueError, match="env preparer 0 has wrong width"):
             execute(prog, rho, {u: ThermalPrep(math.inf, width=2) for u in range(len(spec.unique))})
         monkeypatch.setenv("COLLIDESIM_DENSE_LIMIT", "2")  # the joint register has 3 qubits
         with pytest.raises(DenseLimitError):
@@ -589,71 +478,53 @@ def test_kraus_windows_keep_the_executor_guards(monkeypatch):
         monkeypatch.delenv("COLLIDESIM_DENSE_LIMIT")
 
 
+_XX = PauliString.from_label("XX")
+
+
 def _xx(theta):
-    return fragment_op([(_XX, theta)], 1)
+    return Fragment([(_XX, theta)])
 
 
-_P0, _P1 = GateOp("prepare", slot=0), GateOp("prepare", slot=1)
-_T0, _T1 = GateOp("trace", slot=0), GateOp("trace", slot=1)
-_X1 = PauliString.from_label("X")
-_SWAP01, _SWAP10 = GateOp("swap", slots=(0, 1)), GateOp("swap", slots=(1, 0))
-# (ops, their windows: (prepare index or None, carrying swap index or None, fragment indices))
+# hand-built window programs on a one-qubit system and one-qubit envs
 _WINDOWS = {
-    "cut": (
-        (_P0, _xx(0.3), _P1, _T0, _xx(0.4), _T1),
-        ((0, None, (1,)), (2, None, (4,))),
-    ),
-    "one slot, collided twice": (
-        (_P0, _xx(0.3), _T0, _P0, _xx(0.4), _T0),
-        ((0, None, (1,)), (3, None, (4,))),
-    ),
-    "carry": (
-        (_P0, _xx(0.3), _P1, _SWAP01, _T0, _xx(0.4), _T1),
-        ((0, None, (1,)), (2, 3, (5,))),
-    ),
+    "cut": (Window(0, 1, (_xx(0.3),)), Window(1, 1, (_xx(0.4),))),
+    "one slot, collided twice": (Window(0, 1, (_xx(0.3),)), Window(0, 1, (_xx(0.4),))),
+    "carry": (Window(0, 1, (_xx(0.3),)), Window(1, 1, (_xx(0.4),), carry=True)),
     "an empty window that a carry follows": (
-        (_P0, _xx(0.3), _P1, _T0, _P0, _SWAP10, _T1, _xx(0.4), _T0),
-        ((0, None, (1,)), (2, None, ()), (4, 5, (7,))),
+        Window(0, 1, (_xx(0.3),)), Window(1, 1), Window(0, 1, (_xx(0.4),), carry=True),
     ),
-    "fragments before any prepare and after the last trace": (
-        (fragment_op([(_X1, 0.2)], 1), _P0, _xx(0.3), _T0, fragment_op([(_X1, 0.5)], 2)),
-        ((None, None, (0,)), (1, None, (2,)), (None, None, (4,))),
-    ),
-    "out-of-order trace": (
-        (_P0, _P1, _T0, _xx(0.4), _T1),
-        ((1, None, (3,)),),
-    ),
-    "the fresh slot traced first": (
-        (_P0, _xx(0.3), _P1, _T1, _xx(0.4), _T0),
-        ((0, None, (1, 4)),),
-    ),
-    "no fragment": ((_P0, _T0), ()),
+    "no fragment": (Window(0, 1),),
+    # the env prepared first is traced uncollided and the second collides
+    "out-of-order trace": (Window(0, 1), Window(1, 1, (_xx(0.4),))),
 }
 
 
 @pytest.mark.parametrize("shape", sorted(_WINDOWS))
 def test_validate_records_the_kraus_windows(shape):
-    ops, windows = _WINDOWS[shape]
-    prog = CircuitProgram(1, env_widths=(1, 1), ops=ops)
-    assert prog.windows == windows
+    windows = _WINDOWS[shape]
+    prog = CircuitProgram(1, ops=windows)
+    assert prog.ops == windows
+    assert count_resources(prog).as_tuple() == count_items(prog)
     # the windows are what a run executes
     preps = {0: _prep(np.diag([0.25, 0.75])), 1: _prep(np.array([[0.5, 0.3j], [-0.3j, 0.5]]))}
     _assert_matches_register(prog, _rand_rho(np.random.default_rng(99), 1), preps)
 
 
 def test_an_open_swap_is_read_from_the_draw_and_a_closed_one_joins_its_windows():
-    ops, windows = _WINDOWS["carry"]
-    prog = CircuitProgram(1, env_widths=(1, 1), ops=ops)
+    windows = _WINDOWS["carry"]
+    prog = CircuitProgram(1, ops=windows)
     preps = {0: _prep(np.diag([0.25, 0.75])), 1: _prep(np.diag([0.6, 0.4]))}
     rho = _rand_rho(np.random.default_rng(101), 1)
     closed = Skeleton(prog, (), preps)
     closed.run((), rho)
-    assert [(pos, [op for op, _, _ in frags]) for _, pos, frags in closed._windows] == [
-        (None, [ops[1], ops[5]])
+    assert [(pos, [frag for frag, _, _ in frags]) for _, pos, frags in closed._windows] == [
+        (None, [windows[0].fragments[0], windows[1].fragments[0]])
     ]
-    open_swap = Skeleton(prog, ((3, None),), preps)
+    open_swap = Skeleton(prog, (((1, None), None),), preps)
     for kept in (True, False):
         got = open_swap.run((kept,), rho)
-        want = execute_register(open_swap.fill((kept,)), rho, preps)
+        filled = open_swap.fill((kept,))
+        assert [w.carry for w in filled.ops] == [False, kept]
+        want = execute_register(filled, rho, preps)
         np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-12)
     assert [pos for _, pos, _ in open_swap._windows] == [None, 0]

@@ -200,6 +200,14 @@ def test_build_config_checks_dt_range_before_custom_files():
             cli.build_config({"model.kind": "custom", "dynamics.dt": value})
 
 
+def test_a_state_file_shorter_than_its_header_is_a_config_error(tmp_path, capsys):
+    state = tmp_path / "rho0.bin"
+    state.write_bytes(b"\x01\x00")
+    assert cli.main(["run", "--config", _bench_cfg(tmp_path, f"model.rho0_file = {state}\n")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and f"state file {state} has 2 bytes" in err
+
+
 def test_benchmark_model_refuses_the_custom_collision_keys(tmp_path):
     # the benchmark model takes its collisions from dynamics.nu; dt and
     # collisions would otherwise be accepted and ignored

@@ -300,18 +300,16 @@ def test_markov_program_structure_and_accuracy():
     rng = np.random.default_rng(63)
     rho = _rand_rho(rng, 1)
     prog = markov_program(spec, markov_plan(spec, parse_backend("trotter1"), 1e-4, 1.0))
-    kinds = [op.kind for op in prog.ops]
-    assert kinds.count("prepare") == 2
-    assert kinds.count("trace") == 2
-    assert kinds[0] == "prepare" and kinds[-1] == "trace"
-    # prepare ops carry the key of their collision's preparer, one per distinct preparer
-    preps = [op.prep for op in prog.ops if op.kind == "prepare"]
+    # one window per collision, each cut from the one before
+    assert [(len(w.fragments), w.width, w.carry) for w in prog.ops] == [(1, 1, False)] * 2
+    # a window carries the key of its collision's preparer, one per distinct preparer
+    preps = [w.prep for w in prog.ops]
     assert preps == [0, 1] and list(spec.env_preparers()) == [0, 1]
     shared = replace(spec.collisions[1], env_prep=spec.collisions[0].env_prep)
     one_prep = CollisionSpec(1, spec.system_h, (spec.collisions[0], shared), spec.dt)
     shared_plan = markov_plan(one_prep, parse_backend("trotter1"), 1e-4, 1.0)
     shared_prog = markov_program(one_prep, shared_plan)
-    assert [op.prep for op in shared_prog.ops if op.kind == "prepare"] == [0, 0]
+    assert [w.prep for w in shared_prog.ops] == [0, 0]
     assert list(one_prep.env_preparers()) == [0]
     got = execute(prog, rho, spec.env_preparers())
     assert trace_distance(got, exact_k_collision(spec, rho)) < 1e-4
@@ -325,7 +323,7 @@ def test_qdrift_program_seed_determinism():
     c = markov_program(spec, plan, np.random.default_rng(6))
     assert a.ops == b.ops
     assert a.ops != c.ops
-    frags = [op for op in a.ops if op.kind == "fragment"]
+    frags = [frag for w in a.ops for frag in w.fragments]
     assert [len(op.picks) for op in frags] == list(plan.per_collision)
     assert all(op.picks is not None and op.steps == 1 and op.polarity is None for op in frags)
 
@@ -335,8 +333,8 @@ def test_salcu_program_is_controlled_pair_protocol():
     plan = markov_plan(spec, parse_backend("salcu"), 0.025, 1.0)
     prog = markov_program(spec, plan, np.random.default_rng(7))
     assert prog.ancilla
-    frags = [op for op in prog.ops if op.kind not in ("prepare", "trace")]
-    assert all(op.kind == "fragment" for op in frags)
+    assert [len(w.fragments) for w in prog.ops] == [2] * spec.K
+    frags = [frag for w in prog.ops for frag in w.fragments]
     assert [op.polarity for op in frags] == [1, 0] * spec.K  # X controlled, then Y anti-controlled
     assert any(angle is not None for op in frags for _, angle in fragment_items(op))
 
@@ -462,12 +460,60 @@ def test_nonmarkov_program_swaps_follow_p():
 
     def swap_count(p, seed):
         prog = nonmarkov_program(NonMarkovSpec(spec, p), plan, np.random.default_rng(seed))
-        return sum(1 for op in prog.ops if op.kind == "swap")
+        return sum(1 for w in prog.ops if w.carry)
 
     assert swap_count(0.0, 1) == 0
     assert swap_count(1.0, 1) == spec.K - 1
     mid = [swap_count(0.5, s) for s in range(40)]
     assert 0 < sum(mid) < 40 * (spec.K - 1)
+
+
+def _shape(program):
+    """Each window's preparer and width, and its fragments' items, steps,
+    polarity and picks: a program up to its carries and table objects."""
+    return [
+        (w.prep, w.width, [(f.step.items, f.steps, f.polarity, f.picks) for f in w.fragments])
+        for w in program.ops
+    ]
+
+
+@pytest.mark.parametrize(
+    "backend, eps", [("trotter1", 0.05), ("qdrift", 0.05), ("salcu", 0.025)],
+    ids=["trotter1", "qdrift", "salcu"],
+)
+def test_partial_swaps_at_p_zero_and_one_are_closed_carries(backend, eps):
+    # p = 0 is the Markov program, and p = 1 that program with every later
+    # window carrying the collided env; neither draws a carry
+    base = _two_collision_spec()
+    spec = CollisionSpec(base.n, base.system_h, base.collisions * 2, base.dt)
+    plan = markov_plan(spec, parse_backend(backend), eps, 1.0)
+    markov = collisions.markov_skeleton(spec, plan)
+    for p, carries in ((0.0, [False] * 4), (1.0, [False] + [True] * 3)):
+        skeleton = collisions.nonmarkov_skeleton(NonMarkovSpec(spec, p), plan)
+        assert [w.carry for w in skeleton.template.ops] == carries
+        assert _shape(skeleton.template) == _shape(markov.template)
+        assert [address for address, _ in skeleton.draws] == [address for address, _ in markov.draws]
+
+
+def test_a_run_draws_each_carry_before_its_collisions_fragments():
+    # the draw order of emitting the program collision by collision: collision
+    # j's fragments (salcu: X, then Y), then the carry into collision j + 1
+    base = _two_collision_spec()
+    spec = CollisionSpec(base.n, base.system_h, base.collisions + base.collisions[:1], base.dt)
+    plan = markov_plan(spec, parse_backend("salcu"), 0.025, 1.0)
+    skeleton = collisions.nonmarkov_skeleton(NonMarkovSpec(spec, 0.5), plan)
+    assert [address for address, _ in skeleton.draws] == [
+        (0, 0), (0, 1), (1, None), (1, 0), (1, 1), (2, None), (2, 0), (2, 1)
+    ]
+    # a draw fills each window in that order
+    draw = skeleton.draw(np.random.default_rng(3))
+    prog = skeleton.fill(draw)
+    values = iter(draw)
+    for window in prog.ops[:1]:
+        assert [frag.picks for frag in window.fragments] == [next(values), next(values)]
+    for window in prog.ops[1:]:
+        assert window.carry == next(values)
+        assert [frag.picks for frag in window.fragments] == [next(values), next(values)]
 
 
 def test_nonmarkov_program_matches_exact_at_p_one():
@@ -540,8 +586,7 @@ def test_fragments_match_expanded_rotations(nonmarkov):
         prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), plan, np.random.default_rng(4))
     else:
         prog = markov_program(spec, markov_plan(spec, parse_backend("trotter2k:1"), 1e-3, 1.0))
-    kinds = [op.kind for op in prog.ops]
-    assert kinds.count("fragment") == spec.K
+    assert [len(w.fragments) for w in prog.ops] == [1] * spec.K
     assert count_resources(prog).as_tuple() == count_items(prog)
     got = execute(prog, rho, spec.env_preparers())
     want = execute_register(prog, rho, spec.env_preparers())
@@ -568,7 +613,7 @@ def test_sampled_fragments_match_gate_by_gate(backend, nonmarkov, eps):
             prog = nonmarkov_program(NonMarkovSpec(spec, 0.5), plan, draw)
         else:
             prog = markov_program(spec, plan, draw)
-        frags = [op for op in prog.ops if op.kind == "fragment"]
+        frags = [frag for w in prog.ops for frag in w.fragments]
         per_collision = 2 if backend == "salcu" else 1
         assert len(frags) == per_collision * spec.K and all(op.picks for op in frags)
         words += sum(angle is None for op in frags for _, angle in fragment_items(op))

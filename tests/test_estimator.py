@@ -38,6 +38,7 @@ from collidesim.errors import NumericalError
 from collidesim.circuits import Skeleton, count_resources
 from collidesim.collisions import nonmarkov_skeleton
 from collidesim.estimator import measured_observable, resolve_plan, run_once
+from collidesim.states import join_blocks
 from dense_reference import (
     count_items,
     execute_register,
@@ -375,7 +376,7 @@ def test_salcu_runs_match_the_dense_ancilla_register(p_swap, measurement, worker
             program = markov_program(base, plan, rng)
         else:
             program = nonmarkov_program(spec, plan, rng)
-        swaps += sum(op.kind == "swap" for op in program.ops)
+        swaps += sum(w.carry for w in program.ops)
         want.append(rep.zeta**2 * _register_readout(program, measured, measurement, rng))
     if p_swap is not None:
         assert swaps > 0
@@ -415,8 +416,10 @@ SKELETON_CASES = [
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("backend, p_swap, measurement", SKELETON_CASES)
 def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measurement, workers):
-    # reference: build, execute and price each run's own program, as markov_program
-    # and nonmarkov_program give it for the run's generator
+    # reference: build each run's own program, as markov_program and
+    # nonmarkov_program give it for the run's generator; its run must give the
+    # estimate's sample bit for bit, its final state must be the dense
+    # two-slot register's, and its item walk must price the estimate
     base = _spec()
     spec = base if p_swap is None else NonMarkovSpec(base, p_swap)
     eps, delta, seed, runs = 0.2, 0.2, 19, 16
@@ -424,22 +427,28 @@ def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measu
                    t_override=runs, workers=workers, keep_samples=True)
     _, plan = resolve_plan(spec, parse_backend(backend), eps, measurement, OBS.norm)
     measured = measured_observable(OBS, plan.ancilla)
-    want, totals = [], ResourceReport()
+    preps = base.env_preparers()
+    want, totals, items = [], ResourceReport(), ResourceReport()
     for k in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         if p_swap is None:
             program = markov_program(base, plan, rng)
         else:
             program = nonmarkov_program(spec, plan, rng)
-        mu = run_once(Skeleton(program, (), base.env_preparers()), (), RHO0, measured, measurement, rng)
+        mu = run_once(Skeleton(program, (), preps), (), RHO0, measured, measurement, rng)
         want.append(rep.zeta**2 * mu)
         totals = totals + count_resources(program)
+        items = items + ResourceReport(*count_items(program))
+        final = execute(program, RHO0, preps)
+        final = join_blocks(final) if program.ancilla else final
+        np.testing.assert_allclose(final.data, execute_register(program, RHO0, preps),
+                                   rtol=0, atol=1e-10)
     assert rep.samples == tuple(want)
     assert rep.resources_mean == ResourceReport(*(v / runs for v in totals.as_tuple()))
-    if p_swap == 1.0:  # a certain swap is closed: a run draws only its fragments
+    assert rep.resources_mean == ResourceReport(*(v / runs for v in items.as_tuple()))
+    if p_swap == 1.0:  # a certain carry is closed: a run draws only its fragments
         skeleton = nonmarkov_skeleton(spec, plan)
-        assert skeleton.draws and all(skeleton.template.ops[i].kind == "fragment"
-                                      for i, _ in skeleton.draws)
+        assert skeleton.draws and all(k is not None for (_, k), _ in skeleton.draws)
 
 
 def test_randomized_estimates_check_and_price_no_program_per_run(monkeypatch):
