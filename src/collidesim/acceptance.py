@@ -330,7 +330,7 @@ def resource_trend():
             backend = parse_backend(label, step_strategy="worst_case")
             # priced under the plan an analytic estimate runs
             _, plan = resolve_plan(spec, backend, eps, "analytic", obs.norm)
-            rep = expected_resources(spec, plan, seed=3)
+            rep = expected_resources(spec, plan)
             cnots[label].append(rep.cnot_count)
     slopes = {
         label: _loglog_slope([1.0 / e for e in eps_grid], counts)

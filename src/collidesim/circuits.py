@@ -96,7 +96,7 @@ class Fragment:
             object.__setattr__(self, "step", RotationTable(items[0][0].n if items else 0, items))
         object.__setattr__(self, "steps", int(self.steps))
         if self.picks is not None:
-            object.__setattr__(self, "picks", tuple(self.picks))
+            object.__setattr__(self, "picks", tuple(np.asarray(self.picks).tolist()))
 
 
 @dataclass(frozen=True)
@@ -351,25 +351,30 @@ _POOL = 1 << 16  # picks a _Pool holds before it counts them
 
 
 class _Pool:
-    """The picks of one table's fragments that share a control flag, counted
-    per entry with np.bincount every _POOL picks."""
+    """The pick arrays of one table's fragments that share a control flag,
+    counted per entry with one np.bincount of their concatenation every
+    _POOL picks."""
 
     def __init__(self, table, controlled):
         self.table = table
         self.controlled = controlled
         self.pending = []
+        self.held = 0  # picks pending
         self.counts = np.zeros(0, dtype=np.int64)
 
     def add(self, picks):
-        self.pending.extend(picks)
-        if len(self.pending) >= _POOL:
+        self.pending.append(picks)
+        self.held += len(picks)
+        if self.held >= _POOL:
             self.count()
 
     def count(self):
-        counts = np.bincount(np.array(self.pending, dtype=np.intp), minlength=len(self.table))
+        picks = np.concatenate(self.pending) if self.pending else np.zeros(0, dtype=np.intp)
+        counts = np.bincount(picks, minlength=len(self.table))
         counts[: len(self.counts)] += self.counts  # the table only grows
         self.counts = counts
         self.pending.clear()
+        self.held = 0
 
     def cost(self):
         """(cnots, rotations, Pauli gates) of every pick so far."""

@@ -227,7 +227,6 @@ _SCHEMA = (
     ("execution.workers", "workers", _integer, 1, _AT_LEAST_1, None),
     ("execution.t_override", "t_override", _integer, 0, _AT_LEAST_0, None),  # 0: none
     ("execution.dense_limit", "dense_limit", _integer, 0, _AT_LEAST_0, None),  # 0: default
-    ("execution.compilations", "compilations", _integer, 32, _AT_LEAST_1, None),
     ("output.dir", "out_dir", _text, ".", _NONEMPTY, None),
     ("output.samples", "samples", _flag, False, None, None),
 )
@@ -470,7 +469,7 @@ def cmd_resources(cfg, out_dir):
         )
         if plan is None:
             raise ValueError(f"backend {backend.label()!r} has no gate costs")
-        rep = expected_resources(problem.spec, plan, seed=cfg.seed, lcu_samples=cfg.compilations)
+        rep = expected_resources(problem.spec, plan)
         rows.append(
             (
                 backend.label(),

@@ -9,7 +9,9 @@ for duration dt, i.e. U_j = e^{-i tau_j Hbar_j} with Hbar_j = H_j/beta_j,
 beta_j the total weight and tau_j = beta_j dt. CollisionSpec.joint(j)
 returns (Hbar_j, tau_j), the one target every hamsim compiler takes, and
 plans, programs, exact maps and prices walk the distinct collisions once,
-each at its first index (CollisionSpec.first_use). The exact map composes
+each at its first index (CollisionSpec.first_use). A price
+(expected_resources) is a function of the plan alone: a randomized
+backend's is the exact mean over its draws. The exact map composes
 Tr_E[U_j(. x rho_Ej)U_j†] as Kraus maps on the system: with rho_Ej = sum_b
 p_b |e_b><e_b|, collision j is rho -> sum_ab K_ab rho K_ab† with
 K_ab = sqrt(p_b) (I x <a|) U_j (I x |e_b>), so the exact state never
@@ -59,7 +61,6 @@ from .circuits import (
     Window,
     _entry_costs,
     _item_cost,
-    _picked_cost,
 )
 from .errors import NumericalError
 from .pauli import PauliString, PauliSum, normalize
@@ -514,26 +515,22 @@ def suggest_nu(model, t, obs, rho0, eps, cap=1 << 20):
 # -------------------------------------------------------- expected resources
 
 
-def expected_resources(spec, plan, seed=0, lcu_samples=32):
+def expected_resources(spec, plan):
     """Expected per-coherent-run ResourceReport of a plan's programs without
-    materializing K programs.
+    materializing K programs: a function of the plan alone.
 
     Gates are priced as count_resources prices them. Deterministic backends
     count exactly; qdrift uses the analytic term-weight expectation (an
-    identity-axis rotation is free); salcu averages `lcu_samples` sampled
-    collision blocks per distinct collision (seeded, so the report is
-    reproducible), at least 1. A NonMarkovSpec adds its partial swaps: each
-    of the K-1 swap points swaps the two env registers with probability p.
+    identity-axis rotation is free); salcu takes the exact mean of its X and
+    Y draws (_lcu_price). A NonMarkovSpec adds its partial swaps: each of
+    the K-1 swap points swaps the two env registers with probability p.
     """
-    if lcu_samples < 1:
-        raise ValueError(f"lcu_samples must be >= 1, got {lcu_samples}")
     swap_cnots = 0.0
     if isinstance(spec, NonMarkovSpec):
         width = spec.base.collisions[0].env_width
         swap_cnots = spec.p * (spec.base.K - 1) * SWAP_CNOTS_PER_QUBIT * width
         spec = spec.base
     backend = plan.backend
-    rng = np.random.default_rng(seed)
     cnot = rot = paulis = 0.0
     per_unique = []
     for j in spec.first_use:
@@ -545,18 +542,13 @@ def expected_resources(spec, plan, seed=0, lcu_samples=32):
             per_unique.append(tuple(float(param * v) for v in costs))
         elif backend.kind == "qdrift":
             costs = np.array([_item_cost((p, 1.0), False)[0] for _, p in nh.h.terms])
-            p_identity = sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0)
             per_unique.append((
                 param * float((nh.probs * costs).sum()),
-                param * (1.0 - float(p_identity)),
+                param * (1.0 - _identity_share(nh)),
                 0.0,
             ))
         else:
-            acc = np.zeros(3)
-            for _ in range(2 * lcu_samples):  # the X and Y draw of each sample
-                draw = hamsim.lcu_sample(nh, param, rng)
-                acc += _picked_cost(draw.table, draw.picks, True)
-            per_unique.append(tuple(acc / lcu_samples))
+            per_unique.append(_lcu_price(nh, param))
     for u in spec.unique_index:
         dc, dr, dp = per_unique[u]
         cnot += dc
@@ -564,3 +556,25 @@ def expected_resources(spec, plan, seed=0, lcu_samples=32):
         paulis += dp
     cnot += PREP_CNOTS * spec.K + swap_cnots
     return ResourceReport(cnot, rot, paulis, cnot + rot, spec.K)
+
+
+def _identity_share(nh):
+    """The probability of drawing an identity term l ~ p."""
+    return float(sum(q for q, (_, p) in zip(nh.probs, nh.h.terms) if p.weight == 0))
+
+
+def _lcu_price(nh, params):
+    """Exact mean (cnots, rotations, Pauli gates) of one collision's X and Y
+    draws, r segments each. A segment is the controlled rotation of a term
+    m ~ p, at a price that does not depend on its order k, and, with
+    probability w_k / sum w, the controlled word (-i)^k P_l1 ... P_lk: its
+    weight in CNOTs and one Pauli gate, unless it is +I."""
+    cnots = np.array([_item_cost((p, 1.0), True)[0] for _, p in nh.h.terms])
+    k_probs = np.array(params.weights) / sum(params.weights)
+    weight, identity = hamsim.lcu_word_moments(nh, params.q)
+    segment = (
+        float(nh.probs @ cnots) + float(k_probs @ weight),
+        2.0 - _identity_share(nh),  # a controlled identity rotation is one phase kick
+        float(k_probs @ (1.0 - identity)),
+    )
+    return tuple(2 * params.r * v for v in segment)

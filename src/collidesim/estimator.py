@@ -304,7 +304,8 @@ def estimate(
         t_runs = int(t_override)
     skeleton = None if plan is None else _skeleton(spec, base, plan)
     measured = measured_observable(obs, skeleton is not None and skeleton.ancilla)
-    measured.eig()  # prime the cache once, before any fork
+    if measurement == "shot":
+        measured.eig()  # shots read it: prime the cache once, before any fork
     if run_independent:  # every run only reads one final state: no worker is started
         if skeleton is None:
             final, res_mean = _exact_final_state(spec, base, rho0), ResourceReport()

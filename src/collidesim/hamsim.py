@@ -38,10 +38,12 @@ it is first drawn. Tables are kept on the normalized sum (its `derived`
 dict), per compiler parameters, for as long as the sum lives, so all draws
 of an estimate share them; qdrift_table and lcu_table name a table before
 any draw, as a program skeleton needs, and qdrift_picks and lcu_picks draw
-its picks with no table lookup per draw. rotations_dense keeps each entry's
-dense action on a table walked by picks. A table's kept actions write one
-buffer, so a table is used by one thread at a time; estimates run in
-parallel as processes.
+its picks, as an int array, with no table lookup per draw. rotations_dense
+keeps each entry's dense action on a table walked by picks. A table's kept
+actions write one buffer, so a table is used by one thread at a time;
+estimates run in parallel as processes. lcu_word_moments gives the exact
+law of a segment's word, which an LCU draw's expected price reads, through
+pauli_times, the one word product that lcu_picks also takes.
 """
 
 import math
@@ -58,6 +60,7 @@ from .states import _axis_action_rowform
 _EMPIRICAL_STEP_CAP = 1 << 22
 _EXPAND_DIM = 32  # tables up to this dimension hold full d x c row scales
 _EXPAND_ENTRIES = 64  # ... for their first entries: at most 1 MiB per table at d = 32
+_WORD_KEYS = 1 << 16  # (x, z, phase) keys lcu_word_moments holds at most
 _FOLD_BELOW = 1e-150  # rotations_dense multiplies its cosine product in below this
 _DIAGONAL, _WORD, _TAN, _SIN = "diagonal", "word", "tan", "sin"  # kinds of item action
 
@@ -179,7 +182,7 @@ def rotations_dense(table, picks=None, start=None):
         actions.extend([None] * (len(table) - len(actions)))
     multiply, add = np.multiply, np.add  # called with a positional out: the loop is per-call bound
     factor = 1.0  # the product so far is factor * out
-    for i in range(len(table)) if picks is None else picks:
+    for i in range(len(table)) if picks is None else np.asarray(picks).tolist():
         action = actions[i]
         if action is None:
             action = actions[i] = _item_action(table[i], work, kept and i < _EXPAND_ENTRIES)
@@ -387,13 +390,13 @@ def qdrift_table(nh, tau, length):
 
 def qdrift_rotations(nh, tau, length, rng):
     """length draws l ~ p into qdrift_table."""
-    return Draw(qdrift_table(nh, tau, length), qdrift_picks(nh, length, rng))
+    return Draw(qdrift_table(nh, tau, length), tuple(qdrift_picks(nh, length, rng).tolist()))
 
 
 def qdrift_picks(nh, length, rng):
-    """The picks of one qDRIFT draw: length term indices l ~ p, which index
-    qdrift_table(nh, tau, length) for every tau."""
-    return tuple(np.atleast_1d(nh.sample_term(rng, size=length)).tolist())
+    """The picks of one qDRIFT draw, as an int array: length term indices
+    l ~ p, which index qdrift_table(nh, tau, length) for every tau."""
+    return nh.sample_term(rng, size=length)
 
 
 # ------------------------------------------------------------- sampled LCU
@@ -522,18 +525,24 @@ def lcu_table(nh, params):
 def lcu_sample(nh, params, rng):
     """Draw one unitary whose mean over draws is Utilde / alpha_total, with
     Utilde the factor lcu_enumerate_dense enumerates. Its picks hold, per
-    segment, the rotation's entry and then the word's, unless the word is +I."""
+    segment, the rotation's entry and then the word's, unless the word is +I.
+    No estimate or price calls it: skeletons bind lcu_picks."""
     table = lcu_table(nh, params)
-    return Draw(table, lcu_picks(nh, table, _k_cdf(params.weights), params.r, rng))
+    picks = lcu_picks(nh, table, _k_cdf(params.weights), params.r, rng)
+    return Draw(table, tuple(picks.tolist()))
 
 
 def lcu_picks(nh, table, k_cdf, r, rng):
-    """The picks of one lcu_sample draw of r segments into its lcu_table,
-    the segment orders drawn from k_cdf, the _k_cdf of the weights; a
-    sampler that binds the table and k_cdf looks neither up per draw."""
+    """The picks of one lcu_sample draw of r segments into its lcu_table, as
+    an int array, the segment orders drawn from k_cdf, the _k_cdf of the
+    weights; a sampler that binds the table and k_cdf looks neither up per
+    draw. A draw of order 0 throughout is its drawn terms: the rotations of
+    order 0 are the table's first entries, and every word is +I."""
     ks = 2 * draw_index(k_cdf, rng, r)
-    n_draws = int(ks.sum()) + r
-    drawn = iter(np.atleast_1d(nh.sample_term(rng, size=n_draws)).tolist())
+    drawn = nh.sample_term(rng, size=int(ks.sum()) + r)
+    if not ks.any():
+        return drawn
+    drawn = iter(drawn.tolist())
     terms = nh.h.terms
     picks = []
     for k in ks.tolist():
@@ -545,15 +554,7 @@ def lcu_picks(nh, table, k_cdf, r, rng):
         phase = 3 * k
         for _ in range(k):
             p = terms[next(drawn)][1]
-            x2, z2 = wx ^ p.x, wz ^ p.z
-            phase += (
-                p.phase_exp
-                + (wx & wz).bit_count()
-                + (p.x & p.z).bit_count()
-                - (x2 & z2).bit_count()
-                + 2 * (wz & p.x).bit_count()
-            )
-            wx, wz = x2, z2
+            wx, wz, phase = pauli_times(wx, wz, phase, p.x, p.z, p.phase_exp)
         picks.append((k // 2) * table.n_terms + next(drawn))
         key = (wx, wz, phase % 4)
         if key != (0, 0, 0):
@@ -561,7 +562,72 @@ def lcu_picks(nh, table, k_cdf, r, rng):
             if entry is None:
                 entry = table.words[key] = table.append((_word(nh.n, *key), None))
             picks.append(entry)
-    return tuple(picks)
+    return np.array(picks)
+
+
+def pauli_times(wx, wz, phase, x, z, phase_exp):
+    """(x, z, phase) of the word (wx, wz, phase) times the word (x, z,
+    phase_exp), both as PauliString stores them: the masks XOR, and the
+    phase exponent, mod 4, gains the second word's and the exact sign of
+    moving its X past the first word's Z."""
+    x2, z2 = wx ^ x, wz ^ z
+    phase += (
+        phase_exp
+        + (wx & wz).bit_count()
+        + (x & z).bit_count()
+        - (x2 & z2).bit_count()
+        + 2 * (wz & x).bit_count()
+    )
+    return x2, z2, phase
+
+
+def lcu_word_moments(nh, q):
+    """Per even segment order k <= q, the expected weight of its word
+    (-i)^k P_l1 ... P_lk, l ~ p i.i.d., and the probability that the word
+    is +I: two arrays indexed by k/2.
+
+    The weight is a sum over qubits. A qubit's Pauli in the word is the XOR
+    of its Paulis in the k terms, a k-fold XOR convolution, which the
+    characters of the four one-qubit Paulis (the signs of the x bit, the z
+    bit and their XOR) diagonalize: the qubit is I with probability
+    (1 + sum_s E[chi_s]^k) / 4. The word is +I when its two halves of k/2
+    terms have equal masks and phases that cancel, so that probability
+    pairs the (x, z, phase) law of k/2 products with itself. That law holds
+    at most 4 sum_{j <= q/2} C(L, j) keys for L terms; past _WORD_KEYS it
+    is refused with a NumericalError."""
+    n_terms = len(nh)
+    keys = 4 * sum(math.comb(n_terms, j) for j in range(q // 2 + 1))
+    if keys > _WORD_KEYS:
+        raise NumericalError(
+            f"pricing LCU words of order {q} on {n_terms} terms would hold up to "
+            f"{keys} (x, z, phase) keys, past the cap of {_WORD_KEYS}"
+        )
+    xs = np.array([p.x for _, p in nh.h.terms])
+    zs = np.array([p.z for _, p in nh.h.terms])
+    bits = 1 << np.arange(nh.n)
+    chars = np.stack([nh.probs @ np.where(m[:, None] & bits, -1.0, 1.0) for m in (xs, zs, xs ^ zs)])
+    ks = np.arange(0, q + 1, 2)
+    weight = ((3.0 - (chars[..., None] ** ks).sum(axis=0)) / 4.0).sum(axis=0)
+    terms = [(prob, p.x, p.z, p.phase_exp) for prob, (_, p) in zip(nh.probs.tolist(), nh.h.terms)]
+    law = {(0, 0, 0): 1.0}  # of the product of j terms
+    identity = []
+    for j in range(q // 2 + 1):
+        if j:
+            grown = {}
+            for (wx, wz, phase), mass in law.items():
+                for prob, x, z, phase_exp in terms:
+                    x2, z2, phase2 = pauli_times(wx, wz, phase, x, z, phase_exp)
+                    key = (x2, z2, phase2 % 4)
+                    grown[key] = grown.get(key, 0.0) + mass * prob
+            law = grown
+        plus_i = 0.0
+        for (x, z, phase), mass in law.items():
+            # (-i)^k times this half, times a second half on the same masks
+            # whose phase exponent cancels the product's
+            *_, total = pauli_times(x, z, phase + 6 * j, x, z, 0)
+            plus_i += mass * law.get((x, z, -total % 4), 0.0)
+        identity.append(plus_i)
+    return weight, np.array(identity)
 
 
 @lru_cache(maxsize=4096)

@@ -91,7 +91,7 @@ _REJECTS = [
     ("non-integer", {"model.m": "2.5"}, "model.m"),
     ("negative-t-override", {"execution.t_override": "-3"}, "execution.t_override"),
     ("length-alias", {"dynamics.N": "40"}, "dynamics.N"),
-    ("no-compilations", {"execution.compilations": "0"}, "execution.compilations"),
+    ("no-compilations", {"execution.compilations": "32"}, "execution.compilations"),
     ("infinite-seed", {"execution.seed": "inf"}, "execution.seed"),
     ("overflowing-nu", {"dynamics.nu": "1e400"}, "dynamics.nu"),
     ("nu-zero", {"dynamics.nu": "0"}, "dynamics.nu"),
@@ -430,7 +430,7 @@ def test_resources_price_the_plan_estimate_runs(tmp_path, measurement):
         assert ran.eps_prime == plan.eps_prime == required_precision(
             spec.K, problem.obs.norm, cfg.eps / 2 if halved else cfg.eps
         )
-        want = expected_resources(spec, plan, seed=cfg.seed, lcu_samples=cfg.compilations)
+        want = expected_resources(spec, plan)
         assert row[0] == label
         assert [float(v) for v in row[5:10]] == [float(v) for v in want.as_tuple()]
 
@@ -467,8 +467,37 @@ def test_readme_config_resources_rows(tmp_path):
         ["trotter2k:1", "1", "0.01", "2", "8", "3856", "3840", "0", "7696", "8"],
         ["qdrift", "1", "0.01", "2", "8", "271299.39429032133", "204584", "0",
          "475883.39429032133", "8"],
-        ["salcu", "1", "0.01", "2", "8", "1196.875", "704", "1.4375", "1900.875", "8"],
+        ["salcu", "1", "0.01", "2", "8", "1188.7616933580441", "704", "0.96404491807803883",
+         "1892.7616933580441", "8"],
     ]
+
+
+def test_readme_config_resources_ignore_the_seed(tmp_path, capsys):
+    # a plan's price is a function of the plan alone: every backend's row is
+    # byte for byte the same at two seeds, but for the config_hash column,
+    # which names the (config, seed) pair; and no key sets a sample count
+    block = re.search(r"```\n(# experiment\.cfg.*?)```", _readme(), flags=re.S).group(1)
+    mapping = cli.parse_config_text(block)
+    assert mapping["dynamics.backends"] == "trotter1,trotter2k:1,qdrift,salcu"
+    written = []
+    for seed in ("0", "7"):
+        path = tmp_path / f"seed{seed}.cfg"
+        path.write_text("".join(f"{k} = {v}\n" for k, v in {**mapping, "execution.seed": seed}.items()))
+        out = tmp_path / f"out{seed}"
+        assert cli.main(["resources", "--config", str(path), "--out", str(out)]) == 0
+        h = cli.build_config(cli.load_config_mapping(str(path))).config_hash().encode()
+        text = (out / "resources.csv").read_bytes()
+        assert text.count(b"," + h + b"\r\n") == 4
+        written.append(text.replace(h, b"<hash>"))
+    assert written[0] == written[1]
+    assert [row[0] for row in _read_csv(tmp_path / "out7" / "resources.csv")[1:]] == [
+        "trotter1", "trotter2k:1", "qdrift", "salcu"
+    ]
+    path = tmp_path / "compilations.cfg"
+    path.write_text("".join(f"{k} = {v}\n" for k, v in mapping.items()) + "execution.compilations = 32\n")
+    capsys.readouterr()
+    assert cli.main(["resources", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert "execution.compilations" in capsys.readouterr().err
 
 
 def test_resources_at_m10_stays_small(tmp_path):

@@ -1,5 +1,7 @@
 """Collision maps, plans, program emission, and the Lindblad discretization."""
 
+import functools
+import itertools
 import math
 import pickle
 from dataclasses import replace
@@ -39,7 +41,7 @@ from collidesim import (
 )
 from collidesim import collisions, hamsim
 from collidesim.circuits import PREP_CNOTS
-from collidesim.pauli import NormalizedPauliSum
+from collidesim.pauli import NormalizedPauliSum, normalize
 from collidesim.states import join_blocks
 from dense_reference import (
     count_items,
@@ -373,36 +375,96 @@ def test_expected_resources_match_counted_programs():
         markov_plan(spec, parse_backend("exact"), 0.02, 1.0)
 
 
-def test_expected_salcu_resources_price_the_expanded_draws():
-    # longer collisions in two segments each, so the draws carry words
-    base = _two_collision_spec()
-    spec = CollisionSpec(base.n, base.system_h, base.collisions, 0.6)
-    plan = markov_plan(spec, parse_backend("salcu", r=2), 0.01, 1.0)
-    got = expected_resources(spec, plan, seed=4, lcu_samples=6)
-    # the same draws, each priced by walking its items one by one
-    rng = np.random.default_rng(4)
-    cnot = rot = paulis = 0.0
-    per_unique = {}
-    for j, u in enumerate(spec.unique_index):
-        if u not in per_unique:
-            nh, _ = spec.joint(j)
-            acc = np.zeros(3)
-            for _ in range(12):
-                draw = hamsim.lcu_sample(nh, plan.per_collision[j], rng)
-                acc += price_items([draw.table[i] for i in draw.picks], True)
-            per_unique[u] = tuple(acc / 6)
-        cnot, rot, paulis = cnot + per_unique[u][0], rot + per_unique[u][1], paulis + per_unique[u][2]
-    cnot += PREP_CNOTS * spec.K
-    assert got.as_tuple() == (cnot, rot, paulis, cnot + rot, spec.K)
+def _pauli_basis(n):
+    """Every bare n-qubit word with its dense matrix."""
+    words = [PauliString(n, x, z) for x in range(1 << n) for z in range(1 << n)]
+    return [(p, p.to_dense()) for p in words]
 
 
-@pytest.mark.parametrize("samples", [0, -2])
-def test_expected_resources_need_an_lcu_sample(samples):
-    # no sample would price the salcu collisions as 0/0
-    spec = lindblad_collision_spec(amp_damp_model(m=2, J=1.0, h=0.1, gamma=1.0), 1.0, 2)
-    plan = markov_plan(spec, parse_backend("salcu"), 5e-3, 1.0)
-    with pytest.raises(ValueError, match="lcu_samples must be >= 1"):
-        expected_resources(spec, plan, lcu_samples=samples)
+def _brute_salcu_price(nh, params):
+    """Mean (cnots, rotations, Pauli gates) of one collision's X and Y draws
+    by enumerating every (k, l_1 .. l_k, m) tuple of a segment, each word
+    the dense product (-i)^k P_l1 ... P_lk and priced from that matrix."""
+    dim = 1 << nh.n
+    eye = np.eye(dim)
+    basis = _pauli_basis(nh.n)
+    terms = [(float(prob), p, p.to_dense()) for prob, (_, p) in zip(nh.probs, nh.h.terms)]
+    rotation = np.zeros(3)
+    for prob, p, _ in terms:
+        rotation += prob * np.array(price_items([(p.bare(), 0.1)], True))
+    word_price = np.zeros(3)
+    total_weight = sum(params.weights)
+    for k, w_k in zip(range(0, params.q + 1, 2), params.weights):
+        for combo in itertools.product(terms, repeat=k):
+            prob = w_k / total_weight * math.prod(t[0] for t in combo)
+            word = (-1j) ** k * functools.reduce(np.matmul, [t[2] for t in combo], eye)
+            if np.allclose(word, eye, atol=1e-12):
+                continue  # +I is no gate
+            # the word's masks: the one basis word it is a multiple of
+            (axes,) = [b for b, dense in basis if abs(np.trace(dense.conj().T @ word)) > dim / 2]
+            word_price += prob * np.array([axes.weight, 0, 1])
+    return 2 * params.r * (rotation + word_price)
+
+
+def _random_sum(rng, n, n_terms):
+    """n_terms distinct signed words on n qubits, the identity allowed."""
+    codes = rng.choice(4**n, size=n_terms, replace=False)
+    terms = []
+    for code in codes.tolist():
+        label = "".join("IXYZ"[code >> (2 * q) & 3] for q in range(n))
+        sign = "-" if rng.random() < 0.5 else ""
+        terms.append((float(rng.uniform(0.1, 1.0)), sign + label))
+    return pauli_sum(terms)
+
+
+@pytest.mark.parametrize("q", [2, 4])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_expected_salcu_resources_match_a_brute_force_enumeration(n, q):
+    rng = np.random.default_rng(100 * n + q)
+    for n_terms in (2, 3, 4):
+        h = _random_sum(rng, n, n_terms)
+        nh = normalize(h)
+        params = hamsim.choose_lcu_params(1.2, 1, 1e-3, r_override=2, q_override=q)
+        want = _brute_salcu_price(nh, params)
+        assert np.allclose(collisions._lcu_price(nh, params), want, rtol=1e-12, atol=1e-12)
+        if n == 1:
+            continue
+        # a one-collision spec whose joint target is this sum, the env one qubit
+        empty = PauliSum(1, ())
+        spec = CollisionSpec(n - 1, PauliSum(n - 1, ()), (Collision(1, empty, h, ThermalPrep(math.inf)),),
+                             params.tau / nh.beta)
+        plan = markov_plan(spec, parse_backend("salcu", r=2, q=q), 1e-3, 1.0)
+        got = expected_resources(spec, plan).as_tuple()
+        cnot = want[0] + PREP_CNOTS
+        assert np.allclose(got, (cnot, want[1], want[2], cnot + want[1], 1), rtol=1e-12, atol=1e-12)
+
+
+def test_expected_salcu_resources_are_the_mean_of_sampled_draws():
+    # 20,000 draws of one collision (X or Y alike), each priced item by item
+    h = pauli_sum([(0.2, "II"), (0.4, "XY"), (0.3, "-ZZ"), (0.25, "YI"), (0.15, "-XZ")])
+    nh = normalize(h)
+    params = hamsim.choose_lcu_params(1.6, 1, 1e-3, r_override=2, q_override=4)  # x = 0.8: many words
+    rng = np.random.default_rng(23)
+    prices = np.array([
+        price_items([draw.table[i] for i in draw.picks], True)
+        for draw in (hamsim.lcu_sample(nh, params, rng) for _ in range(20_000))
+    ])
+    exact = np.array(collisions._lcu_price(nh, params)) / 2
+    sigma = prices.std(axis=0, ddof=1) / math.sqrt(len(prices))
+    assert (sigma > 0).all()
+    assert (np.abs(prices.mean(axis=0) - exact) <= 5 * sigma).all()
+
+
+def test_expected_salcu_resources_refuse_past_the_key_cap():
+    # the paper's 10-site chain has 22 terms a collision; at q = 10 the word
+    # law could hold 4 sum_{j <= 5} C(22, j) keys, past 2^16
+    spec = lindblad_collision_spec(amp_damp_model(m=10, J=1.0, h=0.1, gamma=1.0), 1.0, 1)
+    plan = markov_plan(spec, parse_backend("salcu", q=10), 1e-2, 1.0)
+    n_terms = len(spec.joint(0)[0])
+    count = 4 * sum(math.comb(n_terms, j) for j in range(6))
+    assert n_terms == 22 and count == 141_772 > 1 << 16
+    with pytest.raises(NumericalError, match=f"up to {count} "):
+        expected_resources(spec, plan)
 
 
 def test_lindblad_collision_spec_scaling():
@@ -510,10 +572,12 @@ def test_a_run_draws_each_carry_before_its_collisions_fragments():
     prog = skeleton.fill(draw)
     values = iter(draw)
     for window in prog.ops[:1]:
-        assert [frag.picks for frag in window.fragments] == [next(values), next(values)]
+        assert [frag.picks for frag in window.fragments] == [tuple(next(values).tolist()) for _ in "XY"]
     for window in prog.ops[1:]:
         assert window.carry == next(values)
-        assert [frag.picks for frag in window.fragments] == [next(values), next(values)]
+        assert [frag.picks for frag in window.fragments] == [tuple(next(values).tolist()) for _ in "XY"]
+    # the draw keeps int arrays, a filled fragment a tuple of ints
+    assert all(type(i) is int for window in prog.ops for frag in window.fragments for i in frag.picks)
 
 
 def test_nonmarkov_program_matches_exact_at_p_one():
@@ -709,7 +773,7 @@ def test_quickstart_counts_and_expected_resources_stay_pinned():
         "trotter1": (1e-2, (122_896.0, 122_880.0, 0.0, 245_776.0, 8)),
         "trotter2k:1": (1e-2, (3_856.0, 3_840.0, 0.0, 7_696.0, 8)),
         "qdrift": (1e-2, (135663.00124312122, 102_296.0, 0.0, 237959.00124312122, 8)),
-        "salcu": (5e-3, (1196.875, 704.0, 1.4375, 1900.875, 8)),
+        "salcu": (5e-3, (1188.761693358044, 704.0, 0.9640449180780388, 1892.761693358044, 8)),
     }
     plans = {
         label: markov_plan(spec, parse_backend(label), eps, 1.0)
