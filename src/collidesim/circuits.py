@@ -51,11 +51,11 @@ cut by the draw. A sampled fragment is built once for its run and never
 memoized, but its table keeps each entry's action across the draws of an
 estimate.
 
-CNOT accounting: a fragment costs `steps` times the sum of its items; a
-sampled one prices each table entry once and weights it by its pick count,
-and a skeleton's runs pool their pick counts per table, so the table is
-priced once per block of runs. A
-weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the usual parity
+CNOT accounting (count_resources): a fragment costs `steps` times the sum
+of its items; a sampled one prices each table entry once and weights it by
+its pick count. An estimate counts no run's gates: it reports the expected
+price of its plan (collisions.expected_resources), priced by the same item
+rules. A weight-w Pauli-axis rotation costs 2(w-1) CNOTs via the usual parity
 staircase, its controlled version adds 2 (controlled-Rz = 2 CNOTs + 2 Rz),
 a controlled weight-w Pauli word costs w, a controlled phase costs 0, a
 window's env preparation costs a flat PREP_CNOTS = 2 (thermal qubit
@@ -248,7 +248,7 @@ class Skeleton:
     carry is kept. They come in window order, a window's carry before its
     fragments, and draw() calls them in that order, so a run consumes its
     generator as emitting the program collision by collision would, and
-    fill(draw) is that program. tally() prices runs from pooled pick counts.
+    fill(draw) is that program.
 
     `env_preparers` maps each window's `prep` key to its preparer, as
     execute takes them. Before its first run a skeleton binds what no run
@@ -343,87 +343,6 @@ class Skeleton:
                 windows.append((starts[key], pos, frags))
         return tuple((start, pos, tuple(frags)) for start, pos, frags in windows)
 
-    def tally(self):
-        return _Tally(self)
-
-
-_POOL = 1 << 16  # picks a _Pool holds before it counts them
-
-
-class _Pool:
-    """The pick arrays of one table's fragments that share a control flag,
-    counted per entry with one np.bincount of their concatenation every
-    _POOL picks."""
-
-    def __init__(self, table, controlled):
-        self.table = table
-        self.controlled = controlled
-        self.pending = []
-        self.held = 0  # picks pending
-        self.counts = np.zeros(0, dtype=np.int64)
-
-    def add(self, picks):
-        self.pending.append(picks)
-        self.held += len(picks)
-        if self.held >= _POOL:
-            self.count()
-
-    def count(self):
-        picks = np.concatenate(self.pending) if self.pending else np.zeros(0, dtype=np.intp)
-        counts = np.bincount(picks, minlength=len(self.table))
-        counts[: len(self.counts)] += self.counts  # the table only grows
-        self.counts = counts
-        self.pending.clear()
-        self.held = 0
-
-    def cost(self):
-        """(cnots, rotations, Pauli gates) of every pick so far."""
-        self.count()
-        return self.counts @ _entry_costs(self.table, self.controlled)
-
-
-class _Tally:
-    """Summed gate costs of a skeleton's runs: its closed parts priced once
-    and counted per run, each table's picks pooled and priced per entry, and
-    each kept open carry at its env width. The sums are integers, so they
-    equal the sum of count_resources over the filled programs."""
-
-    def __init__(self, skeleton):
-        template = skeleton.template
-        self.fixed = _windows_cost(template.ops, {address for address, _ in skeleton.draws})
-        self.runs = 0
-        self.swap_cnots = 0
-        pools = {}
-        self.sinks = []  # per open part: its pool, or the CNOTs of the carry's swap
-        for (w, k), _ in skeleton.draws:
-            window = template.ops[w]
-            if k is None:
-                self.sinks.append(SWAP_CNOTS_PER_QUBIT * window.width)
-                continue
-            frag = window.fragments[k]
-            key = (id(frag.step), frag.polarity is not None)
-            if key not in pools:
-                pools[key] = _Pool(frag.step, key[1])
-            self.sinks.append(pools[key])
-        self.pools = tuple(pools.values())
-
-    def add(self, draw):
-        self.runs += 1
-        for sink, value in zip(self.sinks, draw):
-            if isinstance(sink, _Pool):
-                sink.add(value)
-            elif value:
-                self.swap_cnots += sink
-
-    def report(self):
-        """The summed ResourceReport of the runs added."""
-        cnot, rot, paulis, preps = (self.runs * v for v in self.fixed)
-        cnot += self.swap_cnots
-        for pool in self.pools:
-            c, r, p = pool.cost().tolist()
-            cnot, rot, paulis = cnot + c, rot + r, paulis + p
-        return ResourceReport(cnot, rot, paulis, cnot + rot, preps)
-
 
 @dataclass(frozen=True)
 class ResourceReport:
@@ -432,15 +351,6 @@ class ResourceReport:
     pauli_gate_count: int = 0
     depth_proxy: int = 0
     env_preps: int = 0
-
-    def __add__(self, other):
-        return ResourceReport(
-            self.cnot_count + other.cnot_count,
-            self.rotation_count + other.rotation_count,
-            self.pauli_gate_count + other.pauli_gate_count,
-            self.depth_proxy + other.depth_proxy,
-            self.env_preps + other.env_preps,
-        )
 
     FIELDS = ("cnot_count", "rotation_count", "pauli_gate_count", "depth_proxy", "env_preps")
 
@@ -480,23 +390,15 @@ def _picked_cost(table, picks, controlled):
 
 
 def count_resources(program):
-    """Gate costs of the program; a fragment costs its step's items `steps`
-    times, a sampled one its picked items."""
-    cnot, rot, paulis, preps = _windows_cost(program.ops)
-    return ResourceReport(cnot, rot, paulis, cnot + rot, preps)
-
-
-def _windows_cost(windows, open_parts=()):
-    """(cnots, rotations, Pauli gates, env preparations) of a program's
-    windows, leaving out the open parts named by their address: one
-    preparation per window, a swap per carry, and each fragment's items."""
+    """Gate costs of the program: one preparation per window, a swap per
+    carry, and each fragment's step items `steps` times, a sampled one's
+    picked items."""
+    windows = program.ops
     cnot = rot = paulis = 0
-    for w, window in enumerate(windows):
-        if window.carry and (w, None) not in open_parts:
+    for window in windows:
+        if window.carry:
             cnot += SWAP_CNOTS_PER_QUBIT * window.width
-        for k, frag in enumerate(window.fragments):
-            if (w, k) in open_parts:
-                continue
+        for frag in window.fragments:
             if frag.picks is None:
                 c, r, p = _entry_costs(frag.step, frag.polarity is not None).sum(axis=0).tolist()
             else:
@@ -504,4 +406,5 @@ def _windows_cost(windows, open_parts=()):
             cnot += frag.steps * c
             rot += frag.steps * r
             paulis += frag.steps * p
-    return cnot + PREP_CNOTS * len(windows), rot, paulis, len(windows)
+    cnot += PREP_CNOTS * len(windows)
+    return ResourceReport(cnot, rot, paulis, cnot + rot, len(windows))

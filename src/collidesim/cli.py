@@ -416,7 +416,7 @@ def cmd_run(cfg, out_dir):
         )
     print(
         f"mu = {rep.mu:.6g} +- {rep.stderr:.3g} (T = {rep.t_runs}, backend {rep.backend}, "
-        f"mean CNOTs/run = {rep.resources_mean.cnot_count:.6g})",
+        f"expected CNOTs per run = {rep.resources_mean.cnot_count:.6g})",
         file=sys.stderr,
     )
     return 0
@@ -477,11 +477,7 @@ def cmd_resources(cfg, out_dir):
                 cfg.eps,
                 problem.nu or None,
                 spec.K,
-                rep.cnot_count,
-                rep.rotation_count,
-                rep.pauli_gate_count,
-                rep.depth_proxy,
-                rep.env_preps,
+                *rep.as_tuple(),
                 h,
             )
         )

@@ -2,22 +2,23 @@
 
 Protocol: an estimate builds its collision program once, as one skeleton
 (circuits.Skeleton) of one Kraus window per collision, with the random
-parts left open and the env preparers bound; each run, Markov or not, draws the open parts with its own RNG, runs
-that draw on a fresh copy of the input state with no program of its own,
-and measures. A run's gate costs come from its draw: the block's picks are
-pooled per table and priced once, and a kept carry costs its swap, which
-sums to count_resources over the programs that Skeleton.fill makes of the
-runs' draws. When the final state does not depend on the run (the exact
-backend, or a fixed program: the skeleton's one run, priced by its tally
-of that empty draw), it is computed and measured once per estimate: its
-conditional mean, or the Born distribution from which each run draws its
-shot with its own RNG. With the sampled-LCU backend the program carries
-the control ancilla and the measured operator is sigma^x (x) O. The
-ancilla is never held as a register: a run evolves the system-sized blocks
-rho_ab of the ancilla (+) system state, and the conditional expectation
-reads 2 Re Tr[O rho_10] from the one block rho_10 (a shot draws from the
-state joined from rho_00, rho_11 and rho_10). Its mean over runs is
-Tr[O Mtilde_K[rho]]/zeta^2; the estimate is mu = (zeta^2 / T) sum_k mu_k.
+parts left open and the env preparers bound; each run, Markov or not,
+draws the open parts with its own RNG, runs that draw on a fresh copy of
+the input state with no program of its own, and measures. No run's gates
+are counted: the estimate's price, resources_mean, is its plan's expected
+gate count per run (collisions.expected_resources), worked out before the
+skeleton is built, so it depends on neither the seed, the run count nor
+the worker count. When the final state does not depend on the run (the
+exact backend, or a fixed program: the skeleton's one run), it is computed
+and measured once per estimate: its conditional mean, or the Born
+distribution from which each run draws its shot with its own RNG. With the
+sampled-LCU backend the program carries the control ancilla and the
+measured operator is sigma^x (x) O. The ancilla is never held as a
+register: a run evolves the system-sized blocks rho_ab of the ancilla (+)
+system state, and the conditional expectation reads 2 Re Tr[O rho_10] from
+the one block rho_10 (a shot draws from the state joined from rho_00,
+rho_11 and rho_10). Its mean over runs is Tr[O Mtilde_K[rho]]/zeta^2; the
+estimate is mu = (zeta^2 / T) sum_k mu_k.
 Product-formula backends measure O directly (zeta = 1).
 
 Budget split (resolve_plan, the one place a plan is sized): a statistical
@@ -47,6 +48,7 @@ from .collisions import (
     NonMarkovSpec,
     exact_k_collision,
     exact_nonmarkov,
+    expected_resources,
     markov_plan,
     markov_skeleton,
     nonmarkov_skeleton,
@@ -101,6 +103,10 @@ def run_once(skeleton, draw, rho_system, measured, measurement, rng):
 
 @dataclass
 class EstimateReport:
+    """One estimate of Tr[O M_K[rho0]] from t_runs runs. resources_mean is
+    the plan's expected gate counts per run (expected CNOTs per run, and so
+    on: collisions.expected_resources), all zero for the exact backend."""
+
     mu: float
     stderr: float
     t_runs: int
@@ -135,7 +141,6 @@ class EstimateReport:
     )
 
     def as_row(self):
-        r = self.resources_mean
         return (
             self.mu,
             self.stderr,
@@ -147,11 +152,7 @@ class EstimateReport:
             self.backend,
             self.measurement,
             self.seed,
-            r.cnot_count,
-            r.rotation_count,
-            r.pauli_gate_count,
-            r.depth_proxy,
-            r.env_preps,
+            *self.resources_mean.as_tuple(),
             int(self.under_sampled),
         )
 
@@ -218,19 +219,14 @@ def _fixed_runs(final, measured, measurement, seed, t_runs):
 
 
 def _run_block(skeleton, rho0, measured, measurement, seed, start, stop):
-    """Sequential runs start..stop-1 of a randomized program; the parallel
-    path ships this off. Each run draws the skeleton's open parts with its own
-    generator and runs that draw, and the block's gate costs come from its
-    pooled draws.
-    """
+    """The values of sequential runs start..stop-1 of a randomized program;
+    the parallel path ships this off. Each run draws the skeleton's open
+    parts with its own generator and runs that draw."""
     mus = np.empty(stop - start)
-    tally = skeleton.tally()
     for pos, k in enumerate(range(start, stop)):
         rng = _run_rng(seed, k)
-        draw = skeleton.draw(rng)
-        mus[pos] = run_once(skeleton, draw, rho0, measured, measurement, rng)
-        tally.add(draw)
-    return mus, tally.report()
+        mus[pos] = run_once(skeleton, skeleton.draw(rng), rho0, measured, measurement, rng)
+    return mus
 
 
 def _check_first_doubles(seed):
@@ -292,6 +288,7 @@ def estimate(
     if isinstance(backend, str):
         backend = parse_backend(backend)
     base, plan = resolve_plan(spec, backend, eps, measurement, obs.norm)
+    res_mean = ResourceReport() if plan is None else expected_resources(spec, plan)
     zeta = 1.0 if plan is None else plan.zeta
     run_independent = not _program_is_random(spec, backend)
     if _is_statistical(spec, backend, measurement):
@@ -308,11 +305,9 @@ def estimate(
         measured.eig()  # shots read it: prime the cache once, before any fork
     if run_independent:  # every run only reads one final state: no worker is started
         if skeleton is None:
-            final, res_mean = _exact_final_state(spec, base, rho0), ResourceReport()
-        else:  # a fixed program: the skeleton's one run, priced by its tally of that draw
-            tally = skeleton.tally()
-            tally.add(())
-            final, res_mean = skeleton.run((), rho0), tally.report()
+            final = _exact_final_state(spec, base, rho0)
+        else:  # a fixed program: the skeleton's one run
+            final = skeleton.run((), rho0)
         mus = _fixed_runs(final, measured, measurement, seed, t_runs)
     else:
         if workers > 1 and t_runs > 1:
@@ -324,14 +319,9 @@ def estimate(
                 for lo, hi in zip(bounds, bounds[1:])
             ]
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_block_worker, args))
-            mus = np.concatenate([r[0] for r in results])
-            totals = ResourceReport()
-            for r in results:
-                totals = totals + r[1]
+                mus = np.concatenate(list(pool.map(_block_worker, args)))
         else:
-            mus, totals = _run_block(skeleton, rho0, measured, measurement, seed, 0, t_runs)
-        res_mean = ResourceReport(*(v / t_runs for v in totals.as_tuple()))
+            mus = _run_block(skeleton, rho0, measured, measurement, seed, 0, t_runs)
     scaled = zeta**2 * mus
     mu = float(scaled.sum() / t_runs)
     stderr = float(scaled.std(ddof=1) / math.sqrt(t_runs)) if t_runs > 1 else 0.0

@@ -60,7 +60,7 @@ from .states import _axis_action_rowform
 _EMPIRICAL_STEP_CAP = 1 << 22
 _EXPAND_DIM = 32  # tables up to this dimension hold full d x c row scales
 _EXPAND_ENTRIES = 64  # ... for their first entries: at most 1 MiB per table at d = 32
-_WORD_KEYS = 1 << 16  # (x, z, phase) keys lcu_word_moments holds at most
+_WORD_KEYS = 1 << 16  # (x, z, phase) keys past which lcu_word_moments refuses a word law
 _FOLD_BELOW = 1e-150  # rotations_dense multiplies its cosine product in below this
 _DIAGONAL, _WORD, _TAN, _SIN = "diagonal", "word", "tan", "sin"  # kinds of item action
 
@@ -584,7 +584,7 @@ def pauli_times(wx, wz, phase, x, z, phase_exp):
 def lcu_word_moments(nh, q):
     """Per even segment order k <= q, the expected weight of its word
     (-i)^k P_l1 ... P_lk, l ~ p i.i.d., and the probability that the word
-    is +I: two arrays indexed by k/2.
+    is +I: two arrays indexed by k/2, kept on the normalized sum per q.
 
     The weight is a sum over qubits. A qubit's Pauli in the word is the XOR
     of its Paulis in the k terms, a k-fold XOR convolution, which the
@@ -592,16 +592,14 @@ def lcu_word_moments(nh, q):
     bit and their XOR) diagonalize: the qubit is I with probability
     (1 + sum_s E[chi_s]^k) / 4. The word is +I when its two halves of k/2
     terms have equal masks and phases that cancel, so that probability
-    pairs the (x, z, phase) law of k/2 products with itself. That law holds
-    at most 4 sum_{j <= q/2} C(L, j) keys for L terms; past _WORD_KEYS it
-    is refused with a NumericalError."""
-    n_terms = len(nh)
-    keys = 4 * sum(math.comb(n_terms, j) for j in range(q // 2 + 1))
-    if keys > _WORD_KEYS:
-        raise NumericalError(
-            f"pricing LCU words of order {q} on {n_terms} terms would hold up to "
-            f"{keys} (x, z, phase) keys, past the cap of {_WORD_KEYS}"
-        )
+    pairs the (x, z, phase) law of k/2 products with itself. A law grown
+    past _WORD_KEYS keys is refused with a NumericalError naming the size
+    it reached, so the work stays within (q/2) _WORD_KEYS L word products
+    for L terms."""
+    return _derived(nh, ("word_moments", q), lambda: _word_moments(nh, q))
+
+
+def _word_moments(nh, q):
     xs = np.array([p.x for _, p in nh.h.terms])
     zs = np.array([p.z for _, p in nh.h.terms])
     bits = 1 << np.arange(nh.n)
@@ -619,6 +617,12 @@ def lcu_word_moments(nh, q):
                     x2, z2, phase2 = pauli_times(wx, wz, phase, x, z, phase_exp)
                     key = (x2, z2, phase2 % 4)
                     grown[key] = grown.get(key, 0.0) + mass * prob
+                if len(grown) > _WORD_KEYS:
+                    raise NumericalError(
+                        f"pricing LCU words of order {q} on {len(terms)} terms: the law of "
+                        f"{j}-term products reached {len(grown)} (x, z, phase) keys, "
+                        f"past the cap of {_WORD_KEYS}"
+                    )
             law = grown
         plus_i = 0.0
         for (x, z, phase), mass in law.items():

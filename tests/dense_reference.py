@@ -338,7 +338,9 @@ def generic_path_calls(monkeypatch):
 def per_run_program_calls(monkeypatch):
     """Counter of the calls to CircuitProgram.validate and count_resources
     (under every name the package binds it to), the per-program work that
-    building and pricing a program costs: a walk over all its windows."""
+    building and pricing a program costs: a walk over all its windows. An
+    estimate validates its one skeleton and prices its plan with
+    expected_resources, so it never calls count_resources."""
     calls = Counter()
     real_validate = circuits.CircuitProgram.validate
     real_count = circuits.count_resources

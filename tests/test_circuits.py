@@ -219,12 +219,6 @@ def test_count_resources_frozen_costs():
     assert rep.env_preps == 2
     assert rep.depth_proxy == rep.cnot_count + rep.rotation_count
     assert rep.as_tuple() == count_items(prog)
-
-
-def test_resource_report_addition():
-    a = ResourceReport(1, 2, 3, 3, 1)
-    b = ResourceReport(10, 20, 30, 30, 10)
-    assert (a + b).as_tuple() == (11, 22, 33, 33, 11)
     assert ResourceReport.FIELDS == (
         "cnot_count",
         "rotation_count",

@@ -435,6 +435,18 @@ def test_resources_price_the_plan_estimate_runs(tmp_path, measurement):
         assert [float(v) for v in row[5:10]] == [float(v) for v in want.as_tuple()]
 
 
+def test_run_reports_the_cnots_resources_prices(tmp_path):
+    # a short salcu run reports its plan's expected CNOTs per run, not the
+    # mean over the runs it drew
+    cfg = _bench_cfg(tmp_path, "dynamics.backends = salcu\nexecution.t_override = 7\n")
+    assert cli.main(["run", "--config", cfg, "--backend", "salcu"]) == 0
+    assert cli.main(["resources", "--config", cfg]) == 0
+    run = dict(zip(*_read_csv(tmp_path / "run.csv")))
+    priced = dict(zip(*_read_csv(tmp_path / "resources.csv")))
+    assert run["backend"] == priced["backend"] == "salcu" and run["t_runs"] == "7"
+    assert run["cnot_mean"] == priced["cnot"]
+
+
 def _readme():
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as fh:
         return fh.read()

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import pickle
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -23,6 +24,7 @@ from collidesim import (
     amp_damp_model,
     apply_swap,
     count_resources,
+    estimate,
     exact_k_collision,
     exact_nonmarkov,
     execute,
@@ -455,16 +457,45 @@ def test_expected_salcu_resources_are_the_mean_of_sampled_draws():
     assert (np.abs(prices.mean(axis=0) - exact) <= 5 * sigma).all()
 
 
-def test_expected_salcu_resources_refuse_past_the_key_cap():
-    # the paper's 10-site chain has 22 terms a collision; at q = 10 the word
-    # law could hold 4 sum_{j <= 5} C(22, j) keys, past 2^16
+def _ten_site_salcu(q):
     spec = lindblad_collision_spec(amp_damp_model(m=10, J=1.0, h=0.1, gamma=1.0), 1.0, 1)
-    plan = markov_plan(spec, parse_backend("salcu", q=10), 1e-2, 1.0)
+    return spec, markov_plan(spec, parse_backend("salcu", q=q), 1e-2, 1.0)
+
+
+def test_expected_salcu_resources_price_the_ten_site_chain_at_q_10():
+    # the paper's 10-site chain has 22 terms a collision; at q = 10 the word
+    # law of 5-term products could hold 4 sum_{j <= 5} C(22, j) = 141,772
+    # keys, past 2^16, but really holds fewer, and is priced
+    spec, plan = _ten_site_salcu(10)
     n_terms = len(spec.joint(0)[0])
-    count = 4 * sum(math.comb(n_terms, j) for j in range(6))
-    assert n_terms == 22 and count == 141_772 > 1 << 16
-    with pytest.raises(NumericalError, match=f"up to {count} "):
+    assert n_terms == 22 and 4 * sum(math.comb(n_terms, j) for j in range(6)) > 1 << 16
+    rep = expected_resources(spec, plan)
+    assert rep.cnot_count > 0 and rep.pauli_gate_count > 0
+
+
+def test_expected_salcu_resources_refuse_past_the_key_cap():
+    # at q = 12 the law of 6-term products passes 2^16 keys on its way to
+    # 153,738: refused at the size it reached, before it grows further
+    spec, plan = _ten_site_salcu(12)
+    with pytest.raises(NumericalError, match=r"6-term products reached (\d+) ") as info:
         expected_resources(spec, plan)
+    reached = int(re.search(r"reached (\d+) ", str(info.value)).group(1))
+    assert (1 << 16) < reached <= (1 << 16) + 22
+
+
+def test_an_estimate_whose_price_is_refused_refuses_before_its_first_run(monkeypatch):
+    from collidesim import estimator
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("an estimate ran before its price was refused")
+
+    monkeypatch.setattr(estimator, "_skeleton", no_run)
+    monkeypatch.setattr(estimator, "run_once", no_run)
+    spec, _ = _ten_site_salcu(12)
+    rho0 = DensityMatrix.basis(10, 0)
+    with pytest.raises(NumericalError, match="past the cap"):
+        estimate(spec, rho0, magnetization(10), parse_backend("salcu", q=12), 1e-2, seed=3,
+                 t_override=1)
 
 
 def test_lindblad_collision_spec_scaling():

@@ -16,13 +16,13 @@ from collidesim import (
     Observable,
     PauliString,
     PauliSum,
-    ResourceReport,
     ThermalPrep,
     amp_damp_model,
     estimate,
     exact_k_collision,
     exact_nonmarkov,
     execute,
+    expected_resources,
     expectation,
     hoeffding_T,
     lindblad_collision_spec,
@@ -35,12 +35,11 @@ from collidesim import (
 )
 from collidesim.acceptance import _random_collision
 from collidesim.errors import NumericalError
-from collidesim.circuits import Skeleton, count_resources
+from collidesim.circuits import Skeleton
 from collidesim.collisions import nonmarkov_skeleton
 from collidesim.estimator import measured_observable, resolve_plan, run_once
 from collidesim.states import join_blocks
 from dense_reference import (
-    count_items,
     execute_register,
     generic_path_calls,
     pauli_sum,
@@ -327,6 +326,21 @@ def test_quickstart_cnot_counts_stay_pinned():
         assert abs(rep.mu - truth) <= 1e-2
 
 
+@pytest.mark.parametrize("p_swap", [None, 0.0, 0.5, 1.0], ids=["markov", "p0", "p0.5", "p1"])
+@pytest.mark.parametrize("backend", ["trotter1", "trotter2k:1", "qdrift", "salcu"])
+def test_every_estimate_reports_the_expected_price_of_its_plan(backend, p_swap):
+    # one price per plan: at either readout, worker count, seed and run count
+    base = _spec()
+    target = base if p_swap is None else NonMarkovSpec(base, p_swap)
+    for measurement in ("analytic", "shot"):
+        _, plan = resolve_plan(target, parse_backend(backend), 0.2, measurement, OBS.norm)
+        want = expected_resources(target, plan)
+        for workers, seed, runs in ((1, 3, 2), (1, 4, 5), (2, 3, 5), (2, 4, 2)):
+            rep = estimate(target, RHO0, OBS, backend, 0.2, 0.2, seed=seed,
+                           measurement=measurement, t_override=runs, workers=workers)
+            assert rep.resources_mean == want, (measurement, workers, seed, runs)
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("backend", ["qdrift", "salcu"])
 def test_randomized_estimate_matches_expanded_programs(backend, workers):
@@ -334,17 +348,16 @@ def test_randomized_estimate_matches_expanded_programs(backend, workers):
     eps, delta, seed, runs = 0.2, 0.2, 13, 12
     rep = estimate(spec, RHO0, OBS, backend, eps, delta, seed=seed, t_override=runs,
                    workers=workers, keep_samples=True)
-    # reference: every run's program on the dense register, priced item by item
+    # reference: every run's program on the dense register; the price is the plan's
     _, plan = resolve_plan(spec, parse_backend(backend), eps, "analytic", OBS.norm)
     measured = measured_observable(OBS, plan.ancilla)
-    mus, totals = [], ResourceReport()
+    mus = []
     for k in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         program = markov_program(spec, plan, rng)
         mus.append(rep.zeta**2 * _register_readout(program, measured, "analytic", rng))
-        totals = totals + ResourceReport(*count_items(program))
     np.testing.assert_allclose(rep.samples, mus, rtol=0, atol=1e-10)
-    assert rep.resources_mean.as_tuple() == tuple(v / runs for v in totals.as_tuple())
+    assert rep.resources_mean == expected_resources(spec, plan)
 
 
 def _register_readout(program, measured, measurement, rng):
@@ -418,8 +431,8 @@ SKELETON_CASES = [
 def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measurement, workers):
     # reference: build each run's own program, as markov_program and
     # nonmarkov_program give it for the run's generator; its run must give the
-    # estimate's sample bit for bit, its final state must be the dense
-    # two-slot register's, and its item walk must price the estimate
+    # estimate's sample bit for bit and its final state must be the dense
+    # two-slot register's; the estimate's price is the plan's
     base = _spec()
     spec = base if p_swap is None else NonMarkovSpec(base, p_swap)
     eps, delta, seed, runs = 0.2, 0.2, 19, 16
@@ -428,7 +441,7 @@ def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measu
     _, plan = resolve_plan(spec, parse_backend(backend), eps, measurement, OBS.norm)
     measured = measured_observable(OBS, plan.ancilla)
     preps = base.env_preparers()
-    want, totals, items = [], ResourceReport(), ResourceReport()
+    want = []
     for k in range(runs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, k)))
         if p_swap is None:
@@ -437,24 +450,21 @@ def test_skeleton_runs_equal_per_run_programs_bit_for_bit(backend, p_swap, measu
             program = nonmarkov_program(spec, plan, rng)
         mu = run_once(Skeleton(program, (), preps), (), RHO0, measured, measurement, rng)
         want.append(rep.zeta**2 * mu)
-        totals = totals + count_resources(program)
-        items = items + ResourceReport(*count_items(program))
         final = execute(program, RHO0, preps)
         final = join_blocks(final) if program.ancilla else final
         np.testing.assert_allclose(final.data, execute_register(program, RHO0, preps),
                                    rtol=0, atol=1e-10)
     assert rep.samples == tuple(want)
-    assert rep.resources_mean == ResourceReport(*(v / runs for v in totals.as_tuple()))
-    assert rep.resources_mean == ResourceReport(*(v / runs for v in items.as_tuple()))
+    assert rep.resources_mean == expected_resources(spec, plan)
     if p_swap == 1.0:  # a certain carry is closed: a run draws only its fragments
         skeleton = nonmarkov_skeleton(spec, plan)
         assert skeleton.draws and all(k is not None for (_, k), _ in skeleton.draws)
 
 
 def test_randomized_estimates_check_and_price_no_program_per_run(monkeypatch):
-    # a tripwire: the skeleton is validated once per estimate and runs are
-    # priced from pooled picks, so neither count grows with the run count,
-    # and a non-Markov run executes its draw with no program of its own
+    # a tripwire: the skeleton is validated once per estimate and the price
+    # is the plan's, so no count grows with the run count and no program is
+    # priced, and a non-Markov run executes its draw with no program of its own
     calls = per_run_program_calls(monkeypatch)
     spec = _spec()
     memory = NonMarkovSpec(spec, 0.5)
@@ -474,8 +484,8 @@ def test_randomized_estimates_check_and_price_no_program_per_run(monkeypatch):
 
 def test_a_fixed_estimate_runs_the_one_skeleton_it_builds(monkeypatch):
     # a tripwire: a fixed program's final state is one run of the estimate's
-    # skeleton and its price that skeleton's tally, so the program is checked
-    # once and no second skeleton is built, nor any program priced
+    # skeleton and its price the plan's, so the program is checked once and
+    # no second skeleton is built, nor any program priced
     calls = per_run_program_calls(monkeypatch)
     real_init = Skeleton.__init__
 
