@@ -11,14 +11,14 @@ skeleton is built, so it depends on neither the seed, the run count nor
 the worker count. When the final state does not depend on the run (the
 exact backend, or a fixed program: the skeleton's one run), it is computed
 and measured once per estimate: its conditional mean, or the Born
-distribution from which each run draws its shot with its own RNG. With the
-sampled-LCU backend the program carries the control ancilla and the
-measured operator is sigma^x (x) O. The ancilla is never held as a
-register: a run evolves the system-sized blocks rho_ab of the ancilla (+)
-system state, and the conditional expectation reads 2 Re Tr[O rho_10] from
-the one block rho_10 (a shot draws from the state joined from rho_00,
-rho_11 and rho_10). Its mean over runs is Tr[O Mtilde_K[rho]]/zeta^2; the
-estimate is mu = (zeta^2 / T) sum_k mu_k.
+distribution from which its T shots are drawn. With the sampled-LCU
+backend the program carries the control ancilla and the measured operator
+is sigma^x (x) O. The ancilla is never held as a register: a run evolves
+the system-sized blocks rho_ab of the ancilla (+) system state, and the
+conditional expectation reads 2 Re Tr[O rho_10] from the one block rho_10
+(a shot draws from the state joined from rho_00, rho_11 and rho_10). Its
+mean over runs is Tr[O Mtilde_K[rho]]/zeta^2; the estimate is
+mu = (zeta^2 / T) sum_k mu_k.
 Product-formula backends measure O directly (zeta = 1).
 
 Budget split (resolve_plan, the one place a plan is sized): a statistical
@@ -28,21 +28,21 @@ zeta^4 / eps^2) runs, which pins the confidence half-width to eps/2, and
 spends the other half on the per-collision precision. Any other estimate has
 no statistical error, so it runs once with the full eps on the circuits.
 
-Runs are seeded independently as SeedSequence((root_seed, run_index)), making
-results identical for any worker count; aggregation sums in run-index order.
-A shot run of a fixed program reads only the first double of its generator,
-so those runs take their doubles from one array pass over the run indices
-(_seeding.first_doubles) and their shots from one searchsorted per block;
-each such estimate first checks run 0 against numpy's generator. Only the
-runs of a randomized program go to worker processes: a run-independent
-estimate reads its one outcome in process whatever the worker count.
+The runs of a randomized program are seeded independently as
+SeedSequence((root_seed, run_index)), making results identical for any
+worker count; aggregation sums in run-index order. The T shots of a
+run-independent estimate are i.i.d. draws from its one Born distribution,
+taken in run order from run 0's generator, one rng.random block and one
+searchsorted at a time. Only the runs of a randomized program go to worker
+processes: a run-independent estimate reads its one outcome in process
+whatever the worker count.
 """
 
 import math
 from dataclasses import dataclass
 import numpy as np
 
-from ._seeding import BLOCK, first_doubles
+from ._draws import draw_index
 from .circuits import ResourceReport
 from .collisions import (
     NonMarkovSpec,
@@ -54,7 +54,6 @@ from .collisions import (
     nonmarkov_skeleton,
     parse_backend,
 )
-from .errors import NumericalError
 from .states import (
     Observable,
     born_distribution,
@@ -157,6 +156,9 @@ class EstimateReport:
         )
 
 
+_SHOT_BLOCK = 1 << 14  # shots per generator call: scratch stays O(block) whatever T
+
+
 def _run_rng(seed, index):
     return np.random.default_rng(np.random.SeedSequence((seed, index)))
 
@@ -204,17 +206,16 @@ def _exact_final_state(spec, base, rho0):
 
 def _fixed_runs(final, measured, measurement, seed, t_runs):
     """The t_runs values measured on a run-independent final state: its
-    conditional mean, or per run a shot from its Born distribution, drawn
-    with the first double of the run's generator, taken for a block of runs
-    at a time from first_doubles."""
+    conditional mean, or t_runs shots from its Born distribution, drawn in
+    run order from run 0's generator, _SHOT_BLOCK doubles at a time."""
     if measurement == "analytic":
         return np.full(t_runs, expectation(final, measured))
     vals, _, cdf = born_distribution(final, measured)
-    _check_first_doubles(seed)
+    rng = _run_rng(seed, 0)
     mus = np.empty(t_runs)
-    for lo in range(0, t_runs, BLOCK):
-        hi = min(lo + BLOCK, t_runs)
-        mus[lo:hi] = vals[cdf.searchsorted(first_doubles(seed, lo, hi), side="right")]
+    for lo in range(0, t_runs, _SHOT_BLOCK):
+        hi = min(lo + _SHOT_BLOCK, t_runs)
+        mus[lo:hi] = vals[draw_index(cdf, rng, hi - lo)]
     return mus
 
 
@@ -227,16 +228,6 @@ def _run_block(skeleton, rho0, measured, measurement, seed, start, stop):
         rng = _run_rng(seed, k)
         mus[pos] = run_once(skeleton, skeleton.draw(rng), rho0, measured, measurement, rng)
     return mus
-
-
-def _check_first_doubles(seed):
-    """Run 0's double from first_doubles must be its generator's own."""
-    want = _run_rng(seed, 0).random()
-    got = float(first_doubles(seed, 0, 1)[0])
-    if got != want:
-        raise NumericalError(
-            f"seeding pass gives {got!r} for run 0 of seed {seed}, numpy {want!r}"
-        )
 
 
 def _shared_floats(values):

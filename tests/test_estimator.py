@@ -34,11 +34,10 @@ from collidesim import (
     required_precision,
 )
 from collidesim.acceptance import _random_collision
-from collidesim.errors import NumericalError
 from collidesim.circuits import Skeleton
 from collidesim.collisions import nonmarkov_skeleton
-from collidesim.estimator import measured_observable, resolve_plan, run_once
-from collidesim.states import join_blocks
+from collidesim.estimator import _SHOT_BLOCK, measured_observable, resolve_plan, run_once
+from collidesim.states import born_distribution, join_blocks
 from dense_reference import (
     execute_register,
     generic_path_calls,
@@ -273,45 +272,34 @@ def test_rejects_unknown_measurement():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_fixed_program_shots_match_a_per_run_loop(workers):
-    # the hoeffding-coverage instance: one collision, shot readout
+def test_fixed_program_shots_are_run_0_generators_doubles_in_run_order(workers):
+    # the hoeffding-coverage instance: one collision, shot readout, with more
+    # runs than two generator calls of _fixed_runs draw
     rng = np.random.default_rng(5)
     spec = CollisionSpec(1, pauli_sum([(0.3, "Z")]), (_random_collision(rng, 1, 1),), 0.3)
     obs = Observable(PauliSum(1, [(1.0, PauliString.from_label("Z"))]))
     rho0 = DensityMatrix.plus()
     eps = delta = 0.1
     seed = 1000
-    rep = estimate(spec, rho0, obs, "trotter1", eps, delta, seed=seed, measurement="shot",
-                   workers=workers, keep_samples=True)
-    # reference: rebuild and re-execute the program on every run
+    runs = 2 * _SHOT_BLOCK + 5
+    kwargs = dict(seed=seed, measurement="shot", t_override=runs, workers=workers, keep_samples=True)
+    rep = estimate(spec, rho0, obs, "trotter1", eps, delta, **kwargs)
+    assert estimate(spec, rho0, obs, "trotter1", eps, delta, **kwargs) == rep
+    # reference: the program's one final state, read through one random(T)
+    # call of run 0's generator
     _, plan = resolve_plan(spec, parse_backend("trotter1"), eps, "shot", obs.norm)
-    mus = np.array([
-        run_once(Skeleton(markov_program(spec, plan), (), spec.env_preparers()), (),
-                 rho0, obs, "shot", np.random.default_rng(np.random.SeedSequence((seed, k))))
-        for k in range(rep.t_runs)
-    ])
-    assert rep.t_runs == hoeffding_T(obs.norm, eps, delta)
+    skeleton = Skeleton(markov_program(spec, plan), (), spec.env_preparers())
+    vals, _, cdf = born_distribution(skeleton.run((), rho0), obs)
+    run0 = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    mus = vals[cdf.searchsorted(run0.random(runs), side="right")]
+    assert rep.t_runs == runs and len(set(mus.tolist())) == 2
     assert rep.samples == tuple(float(v) for v in mus)
-    assert rep.mu == float(mus.sum() / rep.t_runs)
-    assert rep.stderr == float(mus.std(ddof=1) / math.sqrt(rep.t_runs))
-
-
-def test_a_seeding_pass_that_misses_numpy_at_run_0_is_a_numerical_failure(monkeypatch):
-    from collidesim import estimator
-
-    real = estimator.first_doubles
-
-    def off_by_one_ulp(seed, start, stop):
-        return np.nextafter(real(seed, start, stop), 2.0)
-
-    monkeypatch.setattr(estimator, "first_doubles", off_by_one_ulp)
-    rng = np.random.default_rng(5)
-    spec = CollisionSpec(1, pauli_sum([(0.3, "Z")]), (_random_collision(rng, 1, 1),), 0.3)
-    obs = Observable(PauliSum(1, [(1.0, PauliString.from_label("Z"))]))
-    with pytest.raises(NumericalError, match="run 0"):
-        estimate(spec, DensityMatrix.plus(), obs, "trotter1", 0.1, 0.1, seed=3, measurement="shot")
-    # an analytic readout of a fixed program draws nothing, so it is not checked
-    estimate(spec, DensityMatrix.plus(), obs, "trotter1", 0.1, 0.1, seed=3)
+    assert rep.mu == float(mus.sum() / runs)
+    assert rep.stderr == float(mus.std(ddof=1) / math.sqrt(runs))
+    # run 0's shot is the one a per-run loop gives it
+    first = run_once(skeleton, (), rho0, obs, "shot",
+                     np.random.default_rng(np.random.SeedSequence((seed, 0))))
+    assert rep.samples[0] == first
 
 
 def test_quickstart_cnot_counts_stay_pinned():
